@@ -30,21 +30,33 @@
 //! # End-to-end metrics (`--trace 0`)
 //!
 //! Measured on the public path, `Machine::from_sources(..).into_result(..)`,
-//! with tracing and the phase profiler off, after one warm-up run:
+//! with tracing and the phase profiler off, after one warm-up run.
+//!
+//! Simulation times are normalized to a quiet host: between consecutive runs
+//! a fixed, memory-bound probe ([`hostspeed`]) measures how much slower than
+//! uncontended the host is at that moment, and each `into_result` time is
+//! divided by the mean factor of the probes on either side of it. On a
+//! shared host other tenants slow the simulator by up to 2× for minutes at a
+//! time, far past any useful regression bound; the probe slows with it and
+//! cancels most of that drift. The raw times and the factors are printed on
+//! the line before the result.
 //!
 //! * `sim_mips` — program instructions (`instructions_per_core × cores`) per
-//!   host second of the fastest `into_result` run among those that fit in
-//!   `--seconds`; the median and the run count are printed beside it. Other
-//!   tenants of a shared host only ever slow a run down, and on such a host
-//!   the fastest run repeats across processes about twice as closely as the
-//!   median does. Retired instructions would count squashed speculative
-//!   retirements, so more aborts would look like more throughput.
+//!   normalized second of `into_result`, over the median run among those
+//!   that fit in `--seconds`. Retired instructions would count squashed
+//!   speculative retirements, so more aborts would look like more
+//!   throughput.
 //! * `setup_s` — median time of trace-source construction plus
 //!   `Machine::from_sources`, over the set-ups of the timed runs. Each run
 //!   sets up its own machine, so the samples span the whole window rather
-//!   than one burst that a moment of host noise could cover.
-//! * `peak_rss_mb` — the process's peak resident memory (`VmHWM`); streaming
-//!   traces keep it small.
+//!   than one burst that a moment of host noise could cover. Set-up is not
+//!   normalized: it allocates small structures rather than walking a large
+//!   working set, and while the probe's factor ranged from 1.2 to 2.5 the
+//!   raw set-up median moved far less, so dividing by the factor made it
+//!   noisier.
+//! * `peak_rss_mb` — the process's peak resident memory (`VmHWM`) after the
+//!   warm-up run, before the probe allocates; streaming traces keep it
+//!   small.
 //! * `sim_cycles` — simulated cycles, exact; a speed-only change must leave
 //!   it unchanged.
 //! * `pass_rate` — runs that passed the correctness gate / runs attempted,
@@ -93,6 +105,7 @@
 //! proves it changed no simulated output by leaving the digest unchanged.
 
 mod gitrev;
+mod hostspeed;
 mod replica;
 
 use ifence_sim::{ExperimentParams, Machine, MachineResult};
@@ -307,8 +320,8 @@ fn reference_run(cell: &Cell, tally: &mut Tally) -> (MachineResult, u64) {
 #[derive(Debug, Clone)]
 struct EndToEnd {
     program_instructions: u64,
-    /// Fastest `into_result` wall time, seconds.
-    fastest_run_s: f64,
+    /// Median normalized `into_result` time, seconds.
+    run_s: f64,
     /// Median set-up time, seconds.
     setup_s: f64,
     peak_rss_mb: f64,
@@ -317,7 +330,7 @@ struct EndToEnd {
 
 fn end_to_end_metrics(e: &EndToEnd, tally: &Tally) -> Vec<Metric> {
     vec![
-        metric("sim_mips", ratio(e.program_instructions as f64, e.fastest_run_s) / 1e6, "MIPS"),
+        metric("sim_mips", ratio(e.program_instructions as f64, e.run_s) / 1e6, "MIPS"),
         metric("setup_s", e.setup_s, "s"),
         metric("peak_rss_mb", e.peak_rss_mb, "MB"),
         metric("sim_cycles", e.sim_cycles as f64, "cycles"),
@@ -327,35 +340,51 @@ fn end_to_end_metrics(e: &EndToEnd, tally: &Tally) -> Vec<Metric> {
 
 /// After a warm-up run, times set-up and `into_result` of fresh machines
 /// for `seconds` (at least [`MIN_TIMED_RUNS`] runs), with tracing and the
-/// profiler off.
+/// profiler off. A host-speed probe runs before the first machine and after
+/// each one; each `into_result` time is divided by the mean slowdown of the
+/// probes on either side of it.
 fn measure_end_to_end(cell: &Cell, seconds: u64, tally: &mut Tally) -> Result<EndToEnd, String> {
     let (result, reference) = reference_run(cell, tally);
+    // Read before the probe allocates, so that only the simulator counts.
+    let peak_rss_mb = peak_rss_mb()?;
+    let mut probe = hostspeed::Probe::new();
+    let mut before = probe.slowdown();
     let deadline = Instant::now() + Duration::from_secs(seconds);
-    let mut setups = Vec::new();
-    let mut runs = Vec::new();
+    let (mut setups, mut runs, mut raw_runs, mut factors) = (vec![], vec![], vec![], vec![]);
     while runs.len() < MIN_TIMED_RUNS || Instant::now() < deadline {
         let started = Instant::now();
         let machine = black_box(cell.machine());
-        setups.push(started.elapsed().as_secs_f64());
+        let setup_s = started.elapsed().as_secs_f64();
         let mut problems = kernel_problems(&machine, false);
         let started = Instant::now();
         let run = machine.into_result(cell.params.max_cycles);
-        runs.push(started.elapsed().as_secs_f64());
+        let run_s = started.elapsed().as_secs_f64();
+        let after = probe.slowdown();
+        let factor = (before + after) / 2.0;
+        before = after;
+        setups.push(setup_s);
+        runs.push(run_s / factor);
+        raw_runs.push(run_s);
+        factors.push(factor);
         problems.extend(result_problems(&run, reference));
         tally.record("timed run", problems);
     }
-    let fastest_run_s = runs.iter().copied().fold(f64::INFINITY, f64::min);
     println!(
-        "into_result runs={} min_s={fastest_run_s:.6} median_s={:.6} max_s={:.6}",
+        "into_result runs={} raw_min_s={:.6} raw_median_s={:.6} normalized_median_s={:.6} \
+         host_slowdown min={:.3} median={:.3} max={:.3}",
         runs.len(),
+        raw_runs.iter().copied().fold(f64::INFINITY, f64::min),
+        median(raw_runs),
         median(runs.clone()),
-        runs.iter().copied().fold(0.0, f64::max),
+        factors.iter().copied().fold(f64::INFINITY, f64::min),
+        median(factors.clone()),
+        factors.iter().copied().fold(0.0, f64::max),
     );
     Ok(EndToEnd {
         program_instructions: cell.program_instructions(),
-        fastest_run_s,
+        run_s: median(runs),
         setup_s: median(setups),
-        peak_rss_mb: peak_rss_mb()?,
+        peak_rss_mb,
         sim_cycles: result.cycles,
     })
 }
