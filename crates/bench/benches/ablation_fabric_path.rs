@@ -1,19 +1,19 @@
 //! Ablation: wall-clock cost of the fabric hot path — timing-wheel event
 //! queue, precomputed torus routing, persistent scratch buffers and indexed
-//! wake dispatch — measured end to end on the event-driven, batched and leap
-//! kernels, with the kernel phase profiler force-enabled so the table shows
-//! *where* the host time goes (core stepping vs fabric stepping vs delivery
-//! routing), not just how much of it there is.
+//! wake dispatch — measured end to end on the event-driven kernel, with the
+//! kernel phase profiler force-enabled so the table shows *where* the host
+//! time goes (core stepping vs fabric stepping vs delivery routing), not
+//! just how much of it there is.
 //!
 //! Apache is the fabric-heavy regime: a lock-heavy sharing pattern drives
 //! coherence traffic through the directory, so the event queue, the routing
 //! lookups and the wake dispatch all sit on the measured path. The 16-core
 //! cell is the paper machine; the 64-core cell (8×8 torus) scales the node
 //! count so per-request routing and per-cycle core scans would dominate if
-//! they were still O(n). Simulated cycles are asserted identical between the
-//! kernels at each scale.
+//! they were still O(n). Simulated cycles are asserted identical across the
+//! reps of each scale.
 //!
-//! Each (kernel, scale) cell appends its own `BENCH_results.json` row; with
+//! Each scale appends its own `BENCH_results.json` row; with
 //! the profiler on, the rows carry `profile_<phase>_ms` fields, so the
 //! trajectory records the phase split across invocations.
 
@@ -30,17 +30,9 @@ fn reps() -> usize {
 }
 
 /// The paper baseline re-scaled to `cores` nodes on a square torus.
-fn config_at(
-    engine: EngineKind,
-    cores: usize,
-    seed: u64,
-    batch: bool,
-    leap: bool,
-) -> MachineConfig {
+fn config_at(engine: EngineKind, cores: usize, seed: u64) -> MachineConfig {
     let mut cfg = MachineConfig::with_engine(engine);
     cfg.seed = seed;
-    cfg.batch_kernel = batch;
-    cfg.leap_kernel = leap;
     if cores != cfg.cores {
         let side = (cores as f64).sqrt() as usize;
         assert_eq!(side * side, cores, "scales are square torus sizes");
@@ -56,8 +48,6 @@ fn config_at(
 fn timed_run(
     engine: EngineKind,
     cores: usize,
-    batch: bool,
-    leap: bool,
     params: &ifence_sim::ExperimentParams,
     workload: &ifence_workloads::WorkloadSpec,
 ) -> (u64, f64, ProfileSnapshot) {
@@ -65,7 +55,7 @@ fn timed_run(
     let mut best = f64::INFINITY;
     let mut best_profile = ProfileSnapshot::default();
     for rep in 0..reps() {
-        let cfg = config_at(engine, cores, params.seed, batch, leap);
+        let cfg = config_at(engine, cores, params.seed);
         let programs = workload.generate(cfg.cores, params.instructions_per_core, params.seed);
         let machine = ifence_sim::Machine::new(cfg, programs).expect("valid config");
         let profile_start = PhaseProfile::global().snapshot();
@@ -91,7 +81,7 @@ fn main() {
     let params = paper_params();
     let _run = print_header(
         "Ablation",
-        "fabric hot path: per-phase host time of the event-driven and batched kernels",
+        "fabric hot path: per-phase host time of the event-driven kernel",
         &params,
     );
     // Force the profiler on for every cell equally: the phase split *is* the
@@ -101,63 +91,35 @@ fn main() {
     let workload = presets::apache();
     let engine = EngineKind::Conventional(ConsistencyModel::Sc);
     let scales = [16usize, 64];
-    let modes = [
-        (false, false, "event-driven kernel"),
-        (true, false, "batched kernel"),
-        (true, true, "leap kernel"),
-    ];
+    let detail = "event-driven kernel";
     // Timed serially (never through the parallel sweep): concurrent cells
     // would contend for cores and corrupt both the wall clocks and the
     // process-global phase accumulators.
     let mut table = ColumnTable::new([
         "cores",
-        "kernel",
         "cycles",
         "wall ms",
         "core_step ms",
         "fabric_step ms",
         "delivery ms",
-        "vs event",
     ]);
     for cores in scales {
-        let mut event_ms = f64::NAN;
-        let mut event_cycles = 0;
-        for (batch, leap, detail) in modes {
-            let _cell_run = BenchRun::start(
-                "ablation_fabric_path",
-                &format!("{detail}, {cores} cores"),
-                &params,
-            );
-            let (cycles, ms, profile) = timed_run(engine, cores, batch, leap, &params, &workload);
-            let ratio = if batch {
-                assert_eq!(
-                    cycles, event_cycles,
-                    "{cores} cores: {detail} disagrees on simulated cycles"
-                );
-                format!("{:.2}x", event_ms / ms.max(1e-9))
-            } else {
-                event_ms = ms;
-                event_cycles = cycles;
-                String::new()
-            };
-            table.push_row([
-                cores.to_string(),
-                detail.to_string(),
-                cycles.to_string(),
-                format!("{ms:.1}"),
-                format!("{:.1}", profile.millis(Phase::CoreStep)),
-                format!("{:.1}", profile.millis(Phase::FabricStep)),
-                format!("{:.1}", profile.millis(Phase::DeliveryRouting)),
-                ratio,
-            ]);
-        }
+        let _cell_run =
+            BenchRun::start("ablation_fabric_path", &format!("{detail}, {cores} cores"), &params);
+        let (cycles, ms, profile) = timed_run(engine, cores, &params, &workload);
+        table.push_row([
+            cores.to_string(),
+            cycles.to_string(),
+            format!("{ms:.1}"),
+            format!("{:.1}", profile.millis(Phase::CoreStep)),
+            format!("{:.1}", profile.millis(Phase::FabricStep)),
+            format!("{:.1}", profile.millis(Phase::DeliveryRouting)),
+        ]);
     }
     println!("{table}");
     println!(
         "(phase columns are the kernel profiler's wall-clock split of each cell's fastest rep; \
          the fabric path — wheel pops, routed deliveries, table-routed latencies — is the \
-         fabric_step + delivery columns, and simulated cycles are identical in all three kernels; \
-         the leap kernel's win concentrates in the core_step column, which is what closed-form \
-         multi-cycle advancement trims)"
+         fabric_step + delivery columns)"
     );
 }

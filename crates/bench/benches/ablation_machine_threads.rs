@@ -44,11 +44,6 @@ fn timed_run(
         let mut cfg = MachineConfig::with_engine(engine);
         cfg.seed = params.seed;
         cfg.machine_threads = threads;
-        // Leap execution off: these rows track pure epoch-parallel scaling of
-        // the batched kernel, and must keep measuring the same thing now that
-        // leaping defaults on (the leap ablations live in
-        // ablation_kernel_mode / ablation_fabric_path).
-        cfg.leap_kernel = false;
         let programs = workload.generate(cfg.cores, params.instructions_per_core, params.seed);
         let machine = ifence_sim::Machine::new(cfg, programs).expect("valid config");
         let start = Instant::now();

@@ -1,7 +1,7 @@
 //! The conventional SC / TSO / RMO retirement engines.
 
 use ifence_cpu::{OrderingEngine, RetireCtx, RetireOutcome};
-use ifence_types::{Addr, ConsistencyModel, Cycle, InstrKind, StallReason};
+use ifence_types::{Addr, ConsistencyModel, InstrKind, StallReason};
 
 /// A conventional, non-speculative implementation of one consistency model
 /// (Section 2.1 of the paper).
@@ -100,18 +100,10 @@ impl OrderingEngine for ConventionalEngine {
         }
     }
 
-    fn next_unbatchable_event(&self, _now: Cycle) -> Option<Cycle> {
+    fn tick_live(&self) -> bool {
         // Conventional engines never speculate, keep no timers and have a
         // no-op tick, so their maintenance stage is dead on every cycle.
-        None
-    }
-
-    fn leap_transparent(&self) -> bool {
-        // Stateless beyond the model selector: no timers, no speculation, no
-        // checkpoints, no drain gating, default `record_cycles`. Every clause
-        // of the leap contract holds for the simulation's whole lifetime, so
-        // the leap kernel may advance conventional cores in multi-cycle runs.
-        true
+        false
     }
 }
 

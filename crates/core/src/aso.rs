@@ -366,23 +366,12 @@ impl OrderingEngine for AsoEngine {
         self.committing_until.filter(|&until| until > now)
     }
 
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.checkpoints.is_empty() && self.committing_until.is_none() {
-            // No atomic sequence in flight and no commit drain pending:
-            // `tick` is a no-op and no timer is set. A retirement that opens
-            // a checkpoint runs through `try_retire` on the batched path
-            // too, and re-arms this gate for the following cycle.
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn leap_transparent(&self) -> bool {
-        // Atomic-sequence checkpoints buffer cycles provisionally and the
-        // commit drain is a live timer; the leap contract cannot hold. ASO
-        // cores keep the per-cycle batched path.
-        false
+    fn tick_live(&self) -> bool {
+        // With no atomic sequence in flight and no commit drain pending,
+        // `tick` is a no-op and no timer is set. A retirement that opens a
+        // checkpoint runs through `try_retire` and re-arms the stage for the
+        // following cycle.
+        !self.checkpoints.is_empty() || self.committing_until.is_some()
     }
 
     fn finalize(&mut self, _mem: &mut CoreMem, stats: &mut CoreStats) {

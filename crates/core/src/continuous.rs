@@ -265,26 +265,8 @@ impl OrderingEngine for InvisiContinuousEngine {
         self.kernel.record_cycles(class, cycles, stats);
     }
 
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        // Continuous mode's tick is live on essentially every cycle: the
-        // pipelined chunk-commit loop must keep probing whether the oldest
-        // chunk has closed and drained, and the lone-chunk bound commits a
-        // big-enough open chunk as soon as its stores drain. There is no
-        // cheap state to prove the window dead, so keep the conservative
-        // default explicitly.
-        Some(now)
-    }
-
     fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
         self.kernel.finalize(mem, stats);
-    }
-
-    fn leap_transparent(&self) -> bool {
-        // Speculative: cycles are buffered provisionally per episode, the
-        // tick is live, and epochs gate the store-buffer drain. The leap
-        // contract cannot hold; continuous-mode cores keep the per-cycle
-        // batched path.
-        false
     }
 }
 

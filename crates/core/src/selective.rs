@@ -298,27 +298,13 @@ impl OrderingEngine for InvisiSelectiveEngine {
         self.kernel.record_cycles(class, cycles, stats);
     }
 
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.kernel.speculating() {
-            // An open episode means tick's opportunistic commit, violation
-            // windows and provisional accounting are all live.
-            Some(now)
-        } else {
-            // Without an episode `tick` is a no-op (try_commit_oldest bails
-            // immediately) and there are no timers. Retirements — including
-            // a fence or load that *starts* an episode — run through
-            // `try_retire` on the batched path too, so they need no term
-            // here; the moment an episode opens, this gate goes live again.
-            None
-        }
-    }
-
-    fn leap_transparent(&self) -> bool {
-        // Speculative: episodes buffer cycles provisionally and gate the
-        // store-buffer drain, so the leap contract's "always" clauses cannot
-        // hold even between episodes. Selective cores keep the per-cycle
-        // batched path (whose gate already tracks episode liveness).
-        false
+    fn tick_live(&self) -> bool {
+        // Without an episode `tick` is a no-op (try_commit_oldest bails
+        // immediately) and there are no timers. Retirements — including a
+        // fence or load that *starts* an episode — run through `try_retire`
+        // every cycle, so they need no term here; the moment an episode
+        // opens, the stage goes live again.
+        self.kernel.speculating()
     }
 
     fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {

@@ -73,15 +73,11 @@ pub struct Core {
     pending_replies: Vec<SnoopReply>,
     load_results: Vec<(usize, u64)>,
     /// Leading issued prefix: ROB entries `[0, issued_prefix)` are all
-    /// issued, so the batched issue stage starts its scan there instead of
-    /// walking the whole buffer. Maintained by both issue paths and shifted
-    /// by retirement; squashes only truncate the tail, so clamping to the
+    /// issued, so the issue stage starts its scan there instead of walking
+    /// the whole buffer. Maintained by the issue stage and shifted by
+    /// retirement; squashes only truncate the tail, so clamping to the
     /// current length keeps it sound.
     issued_prefix: usize,
-    /// Cached [`OrderingEngine::leap_transparent`] answer: whether this
-    /// core's engine permits the leap kernel's multi-cycle runs. Queried once
-    /// at construction so the leap gate is a field read, not a virtual call.
-    leap_ok: bool,
 }
 
 impl Core {
@@ -110,7 +106,6 @@ impl Core {
         cfg: &MachineConfig,
         engine: Box<dyn OrderingEngine>,
     ) -> Self {
-        let leap_ok = engine.leap_transparent();
         Core {
             id,
             cfg: cfg.core,
@@ -128,17 +123,13 @@ impl Core {
             pending_replies: Vec::new(),
             load_results: Vec::new(),
             issued_prefix: 0,
-            leap_ok,
         }
     }
 
-    /// Whether this core's ordering engine admits leap execution
-    /// ([`OrderingEngine::leap_transparent`], cached at construction). The
-    /// machine uses this to keep an all-speculative machine off the leap
-    /// kernel's epoch routing entirely — no core could leap, so the merge
-    /// replay would be pure overhead.
+    /// Only `perfbench/` reads this; always `false`.
+    #[doc(hidden)]
     pub fn leap_transparent(&self) -> bool {
-        self.leap_ok
+        false
     }
 
     /// This core's identifier.
@@ -439,7 +430,7 @@ impl Core {
                 self.stats.counters.in_window_replays += 1;
                 self.stats.counters.instructions_squashed += squashed as u64;
                 self.next_fetch = resume_at;
-                // The squash truncated the tail; clamp the fast-path
+                // The squash truncated the tail; clamp the issued-prefix
                 // watermark to the surviving prefix.
                 self.issued_prefix = self.issued_prefix.min(self.rob.len());
             }
@@ -456,9 +447,6 @@ impl Core {
 
     /// Returns true if any deferred request was resolved (state changed).
     fn resolve_deferred(&mut self, now: Cycle) -> bool {
-        if self.deferred.is_empty() {
-            return false;
-        }
         let mut still_deferred = Vec::new();
         let deferred = std::mem::take(&mut self.deferred);
         let before = deferred.len();
@@ -488,17 +476,13 @@ impl Core {
         resolved
     }
 
-    /// Returns true if any instruction issued (state changed).
+    /// Issues ready instructions, returning true if any state changed. The
+    /// scan starts at the issued prefix: entries below it are all issued
+    /// (a scan from position 0 would skip them without reading or writing
+    /// anything), and unissued memory operations consume issue ports in
+    /// buffer order either way.
     fn issue_stage(&mut self, now: Cycle) -> bool {
-        self.issue_stage_from(now, 0)
-    }
-
-    /// The issue scan, starting at position `start` — 0 from [`Core::step`];
-    /// the issued prefix from the batched fast path, which is sound because
-    /// entries below the prefix are all issued (the full scan would skip
-    /// them without reading or writing anything) and unissued memory
-    /// operations consume issue ports in buffer order either way.
-    fn issue_stage_from(&mut self, now: Cycle, start: usize) -> bool {
+        let start = self.issued_prefix.min(self.rob.len());
         let mut issued_any = false;
         let mut mem_ports_used = 0;
         let mut issued_prefix = None;
@@ -616,8 +600,8 @@ impl Core {
                 issued_prefix = Some(position);
             }
         }
-        // `start` is only ever 0 or the previous prefix, so an untouched
-        // prefix means every entry up to `rob_len` is issued.
+        // `start` is the previous prefix, so an untouched prefix means every
+        // entry up to `rob_len` is issued.
         self.issued_prefix = issued_prefix.unwrap_or(rob_len);
         issued_any
     }
@@ -698,23 +682,35 @@ impl Core {
     /// — when it did not — the earliest cycle it could act again (the
     /// event-driven kernel's scheduling contract; see
     /// [`ifence_types::CoreActivity`]).
+    ///
+    /// Every kernel runs every cycle through this one pipeline. Each stage
+    /// carries its own liveness guard, so a stage that provably has nothing
+    /// to do costs a length check: engine maintenance runs only while
+    /// [`OrderingEngine::tick_live`] says it may act, deferred resolution
+    /// only while snoops are deferred, the drain only while the store buffer
+    /// holds entries, and the issue scan starts past the issued prefix.
     pub fn step(&mut self, now: Cycle) -> CoreActivity {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();
 
         // 1. Engine maintenance (opportunistic commit, chunk management, CoV).
-        let actions = {
-            let Core { mem, engine, stats, .. } = self;
-            engine.tick(mem, stats, now)
-        };
-        let engine_acted = !actions.is_empty();
-        self.apply_engine_actions(actions);
+        let mut engine_acted = false;
+        if self.engine.tick_live() {
+            let actions = {
+                let Core { mem, engine, stats, .. } = self;
+                engine.tick(mem, stats, now)
+            };
+            engine_acted = !actions.is_empty();
+            self.apply_engine_actions(actions);
+        }
 
         // 2. Resolve deferred external requests.
-        let deferred_resolved = self.resolve_deferred(now);
+        let deferred_resolved = !self.deferred.is_empty() && self.resolve_deferred(now);
 
         // 3. Drain the store buffer into the L1.
-        let drained = {
+        let drained = if self.mem.sb_empty() {
+            0
+        } else {
             let Core { mem, engine, stats, .. } = self;
             let drain_limit = self.cfg.sb_drain_per_cycle;
             mem.drain_store_buffer(drain_limit, now, &mut stats.counters, |epoch| {
@@ -742,10 +738,10 @@ impl Core {
         // requirements are trivially satisfied because the store buffer is
         // empty).
         let mut finalized = false;
-        if self.trace_done()
+        if self.engine.speculating()
             && self.rob.is_empty()
             && self.mem.sb_empty()
-            && self.engine.speculating()
+            && self.trace_done()
         {
             let Core { mem, engine, stats, .. } = self;
             engine.finalize(mem, stats);
@@ -783,121 +779,6 @@ impl Core {
         }
     }
 
-    /// Admission gate of the batched fast path: true if, right now, the two
-    /// stages [`Core::batch_cycle`] omits relative to [`Core::step`] —
-    /// engine maintenance and deferred-snoop resolution — are provably
-    /// no-ops for this core. Every term is a length check or a trivial
-    /// engine query, so the gate costs a few nanoseconds per attempt:
-    ///
-    /// * a dead engine window ([`OrderingEngine::next_unbatchable_event`]
-    ///   returns `None`) means `tick` does nothing this cycle and no engine
-    ///   timer is pending;
-    /// * no deferred snoops means deferred resolution does nothing, and no
-    ///   pending replies means the reply routing the fast path skips has
-    ///   nothing to route (no deliveries happen inside a core's cycle, so
-    ///   neither can appear mid-cycle);
-    /// * an empty outbox is an invariant at cycle start (every path routes
-    ///   requests in the same cycle that queues them); the term is
-    ///   defensive.
-    ///
-    /// Everything else — misses, drains, retires of any instruction kind,
-    /// even requests queued by the cycle itself — is allowed: the live
-    /// stages run through the same code paths as `step`, and the machine
-    /// loop routes fast-cycle requests exactly as it routes slow-cycle
-    /// ones.
-    fn batch_ready(&mut self, now: Cycle) -> bool {
-        self.deferred.is_empty()
-            && self.pending_replies.is_empty()
-            && !self.mem.requests_pending()
-            && self.engine.next_unbatchable_event(now).is_none()
-    }
-
-    /// Executes one admitted cycle of the batched fast path: exactly
-    /// [`Core::step`] minus the two stages [`Core::batch_ready`] proved
-    /// dead (engine tick, deferred resolution), with one scheduling
-    /// refinement — the issue scan starts at the issued prefix instead of
-    /// position 0, which is behaviour-preserving because every entry below
-    /// the prefix is already issued and would be skipped by the full scan
-    /// without reading or writing anything. All live stages (drain →
-    /// issue → retire → dispatch → release → finalize → attribution) run
-    /// through the same code paths as `step` — `try_retire`, `can_drain`
-    /// and `on_load_issue` included, so engine side effects, stall
-    /// attribution and the returned [`CoreActivity`] are identical and
-    /// results stay byte-identical to the other two kernels.
-    fn batch_cycle(&mut self, now: Cycle) -> CoreActivity {
-        self.stats.trace.set_now(now);
-        let speculating_before = self.engine.speculating();
-        // An empty buffer makes the drain stage a no-op; skipping the call
-        // avoids its candidate-collection allocation on the hot path.
-        let drained = if self.mem.sb_empty() {
-            0
-        } else {
-            let Core { mem, engine, stats, .. } = self;
-            let drain_limit = self.cfg.sb_drain_per_cycle;
-            mem.drain_store_buffer(drain_limit, now, &mut stats.counters, |epoch| {
-                engine.can_drain(epoch)
-            })
-        };
-        let issued = self.issue_stage_from(now, self.issued_prefix.min(self.rob.len()));
-        let (retired, stall) = self.retire_stage(now);
-        let dispatched = self.dispatch_stage();
-        let frontier = self.engine.rollback_floor().unwrap_or(self.retired).min(self.retired);
-        self.source.release(frontier);
-        let mut finalized = false;
-        if self.engine.speculating()
-            && self.rob.is_empty()
-            && self.mem.sb_empty()
-            && self.trace_done()
-        {
-            let Core { mem, engine, stats, .. } = self;
-            engine.finalize(mem, stats);
-            finalized = true;
-        }
-        let class = if self.finished() {
-            None
-        } else if retired > 0 {
-            Some(CycleClass::Busy)
-        } else {
-            Some(stall.map(|s| s.cycle_class()).unwrap_or(CycleClass::Other))
-        };
-        if let Some(class) = class {
-            let Core { engine, stats, .. } = self;
-            engine.record_cycles(class, 1, stats);
-            if engine.speculating() {
-                stats.counters.cycles_speculating += 1;
-            }
-        }
-        // Mirrors `Core::step`'s progress aggregation; the tick and
-        // deferred-resolution components are the provably-false ones.
-        let progressed = retired > 0
-            || dispatched > 0
-            || issued
-            || drained > 0
-            || finalized
-            || self.engine.speculating() != speculating_before;
-        if progressed {
-            CoreActivity::progressed(retired, class)
-        } else {
-            CoreActivity::quiescent(class, self.wake_hint(now))
-        }
-    }
-
-    /// The per-core batched fast path: executes this core's cycle without
-    /// the stages the [`Core::batch_ready`] proof shows are no-ops, or
-    /// returns `None` if the proof does not hold, in which case the caller
-    /// must run the full [`Core::step`]. A `Some` cycle is byte-identical
-    /// to `step`; like a slow cycle it may queue coherence requests, which
-    /// the caller must route with [`Core::take_requests`] at the same point
-    /// it would for a slow cycle. (It cannot produce replies: those come
-    /// only from delivery handling and deferred resolution, which do not
-    /// run here.)
-    pub fn fast_cycle(&mut self, now: Cycle) -> Option<CoreActivity> {
-        if !self.batch_ready(now) {
-            return None;
-        }
-        Some(self.batch_cycle(now))
-    }
-
     /// The earliest future cycle at which this (quiescent) core could act of
     /// its own accord: the head instruction's completion time, the earliest
     /// deferred-snoop deadline, or an engine timer. `None` means only a
@@ -932,134 +813,12 @@ impl Core {
         (self.stats, self.load_results)
     }
 
-    /// Attributes a run of `len` identically-classed cycles in bulk —
-    /// [`OrderingEngine::record_cycles`] with the run length, which for a
-    /// leap-transparent engine is exactly `len` per-cycle calls.
-    #[inline]
-    fn flush_cycle_run(&mut self, class: Option<CycleClass>, len: Cycle) {
-        if let Some(class) = class {
-            if len > 0 {
-                let Core { engine, stats, .. } = self;
-                engine.record_cycles(class, len, stats);
-            }
-        }
-    }
-
-    /// The leap kernel's closed-form multi-cycle run: advances this core over
-    /// `[from, until)` without the per-cycle engine virtuals, activity
-    /// aggregation and machine bookkeeping the batched path still pays,
-    /// returning the next cycle to resume at (always past `from`).
-    ///
-    /// Sound only for [`OrderingEngine::leap_transparent`] engines and only
-    /// while the non-engine `batch_ready` terms hold at entry (the
-    /// `step_until` gate). Per cycle it runs exactly the live stages of
-    /// [`Core::batch_cycle`] — drain → issue-from-prefix → retire → dispatch
-    /// → release — through the same code paths, so simulated state, stats,
-    /// histograms and trace emissions are byte-identical; only the
-    /// *attribution mechanics* differ, with equal-class cycle runs flushed in
-    /// bulk via [`OrderingEngine::record_cycles`] (the default
-    /// implementation, which the transparency contract pins, makes that
-    /// exactly n single-cycle calls). The stages the batched path proves
-    /// dead — engine tick, deferred resolution, finalize-while-speculating,
-    /// speculation accounting — are dead here *by the engine contract*, so
-    /// they are not even checked per cycle.
-    ///
-    /// On quiescence the core goes to sleep exactly as the per-cycle path
-    /// would: same stretch start, same class, same wake hint (the ROB head's
-    /// completion cycle — the deferred-deadline and engine-timer terms of
-    /// [`Core::wake_hint`] are vacuous here).
-    fn leap_run(
-        &mut self,
-        from: Cycle,
-        until: Cycle,
-        sleep: &mut Option<CoreSleep>,
-        sink: &mut Vec<(Cycle, FabricInput)>,
-        report: &mut EpochStepReport,
-    ) -> Cycle {
-        debug_assert!(self.leap_ok && self.deferred.is_empty() && self.pending_replies.is_empty());
-        let mut t = from;
-        // Run-length encoded cycle attribution: (class, length) of the
-        // current run of identically-classed cycles.
-        let mut run_class: Option<CycleClass> = None;
-        let mut run_len: Cycle = 0;
-        while t < until {
-            debug_assert!(self.engine.next_unbatchable_event(t).is_none(), "leap contract");
-            debug_assert!(!self.engine.speculating(), "leap contract");
-            self.stats.trace.set_now(t);
-            let drained = if self.mem.sb_empty() {
-                0
-            } else {
-                let Core { mem, engine, stats, .. } = self;
-                let drain_limit = self.cfg.sb_drain_per_cycle;
-                mem.drain_store_buffer(drain_limit, t, &mut stats.counters, |epoch| {
-                    engine.can_drain(epoch)
-                })
-            };
-            let issued = self.issue_stage_from(t, self.issued_prefix.min(self.rob.len()));
-            let (retired, stall) = self.retire_stage(t);
-            let dispatched = self.dispatch_stage();
-            if retired > 0 {
-                // A leap-transparent engine holds no rollback floor, so the
-                // release frontier is exactly the retirement frontier; an
-                // unmoved frontier makes release a no-op, hence the gate.
-                self.source.release(self.retired);
-            }
-            // `finished()` with the speculation term inlined to false.
-            let done = self.rob.is_empty() && self.mem.sb_empty() && self.trace_done();
-            let class = if done {
-                None
-            } else if retired > 0 {
-                Some(CycleClass::Busy)
-            } else {
-                Some(stall.map(|s| s.cycle_class()).unwrap_or(CycleClass::Other))
-            };
-            if class == run_class {
-                run_len += 1;
-            } else {
-                self.flush_cycle_run(run_class, run_len);
-                run_class = class;
-                run_len = 1;
-            }
-            // Route this cycle's requests at the same point the per-cycle
-            // loop would (replies cannot appear: nothing here produces one).
-            let mut emitted = false;
-            if self.mem.requests_pending() {
-                for request in self.mem.drain_requests() {
-                    sink.push((t, FabricInput::Request(request)));
-                }
-                emitted = true;
-            }
-            let progressed = retired > 0 || dispatched > 0 || issued || drained > 0;
-            if progressed || emitted {
-                report.last_progress = Some(t);
-            }
-            if report.finished_at.is_none() && done {
-                report.finished_at = Some(t);
-            }
-            if !progressed {
-                self.flush_cycle_run(run_class, run_len);
-                // wake_hint with the vacuous terms dropped.
-                let wake_at = self.rob.head_complete_at().filter(|&c| c > t);
-                *sleep = Some(CoreSleep { since: t + 1, class, wake_at });
-                return t + 1;
-            }
-            t += 1;
-        }
-        self.flush_cycle_run(run_class, run_len);
-        t
-    }
-
     /// Steps this core alone over the epoch `[from, until)`, replaying the
-    /// serial kernel's per-core schedule exactly: batched fast cycles when
-    /// `batch` allows and the gate admits, sleep on quiescence, wake at the
-    /// recorded hint (attributing the skipped stretch in bulk, exactly as
-    /// [the serial kernel] does at the moment it re-checks a sleeping core),
-    /// and stay asleep past the horizon when the hint lies beyond it.
-    ///
-    /// With `leap` set (and a [`OrderingEngine::leap_transparent`] engine),
-    /// admitted stretches run through [`Core::leap_run`] instead of one
-    /// `fast_cycle` call per cycle — same simulated behaviour, a fraction of
-    /// the host work per cycle.
+    /// serial kernel's per-core schedule exactly: one [`Core::step`] per
+    /// awake cycle, sleep on quiescence, wake at the recorded hint
+    /// (attributing the skipped stretch in bulk, exactly as the serial
+    /// kernel does at the moment it re-checks a sleeping core), and stay
+    /// asleep past the horizon when the hint lies beyond it.
     ///
     /// Every emission — snoop replies first, then coherence requests, the
     /// serial routing order within one core's cycle — is appended to `sink`
@@ -1072,13 +831,10 @@ impl Core {
         &mut self,
         from: Cycle,
         until: Cycle,
-        batch: bool,
-        leap: bool,
         sleep: &mut Option<CoreSleep>,
         sink: &mut Vec<(Cycle, FabricInput)>,
     ) -> EpochStepReport {
         let mut report = EpochStepReport::default();
-        let leap = leap && batch && self.leap_ok;
         let mut t = from;
         while t < until {
             if let Some(s) = *sleep {
@@ -1102,23 +858,7 @@ impl Core {
                     _ => break,
                 }
             }
-            // Leap admission: the non-engine terms of `batch_ready` (the
-            // engine terms hold unconditionally for a leap-transparent
-            // engine). All three stay false across the run — nothing inside
-            // `leap_run` defers snoops, queues replies, or leaves requests
-            // unrouted — so the gate is checked once per run, not per cycle.
-            if leap
-                && self.deferred.is_empty()
-                && self.pending_replies.is_empty()
-                && !self.mem.requests_pending()
-            {
-                t = self.leap_run(t, until, sleep, sink, &mut report);
-                continue;
-            }
-            let activity = match if batch { self.fast_cycle(t) } else { None } {
-                Some(fast) => fast,
-                None => self.step(t),
-            };
+            let activity = self.step(t);
             let emitted_before = sink.len();
             for reply in self.pending_replies.drain(..) {
                 sink.push((t, FabricInput::Reply(reply)));

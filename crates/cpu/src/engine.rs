@@ -227,51 +227,22 @@ pub trait OrderingEngine: Send {
         None
     }
 
-    /// The earliest future cycle at which this engine's *cycle-start
-    /// maintenance* could do anything — `None` means the engine is a pure
-    /// pass-through until further notice: its `tick` is a no-op and it has
-    /// no pending timer. Under that guarantee [`crate::Core::fast_cycle`]
-    /// may execute the core's cycle without the tick stage; every other
-    /// engine interaction (`try_retire`, `can_drain`, `on_load_issue`, even
-    /// one that starts a speculative episode) still runs through the shared
-    /// stage code, so engine side effects stay exact either way.
+    /// Whether `tick` may act this cycle. `false` is a proof that the
+    /// engine's cycle-start maintenance is a no-op right now and that no
+    /// engine timer is pending, so [`crate::Core::step`] skips the stage;
+    /// every other engine interaction (`try_retire`, `can_drain`,
+    /// `on_load_issue`, even one that starts a speculative episode) still
+    /// runs every cycle, so the answer only has to cover `tick` itself.
     ///
-    /// The conservative default (`Some(now)`, i.e. "right now") opts an
-    /// engine out of batching entirely; engines must override it only with a
-    /// proof that the window is dead.
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
+    /// The conservative default (`true`) ticks every cycle; engines must
+    /// override it only with a proof that the window is dead.
+    fn tick_live(&self) -> bool {
+        true
     }
 
     /// Called once when the simulation ends so any still-provisional state
     /// (an open speculative episode) is folded into the final statistics.
     fn finalize(&mut self, _mem: &mut CoreMem, _stats: &mut CoreStats) {}
-
-    /// Whether the leap kernel may advance a core driven by this engine over
-    /// multi-cycle runs without consulting the engine each cycle. Returning
-    /// `true` is a *standing contract*, stronger than a dead
-    /// [`OrderingEngine::next_unbatchable_event`] window — the engine
-    /// guarantees, for the whole run of the simulation:
-    ///
-    /// * `tick` never acts, and `next_wake` / `next_unbatchable_event` are
-    ///   always `None` (no timers, ever);
-    /// * `speculating` is always false and `rollback_floor` always `None`
-    ///   (no checkpoints, no post-retirement speculation, nothing for
-    ///   `finalize` to fold);
-    /// * `can_drain` is always true (no epoch gating of the store buffer);
-    /// * `record_cycles` keeps the default implementation, so attributing a
-    ///   run of n identically-classed cycles in one call is exactly n
-    ///   single-cycle calls.
-    ///
-    /// `try_retire`, `on_load_issue` and `on_external` still run through the
-    /// shared stage code every cycle — the contract only removes the
-    /// *per-cycle bookkeeping* interactions, which is what lets
-    /// [`crate::Core`]'s leap path replay a stretch of cycles with plain
-    /// loops over dense completion state. The conservative default opts an
-    /// engine out; speculative engines must never override it.
-    fn leap_transparent(&self) -> bool {
-        false
-    }
 }
 
 /// A minimal engine that retires everything as soon as it completes, with no
@@ -301,16 +272,10 @@ impl OrderingEngine for FreeRetireEngine {
         }
     }
 
-    fn next_unbatchable_event(&self, _now: Cycle) -> Option<Cycle> {
-        // No ordering constraints, no timers, no speculation: always a
-        // pass-through for the batched fast path.
-        None
-    }
-
-    fn leap_transparent(&self) -> bool {
-        // Stateless and non-speculative: every clause of the leap contract
-        // holds trivially.
-        true
+    fn tick_live(&self) -> bool {
+        // No ordering constraints, no timers, no speculation: nothing to
+        // maintain, ever.
+        false
     }
 }
 

@@ -106,15 +106,6 @@ impl CoreMem {
         self.outbox.drain(..)
     }
 
-    /// True if any coherence request (including pending eviction writebacks)
-    /// is waiting to be routed to the fabric. The batched fast path must see
-    /// an empty outbox: a pending request means the machine-level routing in
-    /// `step_cycle` still has work to do this cycle.
-    pub fn requests_pending(&mut self) -> bool {
-        self.collect_writebacks();
-        !self.outbox.is_empty()
-    }
-
     fn collect_writebacks(&mut self) {
         let id = self.id;
         for action in self.l1.take_writebacks() {

@@ -3,9 +3,9 @@
 //! Completion state is kept structure-of-arrays style: the per-entry payload
 //! (`RobEntry`) lives in one ring, while the completion cycle and the issue
 //! flag live in two parallel rings pushed, popped, squashed and cleared in
-//! lockstep. The leap kernel's horizon queries — "when does the head
-//! complete", "where does the issued prefix end" — then read dense `u64`s /
-//! `bool`s without walking the wide entry structs.
+//! lockstep. The core's hot queries — "when does the head complete", "is
+//! this entry issued" — then read dense `u64`s / `bool`s without walking the
+//! wide entry structs.
 
 use ifence_mem::Ring;
 use ifence_types::{BlockAddr, Cycle, Instruction};
@@ -87,7 +87,7 @@ impl RobView<'_> {
 pub struct Rob {
     // Flat ring backing: the capacity is fixed at construction, so in-flight
     // entries live in a never-reallocated `Vec` addressed by head + length —
-    // the batched kernel's scans walk plain slices, not a rotated deque.
+    // the core's per-cycle scans walk plain slices, not a rotated deque.
     entries: Ring<RobEntry>,
     /// Completion cycles, parallel to `entries` ([`PENDING`] = not complete).
     complete_at: Ring<Cycle>,
@@ -139,9 +139,8 @@ impl Rob {
         self.issued.push_back(false);
     }
 
-    /// The `index`-th oldest in-flight instruction (0 = head). A flat-ring
-    /// index computation, used by the batched fast path's incremental
-    /// batchability scan.
+    /// The `index`-th oldest in-flight instruction (0 = head): a flat-ring
+    /// index computation.
     pub fn get(&self, index: usize) -> Option<&RobEntry> {
         self.entries.get(index)
     }
@@ -188,8 +187,8 @@ impl Rob {
         self.issued.get(index).copied().unwrap_or(false)
     }
 
-    /// Completion cycle of the head instruction, if known. This is the leap
-    /// kernel's O(1) horizon query: one dense `u64` read, no entry walk.
+    /// Completion cycle of the head instruction, if known (the core's wake
+    /// hint): one dense `u64` read, no entry walk.
     pub fn head_complete_at(&self) -> Option<Cycle> {
         self.complete_at(0)
     }

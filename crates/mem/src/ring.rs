@@ -3,7 +3,7 @@
 //!
 //! Unlike `VecDeque`, the backing `Vec` never reallocates after reaching the
 //! configured capacity and is never rotated: the occupied region is addressed
-//! by a head index plus a length, so the batched execution kernel iterates
+//! by a head index plus a length, so the core's per-cycle scans iterate
 //! plain slices. Slots are filled lazily — a ring only allocates as many
 //! slots as it has ever held at once — and overflow is a panic, because every
 //! caller checks `is_full` (or its own capacity rule) before inserting.

@@ -436,28 +436,15 @@ pub struct MachineConfig {
     /// kernels produce byte-identical results; the dense loop survives as a
     /// debug reference (also selectable at run time with `IFENCE_DENSE=1`).
     pub dense_kernel: bool,
-    /// Allow the batched execution fast path on top of the event-driven
-    /// kernel: when a single core is awake and its ordering engine reports a
-    /// dead window, runs of non-memory/L1-hit instructions retire in a tight
-    /// loop without per-cycle machine bookkeeping. Batching never changes
-    /// simulated results — all three kernel modes are byte-identical — so it
-    /// defaults to on; `IFENCE_BATCH=0` disables it at run time (the dense
-    /// kernel always ignores it).
+    /// Only `perfbench/` reads this.
+    #[doc(hidden)]
     pub batch_kernel: bool,
-    /// Allow leap execution on top of the batched fast path: cores whose
-    /// ordering engine is leap-transparent (conventional SC/TSO/RMO and the
-    /// free-retire baseline — never the speculative engines) advance over
-    /// multi-cycle runs between fabric events in one call, with
-    /// run-length-encoded cycle attribution, instead of one batched cycle
-    /// per call. Leaping routes the machine through the epoch kernel's
-    /// merge (at any thread count, 1 included) so emissions keep the exact
-    /// serial interleaving; results are byte-identical across all kernel
-    /// modes, so it defaults to on. `IFENCE_LEAP=0` disables it at run time;
-    /// it is inert when `batch_kernel` is off or the dense kernel is forced.
+    /// Only `perfbench/` reads this.
+    #[doc(hidden)]
     pub leap_kernel: bool,
     /// Number of worker threads the machine's epoch-parallel kernel may use
     /// to step this one machine's cores concurrently. `1` (the default) runs
-    /// the serial kernels; `>= 2` partitions the cores across
+    /// the serial kernel; `>= 2` partitions the cores across
     /// `std::thread::scope` workers that step independently up to a safe
     /// horizon and merge their fabric traffic in exact serial order, so
     /// results stay byte-identical at any thread count. Clamped to the core
@@ -468,7 +455,7 @@ pub struct MachineConfig {
     /// deferral start/end, store-buffer high-water marks, L2
     /// eviction/recall, DRAM fetch, deadlock diagnostics) during the run.
     /// Tracing never changes any simulated result — the trace stream is a
-    /// pure observation, byte-identical across all nine kernel modes — so it
+    /// pure observation, byte-identical across every kernel mode — so it
     /// defaults to off purely for speed and memory; `IFENCE_TRACE=1`
     /// enables it at run time.
     pub trace: bool,
@@ -506,7 +493,7 @@ impl MachineConfig {
             seed: 0x1f3c_e5ee_d00d,
             dense_kernel: false,
             batch_kernel: true,
-            leap_kernel: true,
+            leap_kernel: false,
             machine_threads: 1,
             trace: false,
         }

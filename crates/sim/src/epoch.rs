@@ -1,5 +1,5 @@
 //! The epoch-parallel machine kernel: one simulated machine's cores stepped
-//! across threads, byte-identical to the serial kernels.
+//! across threads, byte-identical to the serial kernel.
 //!
 //! # Why independent stepping is sound
 //!
@@ -135,10 +135,10 @@ impl Chunk {
     /// step phase. Workers call this back to back; the control thread calls
     /// the two phases separately so each runs under its own profiler timer
     /// (delivery handling under `DeliveryRouting`, stepping under
-    /// `CoreStep` — the same attribution the serial kernels use).
-    fn run_epoch(&mut self, input: &EpochInput, output: &mut EpochOutput, batch: bool, leap: bool) {
+    /// `CoreStep` — the same attribution the serial kernel uses).
+    fn run_epoch(&mut self, input: &EpochInput, output: &mut EpochOutput) {
         self.run_delivery_phase(input, output);
-        self.run_step_phase(input, output, batch, leap);
+        self.run_step_phase(input, output);
     }
 
     /// Delivery phase (all deliveries land at the epoch start): wake the
@@ -185,13 +185,7 @@ impl Chunk {
     /// outright — `step_until` would observe the hint at or past the horizon
     /// and return untouched (the delivery phase already woke every delivery
     /// target), so the report is constructed directly from the sleep state.
-    fn run_step_phase(
-        &mut self,
-        input: &EpochInput,
-        output: &mut EpochOutput,
-        batch: bool,
-        leap: bool,
-    ) {
+    fn run_step_phase(&mut self, input: &EpochInput, output: &mut EpochOutput) {
         let start = input.start;
         for li in 0..self.cores.len() {
             if let Some(sleep) = self.sleep[li] {
@@ -209,8 +203,6 @@ impl Chunk {
             let report = self.cores[li].step_until(
                 start,
                 input.horizon,
-                batch,
-                leap,
                 &mut self.sleep[li],
                 &mut self.emit,
             );
@@ -318,13 +310,7 @@ fn partition(cores: Vec<Core>, sleep: Vec<Option<CoreSleep>>, threads: usize) ->
     chunks
 }
 
-fn worker_main(
-    mut chunk: Chunk,
-    slot: &WorkerSlot,
-    barrier: &SpinBarrier,
-    batch: bool,
-    leap: bool,
-) {
+fn worker_main(mut chunk: Chunk, slot: &WorkerSlot, barrier: &SpinBarrier) {
     loop {
         // Barrier A: the control thread has published this epoch's input.
         barrier.wait();
@@ -334,7 +320,7 @@ fn worker_main(
                 break;
             }
             let mut output = slot.output.lock().expect("epoch output mutex");
-            chunk.run_epoch(&input, &mut output, batch, leap);
+            chunk.run_epoch(&input, &mut output);
         }
         // Barrier B: every chunk is done; the control thread may merge.
         barrier.wait();
@@ -351,8 +337,6 @@ pub(crate) fn run_epoch_loop(m: &mut Machine, max_cycles: Cycle) -> (bool, Optio
         return (false, None);
     }
     let threads = m.threads.min(m.cores.len()).max(1);
-    let batch = m.batch;
-    let leap = m.leap;
     let cores = std::mem::take(&mut m.cores);
     let sleeping = std::mem::take(&mut m.sleeping);
     let mut chunks = partition(cores, sleeping, threads);
@@ -363,9 +347,9 @@ pub(crate) fn run_epoch_loop(m: &mut Machine, max_cycles: Cycle) -> (bool, Optio
     let (verdict, control_chunk) = std::thread::scope(|s| {
         for (chunk, slot) in chunks.into_iter().zip(&slots) {
             let barrier = &barrier;
-            s.spawn(move || worker_main(chunk, slot, barrier, batch, leap));
+            s.spawn(move || worker_main(chunk, slot, barrier));
         }
-        control_loop(m, control_chunk, &slots, &ranges, &barrier, max_cycles, batch, leap)
+        control_loop(m, control_chunk, &slots, &ranges, &barrier, max_cycles)
     });
     // Reassemble the machine: every worker deposited its chunk on the way
     // out (the scope join guarantees they all have).
@@ -394,7 +378,6 @@ pub(crate) fn run_epoch_loop(m: &mut Machine, max_cycles: Cycle) -> (bool, Optio
 
 /// The control thread's epoch loop (it also steps chunk 0 between the
 /// barriers). Owns the fabric throughout; workers never touch it.
-#[allow(clippy::too_many_arguments)]
 fn control_loop(
     m: &mut Machine,
     mut chunk: Chunk,
@@ -402,8 +385,6 @@ fn control_loop(
     ranges: &[(usize, usize)],
     barrier: &SpinBarrier,
     max_cycles: Cycle,
-    batch: bool,
-    leap: bool,
 ) -> (Verdict, Chunk) {
     let n: usize = ranges.iter().map(|&(_, len)| len).sum();
     let loop_start = m.now;
@@ -466,7 +447,7 @@ fn control_loop(
         chunk.run_delivery_phase(&control_input, &mut control_output);
         drop(timer);
         let timer = m.timer(Phase::CoreStep);
-        chunk.run_step_phase(&control_input, &mut control_output, batch, leap);
+        chunk.run_step_phase(&control_input, &mut control_output);
         drop(timer);
         barrier.wait(); // B: every chunk done, outputs stable.
                         // Merge: fold every chunk's report and replay the combined log in

@@ -24,22 +24,9 @@
 //! schedule produces results byte-identical to dense polling — which
 //! survives as a debug mode ([`MachineConfig::dense_kernel`] or
 //! `IFENCE_DENSE=1`) and is held equivalent by `tests/kernel_equivalence.rs`.
-//!
-//! A third level, **execution batching**, accelerates the cycles that *are*
-//! stepped. A full [`ifence_cpu::Core::step`] runs two stages that are
-//! usually dead — engine maintenance (`tick`) and deferred-snoop resolution
-//! — before the live drain/issue/retire/dispatch pipeline, and its issue
-//! stage rescans the whole reorder buffer from position 0. When a cheap
-//! per-core gate proves the dead stages are no-ops this cycle (no deferred
-//! snoops, no pending replies, a dead engine window), the core runs a
-//! trimmed copy of the same cycle ([`ifence_cpu::Core::fast_cycle`]): the
-//! live stages through the identical code paths, with the issue scan
-//! starting at the already-issued prefix. Fast cycles may queue coherence
-//! requests like any other; the machine routes them at the same point in
-//! the same order, so the fabric schedule — and therefore every simulated
-//! result — is byte-identical. Batching is on by default
-//! ([`MachineConfig::batch_kernel`]) and `IFENCE_BATCH=0` disables it; the
-//! dense debug mode ignores it entirely.
+//! The cycles that *are* stepped stay cheap on their own: every kernel runs
+//! the single guarded core pipeline, [`ifence_cpu::Core::step`], whose dead
+//! stages cost a length check each.
 //!
 //! Quiescence detection gives deadlock detection for free: if no core has a
 //! wake hint and the fabric has nothing scheduled, the simulation can never
@@ -47,32 +34,15 @@
 //! [`MachineResult::deadlocked`] set and a per-core diagnostic instead of
 //! spinning to the cycle limit.
 //!
-//! A fourth level, **epoch parallelism** (`crate::epoch`), steps one
+//! A third level, **epoch parallelism** (`crate::epoch`), steps one
 //! machine's cores across threads: with [`MachineConfig::machine_threads`]
 //! `>= 2` (or `IFENCE_THREADS`), the run loop partitions the cores over
 //! `std::thread::scope` workers, each of which steps its cores independently
 //! up to a safe horizon below which no cross-core interaction can land
 //! ([`ifence_coherence::CoherenceFabric::next_interaction_bound`]), then
 //! merges every worker's buffered fabric traffic back in the exact serial
-//! order — so results stay byte-identical to the serial kernels at any
+//! order — so results stay byte-identical to the serial kernel at any
 //! thread count. The dense debug mode always runs serially.
-//!
-//! A fifth level, **leap execution**, accelerates the batched cycles
-//! themselves. A core whose ordering engine is leap-transparent
-//! ([`ifence_cpu::OrderingEngine::leap_transparent`]: no timers, no
-//! speculation, no drain gating — the conventional SC/TSO/RMO engines)
-//! advances over a whole run of cycles between fabric events in one call,
-//! running the identical live stages per cycle but none of the per-cycle
-//! kernel bookkeeping, with equal-class cycle runs attributed in bulk.
-//! Leaping always routes through the epoch kernel's merge — at
-//! `machine_threads == 1` the epoch loop degenerates to one worker and the
-//! merge restores the exact serial emission order — so the fabric sees an
-//! identical schedule and results stay byte-identical. On by default
-//! ([`MachineConfig::leap_kernel`]); `IFENCE_LEAP=0` disables it, and it is
-//! inert whenever batching is (dense mode included). A machine with no
-//! leap-transparent core — the speculative engines — never takes the leap
-//! routing at all: it stays on the serial batched kernel rather than pay
-//! the epoch merge for nothing.
 
 use ifence_coherence::{
     CoherenceFabric, CoherenceRequest, Delivery, EventQueue, FabricConfig, SnoopReply,
@@ -159,21 +129,10 @@ pub struct Machine {
     /// from the configuration flag and the `IFENCE_DENSE` environment
     /// variable.
     dense: bool,
-    /// Batched execution fast path (see the module documentation), resolved
-    /// once at construction from [`MachineConfig::batch_kernel`] and the
-    /// `IFENCE_BATCH` environment variable. Always false in dense mode.
-    pub(crate) batch: bool,
-    /// Leap execution (see the module documentation), resolved once at
-    /// construction from [`MachineConfig::leap_kernel`], the `IFENCE_LEAP`
-    /// environment variable, and the engine's leap transparency. Requires
-    /// `batch` and at least one leap-transparent core; routes the run loop
-    /// through the epoch kernel at any thread count so emissions merge in
-    /// exact serial order.
-    pub(crate) leap: bool,
     /// Worker-thread count of the epoch-parallel kernel, resolved once at
     /// construction from [`MachineConfig::machine_threads`] and the
     /// `IFENCE_THREADS` environment variable, clamped to the core count.
-    /// `1` = the serial kernels; dense mode always forces 1.
+    /// `1` = the serial kernel; dense mode always forces 1.
     pub(crate) threads: usize,
     /// Per-core sleep state: `Some` while the core is quiescent and need not
     /// be stepped (see the module documentation).
@@ -253,15 +212,6 @@ impl Machine {
             })
             .collect();
         let dense = cfg.dense_kernel || env_dense_override();
-        let batch = cfg.batch_kernel && !env_batch_disabled() && !dense;
-        // Leaping requires the batched fast path and at least one core whose
-        // engine can actually leap: an all-speculative machine would pay the
-        // epoch loop's merge replay without any closed-form gain, so it
-        // stays on the serial batched kernel (byte-identical either way).
-        let leap = cfg.leap_kernel
-            && !env_leap_disabled()
-            && batch
-            && cores.iter().any(Core::leap_transparent);
         let threads = if dense {
             1
         } else {
@@ -281,8 +231,6 @@ impl Machine {
             fabric,
             now: 0,
             dense,
-            batch,
-            leap,
             threads,
             sleeping,
             awake,
@@ -300,20 +248,20 @@ impl Machine {
         self.dense
     }
 
-    /// True if this machine runs eligible core cycles through the batched
-    /// execution fast path (see the module documentation).
+    /// Only `perfbench/` reads this; always `true`.
+    #[doc(hidden)]
     pub fn batch_kernel(&self) -> bool {
-        self.batch
+        true
     }
 
-    /// True if this machine leaps leap-transparent cores over multi-cycle
-    /// runs between fabric events (see the module documentation).
+    /// Only `perfbench/` reads this; always `false`.
+    #[doc(hidden)]
     pub fn leap_kernel(&self) -> bool {
-        self.leap
+        false
     }
 
     /// Number of worker threads the epoch-parallel kernel will use for this
-    /// machine (1 = the serial kernels).
+    /// machine (1 = the serial kernel).
     pub fn machine_threads(&self) -> usize {
         self.threads
     }
@@ -436,8 +384,7 @@ impl Machine {
             }
             // A delivery can queue outgoing traffic directly (an eviction's
             // writeback, a squash's flash-invalidation writebacks). Route it
-            // now: the fabric sees it this same cycle either way, and an
-            // empty outbox lets the core take the batched fast path.
+            // now: the fabric sees it this same cycle either way.
             self.cores[idx].drain_requests_into(&mut self.request_buf);
             for request in self.request_buf.drain(..) {
                 self.fabric.request(request, now);
@@ -466,43 +413,25 @@ impl Machine {
         // exactly its target and a due hint wakes exactly its sleeper, so
         // the loop below walks only the cores that must be stepped — in
         // ascending index order, the identical fabric call order to a full
-        // scan. Cores whose engine-maintenance and deferred-resolution
-        // stages are provably dead take the batched fast path
-        // ([`Core::fast_cycle`]): the same cycle through the same stages
-        // minus the dead ones. A fast cycle can queue requests like any
-        // other; they are routed here, at the same point and in the same
-        // order as a slow cycle's, so the fabric sees an identical schedule.
-        // (Fast cycles cannot produce replies — those come only from
-        // delivery handling and deferred resolution.)
+        // scan.
         let mut dense_wake = None;
         let mut awake = std::mem::take(&mut self.awake);
         let mut kept = 0;
         for r in 0..awake.len() {
             let i = awake[r];
             let core = &mut self.cores[i];
-            let fast = if self.batch { core.fast_cycle(now) } else { None };
-            let activity = if let Some(activity) = fast {
-                core.drain_requests_into(&mut self.request_buf);
-                for request in self.request_buf.drain(..) {
-                    progressed = true;
-                    self.fabric.request(request, now);
-                }
-                activity
-            } else {
-                let activity = core.step(now);
-                core.drain_replies_into(&mut self.reply_buf);
-                core.drain_requests_into(&mut self.request_buf);
-                if !self.reply_buf.is_empty() || !self.request_buf.is_empty() {
-                    progressed = true;
-                }
-                for reply in self.reply_buf.drain(..) {
-                    self.fabric.respond(reply, now);
-                }
-                for request in self.request_buf.drain(..) {
-                    self.fabric.request(request, now);
-                }
-                activity
-            };
+            let activity = core.step(now);
+            core.drain_replies_into(&mut self.reply_buf);
+            core.drain_requests_into(&mut self.request_buf);
+            if !self.reply_buf.is_empty() || !self.request_buf.is_empty() {
+                progressed = true;
+            }
+            for reply in self.reply_buf.drain(..) {
+                self.fabric.respond(reply, now);
+            }
+            for request in self.request_buf.drain(..) {
+                self.fabric.request(request, now);
+            }
             let mut keep = true;
             if activity.progressed {
                 progressed = true;
@@ -555,11 +484,7 @@ impl Machine {
     /// two or more machine threads the epoch-parallel kernel takes over —
     /// byte-identical by construction (see `crate::epoch`).
     fn run_loop(&mut self, max_cycles: Cycle) -> (bool, Option<String>) {
-        // Leap execution also routes through the epoch loop at one thread:
-        // its control loop merges each core's independently-emitted traffic
-        // back into the exact serial order, which is what makes multi-cycle
-        // per-core runs safe.
-        if self.threads > 1 || self.leap {
+        if self.threads > 1 {
             return crate::epoch::run_epoch_loop(self, max_cycles);
         }
         while self.now < max_cycles && !self.all_finished() {
@@ -723,17 +648,6 @@ fn env_dense_override() -> bool {
     }
 }
 
-/// True when the `IFENCE_BATCH` environment variable explicitly disables the
-/// batched execution fast path (`IFENCE_BATCH=0`). The environment can only
-/// turn batching *off* — it is on by default and unrecognised values are
-/// treated as unset, mirroring `IFENCE_DENSE`.
-fn env_batch_disabled() -> bool {
-    match std::env::var("IFENCE_BATCH") {
-        Ok(raw) => parse_dense_flag(&raw) == Some(false),
-        Err(_) => false,
-    }
-}
-
 /// True when the `IFENCE_TRACE` environment variable turns on structured
 /// event tracing (see [`MachineConfig::trace`]). The environment can only
 /// turn tracing *on*; unrecognised values are treated as unset, mirroring
@@ -741,17 +655,6 @@ fn env_batch_disabled() -> bool {
 fn env_trace_override() -> bool {
     match std::env::var("IFENCE_TRACE") {
         Ok(raw) => parse_dense_flag(&raw).unwrap_or(false),
-        Err(_) => false,
-    }
-}
-
-/// True when the `IFENCE_LEAP` environment variable explicitly disables leap
-/// execution (`IFENCE_LEAP=0`). The environment can only turn leaping *off*
-/// — it is on by default and unrecognised values are treated as unset,
-/// mirroring `IFENCE_BATCH`.
-fn env_leap_disabled() -> bool {
-    match std::env::var("IFENCE_LEAP") {
-        Ok(raw) => parse_dense_flag(&raw) == Some(false),
         Err(_) => false,
     }
 }
@@ -866,41 +769,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_event_kernels_agree_on_a_small_run() {
-        // The batched fast path must be byte-identical to the plain
-        // event-driven kernel (the full matrix lives in
-        // tests/kernel_equivalence.rs; this is the in-crate smoke).
-        for engine in [
-            EngineKind::Conventional(ConsistencyModel::Sc),
-            EngineKind::InvisiSelective(ConsistencyModel::Sc),
-        ] {
-            let spec = WorkloadSpec::uniform("batch-mode");
-            let batch_cfg = MachineConfig::small_test(engine);
-            let mut event_cfg = MachineConfig::small_test(engine);
-            event_cfg.batch_kernel = false;
-            let programs = spec.generate(batch_cfg.cores, 500, 11);
-            let batched = Machine::new(batch_cfg, programs.clone()).unwrap();
-            let event = Machine::new(event_cfg, programs).unwrap();
-            // Under IFENCE_BATCH=0 or IFENCE_DENSE=1 both machines run the
-            // same kernel and the comparison holds trivially; in the default
-            // environment this really is batched-vs-event.
-            assert!(!event.batch_kernel());
-            let batched_result = batched.into_result(5_000_000);
-            let event_result = event.into_result(5_000_000);
-            assert!(batched_result.finished);
-            assert_eq!(
-                batched_result,
-                event_result,
-                "{}: batching must be byte-identical",
-                engine.label()
-            );
-        }
-    }
-
-    #[test]
     fn epoch_parallel_kernel_agrees_with_the_serial_kernels() {
         // The epoch-parallel kernel must be byte-identical to the serial
-        // batched kernel at every thread count (the full matrix lives in
+        // kernel at every thread count (the full matrix lives in
         // tests/kernel_equivalence.rs; this is the in-crate smoke).
         for engine in [
             EngineKind::Conventional(ConsistencyModel::Sc),
@@ -969,62 +840,6 @@ mod tests {
         cfg.dense_kernel = true;
         let machine = Machine::new(cfg, programs).unwrap();
         assert_eq!(machine.machine_threads(), 1, "dense debug mode never threads");
-    }
-
-    #[test]
-    fn dense_mode_ignores_the_batch_flag() {
-        let mut cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        cfg.dense_kernel = true;
-        assert!(cfg.batch_kernel, "batching defaults on");
-        assert!(cfg.leap_kernel, "leaping defaults on");
-        let programs = WorkloadSpec::uniform("dense-batch").generate(cfg.cores, 100, 2);
-        let machine = Machine::new(cfg, programs).unwrap();
-        assert!(machine.dense_kernel());
-        assert!(!machine.batch_kernel(), "dense debug mode never batches");
-        assert!(!machine.leap_kernel(), "leaping requires the batched fast path");
-    }
-
-    #[test]
-    fn leap_and_stepped_kernels_agree_on_a_small_run() {
-        // Leap execution must be byte-identical to cycle-by-cycle batched
-        // stepping (the full matrix lives in tests/kernel_equivalence.rs and
-        // tests/leap_oracle.rs; this is the in-crate smoke). One
-        // leap-transparent engine where leaping actually engages, one
-        // speculative engine where machine construction refuses the leap
-        // routing outright (no core could leap, so the epoch merge would be
-        // pure overhead).
-        for engine in [
-            EngineKind::Conventional(ConsistencyModel::Sc),
-            EngineKind::InvisiSelective(ConsistencyModel::Sc),
-        ] {
-            let spec = WorkloadSpec::uniform("leap-mode");
-            let leap_cfg = MachineConfig::small_test(engine);
-            let mut stepped_cfg = MachineConfig::small_test(engine);
-            stepped_cfg.leap_kernel = false;
-            let programs = spec.generate(leap_cfg.cores, 500, 11);
-            let leaping = Machine::new(leap_cfg, programs.clone()).unwrap();
-            let stepped = Machine::new(stepped_cfg, programs).unwrap();
-            // Under IFENCE_LEAP=0 (or a forced dense/batch-off environment)
-            // both machines run the same kernel and the comparison holds
-            // trivially; in the default environment this really is
-            // leap-vs-stepped.
-            assert!(!stepped.leap_kernel());
-            if matches!(engine, EngineKind::InvisiSelective(_)) {
-                assert!(
-                    !leaping.leap_kernel(),
-                    "a machine with no leap-transparent core must not take the epoch routing"
-                );
-            }
-            let leap_result = leaping.into_result(5_000_000);
-            let stepped_result = stepped.into_result(5_000_000);
-            assert!(leap_result.finished);
-            assert_eq!(
-                leap_result,
-                stepped_result,
-                "{}: leaping must be byte-identical",
-                engine.label()
-            );
-        }
     }
 
     #[test]

@@ -29,10 +29,6 @@ pub struct ExperimentParams {
     /// event-driven one that skips quiescent cycles; results are identical,
     /// only slower. Settable with `IFENCE_DENSE=1`.
     pub dense_kernel: bool,
-    /// Enable the batched execution fast path (on by default; results are
-    /// identical either way, only the wall-clock time changes). Disable with
-    /// `IFENCE_BATCH=0`; ignored when the dense kernel is forced.
-    pub batch_kernel: bool,
     /// Worker threads used *inside* each simulated machine by the
     /// epoch-parallel kernel (the result is byte-identical at any value;
     /// only the wall-clock time changes). Defaults to 1 (serial); override
@@ -111,7 +107,6 @@ impl Default for ExperimentParams {
             full_machine: true,
             parallelism: available_jobs(),
             dense_kernel: false,
-            batch_kernel: true,
             machine_threads: 1,
             l2_size_override: None,
         }
@@ -150,16 +145,6 @@ impl ExperimentParams {
             }),
             None => false,
         };
-        params.batch_kernel = match lookup("IFENCE_BATCH") {
-            Some(raw) => crate::machine::parse_dense_flag(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: ignoring unparseable IFENCE_BATCH={raw:?} (expected 0/1); \
-                     using the default"
-                );
-                true
-            }),
-            None => true,
-        };
         params
     }
 
@@ -173,7 +158,6 @@ impl ExperimentParams {
             full_machine: false,
             parallelism: available_jobs(),
             dense_kernel: false,
-            batch_kernel: true,
             machine_threads: 1,
             l2_size_override: None,
         }
@@ -216,7 +200,6 @@ impl ExperimentParams {
         };
         cfg.seed = self.seed;
         cfg.dense_kernel = self.dense_kernel;
-        cfg.batch_kernel = self.batch_kernel;
         cfg.machine_threads = self.machine_threads;
         if let Some(size) = self.l2_size_override {
             cfg.l2.size_bytes = size;
@@ -321,18 +304,15 @@ mod tests {
         let env = |name: &str| match name {
             "IFENCE_JOBS" => Some("3".to_string()),
             "IFENCE_DENSE" => Some("yes".to_string()),
-            "IFENCE_BATCH" => Some("0".to_string()),
             "IFENCE_THREADS" => Some("4".to_string()),
             _ => None,
         };
         let p = ExperimentParams::from_env_with(&env);
         assert_eq!(p.parallelism, 3);
         assert!(p.dense_kernel);
-        assert!(!p.batch_kernel);
         assert_eq!(p.machine_threads, 4);
         let unset = ExperimentParams::from_env_with(&|_| None);
         assert_eq!(unset, ExperimentParams::default());
-        assert!(unset.batch_kernel, "batching is on by default");
         assert_eq!(unset.machine_threads, 1, "machines are serial by default");
     }
 
@@ -365,8 +345,6 @@ mod tests {
     fn unparseable_dense_flag_falls_back() {
         let env = |name: &str| (name == "IFENCE_DENSE").then(|| "maybe".to_string());
         assert!(!ExperimentParams::from_env_with(&env).dense_kernel);
-        let env = |name: &str| (name == "IFENCE_BATCH").then(|| "maybe".to_string());
-        assert!(ExperimentParams::from_env_with(&env).batch_kernel, "falls back to on");
     }
 
     #[test]

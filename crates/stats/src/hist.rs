@@ -12,7 +12,7 @@
 //! `leading_zeros` instruction, so recording is cheap enough to stay *always
 //! on* (unlike trace events, which are opt-in): histograms are part of every
 //! `MachineResult`, and the kernel-equivalence suite holds them to
-//! byte-identity across all nine kernel modes like every other counter.
+//! byte-identity across every kernel mode like every other counter.
 //! Exact `sum`/`count` accumulators ride along so means stay exact under
 //! [`Log2Hist::merge`], which is elementwise addition and therefore
 //! associative and commutative (the property the histogram tests drive).
@@ -68,19 +68,6 @@ impl Log2Hist {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Records `n` identical observations in one call — exactly equivalent to
-    /// calling [`Log2Hist::record`] `n` times (bucket, count and sum,
-    /// including the sum's saturation behaviour: repeated saturating adds of
-    /// a non-negative value and one saturating add of the saturating product
-    /// both pin the sum to `u64::MAX` at the same threshold). The leap
-    /// kernel's bulk-attribution sibling of `record`.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        self.buckets[Self::bucket_index(value)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
     }
 
     /// Adds every bucket (and the exact accumulators) of `other` into
@@ -333,49 +320,6 @@ mod tests {
         assert_eq!(h.bucket(10), 1, "1000 lands in [512, 1024)");
         let sparse: Vec<_> = h.nonzero().collect();
         assert_eq!(sparse, vec![(0, 1), (1, 1), (2, 2), (10, 1)]);
-    }
-
-    #[test]
-    fn record_n_is_exactly_n_records() {
-        // Property test: for seeded random (value, n) pairs, one record_n
-        // call must leave the histogram byte-identical — every bucket, the
-        // count and the exact sum — to n individual record calls.
-        let mut rng = ifence_workloads::TraceRng::seed_from_u64(0x5eed_0b1d);
-        for _ in 0..500 {
-            let value = match rng.range_u64(0..4) {
-                0 => rng.next_u64(),
-                1 => 1u64 << rng.range_u64(0..64),
-                2 => (1u64 << rng.range_u64(0..64)).wrapping_sub(1),
-                _ => rng.range_u64(0..1024),
-            };
-            let n = rng.range_u64(0..200);
-            let mut bulk = Log2Hist::new();
-            bulk.record_n(value, n);
-            let mut looped = Log2Hist::new();
-            for _ in 0..n {
-                looped.record(value);
-            }
-            assert_eq!(bulk, looped, "record_n({value}, {n}) diverged from {n}x record");
-            assert_eq!(bulk.count(), n);
-        }
-    }
-
-    #[test]
-    fn record_n_saturates_the_sum_like_repeated_records() {
-        // The saturation edge: repeated saturating adds pin the sum at
-        // u64::MAX, and so must the bulk form (via its saturating product).
-        let mut bulk = Log2Hist::new();
-        bulk.record_n(u64::MAX / 2, 5);
-        let mut looped = Log2Hist::new();
-        for _ in 0..5 {
-            looped.record(u64::MAX / 2);
-        }
-        assert_eq!(bulk, looped);
-        assert_eq!(bulk.sum(), u64::MAX);
-        // Mixing bulk and single records afterwards keeps them in lockstep.
-        bulk.record(7);
-        looped.record_n(7, 1);
-        assert_eq!(bulk, looped);
     }
 
     #[test]

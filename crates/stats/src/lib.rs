@@ -19,7 +19,7 @@
 //! The deterministic telemetry layer lives here too: always-on
 //! log2-bucketed histograms ([`hist`]) of episode/deferral/occupancy/latency
 //! distributions, and the opt-in structured trace-event layer ([`trace`])
-//! whose merged stream is byte-identical across all nine kernel modes.
+//! whose merged stream is byte-identical across every kernel mode.
 //!
 //! # Example
 //!

@@ -27,14 +27,14 @@ use std::time::Instant;
 /// The kernel phases the profiler distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Stepping cores (both the full and the batched fast path).
+    /// Stepping cores (`Core::step`).
     CoreStep,
     /// Stepping the coherence fabric's event queue (`step_into`).
     FabricStep,
     /// Routing deliveries, replies and requests between cores and fabric.
     DeliveryRouting,
     /// The epoch-parallel kernel's merge of worker traffic back into the
-    /// serial order (zero in the serial kernels).
+    /// serial order (zero in the serial kernel).
     Merge,
 }
 
@@ -202,9 +202,16 @@ impl ProfileSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that toggle the process-global enable flag; the
+    /// harness runs tests in parallel, so one test's toggle could otherwise
+    /// land inside another's enabled section.
+    static TOGGLE: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_profiler_hands_out_no_timers() {
+        let _serial = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         let p = PhaseProfile::global();
         let was = p.enabled();
         p.set_enabled(false);
@@ -231,6 +238,7 @@ mod tests {
 
     #[test]
     fn enabled_timer_accumulates_on_drop() {
+        let _serial = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         let p = PhaseProfile::global();
         let was = p.enabled();
         p.set_enabled(true);

@@ -10,9 +10,9 @@
 //! deadlock diagnostic — never anything about the host, so the stream is a
 //! pure function of the simulated execution.
 //!
-//! That purity is the subsystem's correctness ratchet: because all six
-//! kernel modes (dense/event/batched/epoch-1/2/4) execute the identical
-//! simulated interaction sequence, their merged trace streams must be
+//! That purity is the subsystem's correctness ratchet: because all five
+//! kernel modes (dense/event/epoch-1/2/4) execute the identical simulated
+//! interaction sequence, their merged trace streams must be
 //! byte-identical, and `tests/trace_equivalence.rs` plus the CI smoke leg
 //! hold them to it. If a future kernel reorders an interaction, the trace
 //! diff catches it with a named event at a named cycle — before the

@@ -341,8 +341,6 @@ impl JsonCodec for MachineConfig {
             ("engine", self.engine.to_json()),
             ("seed", uint(self.seed)),
             ("dense_kernel", Json::Bool(self.dense_kernel)),
-            ("batch_kernel", Json::Bool(self.batch_kernel)),
-            ("leap_kernel", Json::Bool(self.leap_kernel)),
             ("machine_threads", us(self.machine_threads)),
             ("trace", Json::Bool(self.trace)),
         ])
@@ -350,6 +348,7 @@ impl JsonCodec for MachineConfig {
 
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "MachineConfig")?;
+        let engine = f.decode("engine")?;
         Ok(MachineConfig {
             cores: f.usize("cores")?,
             core: f.decode("core")?,
@@ -359,13 +358,12 @@ impl JsonCodec for MachineConfig {
             store_buffer: f.decode("store_buffer")?,
             interconnect: f.decode("interconnect")?,
             speculation: f.decode("speculation")?,
-            engine: f.decode("engine")?,
+            engine,
             seed: f.u64("seed")?,
             dense_kernel: f.bool("dense_kernel")?,
-            batch_kernel: f.bool("batch_kernel")?,
-            leap_kernel: f.bool("leap_kernel")?,
             machine_threads: f.usize("machine_threads")?,
             trace: f.bool("trace")?,
+            ..MachineConfig::with_engine(engine)
         })
     }
 }

@@ -6,12 +6,11 @@
 //! buffer, speculation policy, latencies, seed), the workload recipe, the
 //! trace budget and the cycle limit, plus [`SCHEMA_VERSION`]. Anything
 //! *proven* not to affect results is normalized out: the kernel mode
-//! (`dense_kernel` / `batch_kernel` / `leap_kernel`, byte-identical by
-//! `tests/kernel_equivalence.rs`), the intra-machine thread count
-//! (`machine_threads`, byte-identical by the same suite) and the sweep
-//! parallelism (never part of the config) do not reach the hash, so
-//! dense-mode debug runs, event-driven runs, batched runs and epoch-parallel
-//! runs all share cache entries.
+//! (`dense_kernel`, byte-identical by `tests/kernel_equivalence.rs`), the
+//! intra-machine thread count (`machine_threads`, byte-identical by the same
+//! suite), tracing (`trace`) and the sweep parallelism (never part of the
+//! config) do not reach the hash, so dense-mode debug runs, event-driven
+//! runs and epoch-parallel runs all share cache entries.
 //!
 //! The full key JSON is stored alongside each entry and compared on lookup,
 //! so a 64-bit hash collision degrades to a cache miss, never to a wrong
@@ -43,10 +42,13 @@ use ifence_workloads::Workload;
 /// of keys: tracing never changes simulated results) and `RunSummary`
 /// gained the `histograms` block (serialized layout change).
 ///
-/// v6: `MachineConfig` gained `leap_kernel` (serialized layout change; the
-/// flag itself is normalized out of keys like the other kernel flags,
-/// because leap execution is byte-identical by `tests/kernel_equivalence.rs`).
-pub const SCHEMA_VERSION: u64 = 6;
+/// v6: `MachineConfig` gained a multi-cycle execution flag (serialized
+/// layout change; normalized out of keys like the other kernel flags).
+///
+/// v7: `MachineConfig` no longer serializes its two execution-path flags
+/// (serialized layout change: every kernel runs the one guarded core
+/// pipeline, so neither flag selects anything).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from
@@ -66,9 +68,9 @@ pub struct CellKey {
 impl CellKey {
     /// Builds the key for one cell. `machine` must already carry the run's
     /// seed and engine (as produced by the experiment runner); its
-    /// `dense_kernel` / `batch_kernel` flags and `machine_threads` count are
-    /// normalized before hashing because every kernel mode and thread count
-    /// produces byte-identical results.
+    /// `dense_kernel` / `trace` flags and `machine_threads` count are
+    /// normalized before hashing because every kernel mode, thread count and
+    /// tracing setting produces byte-identical results.
     pub fn new(
         machine: &MachineConfig,
         workload: &Workload,
@@ -77,8 +79,6 @@ impl CellKey {
     ) -> Self {
         let mut machine = machine.clone();
         machine.dense_kernel = false;
-        machine.batch_kernel = true;
-        machine.leap_kernel = true;
         machine.machine_threads = 1;
         machine.trace = false;
         let doc = Json::Object(vec![
@@ -158,28 +158,6 @@ mod tests {
         cfg.dense_kernel = true;
         let dense = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
         assert_eq!(sparse, dense, "kernel mode is proven byte-identical; keys must match");
-    }
-
-    #[test]
-    fn batch_kernel_flag_is_normalized_out() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.seed = 7;
-        let batched = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        cfg.batch_kernel = false;
-        let event = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        assert_eq!(batched, event, "batching is proven byte-identical; keys must match");
-    }
-
-    #[test]
-    fn leap_kernel_flag_is_normalized_out() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.seed = 7;
-        let leaping = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        cfg.leap_kernel = false;
-        let stepped = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        assert_eq!(leaping, stepped, "leaping is proven byte-identical; keys must match");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! 2. actually measures — with profiling on, every serial-kernel phase
 //!    (core stepping, fabric stepping, delivery routing) accumulates
 //!    non-zero time, and the phase total stays within the measured section's
-//!    wall clock (each phase is a disjoint slice of it).
+//!    wall clock (each phase is a disjoint slice of it);
+//! 3. measures the epoch-parallel kernel's merge phase at two machine
+//!    threads, again without changing the result.
 //!
 //! ```text
 //! IFENCE_PROFILE=1 cargo run --release --example profile_smoke
@@ -22,13 +24,9 @@ use ifence_types::{ConsistencyModel, EngineKind, MachineConfig};
 use ifence_workloads::presets;
 use std::time::Instant;
 
-fn run_once(threads: usize, leap: bool) -> ifence_sim::MachineResult {
+fn run_once(threads: usize) -> ifence_sim::MachineResult {
     let mut cfg = MachineConfig::with_engine(EngineKind::Conventional(ConsistencyModel::Sc));
     cfg.machine_threads = threads;
-    // Leaping routes even a serial run through the epoch loop (its merge
-    // phase would be non-zero), so the serial-kernel assertions below pin it
-    // off and the leap section pins it on.
-    cfg.leap_kernel = leap;
     let instrs = std::env::var("IFENCE_INSTRS").ok().and_then(|v| v.parse().ok()).unwrap_or(3_000);
     let programs = presets::apache().generate(cfg.cores, instrs, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result(u64::MAX)
@@ -41,11 +39,11 @@ fn main() {
     // this with IFENCE_PROFILE=1 the "off" run needs an explicit disable —
     // which is exactly the cross-check the env path needs anyway.)
     profile.set_enabled(false);
-    let off = run_once(1, false);
+    let off = run_once(1);
     profile.set_enabled(true);
     let start = profile.snapshot();
     let wall_start = Instant::now();
-    let on = run_once(1, false);
+    let on = run_once(1);
     let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
     let delta = profile.snapshot().delta(&start);
     assert_eq!(off, on, "profiling must be invisible to every simulated result");
@@ -57,7 +55,7 @@ fn main() {
         assert!(delta.nanos(phase) > 0, "phase {} measured nothing in a serial run", phase.label());
         assert!(delta.count(phase) > 0, "phase {} recorded no intervals", phase.label());
     }
-    assert_eq!(delta.nanos(Phase::Merge), 0, "the serial kernels have no merge phase");
+    assert_eq!(delta.nanos(Phase::Merge), 0, "the serial kernel has no merge phase");
     let total_ms = delta.total_nanos() as f64 / 1e6;
     assert!(
         total_ms <= wall_ms,
@@ -76,7 +74,7 @@ fn main() {
     // 3. The epoch-parallel kernel's merge phase accumulates (and stays
     // byte-identical while profiled, like every kernel).
     let epoch_start = profile.snapshot();
-    let epoch = run_once(2, false);
+    let epoch = run_once(2);
     let epoch_delta = profile.snapshot().delta(&epoch_start);
     assert_eq!(off, epoch, "the profiled epoch kernel must stay byte-identical");
     assert!(
@@ -84,21 +82,10 @@ fn main() {
         "the epoch kernel's merge phase recorded no intervals"
     );
 
-    // 4. Leap execution stays byte-identical under the profiler, and routes
-    // through the epoch machinery even serially (so its merge phase counts).
-    let leap_start = profile.snapshot();
-    let leap = run_once(1, true);
-    let leap_delta = profile.snapshot().delta(&leap_start);
-    assert_eq!(off, leap, "the profiled leap kernel must stay byte-identical");
-    assert!(
-        leap_delta.count(Phase::Merge) > 0,
-        "the serial leap kernel routes through the epoch merge; it must be measured"
-    );
-
     println!("{}", delta.report());
     println!(
         "profile smoke passed: byte-identical on/off, all serial phases non-zero, \
          phase total {total_ms:.1}ms within {wall_ms:.1}ms wall clock \
-         ({other_ms:.1}ms residual outside every phase), epoch and leap merges measured"
+         ({other_ms:.1}ms residual outside every phase), epoch merge measured"
     );
 }

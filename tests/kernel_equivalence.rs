@@ -1,23 +1,21 @@
-//! Five-way kernel equivalence: the event-driven simulation kernel skips
-//! cycles only when they are provably no-ops, the batched execution fast
-//! path elides a stepped cycle's maintenance stages only when they are
-//! provably dead, the epoch-parallel kernel steps disjoint core partitions
-//! concurrently only up to a horizon the coherence fabric proves
-//! interaction-free, and leap execution advances leap-transparent cores
-//! over whole event-free runs in one streamlined loop — so for every
-//! ordering engine and workload all five schedules (dense, event-driven,
-//! batched, leap, epoch-parallel at any thread count, with and without
-//! leaping) must produce byte-identical [`MachineResult`]s — cycle counts,
-//! per-core counters, runtime breakdowns and retired-load values alike.
+//! Kernel equivalence: the event-driven simulation kernel skips cycles only
+//! when they are provably no-ops, the guarded core pipeline skips a stage
+//! only when it is provably dead, and the epoch-parallel kernel steps
+//! disjoint core partitions concurrently only up to a horizon the coherence
+//! fabric proves interaction-free — so for every ordering engine and
+//! workload all five schedules (dense, event-driven, epoch-parallel at 1, 2
+//! and 4 threads) must produce byte-identical [`MachineResult`]s — cycle
+//! counts, per-core counters, runtime breakdowns and retired-load values
+//! alike.
 //!
-//! This is the safety net for the whole quiescence analysis, for the
-//! batching contract, for the leap-transparency contract, and for the
-//! epoch-parallel merge order: any wake hint that fires too late, any state
-//! change the activity report misses, any mis-attributed skipped cycle, any
-//! fast cycle whose elided stages were not actually dead, any cycle-run
-//! attribution a leap flushes wrongly, or any cross-thread emission merged
-//! into the fabric out of serial order shows up here as a field-level
-//! mismatch.
+//! This is the safety net for the whole quiescence analysis, for the stage
+//! guards of `Core::step`, and for the epoch-parallel merge order: any wake
+//! hint that fires too late, any state change the activity report misses,
+//! any mis-attributed skipped cycle, any stage skipped while it was live, or
+//! any cross-thread emission merged into the fabric out of serial order
+//! shows up here as a field-level mismatch. (The guards run in every
+//! schedule, dense included; `tests/result_goldens.rs` holds them to the
+//! results recorded before they existed.)
 
 use ifence_sim::{Machine, MachineResult};
 use invisifence_repro::prelude::*;
@@ -30,65 +28,28 @@ const INSTRUCTIONS: usize = 900;
 enum KernelMode {
     /// Poll every core every cycle (the debug reference).
     Dense,
-    /// Skip provably quiescent cycles; no batching.
+    /// Skip provably quiescent cycles.
     Event,
-    /// Event-driven plus the per-core batched fast path.
-    Batched,
-    /// Batched plus leap execution (serially: the epoch loop at one thread).
-    Leap,
-    /// Batched, with cores partitioned across this many worker threads
-    /// stepping epoch-synchronously. Leaping off.
+    /// Cores partitioned across this many worker threads stepping
+    /// epoch-synchronously (one thread is the serial event-driven kernel).
     EpochParallel(usize),
-    /// Epoch-parallel with leap execution inside each worker's epochs.
-    LeapEpoch(usize),
 }
 
 impl KernelMode {
-    const ALL: [KernelMode; 9] = [
+    const ALL: [KernelMode; 5] = [
         KernelMode::Dense,
         KernelMode::Event,
-        KernelMode::Batched,
-        KernelMode::Leap,
         KernelMode::EpochParallel(1),
         KernelMode::EpochParallel(2),
         KernelMode::EpochParallel(4),
-        KernelMode::LeapEpoch(2),
-        KernelMode::LeapEpoch(4),
     ];
 
     fn apply(self, cfg: &mut MachineConfig) {
-        cfg.machine_threads = 1;
-        cfg.leap_kernel = false;
-        match self {
-            KernelMode::Dense => {
-                cfg.dense_kernel = true;
-                cfg.batch_kernel = false;
-            }
-            KernelMode::Event => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = false;
-            }
-            KernelMode::Batched => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-            }
-            KernelMode::Leap => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.leap_kernel = true;
-            }
-            KernelMode::EpochParallel(threads) => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.machine_threads = threads;
-            }
-            KernelMode::LeapEpoch(threads) => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.leap_kernel = true;
-                cfg.machine_threads = threads;
-            }
-        }
+        cfg.dense_kernel = self == KernelMode::Dense;
+        cfg.machine_threads = match self {
+            KernelMode::EpochParallel(threads) => threads,
+            _ => 1,
+        };
     }
 }
 
@@ -210,22 +171,21 @@ fn epoch_parallel_runs_are_repeat_deterministic() {
     // run, executed three times, must reproduce itself exactly.
     let workload = presets::apache();
     let engine = EngineKind::InvisiSelective(ConsistencyModel::Sc);
-    for mode in [KernelMode::EpochParallel(4), KernelMode::LeapEpoch(4)] {
-        let reference = run_with_kernel(engine, &workload, mode);
-        assert!(reference.finished);
-        for repeat in 1..3 {
-            let again = run_with_kernel(engine, &workload, mode);
-            assert_eq!(reference, again, "repeat {repeat} of the same {mode:?} run diverges");
-        }
+    let mode = KernelMode::EpochParallel(4);
+    let reference = run_with_kernel(engine, &workload, mode);
+    assert!(reference.finished);
+    for repeat in 1..3 {
+        let again = run_with_kernel(engine, &workload, mode);
+        assert_eq!(reference, again, "repeat {repeat} of the same {mode:?} run diverges");
     }
 }
 
 #[test]
 fn all_modes_are_distinct_configurations() {
     // Guard against the modes silently collapsing into one another (e.g. a
-    // future refactor making batch_kernel imply dense_kernel). Note
-    // EpochParallel(1) intentionally shares Batched's configuration: one
-    // worker thread is the serial batched kernel.
+    // future refactor making machine_threads imply dense_kernel). Note
+    // EpochParallel(1) intentionally shares Event's configuration: one
+    // worker thread is the serial event-driven kernel.
     let mut seen = Vec::new();
     for mode in KernelMode::ALL {
         if mode == KernelMode::EpochParallel(1) {
@@ -233,8 +193,7 @@ fn all_modes_are_distinct_configurations() {
         }
         let mut cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
         mode.apply(&mut cfg);
-        let fingerprint =
-            (cfg.dense_kernel, cfg.batch_kernel, cfg.leap_kernel, cfg.machine_threads);
+        let fingerprint = (cfg.dense_kernel, cfg.machine_threads);
         assert!(!seen.contains(&fingerprint), "{mode:?} duplicates another mode");
         seen.push(fingerprint);
     }

@@ -59,24 +59,11 @@ const GOLDEN_CYCLES: [(&str, &str, u64); 28] = [
     ("ASOrmo", "Apache", 1431),
 ];
 
-fn run_with_leap(
-    engine: EngineKind,
-    workload: &WorkloadSpec,
-    l2_size_bytes: usize,
-    leap: bool,
-) -> MachineResult {
+fn run(engine: EngineKind, workload: &WorkloadSpec, l2_size_bytes: usize) -> MachineResult {
     let mut cfg = MachineConfig::small_test(engine);
     cfg.l2.size_bytes = l2_size_bytes;
-    cfg.leap_kernel = leap;
     let programs = workload.generate(cfg.cores, INSTRUCTIONS, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result(MAX_CYCLES)
-}
-
-/// The default run uses leap execution (the production configuration), so
-/// every golden comparison below also pins the leap kernel to the
-/// pre-refactor fabric's cycle counts.
-fn run(engine: EngineKind, workload: &WorkloadSpec, l2_size_bytes: usize) -> MachineResult {
-    run_with_leap(engine, workload, l2_size_bytes, true)
 }
 
 #[test]
@@ -122,26 +109,6 @@ fn finite_l2_that_fits_the_working_set_is_byte_identical_to_unbounded() {
                 "{}/{}: an unexercised finite L2 must not perturb anything",
                 engine.label(),
                 workload.name
-            );
-        }
-    }
-}
-
-#[test]
-fn leap_execution_is_byte_identical_across_l2_capacities() {
-    // Leap legs: capacity pressure exercises eviction/recall deliveries that
-    // interrupt leap-eligible runs mid-flight, so both an unbounded and a
-    // pressured L2 must produce the same MachineResult with leaping on and
-    // off.
-    for engine in EngineKind::all() {
-        for (l2_size, tier) in [(0, "unbounded"), (16 * 1024, "16KB")] {
-            let leap = run_with_leap(engine, &presets::apache(), l2_size, true);
-            let stepped = run_with_leap(engine, &presets::apache(), l2_size, false);
-            assert_eq!(
-                leap,
-                stepped,
-                "{}/Apache@{tier}: leap execution must not perturb the L2 hierarchy",
-                engine.label()
             );
         }
     }

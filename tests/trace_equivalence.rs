@@ -6,12 +6,12 @@
 //!    a [`MachineResult`] byte-identical (and byte-identical when encoded)
 //!    to the untraced run — trace sinks observe the simulation, they never
 //!    perturb it.
-//! 2. **The trace is kernel-invariant.** All nine kernel modes
-//!    (dense/event/batched/leap/epoch-1/2/4/leap-epoch-2/4) execute the
-//!    identical simulated interaction sequence, so their merged traces —
-//!    exported as JSONL through the store codec — must be byte-identical. A
-//!    kernel that reorders one interaction fails here with a named event at
-//!    a named cycle, long before aggregate counters could localize it.
+//! 2. **The trace is kernel-invariant.** All five kernel modes
+//!    (dense/event/epoch-1/2/4) execute the identical simulated interaction
+//!    sequence, so their merged traces — exported as JSONL through the store
+//!    codec — must be byte-identical. A kernel that reorders one interaction
+//!    fails here with a named event at a named cycle, long before aggregate
+//!    counters could localize it.
 
 use ifence_sim::{Machine, MachineResult};
 use ifence_stats::MachineTrace;
@@ -25,58 +25,24 @@ const INSTRUCTIONS: usize = 600;
 enum KernelMode {
     Dense,
     Event,
-    Batched,
-    Leap,
     EpochParallel(usize),
-    LeapEpoch(usize),
 }
 
 impl KernelMode {
-    const ALL: [KernelMode; 9] = [
+    const ALL: [KernelMode; 5] = [
         KernelMode::Dense,
         KernelMode::Event,
-        KernelMode::Batched,
-        KernelMode::Leap,
         KernelMode::EpochParallel(1),
         KernelMode::EpochParallel(2),
         KernelMode::EpochParallel(4),
-        KernelMode::LeapEpoch(2),
-        KernelMode::LeapEpoch(4),
     ];
 
     fn apply(self, cfg: &mut MachineConfig) {
-        cfg.machine_threads = 1;
-        cfg.leap_kernel = false;
-        match self {
-            KernelMode::Dense => {
-                cfg.dense_kernel = true;
-                cfg.batch_kernel = false;
-            }
-            KernelMode::Event => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = false;
-            }
-            KernelMode::Batched => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-            }
-            KernelMode::Leap => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.leap_kernel = true;
-            }
-            KernelMode::EpochParallel(threads) => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.machine_threads = threads;
-            }
-            KernelMode::LeapEpoch(threads) => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.leap_kernel = true;
-                cfg.machine_threads = threads;
-            }
-        }
+        cfg.dense_kernel = self == KernelMode::Dense;
+        cfg.machine_threads = match self {
+            KernelMode::EpochParallel(threads) => threads,
+            _ => 1,
+        };
     }
 }
 
@@ -99,10 +65,10 @@ fn assert_trace_invariants(engine: EngineKind, workload: &WorkloadSpec) {
 
     // Invariant 1: tracing never changes the simulated result — structurally
     // and in its canonical encoding.
-    let (untraced, empty) = run(engine, workload, KernelMode::Batched, false);
+    let (untraced, empty) = run(engine, workload, KernelMode::Event, false);
     assert!(untraced.finished, "{label} on {name} did not finish");
     assert!(empty.events.is_empty(), "untraced run must collect no events");
-    let (traced, trace) = run(engine, workload, KernelMode::Batched, true);
+    let (traced, trace) = run(engine, workload, KernelMode::Event, true);
     assert_eq!(untraced, traced, "{label} on {name}: tracing changed the simulated result");
     assert_eq!(
         untraced.to_json().encode(),
@@ -111,11 +77,11 @@ fn assert_trace_invariants(engine: EngineKind, workload: &WorkloadSpec) {
     );
     assert_eq!(trace.dropped, 0, "{label} on {name}: the test scale must trace losslessly");
 
-    // Invariant 2: the JSONL trace stream is byte-identical across all nine
+    // Invariant 2: the JSONL trace stream is byte-identical across all five
     // kernel modes.
     let reference = trace_to_jsonl(&trace);
     for mode in KernelMode::ALL {
-        if mode == KernelMode::Batched {
+        if mode == KernelMode::Event {
             continue;
         }
         let (result, other) = run(engine, workload, mode, true);
@@ -136,7 +102,7 @@ fn assert_trace_invariants(engine: EngineKind, workload: &WorkloadSpec) {
                 .unwrap_or_else(|| {
                     format!("event counts differ: {} vs {}", trace.events.len(), other.events.len())
                 });
-            panic!("{label} on {name}: {mode:?} trace diverges from batched ({diverging})");
+            panic!("{label} on {name}: {mode:?} trace diverges from event-driven ({diverging})");
         }
     }
 
@@ -170,7 +136,7 @@ fn traced_runs_produce_the_expected_vocabulary() {
     // store-buffer occupancy).
     let workload = presets::apache();
     let engine = EngineKind::InvisiSelective(ConsistencyModel::Sc);
-    let (result, trace) = run(engine, &workload, KernelMode::Batched, true);
+    let (result, trace) = run(engine, &workload, KernelMode::Event, true);
     assert!(result.finished);
     assert!(!trace.events.is_empty(), "traced run collected no events");
     let counts = trace.counts_by_kind();
