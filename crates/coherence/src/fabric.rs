@@ -342,8 +342,7 @@ impl CoherenceFabric {
     /// of the target set is pinned — and the caller must retry.
     fn ensure_resident(&mut self, block: BlockAddr, now: Cycle) -> Option<u64> {
         let number = block.number();
-        if self.l2.get(number).is_some() {
-            self.l2.touch(number);
+        if self.l2.touch(number) {
             self.stats.l2_hits += 1;
             return Some(self.cfg.l2.hit_latency);
         }

@@ -78,6 +78,8 @@ pub struct Core {
     /// retirement; squashes only truncate the tail, so clamping to the
     /// current length keeps it sound.
     issued_prefix: usize,
+    /// Straggler dispatch ids found on a fill (kept to reuse the allocation).
+    straggler_scratch: Vec<u64>,
 }
 
 impl Core {
@@ -123,6 +125,7 @@ impl Core {
             pending_replies: Vec::new(),
             load_results: Vec::new(),
             issued_prefix: 0,
+            straggler_scratch: Vec::new(),
         }
     }
 
@@ -340,17 +343,12 @@ impl Core {
                 // Also wake any instruction that issued a request for this
                 // block but whose waiter registration was lost (e.g. it was
                 // re-dispatched after a replay while the miss was in flight).
-                let stragglers: Vec<u64> = self
-                    .rob
-                    .status_iter()
-                    .filter(|(e, complete_at, issued)| {
-                        *issued && complete_at.is_none() && e.block == Some(block)
-                    })
-                    .map(|(e, _, _)| e.dispatch_id)
-                    .collect();
-                for waiter in stragglers {
+                let mut stragglers = std::mem::take(&mut self.straggler_scratch);
+                self.rob.pending_issued_of(block, &mut stragglers);
+                for &waiter in &stragglers {
                     self.complete_waiter(waiter, block, now);
                 }
+                self.straggler_scratch = stragglers;
                 None
             }
             Delivery::Invalidate { block, txn, recall, .. } => {
@@ -534,9 +532,10 @@ impl Core {
                         if mem.l1.peek(block).readable() {
                             engine.on_load_issue(mem, block);
                         }
-                    } else if mem.l1.lookup(block).readable() {
-                        let word = addr.word_in_block(mem.block_bytes()).index();
-                        view.entry.loaded_value = mem.l1.read_word(block, word);
+                    } else if let Some(value) =
+                        mem.l1.load_word(block, addr.word_in_block(mem.block_bytes()).index())
+                    {
+                        view.entry.loaded_value = Some(value);
                         view.entry.performed_read = true;
                         view.entry.bound_at_head = at_head;
                         view.set_complete_at(now + hit_latency);

@@ -35,6 +35,9 @@ pub struct CoreMem {
     block_bytes: usize,
     store_prefetch: bool,
     outbox: Vec<CoherenceRequest>,
+    /// Drain candidates, refilled on every drain attempt (kept to reuse the
+    /// allocation).
+    drain_scratch: Vec<(BlockAddr, Option<u8>)>,
 }
 
 impl CoreMem {
@@ -48,6 +51,7 @@ impl CoreMem {
             block_bytes: cfg.l1.block_bytes,
             store_prefetch: cfg.core.store_prefetch,
             outbox: Vec::new(),
+            drain_scratch: Vec::new(),
         }
     }
 
@@ -296,17 +300,18 @@ impl CoreMem {
     {
         let mut drained = 0;
         let mut attempts = 0;
+        let mut candidates = std::mem::take(&mut self.drain_scratch);
         while drained < max {
             attempts += 1;
             if attempts > 64 {
                 break;
             }
-            let candidates = self.sb.drain_candidates();
+            self.sb.drain_candidates_into(&mut candidates);
             if candidates.is_empty() {
                 break;
             }
             let mut progressed = false;
-            for (block, epoch) in candidates {
+            for &(block, epoch) in &candidates {
                 if !can_drain(epoch) {
                     continue;
                 }
@@ -346,6 +351,7 @@ impl CoreMem {
                 break;
             }
         }
+        self.drain_scratch = candidates;
         drained
     }
 
@@ -392,11 +398,7 @@ impl CoreMem {
             return Some(v);
         }
         let block = self.block_of(addr);
-        if self.l1.lookup(block).readable() {
-            let word = addr.word_in_block(self.block_bytes).index();
-            return self.l1.read_word(block, word);
-        }
-        None
+        self.l1.load_word(block, addr.word_in_block(self.block_bytes).index())
     }
 }
 

@@ -120,12 +120,18 @@ impl Rob {
         self.entries.is_full()
     }
 
-    /// Dispatches an instruction into the buffer.
+    /// Dispatches an instruction into the buffer. Dispatch ids must strictly
+    /// increase in buffer order (the core never reuses one), which lets
+    /// [`Rob::position_of`] binary-search them.
     ///
     /// # Panics
     /// Panics if the buffer is full (the core checks before dispatching).
     pub fn push(&mut self, program_index: usize, dispatch_id: u64, instr: Instruction) {
         assert!(!self.entries.is_full(), "reorder buffer overflow");
+        debug_assert!(
+            !matches!(self.entries.iter().next_back(), Some(last) if last.dispatch_id >= dispatch_id),
+            "dispatch ids must strictly increase"
+        );
         self.entries.push_back(RobEntry {
             program_index,
             dispatch_id,
@@ -201,9 +207,40 @@ impl Rob {
     }
 
     /// Position (0 = head) of the in-flight instruction with the given
-    /// dispatch id, if it is still in flight.
+    /// dispatch id, if it is still in flight: a binary search of the ring's
+    /// two runs, whose dispatch ids strictly increase.
     pub fn position_of(&self, dispatch_id: u64) -> Option<usize> {
-        self.entries.iter().position(|e| e.dispatch_id == dispatch_id)
+        let (front, back) = self.entries.as_slices();
+        match front.last() {
+            Some(last) if dispatch_id <= last.dispatch_id => {
+                front.binary_search_by_key(&dispatch_id, |e| e.dispatch_id).ok()
+            }
+            _ => back
+                .binary_search_by_key(&dispatch_id, |e| e.dispatch_id)
+                .ok()
+                .map(|i| front.len() + i),
+        }
+    }
+
+    /// Replaces the contents of `out` with the dispatch ids, oldest first, of
+    /// the issued instructions on `block` that have not completed: the ones a
+    /// fill of `block` must wake. The scan reads the dense completion and
+    /// issue arrays and looks at an entry's block only when both match.
+    pub fn pending_issued_of(&self, block: BlockAddr, out: &mut Vec<u64>) {
+        out.clear();
+        // The three rings move in lockstep, so their runs split alike.
+        let (entries, wrapped_entries) = self.entries.as_slices();
+        let (complete, wrapped_complete) = self.complete_at.as_slices();
+        let (issued, wrapped_issued) = self.issued.as_slices();
+        let runs =
+            [(entries, complete, issued), (wrapped_entries, wrapped_complete, wrapped_issued)];
+        for (entries, complete, issued) in runs {
+            for ((&c, &i), e) in complete.iter().zip(issued).zip(entries) {
+                if i && c == PENDING && e.block == Some(block) {
+                    out.push(e.dispatch_id);
+                }
+            }
+        }
     }
 
     /// Removes and returns the oldest instruction (retirement).
@@ -224,16 +261,6 @@ impl Rob {
     /// Mutable iteration over in-flight instructions oldest-first.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
         self.entries.iter_mut()
-    }
-
-    /// Iterates `(entry, complete_at, issued)` oldest-first across the
-    /// parallel rings (`complete_at` is `None` while pending).
-    pub fn status_iter(&self) -> impl Iterator<Item = (&RobEntry, Option<Cycle>, bool)> {
-        self.entries
-            .iter()
-            .zip(self.complete_at.iter())
-            .zip(self.issued.iter())
-            .map(|((e, &c), &i)| (e, Some(c).filter(|&c| c != PENDING), i))
     }
 
     /// Discards every in-flight instruction (pipeline squash), returning how
@@ -337,7 +364,9 @@ mod tests {
         assert_eq!(rob.complete_at(2), None);
         assert!(!rob.is_issued(2));
         assert!(rob.is_issued(1));
-        let statuses: Vec<_> = rob.status_iter().map(|(e, c, i)| (e.dispatch_id, c, i)).collect();
+        let statuses: Vec<_> = (0..rob.len())
+            .map(|i| (rob.get(i).unwrap().dispatch_id, rob.complete_at(i), rob.is_issued(i)))
+            .collect();
         assert_eq!(
             statuses,
             vec![(0, Some(100), true), (1, Some(101), true), (10, None, false), (11, None, false)]

@@ -26,15 +26,60 @@ pub struct EvictedLine {
     pub spec_written: bool,
 }
 
+/// The tag half of a line: block number and coherence state. Tags sit in
+/// their own array, apart from the 64-byte payloads, so a set probe strides
+/// over 16-byte entries.
 #[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
+struct Tag {
+    block: u64,
     state: LineState,
-    data: BlockData,
+}
+
+/// A divisor fixed at construction: a mask and a shift when it is a power of
+/// two, a hardware divide otherwise. Set and bank selection run on every
+/// cache probe, and every paper geometry is a power of two.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    n: u64,
+    shift: u32,
+    pow2: bool,
+}
+
+impl Divisor {
+    /// # Panics
+    /// Panics if `n` is zero.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n > 0, "divisor must be non-zero");
+        Divisor { n: n as u64, shift: n.trailing_zeros(), pow2: n.is_power_of_two() }
+    }
+
+    /// `n` itself.
+    pub(crate) fn value(self) -> usize {
+        self.n as usize
+    }
+
+    /// `x % n`.
+    #[inline]
+    pub(crate) fn rem(self, x: u64) -> usize {
+        (if self.pow2 { x & (self.n - 1) } else { x % self.n }) as usize
+    }
+
+    /// `x / n`.
+    #[inline]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        if self.pow2 {
+            x >> self.shift
+        } else {
+            x / self.n
+        }
+    }
 }
 
 /// A set-associative, write-back cache with LRU replacement and
 /// speculatively-read / speculatively-written bits per line.
+///
+/// Every access probes the set once, over a dense tag array; payloads live
+/// in a parallel data array touched only on a hit.
 ///
 /// # Example
 /// ```
@@ -48,10 +93,11 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: usize,
+    sets: Divisor,
     assoc: usize,
     block_bytes: usize,
-    lines: Vec<Line>,
+    tags: Vec<Tag>,
+    data: Vec<BlockData>,
     lru_stamp: Vec<u64>,
     stamp: u64,
     spec_read: [SpecBitArray; MAX_EPOCHS],
@@ -69,10 +115,11 @@ impl SetAssocCache {
         assert!(sets > 0 && assoc > 0, "cache must have at least one set and one way");
         let total = sets * assoc;
         SetAssocCache {
-            sets,
+            sets: Divisor::new(sets),
             assoc,
             block_bytes: config.block_bytes,
-            lines: vec![Line::default(); total],
+            tags: vec![Tag::default(); total],
+            data: vec![BlockData::default(); total],
             lru_stamp: vec![0; total],
             stamp: 0,
             spec_read: [SpecBitArray::new(total), SpecBitArray::new(total)],
@@ -85,30 +132,52 @@ impl SetAssocCache {
         self.block_bytes
     }
 
-    fn set_of(&self, block: BlockAddr) -> usize {
-        (block.number() as usize) % self.sets
-    }
-
-    fn line_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.assoc..(set + 1) * self.assoc
+    /// First line index of the set `block` maps to.
+    fn set_base(&self, block: BlockAddr) -> usize {
+        self.sets.rem(block.number()) * self.assoc
     }
 
     fn block_of_line(&self, idx: usize) -> BlockAddr {
-        let number = self.lines[idx].tag;
+        let number = self.tags[idx].block;
         BlockAddr::containing(Addr::new(number * self.block_bytes as u64), self.block_bytes)
     }
 
-    /// Finds the line index holding `block`, if present.
+    /// Finds the line index holding `block`, if present: one probe of the
+    /// set's tags.
     fn find(&self, block: BlockAddr) -> Option<usize> {
-        let set = self.set_of(block);
-        self.line_range(set).find(|&i| {
-            self.lines[i].state != LineState::Invalid && self.lines[i].tag == block.number()
-        })
+        let base = self.set_base(block);
+        let number = block.number();
+        self.tags[base..base + self.assoc]
+            .iter()
+            .position(|t| t.block == number && t.state != LineState::Invalid)
+            .map(|way| base + way)
+    }
+
+    /// Finds the line index holding `block` with write permission.
+    fn find_writable(&self, block: BlockAddr) -> Option<usize> {
+        self.find(block).filter(|&i| self.tags[i].state.writable())
+    }
+
+    fn touch_line(&mut self, idx: usize) {
+        self.stamp += 1;
+        self.lru_stamp[idx] = self.stamp;
     }
 
     /// Returns the coherence state of `block` (Invalid if absent).
     pub fn state(&self, block: BlockAddr) -> LineState {
-        self.find(block).map(|i| self.lines[i].state).unwrap_or(LineState::Invalid)
+        self.find(block).map(|i| self.tags[i].state).unwrap_or(LineState::Invalid)
+    }
+
+    /// Returns the coherence state of `block` (Invalid if absent) and marks a
+    /// present block most-recently-used, in one probe.
+    pub fn state_touch(&mut self, block: BlockAddr) -> LineState {
+        match self.find(block) {
+            Some(i) => {
+                self.touch_line(i);
+                self.tags[i].state
+            }
+            None => LineState::Invalid,
+        }
     }
 
     /// Returns true if the block is present (any valid state).
@@ -116,56 +185,83 @@ impl SetAssocCache {
         self.find(block).is_some()
     }
 
-    /// Marks the block most-recently-used.
-    pub fn touch(&mut self, block: BlockAddr) {
-        if let Some(i) = self.find(block) {
-            self.stamp += 1;
-            self.lru_stamp[i] = self.stamp;
-        }
-    }
-
     /// Reads the word at `word_index` of `block`, if the block is present.
     pub fn read_word(&self, block: BlockAddr, word_index: usize) -> Option<u64> {
-        self.find(block).map(|i| self.lines[i].data.word(word_index))
+        self.find(block).map(|i| self.data[i].word(word_index))
     }
 
-    /// Writes the word at `word_index` of `block`. Returns false if the block
-    /// is not present.
-    pub fn write_word(&mut self, block: BlockAddr, word_index: usize, value: u64) -> bool {
-        match self.find(block) {
+    /// Reads the word at `word_index` of `block` and marks a present block
+    /// most-recently-used, in one probe.
+    pub fn read_word_touch(&mut self, block: BlockAddr, word_index: usize) -> Option<u64> {
+        let i = self.find(block)?;
+        self.touch_line(i);
+        Some(self.data[i].word(word_index))
+    }
+
+    /// Writes the word at `word_index` of a block held with write permission
+    /// (Exclusive or Modified) and marks the line Modified. Returns false if
+    /// the block is absent or only readable.
+    pub fn write_owned(&mut self, block: BlockAddr, word_index: usize, value: u64) -> bool {
+        match self.find_writable(block) {
             Some(i) => {
-                self.lines[i].data.set_word(word_index, value);
+                self.data[i].set_word(word_index, value);
+                self.tags[i].state = LineState::Modified;
                 true
             }
             None => false,
         }
     }
 
+    /// Merges the words of `data` selected by `word_mask` into a block held
+    /// with write permission, marking the line Modified and
+    /// most-recently-used. Returns false if the block is absent or only
+    /// readable.
+    pub fn merge_owned(&mut self, block: BlockAddr, data: &BlockData, word_mask: u8) -> bool {
+        match self.find_writable(block) {
+            Some(i) => {
+                self.data[i].merge_masked(data, word_mask);
+                self.tags[i].state = LineState::Modified;
+                self.touch_line(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Cleans a Modified block in place (Modified → Exclusive), returning the
+    /// data to write back. Returns `None` unless the block is present and
+    /// Modified.
+    pub(crate) fn clean(&mut self, block: BlockAddr) -> Option<BlockData> {
+        let i = self.find(block).filter(|&i| self.tags[i].state == LineState::Modified)?;
+        self.tags[i].state = LineState::Exclusive;
+        Some(self.data[i])
+    }
+
     /// Returns a copy of the block's data, if present.
     pub fn data(&self, block: BlockAddr) -> Option<BlockData> {
-        self.find(block).map(|i| self.lines[i].data)
+        self.find(block).map(|i| self.data[i])
     }
 
     /// Sets the coherence state of a present block. Returns false if absent.
     pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
         match self.find(block) {
             Some(i) => {
-                self.lines[i].state = state;
+                self.tags[i].state = state;
                 true
             }
             None => false,
         }
     }
 
-    fn victim_way(&self, set: usize) -> usize {
-        let range = self.line_range(set);
+    fn victim_way(&self, base: usize) -> usize {
+        let range = base..base + self.assoc;
         // Prefer an invalid way; otherwise the least-recently-used way that
         // carries no speculative marks (speculatively-accessed blocks must not
         // escape the cache); only if every way is speculative fall back to
         // plain LRU (the ordering engine is then responsible for committing or
         // aborting before the fill).
         for i in range.clone() {
-            if self.lines[i].state == LineState::Invalid {
+            if self.tags[i].state == LineState::Invalid {
                 return i;
             }
         }
@@ -187,8 +283,8 @@ impl SetAssocCache {
         if self.find(block).is_some() {
             return None;
         }
-        let victim = self.victim_way(self.set_of(block));
-        if self.lines[victim].state == LineState::Invalid {
+        let victim = self.victim_way(self.set_base(block));
+        if self.tags[victim].state == LineState::Invalid {
             return None;
         }
         let vblock = self.block_of_line(victim);
@@ -206,6 +302,17 @@ impl SetAssocCache {
         }
     }
 
+    /// The line at `idx` as it leaves the cache.
+    fn evicted_line(&self, idx: usize, block: BlockAddr) -> EvictedLine {
+        EvictedLine {
+            block,
+            state: self.tags[idx].state,
+            data: self.data[idx],
+            spec_read: (0..MAX_EPOCHS).any(|e| self.spec_read[e].get(idx)),
+            spec_written: (0..MAX_EPOCHS).any(|e| self.spec_written[e].get(idx)),
+        }
+    }
+
     /// Installs `block` with the given state and data, returning the evicted
     /// line if a valid line had to be displaced. If the block is already
     /// present only its state and data are updated.
@@ -216,28 +323,21 @@ impl SetAssocCache {
         data: BlockData,
     ) -> Option<EvictedLine> {
         if let Some(i) = self.find(block) {
-            self.lines[i].state = state;
-            self.lines[i].data = data;
-            self.stamp += 1;
-            self.lru_stamp[i] = self.stamp;
+            self.tags[i].state = state;
+            self.data[i] = data;
+            self.touch_line(i);
             return None;
         }
-        let idx = self.victim_way(self.set_of(block));
-        let evicted = if self.lines[idx].state != LineState::Invalid {
-            Some(EvictedLine {
-                block: self.block_of_line(idx),
-                state: self.lines[idx].state,
-                data: self.lines[idx].data,
-                spec_read: (0..MAX_EPOCHS).any(|e| self.spec_read[e].get(idx)),
-                spec_written: (0..MAX_EPOCHS).any(|e| self.spec_written[e].get(idx)),
-            })
+        let idx = self.victim_way(self.set_base(block));
+        let evicted = if self.tags[idx].state != LineState::Invalid {
+            Some(self.evicted_line(idx, self.block_of_line(idx)))
         } else {
             None
         };
         self.clear_line_spec(idx);
-        self.lines[idx] = Line { tag: block.number(), state, data };
-        self.stamp += 1;
-        self.lru_stamp[idx] = self.stamp;
+        self.tags[idx] = Tag { block: block.number(), state };
+        self.data[idx] = data;
+        self.touch_line(idx);
         evicted
     }
 
@@ -246,14 +346,8 @@ impl SetAssocCache {
     /// line, if it was present.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<EvictedLine> {
         let idx = self.find(block)?;
-        let evicted = EvictedLine {
-            block,
-            state: self.lines[idx].state,
-            data: self.lines[idx].data,
-            spec_read: (0..MAX_EPOCHS).any(|e| self.spec_read[e].get(idx)),
-            spec_written: (0..MAX_EPOCHS).any(|e| self.spec_written[e].get(idx)),
-        };
-        self.lines[idx].state = LineState::Invalid;
+        let evicted = self.evicted_line(idx, block);
+        self.tags[idx].state = LineState::Invalid;
         self.clear_line_spec(idx);
         Some(evicted)
     }
@@ -263,12 +357,12 @@ impl SetAssocCache {
     /// written back), or `None` otherwise.
     pub fn downgrade(&mut self, block: BlockAddr) -> Option<BlockData> {
         let idx = self.find(block)?;
-        let was_modified = self.lines[idx].state == LineState::Modified;
-        if self.lines[idx].state.writable() {
-            self.lines[idx].state = LineState::Shared;
+        let was_modified = self.tags[idx].state == LineState::Modified;
+        if self.tags[idx].state.writable() {
+            self.tags[idx].state = LineState::Shared;
         }
         if was_modified {
-            Some(self.lines[idx].data)
+            Some(self.data[idx])
         } else {
             None
         }
@@ -327,46 +421,34 @@ impl SetAssocCache {
         let written: Vec<usize> = self.spec_written[epoch].iter_set().collect();
         let mut out = Vec::with_capacity(written.len());
         for idx in written {
-            if self.lines[idx].state != LineState::Invalid {
+            if self.tags[idx].state != LineState::Invalid {
                 out.push(self.block_of_line(idx));
-                self.lines[idx].state = LineState::Invalid;
+                self.tags[idx].state = LineState::Invalid;
             }
         }
         self.flash_clear_epoch(epoch);
         out
     }
 
-    /// Number of lines carrying a speculative mark in `epoch`.
+    /// Number of lines carrying a speculative mark in `epoch`: the union of
+    /// the read and written logs, counted without allocating (each log lists
+    /// a line at most once).
     pub fn spec_line_count(&self, epoch: usize) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for i in self.spec_read[epoch].iter_set() {
-            seen.insert(i);
-        }
-        for i in self.spec_written[epoch].iter_set() {
-            seen.insert(i);
-        }
-        seen.len()
+        let read = &self.spec_read[epoch];
+        let written_only = self.spec_written[epoch].iter_set().filter(|&i| !read.get(i)).count();
+        read.count_set() + written_only
     }
 
     /// Returns true if any line carries a speculative mark in any epoch.
     pub fn has_spec_lines(&self) -> bool {
-        (0..MAX_EPOCHS).any(|e| self.spec_line_count(e) > 0)
-    }
-
-    /// Blocks currently marked speculatively written in `epoch`.
-    pub fn spec_written_blocks(&self, epoch: usize) -> Vec<BlockAddr> {
-        self.spec_written[epoch]
-            .iter_set()
-            .filter(|&i| self.lines[i].state != LineState::Invalid)
-            .map(|i| self.block_of_line(i))
-            .collect()
+        (0..MAX_EPOCHS).any(|e| !self.spec_read[e].none_set() || !self.spec_written[e].none_set())
     }
 
     /// Iterates over all valid blocks and their states (diagnostics/tests).
     pub fn iter_valid(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        (0..self.lines.len()).filter_map(move |i| {
-            if self.lines[i].state != LineState::Invalid {
-                Some((self.block_of_line(i), self.lines[i].state))
+        (0..self.tags.len()).filter_map(move |i| {
+            if self.tags[i].state != LineState::Invalid {
+                Some((self.block_of_line(i), self.tags[i].state))
             } else {
                 None
             }
@@ -375,7 +457,7 @@ impl SetAssocCache {
 
     /// Number of valid lines.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.state != LineState::Invalid).count()
+        self.tags.iter().filter(|t| t.state != LineState::Invalid).count()
     }
 }
 
@@ -420,7 +502,7 @@ mod tests {
         let d = blk(0x200);
         c.fill(a, LineState::Shared, BlockData::zeroed());
         c.fill(b, LineState::Shared, BlockData::zeroed());
-        c.touch(a); // b is now LRU
+        c.state_touch(a); // b is now LRU
         let evicted = c.fill(d, LineState::Shared, BlockData::zeroed()).unwrap();
         assert_eq!(evicted.block, b);
         assert!(c.contains(a) && c.contains(d) && !c.contains(b));
@@ -436,7 +518,7 @@ mod tests {
         assert!(c.would_evict(b).is_none(), "invalid way available");
         c.fill(b, LineState::Shared, BlockData::zeroed());
         c.mark_spec_written(a, 0);
-        c.touch(b);
+        c.state_touch(b);
         // Replacement avoids speculative lines: even though `a` is LRU, the
         // non-speculative `b` is chosen as the victim.
         let (victim, spec) = c.would_evict(d).unwrap();
@@ -456,10 +538,14 @@ mod tests {
         let mut c = small_cache();
         let b = blk(0x40);
         c.fill(b, LineState::Exclusive, BlockData::zeroed());
-        assert!(c.write_word(b, 2, 99));
+        assert!(c.write_owned(b, 2, 99));
         assert_eq!(c.read_word(b, 2), Some(99));
+        assert_eq!(c.state(b), LineState::Modified, "a write dirties the line");
         assert_eq!(c.read_word(blk(0x2000), 0), None);
-        assert!(!c.write_word(blk(0x2000), 0, 1));
+        assert!(!c.write_owned(blk(0x2000), 0, 1));
+        let s = blk(0x80);
+        c.fill(s, LineState::Shared, BlockData::zeroed());
+        assert!(!c.write_owned(s, 0, 1), "a shared line is not writable");
     }
 
     #[test]
@@ -490,6 +576,8 @@ mod tests {
         assert!(c.is_spec_any(b));
         assert_eq!(c.spec_line_count(0), 1);
         assert_eq!(c.spec_line_count(1), 1);
+        assert!(c.mark_spec_written(b, 0));
+        assert_eq!(c.spec_line_count(0), 1, "a read and written line counts once");
         c.flash_clear_epoch(0);
         assert!(!c.is_spec_read(b, 0));
         assert!(c.is_spec_written(b, 1), "other epoch untouched");
@@ -521,7 +609,7 @@ mod tests {
         c.mark_spec_read(a, 0);
         c.fill(b, LineState::Shared, BlockData::zeroed());
         c.mark_spec_read(b, 0);
-        c.touch(b);
+        c.state_touch(b);
         // Both ways are speculative, so replacement falls back to LRU and
         // evicts `a`; its slot is reused by `d`, which must not inherit a's
         // speculative marks.

@@ -69,9 +69,8 @@ impl L1Cache {
     /// Coherence state of `block`, promoting a victim-cache hit back into the
     /// main array (which may displace another line).
     pub fn lookup(&mut self, block: BlockAddr) -> LineState {
-        let state = self.cache.state(block);
+        let state = self.cache.state_touch(block);
         if state != LineState::Invalid {
-            self.cache.touch(block);
             return state;
         }
         if let Some((vstate, vdata)) = self.victim.take(block) {
@@ -79,6 +78,19 @@ impl L1Cache {
             return vstate;
         }
         LineState::Invalid
+    }
+
+    /// Reads the word at `word_index` of a readable `block`, exactly as
+    /// [`L1Cache::lookup`] followed by [`L1Cache::read_word`], in one probe
+    /// of the main array. Returns `None` when the block is in neither the
+    /// main array nor the victim cache.
+    pub fn load_word(&mut self, block: BlockAddr, word_index: usize) -> Option<u64> {
+        if let Some(value) = self.cache.read_word_touch(block, word_index) {
+            return Some(value);
+        }
+        let (vstate, vdata) = self.victim.take(block)?;
+        self.install(block, vstate, vdata);
+        Some(vdata.word(word_index))
     }
 
     /// Coherence state of `block` without promoting or touching anything.
@@ -151,29 +163,13 @@ impl L1Cache {
     /// Writes the word at `word_index` of `block`, marking the line Modified.
     /// Returns false if the block is not resident or not writable.
     pub fn write_word(&mut self, block: BlockAddr, word_index: usize, value: u64) -> bool {
-        if !self.cache.state(block).writable() {
-            return false;
-        }
-        let ok = self.cache.write_word(block, word_index, value);
-        if ok {
-            self.cache.set_state(block, LineState::Modified);
-        }
-        ok
+        self.cache.write_owned(block, word_index, value)
     }
 
     /// Merges a drained store-buffer entry into the line, marking it Modified.
     /// Returns false if the block is not resident or not writable.
     pub fn merge_store(&mut self, block: BlockAddr, data: &BlockData, word_mask: u8) -> bool {
-        if !self.cache.state(block).writable() {
-            return false;
-        }
-        let mut line = match self.cache.data(block) {
-            Some(d) => d,
-            None => return false,
-        };
-        line.merge_masked(data, word_mask);
-        self.cache.fill(block, LineState::Modified, line);
-        true
+        self.cache.merge_owned(block, data, word_mask)
     }
 
     /// Copy of the block's data, if resident.
@@ -223,11 +219,7 @@ impl L1Cache {
     /// Modified → Exclusive. Returns the data written back, or `None` if the
     /// block was not resident and Modified.
     pub fn clean_writeback(&mut self, block: BlockAddr) -> Option<BlockData> {
-        if self.cache.state(block) != LineState::Modified {
-            return None;
-        }
-        let data = self.cache.data(block)?;
-        self.cache.set_state(block, LineState::Exclusive);
+        let data = self.cache.clean(block)?;
         self.pending.push(EvictionAction::WritebackDirty(block, data));
         Some(data)
     }
@@ -344,6 +336,21 @@ mod tests {
             "dirty line displaced from the victim cache must be written back, got {wbs:?}"
         );
         assert!(l1.take_writebacks().is_empty(), "take_writebacks drains");
+    }
+
+    #[test]
+    fn load_word_matches_lookup_then_read_word() {
+        let mut l1 = L1Cache::new(&cfg());
+        assert_eq!(l1.load_word(blk(0x000), 0), None);
+        l1.fill(blk(0x000), LineState::Modified, BlockData::from_words([4; 8]));
+        l1.fill(blk(0x100), LineState::Shared, BlockData::from_words([5; 8]));
+        assert_eq!(l1.load_word(blk(0x000), 3), Some(4));
+        // 0x000 is now most-recently-used, so 0x100 is the one displaced
+        // into the victim cache; loading it promotes it back.
+        l1.fill(blk(0x200), LineState::Shared, BlockData::zeroed());
+        assert!(l1.contains(blk(0x000)) && !l1.contains(blk(0x100)));
+        assert_eq!(l1.load_word(blk(0x100), 1), Some(5));
+        assert!(l1.contains(blk(0x100)));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! nothing is ever evicted. This reproduces the pre-capacity fabric exactly
 //! and serves as the "infinite" endpoint of capacity sweeps.
 
+use crate::cache::Divisor;
 use crate::line::BlockData;
 use ifence_types::{FnvMap, L2Config};
 
@@ -74,13 +75,55 @@ pub enum L2FillOutcome<D> {
     Blocked,
 }
 
+/// The finite store: per-set line vectors plus one flat tag array.
+///
+/// `tags[slot * ways + k]` holds the block number of `lines[slot][k]`; only
+/// the first `lines[slot].len()` tags of a slot are meaningful. Probes scan
+/// the 8-byte tags and touch a line payload only on a hit.
+///
+/// Nothing is allocated per line up front. The payload vectors grow as lines
+/// are filled: a paper-sized L2's payloads would take over 14 MB, most of it
+/// never touched by a short run. The tag array (about 1 MB) is allocated on
+/// the first fill, so building a machine does not pay for zeroing it.
+#[derive(Debug)]
+struct Finite<D> {
+    tags: Vec<u64>,
+    lines: Vec<Vec<L2Line<D>>>,
+    sets_per_bank: Divisor,
+    ways: usize,
+}
+
+impl<D> Finite<D> {
+    /// The flattened `(bank, hashed set)` slot of `block`.
+    fn slot(&self, banks: Divisor, block: u64) -> usize {
+        let bank = banks.rem(block);
+        let set = self.sets_per_bank.rem(spread(banks.div(block)));
+        bank * self.sets_per_bank.value() + set
+    }
+
+    /// The way of `slot` holding `block`, if resident.
+    fn way(&self, slot: usize, block: u64) -> Option<usize> {
+        let base = slot * self.ways;
+        // Before the first fill `tags` is empty and every slot holds no line.
+        let tags = self.tags.get(base..base + self.lines[slot].len())?;
+        tags.iter().position(|&tag| tag == block)
+    }
+
+    /// Removes way `k` of `slot`, moving the last way into its place (the
+    /// tag array mirrors the line vector's `swap_remove`).
+    fn swap_remove(&mut self, slot: usize, k: usize) -> L2Line<D> {
+        let base = slot * self.ways;
+        let last = self.lines[slot].len() - 1;
+        self.tags[base + k] = self.tags[base + last];
+        self.lines[slot].swap_remove(k)
+    }
+}
+
 #[derive(Debug)]
 enum Store<D> {
-    /// `sets[bank * sets_per_bank + set]`, each holding up to `ways`
-    /// `(block number, line)` pairs.
-    Finite { sets: Vec<Vec<(u64, L2Line<D>)>>, sets_per_bank: usize, ways: usize },
+    Finite(Finite<D>),
     /// One unbounded map per bank (the capacity-0 sentinel).
-    Unbounded { banks: Vec<FnvMap<u64, L2Line<D>>> },
+    Unbounded(Vec<FnvMap<u64, L2Line<D>>>),
 }
 
 /// Multiplicative (Fibonacci) bit spread used by the hashed set index:
@@ -93,17 +136,10 @@ fn spread(x: u64) -> u64 {
     x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
 }
 
-/// The flattened `(bank, hashed set)` slot of `block`.
-fn slot_of(banks: usize, sets_per_bank: usize, block: u64) -> usize {
-    let bank = (block as usize) % banks;
-    let set = (spread(block / banks as u64) as usize) % sets_per_bank;
-    bank * sets_per_bank + set
-}
-
 /// The banked shared L2 (see the module documentation).
 #[derive(Debug)]
 pub struct BankedL2<D> {
-    banks: usize,
+    banks: Divisor,
     store: Store<D>,
     stamp: u64,
 }
@@ -118,63 +154,58 @@ impl<D> BankedL2<D> {
     pub fn new(cfg: &L2Config, banks: usize, block_bytes: usize) -> Self {
         let banks = banks.max(1);
         let store = if cfg.unbounded() {
-            Store::Unbounded { banks: (0..banks).map(|_| FnvMap::default()).collect() }
+            Store::Unbounded((0..banks).map(|_| FnvMap::default()).collect())
         } else {
             let sets_per_bank = cfg.sets_per_bank(banks, block_bytes);
             assert!(sets_per_bank > 0, "L2 geometry yields zero sets per bank");
-            Store::Finite {
-                sets: (0..banks * sets_per_bank).map(|_| Vec::new()).collect(),
-                sets_per_bank,
+            Store::Finite(Finite {
+                tags: Vec::new(),
+                lines: (0..banks * sets_per_bank).map(|_| Vec::new()).collect(),
+                sets_per_bank: Divisor::new(sets_per_bank),
                 ways: cfg.associativity,
-            }
+            })
         };
-        BankedL2 { banks, store, stamp: 0 }
+        BankedL2 { banks: Divisor::new(banks), store, stamp: 0 }
     }
 
     /// The bank (home node) of `block`.
     pub fn bank_of(&self, block: u64) -> usize {
-        (block as usize) % self.banks
-    }
-
-    fn set_index(&self, block: u64) -> Option<usize> {
-        match &self.store {
-            Store::Finite { sets_per_bank, .. } => Some(slot_of(self.banks, *sets_per_bank, block)),
-            Store::Unbounded { .. } => None,
-        }
+        self.banks.rem(block)
     }
 
     /// The resident line for `block`, if any.
     pub fn get(&self, block: u64) -> Option<&L2Line<D>> {
         match &self.store {
-            Store::Finite { sets, .. } => {
-                let idx = self.set_index(block).expect("finite store has set indices");
-                sets[idx].iter().find(|(tag, _)| *tag == block).map(|(_, line)| line)
+            Store::Finite(f) => {
+                let slot = f.slot(self.banks, block);
+                f.way(slot, block).map(|k| &f.lines[slot][k])
             }
-            Store::Unbounded { banks } => banks[self.bank_of(block)].get(&block),
+            Store::Unbounded(banks) => banks[self.bank_of(block)].get(&block),
         }
     }
 
     /// Mutable access to the resident line for `block`, if any.
     pub fn get_mut(&mut self, block: u64) -> Option<&mut L2Line<D>> {
         match &mut self.store {
-            Store::Finite { sets, sets_per_bank, .. } => sets
-                [slot_of(self.banks, *sets_per_bank, block)]
-            .iter_mut()
-            .find(|(tag, _)| *tag == block)
-            .map(|(_, line)| line),
-            Store::Unbounded { banks } => {
-                let bank = (block as usize) % self.banks;
-                banks[bank].get_mut(&block)
+            Store::Finite(f) => {
+                let slot = f.slot(self.banks, block);
+                f.way(slot, block).map(|k| &mut f.lines[slot][k])
             }
+            Store::Unbounded(banks) => banks[self.banks.rem(block)].get_mut(&block),
         }
     }
 
-    /// Marks `block` most-recently-used.
-    pub fn touch(&mut self, block: u64) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(line) = self.get_mut(block) {
-            line.lru = stamp;
+    /// Marks `block` most-recently-used, returning whether it is resident:
+    /// the hit check and the LRU update in one probe.
+    pub fn touch(&mut self, block: u64) -> bool {
+        let stamp = self.stamp + 1;
+        match self.get_mut(block) {
+            Some(line) => {
+                line.lru = stamp;
+                self.stamp = stamp;
+                true
+            }
+            None => false,
         }
     }
 
@@ -194,35 +225,37 @@ impl<D> BankedL2<D> {
         self.stamp += 1;
         let line = L2Line { data, dirty: false, busy: false, dir, lru: self.stamp };
         match &mut self.store {
-            Store::Unbounded { banks } => {
-                let bank = (block as usize) % self.banks;
-                banks[bank].insert(block, line);
+            Store::Unbounded(banks) => {
+                banks[self.banks.rem(block)].insert(block, line);
                 L2FillOutcome::Installed { evicted: None }
             }
-            Store::Finite { sets, sets_per_bank, ways } => {
-                let slot = &mut sets[slot_of(self.banks, *sets_per_bank, block)];
-                if slot.len() < *ways {
-                    slot.push((block, line));
+            Store::Finite(f) => {
+                if f.tags.is_empty() {
+                    f.tags = vec![0; f.lines.len() * f.ways];
+                }
+                let slot = f.slot(self.banks, block);
+                let len = f.lines[slot].len();
+                if len < f.ways {
+                    f.tags[slot * f.ways + len] = block;
+                    f.lines[slot].push(line);
                     return L2FillOutcome::Installed { evicted: None };
                 }
                 // Victim: the least-recently-used way, strictly. A busy LRU
                 // way blocks the fill instead of falling through to the next
                 // way — recalling way after way while the first recall is
                 // still draining would cascade-evict the whole set.
-                let victim = slot
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, (_, l))| l.lru)
-                    .map(|(i, _)| i)
-                    .expect("full set has at least one way");
-                if slot[victim].1.busy {
+                let set = &f.lines[slot];
+                let victim = (0..len).min_by_key(|&k| set[k].lru).expect("full set has a way");
+                if set[victim].busy {
                     return L2FillOutcome::Blocked;
                 }
-                if !can_drop(&slot[victim].1.dir) {
-                    return L2FillOutcome::NeedsRecall { victim: slot[victim].0 };
+                if !can_drop(&set[victim].dir) {
+                    return L2FillOutcome::NeedsRecall { victim: f.tags[slot * f.ways + victim] };
                 }
-                let (vblock, vline) = slot.swap_remove(victim);
-                slot.push((block, line));
+                let vblock = f.tags[slot * f.ways + victim];
+                let vline = f.swap_remove(slot, victim);
+                f.tags[slot * f.ways + len - 1] = block;
+                f.lines[slot].push(line);
                 L2FillOutcome::Installed {
                     evicted: Some(L2Evicted {
                         block: vblock,
@@ -237,32 +270,28 @@ impl<D> BankedL2<D> {
 
     /// Removes `block` from the L2 (recall completion), returning the line.
     pub fn remove(&mut self, block: u64) -> Option<L2Evicted<D>> {
-        match &mut self.store {
-            Store::Finite { sets, sets_per_bank, .. } => {
-                let slot = &mut sets[slot_of(self.banks, *sets_per_bank, block)];
-                let idx = slot.iter().position(|(tag, _)| *tag == block)?;
-                let (_, line) = slot.swap_remove(idx);
-                Some(L2Evicted { block, data: line.data, dirty: line.dirty, dir: line.dir })
+        let line = match &mut self.store {
+            Store::Finite(f) => {
+                let slot = f.slot(self.banks, block);
+                let k = f.way(slot, block)?;
+                f.swap_remove(slot, k)
             }
-            Store::Unbounded { banks } => {
-                let bank = (block as usize) % self.banks;
-                let line = banks[bank].remove(&block)?;
-                Some(L2Evicted { block, data: line.data, dirty: line.dirty, dir: line.dir })
-            }
-        }
+            Store::Unbounded(banks) => banks[self.banks.rem(block)].remove(&block)?,
+        };
+        Some(L2Evicted { block, data: line.data, dirty: line.dirty, dir: line.dir })
     }
 
     /// Number of resident lines across all banks.
     pub fn resident_lines(&self) -> usize {
         match &self.store {
-            Store::Finite { sets, .. } => sets.iter().map(Vec::len).sum(),
-            Store::Unbounded { banks } => banks.iter().map(FnvMap::len).sum(),
+            Store::Finite(f) => f.lines.iter().map(Vec::len).sum(),
+            Store::Unbounded(banks) => banks.iter().map(FnvMap::len).sum(),
         }
     }
 
     /// True when this L2 never evicts (the capacity-0 sentinel).
     pub fn unbounded(&self) -> bool {
-        matches!(self.store, Store::Unbounded { .. })
+        matches!(self.store, Store::Unbounded(_))
     }
 }
 

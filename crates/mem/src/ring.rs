@@ -148,10 +148,19 @@ impl<T> Ring<T> {
         (first, self.len - first)
     }
 
+    /// The occupied region as two slices, oldest first: the run up to the
+    /// end of the physical backing, then the wrapped run (empty unless the
+    /// region wraps). Rings of equal capacity pushed and popped in lockstep
+    /// split at the same position.
+    pub fn as_slices(&self) -> (&[T], &[T]) {
+        let (first, wrapped) = self.split_lens();
+        (&self.slots[self.head..self.head + first], &self.slots[..wrapped])
+    }
+
     /// Iterates oldest-first.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + Clone + '_ {
-        let (first, wrapped) = self.split_lens();
-        self.slots[self.head..self.head + first].iter().chain(self.slots[..wrapped].iter())
+        let (front, back) = self.as_slices();
+        front.iter().chain(back.iter())
     }
 
     /// Mutable iteration oldest-first.
@@ -233,6 +242,21 @@ mod tests {
         assert_eq!(r.get(2), Some(&4));
         assert_eq!(r.get(3), None);
         assert_eq!(r.front(), Some(&2));
+    }
+
+    #[test]
+    fn as_slices_splits_at_the_physical_wrap() {
+        let mut r = Ring::with_capacity(4);
+        r.push_back(1);
+        r.push_back(2);
+        r.push_back(3);
+        r.pop_front();
+        r.pop_front();
+        assert_eq!(r.as_slices(), (&[3][..], &[][..]));
+        for v in [4, 5, 6] {
+            r.push_back(v); // occupies slots 3, 0, 1
+        }
+        assert_eq!(r.as_slices(), (&[3, 4][..], &[5, 6][..]));
     }
 
     #[test]

@@ -25,6 +25,8 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpecBitArray {
+    /// Always even. A stamp equal to it means "set"; one less means "cleared
+    /// individually, but already in the log"; anything else means clear.
     generation: u64,
     stamps: Vec<u64>,
     /// Indices set since the last flash clear (no duplicates).
@@ -34,7 +36,7 @@ pub struct SpecBitArray {
 impl SpecBitArray {
     /// Creates an array of `len` bits, all clear.
     pub fn new(len: usize) -> Self {
-        SpecBitArray { generation: 1, stamps: vec![0; len], set_log: Vec::new() }
+        SpecBitArray { generation: 2, stamps: vec![0; len], set_log: Vec::new() }
     }
 
     /// Number of bits in the array.
@@ -52,9 +54,12 @@ impl SpecBitArray {
     /// # Panics
     /// Panics if `index` is out of bounds.
     pub fn set(&mut self, index: usize) {
-        if self.stamps[index] != self.generation {
+        let stamp = self.stamps[index];
+        if stamp != self.generation {
+            if stamp != self.generation - 1 {
+                self.set_log.push(index as u32);
+            }
             self.stamps[index] = self.generation;
-            self.set_log.push(index as u32);
         }
     }
 
@@ -70,15 +75,15 @@ impl SpecBitArray {
     /// discarded, e.g. on an individual eviction after a forced commit).
     pub fn clear(&mut self, index: usize) {
         if self.stamps[index] == self.generation {
-            self.stamps[index] = 0;
-            // Leave the log entry in place; readers of `set_indices` must
-            // re-check `get`, which `iter_set` does.
+            // Leave the log entry in place (`iter_set` re-checks `get`) and
+            // remember it, so setting the bit again does not log it twice.
+            self.stamps[index] = self.generation - 1;
         }
     }
 
     /// Clears every bit in constant time (the paper's single-cycle flash clear).
     pub fn flash_clear(&mut self) {
-        self.generation += 1;
+        self.generation += 2;
         self.set_log.clear();
     }
 
@@ -152,6 +157,22 @@ mod tests {
         b.set(3);
         b.clear(2);
         assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![1, 3]);
+    }
+
+    #[test]
+    fn clear_then_set_logs_the_bit_once() {
+        let mut b = SpecBitArray::new(8);
+        b.set(4);
+        b.clear(4);
+        b.set(4);
+        b.set(6);
+        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![4, 6]);
+        assert_eq!(b.count_set(), 2);
+        b.flash_clear();
+        b.clear(4);
+        assert!(!b.get(4), "a clear after a flash clear leaves the bit clear");
+        b.set(4);
+        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![4]);
     }
 
     #[test]

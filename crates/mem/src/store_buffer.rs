@@ -255,15 +255,17 @@ impl StoreBuffer {
         }
     }
 
-    /// Blocks that currently could be drained, oldest-first. For FIFO
-    /// organizations only the head entry's block is a candidate; for the
-    /// coalescing buffer every entry is.
-    pub fn drain_candidates(&self) -> Vec<(BlockAddr, Option<u8>)> {
+    /// Replaces the contents of `out` with the blocks that currently could be
+    /// drained, oldest-first. For FIFO organizations only the head entry's
+    /// block is a candidate; for the coalescing buffer every entry is. The
+    /// caller keeps `out` across drain attempts, so none allocates.
+    pub fn drain_candidates_into(&self, out: &mut Vec<(BlockAddr, Option<u8>)>) {
+        out.clear();
         match &self.organization {
             Organization::Fifo(q) | Organization::Scalable(q) => {
-                q.front().map(|s| vec![(s.block, s.epoch)]).unwrap_or_default()
+                out.extend(q.front().map(|s| (s.block, s.epoch)));
             }
-            Organization::Coalescing(v) => v.iter().map(|e| (e.block, e.epoch)).collect(),
+            Organization::Coalescing(v) => out.extend(v.iter().map(|e| (e.block, e.epoch))),
         }
     }
 
@@ -391,13 +393,12 @@ impl StoreBuffer {
     /// oldest-first, merged per block for FIFO organizations.
     pub fn drain_all(&mut self) -> Vec<SbEntry> {
         let mut out = Vec::new();
+        let mut candidates = Vec::new();
         loop {
-            let next = self.drain_candidates().first().copied();
-            match next {
-                Some((block, _)) => match self.drain_block(block) {
-                    Some(e) => out.push(e),
-                    None => break,
-                },
+            self.drain_candidates_into(&mut candidates);
+            let Some(&(block, _)) = candidates.first() else { break };
+            match self.drain_block(block) {
+                Some(e) => out.push(e),
                 None => break,
             }
         }
@@ -421,13 +422,16 @@ mod tests {
         sb.push(Addr::new(0x108), 3, None).unwrap();
         assert_eq!(sb.len(), 3);
         // Only the head block is drainable.
-        assert_eq!(sb.drain_candidates(), vec![(blk(0x100), None)]);
+        let mut candidates = vec![(blk(0x300), Some(1))];
+        sb.drain_candidates_into(&mut candidates);
+        assert_eq!(candidates, vec![(blk(0x100), None)], "the buffer is replaced, not extended");
         // Draining the head stops at the first entry for a different block,
         // preserving FIFO order (0x108 stays buffered behind 0x200).
         let e = sb.drain_block(blk(0x100)).unwrap();
         assert_eq!(e.word_mask, 0b0000_0001);
         assert_eq!(sb.len(), 2);
-        assert_eq!(sb.drain_candidates(), vec![(blk(0x200), None)]);
+        sb.drain_candidates_into(&mut candidates);
+        assert_eq!(candidates, vec![(blk(0x200), None)]);
     }
 
     #[test]

@@ -11,7 +11,8 @@ use std::collections::VecDeque;
 ///
 /// Speculatively-accessed lines are never placed in the victim cache — the
 /// engine must commit or abort before such a line escapes the L1 — so the
-/// victim cache stores only plain (block, state, data) triples.
+/// victim cache stores only plain (block, state, data) triples. Blocks sit
+/// in their own dense array, so a probe never strides over line payloads.
 ///
 /// # Example
 /// ```
@@ -26,28 +27,45 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Default)]
 pub struct VictimCache {
     capacity: usize,
-    entries: VecDeque<(BlockAddr, LineState, BlockData)>,
+    /// Resident blocks, oldest first: the dense array every probe scans.
+    keys: VecDeque<BlockAddr>,
+    /// `(state, data)` of each resident block, in lockstep with `keys`.
+    lines: VecDeque<(LineState, BlockData)>,
 }
 
 impl VictimCache {
     /// Creates a victim cache with the given capacity (0 disables it).
     pub fn new(capacity: usize) -> Self {
-        VictimCache { capacity, entries: VecDeque::with_capacity(capacity) }
+        VictimCache {
+            capacity,
+            keys: VecDeque::with_capacity(capacity),
+            lines: VecDeque::with_capacity(capacity),
+        }
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Returns true if no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
+    }
+
+    fn position(&self, block: BlockAddr) -> Option<usize> {
+        self.keys.iter().position(|&b| b == block)
+    }
+
+    fn remove(&mut self, pos: usize) -> (BlockAddr, LineState, BlockData) {
+        let block = self.keys.remove(pos).expect("position below len");
+        let (state, data) = self.lines.remove(pos).expect("keys and lines in lockstep");
+        (block, state, data)
     }
 
     /// Returns true if `block` is resident.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.entries.iter().any(|(b, _, _)| *b == block)
+        self.position(block).is_some()
     }
 
     /// Inserts an evicted line. If the victim cache is full the oldest entry
@@ -63,12 +81,12 @@ impl VictimCache {
             return Some((block, state, data));
         }
         // Replace an existing entry for the same block rather than duplicating it.
-        if let Some(pos) = self.entries.iter().position(|(b, _, _)| *b == block) {
-            self.entries.remove(pos);
+        if let Some(pos) = self.position(block) {
+            self.remove(pos);
         }
-        let displaced =
-            if self.entries.len() >= self.capacity { self.entries.pop_front() } else { None };
-        self.entries.push_back((block, state, data));
+        let displaced = if self.keys.len() >= self.capacity { Some(self.remove(0)) } else { None };
+        self.keys.push_back(block);
+        self.lines.push_back((state, data));
         displaced
     }
 
@@ -84,8 +102,8 @@ impl VictimCache {
     /// Removes and returns the entry for `block`, if resident (a victim hit
     /// swaps the line back into the L1).
     pub fn take(&mut self, block: BlockAddr) -> Option<(LineState, BlockData)> {
-        let pos = self.entries.iter().position(|(b, _, _)| *b == block)?;
-        let (_, state, data) = self.entries.remove(pos).expect("position just found");
+        let pos = self.position(block)?;
+        let (_, state, data) = self.remove(pos);
         Some((state, data))
     }
 
@@ -103,9 +121,9 @@ impl VictimCache {
     /// Downgrades the entry for `block` to Shared (external read). Returns the
     /// dirty data if it was Modified.
     pub fn downgrade(&mut self, block: BlockAddr) -> Option<BlockData> {
-        let pos = self.entries.iter().position(|(b, _, _)| *b == block)?;
-        let (_, state, data) = self.entries[pos];
-        self.entries[pos].1 = LineState::Shared;
+        let pos = self.position(block)?;
+        let (state, data) = self.lines[pos];
+        self.lines[pos].0 = LineState::Shared;
         if state == LineState::Modified {
             Some(data)
         } else {

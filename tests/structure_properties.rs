@@ -6,9 +6,14 @@
 //! seed.
 
 use ifence_coherence::EventQueue;
-use ifence_mem::{BlockData, LineState, Ring, SetAssocCache, SpecBitArray, StoreBuffer};
-use ifence_types::{Addr, BlockAddr, CacheConfig, InterconnectConfig};
+use ifence_cpu::Rob;
+use ifence_mem::{
+    BankedL2, BlockData, L2FillOutcome, LineState, Ring, SetAssocCache, SpecBitArray, StoreBuffer,
+    VictimCache,
+};
+use ifence_types::{Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config};
 use ifence_workloads::TraceRng;
+use std::collections::{HashMap, VecDeque};
 
 const CASES: u64 = 64;
 
@@ -115,7 +120,10 @@ fn fifo_store_buffer_preserves_order() {
             sb.push(Addr::new(b * 64), i as u64, None).unwrap();
         }
         let mut drained = Vec::new();
-        while let Some((blk, _)) = sb.drain_candidates().first().copied() {
+        let mut candidates = Vec::new();
+        loop {
+            sb.drain_candidates_into(&mut candidates);
+            let Some(&(blk, _)) = candidates.first() else { break };
             let entry = sb.drain_block(blk).unwrap();
             drained.push(entry.block.number());
         }
@@ -416,6 +424,433 @@ fn cache_abort_invalidates_only_written_lines() {
         for r in &reads {
             if !writes.contains(r) {
                 assert!(cache.state(block(r * 64)).readable(), "case {case}");
+            }
+        }
+    }
+}
+
+/// One resident line of the naive L2 model.
+#[derive(Debug, Clone, Copy)]
+struct ModelL2Line {
+    slot: usize,
+    lru: u64,
+    busy: bool,
+    dirty: bool,
+    holders: usize,
+    word: u64,
+}
+
+/// The banked L2's slot function, written out plainly: bank by block
+/// number, then a golden-ratio hashed set within the bank.
+fn model_l2_slot(banks: usize, sets_per_bank: usize, block: u64) -> usize {
+    let spread = (block / banks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    (block as usize % banks) * sets_per_bank + spread as usize % sets_per_bank
+}
+
+/// The finite banked L2 behaves exactly like a naive map-plus-LRU model
+/// under random fill / touch / remove / busy-pin / holder sequences: the
+/// same resident lines and payloads, the same victim on every fill, the same
+/// `NeedsRecall` and `Blocked` refusals. Geometries include non-power-of-two
+/// bank and set counts, so the divide fallback of the set index is covered
+/// along with the shift-and-mask path.
+#[test]
+fn banked_l2_matches_a_naive_lru_model() {
+    for case in 0..CASES {
+        let mut rng = TraceRng::seed_from_u64(0xa000 + case);
+        let banks = [1, 2, 3, 4, 16][rng.range_usize(0..5)];
+        let sets_per_bank = [1, 2, 3, 4, 8][rng.range_usize(0..5)];
+        let ways = rng.range_usize(1..5);
+        let cfg = L2Config {
+            size_bytes: banks * sets_per_bank * ways * 64,
+            associativity: ways,
+            hit_latency: 5,
+            mshrs: 8,
+        };
+        let mut l2: BankedL2<usize> = BankedL2::new(&cfg, banks, 64);
+        assert!(!l2.unbounded(), "case {case}");
+        let mut model: HashMap<u64, ModelL2Line> = HashMap::new();
+        let mut stamp = 0u64;
+        let universe = (banks * sets_per_bank * ways * 3) as u64;
+        for step in 0..400 {
+            let block = rng.range_u64(0..universe);
+            match rng.range_u64(0..10) {
+                0..=3 => {
+                    if model.contains_key(&block) {
+                        continue;
+                    }
+                    let word = rng.next_u64();
+                    let holders = rng.range_usize(0..3);
+                    let outcome =
+                        l2.fill(block, BlockData::from_words([word; 8]), holders, |h| *h == 0);
+                    stamp += 1;
+                    let slot = model_l2_slot(banks, sets_per_bank, block);
+                    let set: Vec<(u64, ModelL2Line)> = model
+                        .iter()
+                        .filter(|(_, l)| l.slot == slot)
+                        .map(|(&b, &l)| (b, l))
+                        .collect();
+                    let line =
+                        ModelL2Line { slot, lru: stamp, busy: false, dirty: false, holders, word };
+                    let expected_victim = if set.len() < ways {
+                        None
+                    } else {
+                        Some(*set.iter().min_by_key(|(_, l)| l.lru).unwrap())
+                    };
+                    match (outcome, expected_victim) {
+                        (L2FillOutcome::Installed { evicted: None }, None) => {
+                            model.insert(block, line);
+                        }
+                        (L2FillOutcome::Installed { evicted: Some(ev) }, Some((vb, vl)))
+                            if !vl.busy && vl.holders == 0 =>
+                        {
+                            assert_eq!(ev.block, vb, "case {case} step {step}: victim");
+                            assert_eq!(ev.dirty, vl.dirty, "case {case} step {step}");
+                            assert_eq!(ev.data.word(0), vl.word, "case {case} step {step}");
+                            model.remove(&vb);
+                            model.insert(block, line);
+                        }
+                        (L2FillOutcome::Blocked, Some((_, vl))) if vl.busy => {}
+                        (L2FillOutcome::NeedsRecall { victim }, Some((vb, vl)))
+                            if !vl.busy && vl.holders > 0 =>
+                        {
+                            assert_eq!(victim, vb, "case {case} step {step}: recall victim");
+                        }
+                        (outcome, expected) => panic!(
+                            "case {case} step {step}: fill of {block} gave {outcome:?}, \
+                             model expected victim {expected:?}"
+                        ),
+                    }
+                }
+                4 | 5 => {
+                    let resident = l2.touch(block);
+                    assert_eq!(resident, model.contains_key(&block), "case {case} step {step}");
+                    if let Some(l) = model.get_mut(&block) {
+                        stamp += 1;
+                        l.lru = stamp;
+                    }
+                }
+                6 => {
+                    let removed = l2.remove(block);
+                    let expected = model.remove(&block);
+                    assert_eq!(removed.is_some(), expected.is_some(), "case {case} step {step}");
+                    if let (Some(r), Some(e)) = (removed, expected) {
+                        assert_eq!((r.block, r.dirty, r.dir), (block, e.dirty, e.holders));
+                    }
+                }
+                _ => {
+                    // Pin or unpin the line, change its holders, dirty it.
+                    let (busy, holders, dirty) =
+                        (rng.bool(0.5), rng.range_usize(0..2), rng.bool(0.5));
+                    match (l2.get_mut(block), model.get_mut(&block)) {
+                        (Some(line), Some(l)) => {
+                            (line.busy, line.dir, line.dirty) = (busy, holders, dirty);
+                            (l.busy, l.holders, l.dirty) = (busy, holders, dirty);
+                        }
+                        (None, None) => {}
+                        (real, _) => {
+                            panic!("case {case} step {step}: residency {}", real.is_some())
+                        }
+                    }
+                }
+            }
+            assert_eq!(l2.resident_lines(), model.len(), "case {case} step {step}");
+            for probe in 0..8 {
+                let b = rng.range_u64(0..universe);
+                let real = l2.get(b).map(|l| (l.busy, l.dirty, l.dir, l.data.word(0)));
+                let expected = model.get(&b).map(|l| (l.busy, l.dirty, l.holders, l.word));
+                assert_eq!(real, expected, "case {case} step {step} probe {probe}: block {b}");
+            }
+        }
+    }
+}
+
+/// The victim cache behaves exactly like a FIFO `VecDeque` of
+/// `(block, state, data)` under random inserts, takes, invalidations and
+/// downgrades, at capacities from zero (pass-through) up.
+#[test]
+fn victim_cache_matches_a_deque_model() {
+    for case in 0..CASES {
+        let mut rng = TraceRng::seed_from_u64(0xb000 + case);
+        let capacity = rng.range_usize(0..6);
+        let mut vc = VictimCache::new(capacity);
+        let mut model: VecDeque<(BlockAddr, LineState, BlockData)> = VecDeque::new();
+        let states = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+        for step in 0..300 {
+            let b = block(rng.range_u64(0..12) * 64);
+            match rng.range_u64(0..5) {
+                0 | 1 => {
+                    let state = states[rng.range_usize(0..3)];
+                    let data = BlockData::from_words([rng.next_u64(); 8]);
+                    let displaced = vc.insert(b, state, data);
+                    let expected = if capacity == 0 {
+                        Some((b, state, data))
+                    } else {
+                        model.retain(|(mb, _, _)| *mb != b);
+                        let displaced =
+                            if model.len() >= capacity { model.pop_front() } else { None };
+                        model.push_back((b, state, data));
+                        displaced
+                    };
+                    assert_eq!(displaced, expected, "case {case} step {step}: insert");
+                }
+                2 => {
+                    let expected = model
+                        .iter()
+                        .position(|(mb, _, _)| *mb == b)
+                        .and_then(|i| model.remove(i))
+                        .map(|(_, s, d)| (s, d));
+                    assert_eq!(vc.take(b), expected, "case {case} step {step}: take");
+                }
+                3 => {
+                    let expected = model
+                        .iter()
+                        .position(|(mb, _, _)| *mb == b)
+                        .and_then(|i| model.remove(i))
+                        .and_then(|(_, s, d)| (s == LineState::Modified).then_some(d));
+                    assert_eq!(vc.invalidate(b), expected, "case {case} step {step}: invalidate");
+                }
+                _ => {
+                    let expected = model.iter_mut().find(|(mb, _, _)| *mb == b).and_then(|e| {
+                        let dirty = (e.1 == LineState::Modified).then_some(e.2);
+                        e.1 = LineState::Shared;
+                        dirty
+                    });
+                    assert_eq!(vc.downgrade(b), expected, "case {case} step {step}: downgrade");
+                }
+            }
+            assert_eq!(vc.len(), model.len(), "case {case} step {step}");
+            for n in 0..12 {
+                let present = model.iter().any(|(mb, _, _)| *mb == block(n * 64));
+                assert_eq!(vc.contains(block(n * 64)), present, "case {case} step {step}");
+            }
+        }
+    }
+}
+
+/// One resident line of the naive set-associative cache model.
+#[derive(Debug, Clone, Copy)]
+struct ModelL1Line {
+    state: LineState,
+    word: u64,
+    lru: u64,
+    spec: [bool; 2],
+}
+
+/// The set-associative cache with a 3-set geometry (so the set index takes
+/// the divide path, not the mask) behaves exactly like a naive map-plus-LRU
+/// model: same states and data, same victims (invalid ways first, then the
+/// least-recently-used non-speculative way, then plain LRU), same
+/// speculative-line counts.
+#[test]
+fn three_set_cache_matches_a_naive_lru_model() {
+    const SETS: u64 = 3;
+    for case in 0..CASES {
+        let mut rng = TraceRng::seed_from_u64(0xc000 + case);
+        let ways = rng.range_usize(1..4);
+        let cfg = CacheConfig {
+            size_bytes: SETS as usize * ways * 64,
+            associativity: ways,
+            block_bytes: 64,
+            hit_latency: 2,
+            ports: 1,
+            mshrs: 4,
+            victim_entries: 0,
+        };
+        let mut cache = SetAssocCache::new(&cfg);
+        let mut model: HashMap<u64, ModelL1Line> = HashMap::new();
+        let mut stamp = 0u64;
+        let states = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+        for step in 0..400 {
+            let n = rng.range_u64(0..SETS * ways as u64 * 3);
+            let b = block(n * 64);
+            match rng.range_u64(0..9) {
+                0..=2 => {
+                    let state = states[rng.range_usize(0..3)];
+                    let word = rng.next_u64();
+                    let evicted = cache.fill(b, state, BlockData::from_words([word; 8]));
+                    stamp += 1;
+                    if let Some(l) = model.get_mut(&n) {
+                        (l.state, l.word, l.lru) = (state, word, stamp);
+                        assert!(evicted.is_none(), "case {case} step {step}: refill evicts");
+                        continue;
+                    }
+                    let set: Vec<(u64, ModelL1Line)> = model
+                        .iter()
+                        .filter(|(&mb, _)| mb % SETS == n % SETS)
+                        .map(|(&mb, &l)| (mb, l))
+                        .collect();
+                    let expected = if set.len() < ways {
+                        None
+                    } else {
+                        let plain = set.iter().filter(|(_, l)| l.spec == [false; 2]);
+                        let victim = plain.min_by_key(|(_, l)| l.lru).copied();
+                        Some(
+                            victim
+                                .unwrap_or_else(|| *set.iter().min_by_key(|(_, l)| l.lru).unwrap()),
+                        )
+                    };
+                    let spec = [false; 2];
+                    model.insert(n, ModelL1Line { state, word, lru: stamp, spec });
+                    match (evicted, expected) {
+                        (None, None) => {}
+                        (Some(ev), Some((vn, vl))) => {
+                            assert_eq!(ev.block.number(), vn, "case {case} step {step}: victim");
+                            assert_eq!((ev.state, ev.data.word(0)), (vl.state, vl.word));
+                            assert_eq!(ev.spec_read || ev.spec_written, vl.spec != [false; 2]);
+                            model.remove(&vn);
+                        }
+                        (real, expected) => {
+                            panic!("case {case} step {step}: evicted {real:?}, model {expected:?}")
+                        }
+                    }
+                }
+                3 => {
+                    let state = cache.state_touch(b);
+                    let expected = model.get_mut(&n).map(|l| {
+                        stamp += 1;
+                        l.lru = stamp;
+                        l.state
+                    });
+                    assert_eq!(state, expected.unwrap_or(LineState::Invalid), "case {case}");
+                }
+                4 => {
+                    let value = cache.read_word_touch(b, 0);
+                    let expected = model.get_mut(&n).map(|l| {
+                        stamp += 1;
+                        l.lru = stamp;
+                        l.word
+                    });
+                    assert_eq!(value, expected, "case {case} step {step}: read");
+                }
+                5 => {
+                    let value = rng.next_u64();
+                    let wrote = cache.write_owned(b, 0, value);
+                    let expected = match model.get_mut(&n) {
+                        Some(l) if l.state.writable() => {
+                            (l.state, l.word) = (LineState::Modified, value);
+                            true
+                        }
+                        _ => false,
+                    };
+                    assert_eq!(wrote, expected, "case {case} step {step}: write");
+                    if wrote {
+                        // Keep the model's single-word view: fill the rest too.
+                        cache.merge_owned(b, &BlockData::from_words([value; 8]), 0xff);
+                        stamp += 1;
+                        model.get_mut(&n).unwrap().lru = stamp;
+                    }
+                }
+                6 => {
+                    let gone = cache.invalidate(b);
+                    let expected = model.remove(&n);
+                    assert_eq!(gone.map(|g| g.state), expected.map(|l| l.state), "case {case}");
+                }
+                7 => {
+                    let epoch = rng.range_usize(0..2);
+                    let marked = if rng.bool(0.5) {
+                        cache.mark_spec_read(b, epoch)
+                    } else {
+                        cache.mark_spec_written(b, epoch)
+                    };
+                    assert_eq!(marked, model.contains_key(&n), "case {case} step {step}");
+                    if let Some(l) = model.get_mut(&n) {
+                        l.spec[epoch] = true;
+                    }
+                }
+                _ => {
+                    let epoch = rng.range_usize(0..2);
+                    cache.flash_clear_epoch(epoch);
+                    for l in model.values_mut() {
+                        l.spec[epoch] = false;
+                    }
+                }
+            }
+            assert_eq!(cache.valid_lines(), model.len(), "case {case} step {step}");
+            for epoch in 0..2 {
+                let expected = model.values().filter(|l| l.spec[epoch]).count();
+                assert_eq!(cache.spec_line_count(epoch), expected, "case {case} step {step}");
+            }
+            for (&mn, l) in &model {
+                let mb = block(mn * 64);
+                assert_eq!(cache.state(mb), l.state, "case {case} step {step}: block {mn}");
+                assert_eq!(cache.read_word(mb, 0), Some(l.word), "case {case} step {step}");
+            }
+        }
+    }
+}
+
+/// The old linear scans `Rob::position_of` and `Rob::pending_issued_of`
+/// replaced: the first position with the dispatch id, and the dispatch ids
+/// of issued, still-pending entries on the block, oldest first.
+fn linear_rob_scans(rob: &Rob, block: BlockAddr) -> (HashMap<u64, usize>, Vec<u64>) {
+    let mut positions = HashMap::new();
+    let mut pending = Vec::new();
+    for i in 0..rob.len() {
+        let e = rob.get(i).unwrap();
+        positions.entry(e.dispatch_id).or_insert(i);
+        if rob.is_issued(i) && rob.complete_at(i).is_none() && e.block == Some(block) {
+            pending.push(e.dispatch_id);
+        }
+    }
+    (positions, pending)
+}
+
+/// `Rob::position_of` (a binary search) and `Rob::pending_issued_of` (a
+/// dense scan) agree with plain linear scans across ring wrap-around,
+/// retirement, partial squashes that leave gaps in the dispatch ids, and
+/// full squashes followed by a refill.
+#[test]
+fn rob_lookups_match_linear_scans() {
+    let blocks = [block(0x000), block(0x040), block(0x080)];
+    for case in 0..CASES {
+        let mut rng = TraceRng::seed_from_u64(0xd000 + case);
+        let capacity = rng.range_usize(1..13);
+        let mut rob = Rob::new(capacity);
+        let (mut next_program, mut next_id) = (0usize, 0u64);
+        let mut out = vec![u64::MAX];
+        for step in 0..400 {
+            match rng.range_u64(0..12) {
+                0..=4 if !rob.is_full() => {
+                    rob.push(next_program, next_id, Instruction::load(Addr::new(0)));
+                    next_program += 1;
+                    next_id += 1;
+                }
+                0..=5 => {
+                    rob.pop_head();
+                }
+                6 | 7 if !rob.is_empty() => {
+                    let i = rng.range_usize(0..rob.len());
+                    rob.get_mut(i).unwrap().block = Some(blocks[rng.range_usize(0..3)]);
+                    let mut view = rob.view_mut(i).unwrap();
+                    if rng.bool(0.7) {
+                        view.set_issued();
+                    }
+                    if rng.bool(0.3) {
+                        view.set_complete_at(rng.range_u64(0..1000));
+                    }
+                }
+                8 | 9 if !rob.is_empty() => {
+                    // Partial squash: refetch from the cut, with fresh ids.
+                    let cut = rob.get(rng.range_usize(0..rob.len())).unwrap().program_index;
+                    rob.squash_from(cut);
+                    next_program = cut;
+                    next_id += rng.range_u64(1..5);
+                }
+                10 => {
+                    rob.squash_all();
+                    next_program = next_program.saturating_sub(rng.range_usize(0..4));
+                    next_id += 1;
+                }
+                _ => {}
+            }
+            for &b in &blocks {
+                let (positions, pending) = linear_rob_scans(&rob, b);
+                rob.pending_issued_of(b, &mut out);
+                assert_eq!(out, pending, "case {case} step {step}: pending issued of {b:?}");
+                for id in next_id.saturating_sub(20)..next_id + 2 {
+                    let expected = positions.get(&id).copied();
+                    assert_eq!(rob.position_of(id), expected, "case {case} step {step}: id {id}");
+                }
             }
         }
     }
