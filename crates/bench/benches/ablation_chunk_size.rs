@@ -8,8 +8,7 @@ use ifence_workloads::presets;
 
 fn main() {
     let params = paper_params();
-    let _run =
-        print_header("Ablation", "Minimum chunk size sweep for InvisiFence-Continuous", &params);
+    print_header("Ablation", "Minimum chunk size sweep for InvisiFence-Continuous", &params);
     let workload = presets::barnes();
     let mut table =
         ColumnTable::new(["min chunk (instr)", "cycles", "Violation cycles", "chunks committed"]);

@@ -8,11 +8,7 @@ use ifence_workloads::presets;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
-        "Ablation",
-        "Commit-on-violate timeout sweep for InvisiFence-Continuous",
-        &params,
-    );
+    print_header("Ablation", "Commit-on-violate timeout sweep for InvisiFence-Continuous", &params);
     let workload = presets::zeus();
     let mut table = ColumnTable::new([
         "CoV timeout (cycles)",

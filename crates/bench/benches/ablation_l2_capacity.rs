@@ -14,7 +14,7 @@ use ifence_sim::figures::l2_capacity_sweep;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Ablation",
         "L2 capacity sensitivity: finite banked L2 + DRAM tier vs the unbounded sentinel",
         &params,

@@ -8,8 +8,7 @@ use ifence_workloads::presets;
 
 fn main() {
     let params = paper_params();
-    let _run =
-        print_header("Ablation", "InvisiFence-RMO store-buffer capacity sensitivity", &params);
+    print_header("Ablation", "InvisiFence-RMO store-buffer capacity sensitivity", &params);
     let workload = presets::apache();
     let mut table = ColumnTable::new(["SB entries", "cycles", "SB-full cycles"]);
     let sizes = [2usize, 4, 8, 16, 32];

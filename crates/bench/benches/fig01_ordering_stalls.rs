@@ -5,7 +5,7 @@ use ifence_sim::figures;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 1",
         "Ordering stalls (SB drain / SB full) as a percent of execution time for conventional SC, TSO and RMO",
         &params,

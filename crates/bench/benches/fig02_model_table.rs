@@ -6,7 +6,7 @@ use ifence_stats::ColumnTable;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 2",
         "Memory consistency models: definitions and conventional implementations",
         &params,

@@ -9,7 +9,7 @@ use invisifence::figure4_rows;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header("Figure 4", "Properties of INVISIFENCE variants", &params);
+    print_header("Figure 4", "Properties of INVISIFENCE variants", &params);
     let mut table = ColumnTable::new([
         "Variant",
         "Speculates on?",

@@ -6,7 +6,7 @@ use invisifence::figure5_rows;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 5",
         "Comparison of speculative implementations of memory consistency",
         &params,

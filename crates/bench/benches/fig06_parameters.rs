@@ -6,8 +6,7 @@ use ifence_types::{ConsistencyModel, EngineKind, MachineConfig};
 
 fn main() {
     let params = paper_params();
-    let _run =
-        print_header("Figure 6", "Simulator parameters (paper baseline configuration)", &params);
+    print_header("Figure 6", "Simulator parameters (paper baseline configuration)", &params);
     let mut table = ColumnTable::new(["Component", "Configuration"]);
     for (k, v) in MachineConfig::paper_baseline().figure6_rows() {
         table.push_row([k, v]);

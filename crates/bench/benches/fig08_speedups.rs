@@ -6,7 +6,7 @@ use ifence_sim::figures;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 8",
         "Speedups over conventional SC (sc, tso, rmo, Invisi_sc, Invisi_tso, Invisi_rmo)",
         &params,

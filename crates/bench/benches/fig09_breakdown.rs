@@ -6,7 +6,7 @@ use ifence_sim::figures;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 9",
         "Runtime breakdown (Busy / Other / SB full / SB drain / Violation), normalised to SC",
         &params,

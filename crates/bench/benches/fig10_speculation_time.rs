@@ -6,7 +6,7 @@ use ifence_sim::figures;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 10",
         "Percent of cycles spent in speculation (Invisi_sc, Invisi_tso, Invisi_rmo)",
         &params,

@@ -6,7 +6,7 @@ use ifence_sim::figures;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 11",
         "ASOsc vs Invisi_sc (1 checkpoint) vs Invisi_sc (2 checkpoints)",
         &params,

@@ -6,7 +6,7 @@ use ifence_sim::figures;
 
 fn main() {
     let params = paper_params();
-    let _run = print_header(
+    print_header(
         "Figure 12",
         "sc, Invisi_cont, rmo, Invisi_cont_CoV, Invisi_rmo (normalised to SC)",
         &params,

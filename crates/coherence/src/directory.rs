@@ -86,17 +86,10 @@ impl DirectoryEntry {
         };
     }
 
-    /// The caches (other than `except`) that must be invalidated to grant
-    /// `except` write permission.
-    pub fn holders_except(&self, except: CoreId) -> Vec<CoreId> {
-        let mut out = Vec::new();
-        self.holders_except_into(except, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`DirectoryEntry::holders_except`]: clears
-    /// `out` and fills it, so the fabric's request path can reuse one
-    /// scratch buffer across transactions.
+    /// Clears `out` and fills it with the caches (other than `except`) that
+    /// must be invalidated to grant `except` write permission. Takes a buffer
+    /// so the fabric's request path can reuse one scratch vector across
+    /// transactions.
     pub fn holders_except_into(&self, except: CoreId, out: &mut Vec<CoreId>) {
         out.clear();
         match &self.state {
@@ -110,16 +103,9 @@ impl DirectoryEntry {
         }
     }
 
-    /// Every cache currently recorded as holding the block (the recall
-    /// targets when this entry's L2 line is evicted).
-    pub fn holders(&self) -> Vec<CoreId> {
-        let mut out = Vec::new();
-        self.holders_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`DirectoryEntry::holders`]: clears `out` and
-    /// fills it.
+    /// Clears `out` and fills it with every cache currently recorded as
+    /// holding the block (the recall targets when this entry's L2 line is
+    /// evicted).
     pub fn holders_into(&self, out: &mut Vec<CoreId>) {
         out.clear();
         match &self.state {
@@ -177,8 +163,11 @@ mod tests {
         e.add_sharer(CoreId(2));
         e.add_sharer(CoreId(2));
         assert_eq!(e.state, DirectoryState::Shared(vec![CoreId(1), CoreId(2)]));
-        assert_eq!(e.holders_except(CoreId(2)), vec![CoreId(1)]);
-        assert_eq!(e.holders(), vec![CoreId(1), CoreId(2)]);
+        let mut out = Vec::new();
+        e.holders_except_into(CoreId(2), &mut out);
+        assert_eq!(out, [CoreId(1)]);
+        e.holders_into(&mut out);
+        assert_eq!(out, [CoreId(1), CoreId(2)]);
         e.remove_holder(CoreId(1));
         e.remove_holder(CoreId(2));
         assert!(e.is_uncached());
@@ -189,9 +178,13 @@ mod tests {
         let mut e = DirectoryEntry::new();
         e.set_owner(CoreId(3));
         assert_eq!(e.owner(), Some(CoreId(3)));
-        assert_eq!(e.holders_except(CoreId(3)), Vec::<CoreId>::new());
-        assert_eq!(e.holders_except(CoreId(0)), vec![CoreId(3)]);
-        assert_eq!(e.holders(), vec![CoreId(3)]);
+        let mut out = vec![CoreId(9)];
+        e.holders_except_into(CoreId(3), &mut out);
+        assert!(out.is_empty(), "the buffer is cleared before filling");
+        e.holders_except_into(CoreId(0), &mut out);
+        assert_eq!(out, [CoreId(3)]);
+        e.holders_into(&mut out);
+        assert_eq!(out, [CoreId(3)]);
         // A downgrade adds the old owner and the new reader as sharers.
         e.add_sharer(CoreId(0));
         assert_eq!(e.state, DirectoryState::Shared(vec![CoreId(3), CoreId(0)]));

@@ -682,19 +682,6 @@ impl CoherenceFabric {
             None => emission_floor,
         }
     }
-
-    /// Runs the fabric forward until no events remain, collecting every
-    /// delivery (test helper; real callers step cycle-by-cycle).
-    pub fn drain_until_idle(&mut self, mut now: Cycle, limit: Cycle) -> Vec<(Cycle, Delivery)> {
-        let mut out = Vec::new();
-        while self.busy() && now < limit {
-            for d in self.step(now) {
-                out.push((now, d));
-            }
-            now += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -107,7 +107,9 @@ impl DiffReport {
 /// Compares two resolved sweeps cell by cell.
 ///
 /// # Errors
-/// Returns a description when a manifest's cells cannot be resolved against
+/// Returns a description when `threshold_pct` is negative or not finite (a
+/// NaN or infinite threshold would flag nothing, so the regression gate
+/// would always pass), or when a manifest's cells cannot be resolved against
 /// its store.
 pub fn diff_sweeps(
     store_a: &ExperimentStore,
@@ -116,6 +118,11 @@ pub fn diff_sweeps(
     manifest_b: &SweepManifest,
     threshold_pct: f64,
 ) -> Result<DiffReport, String> {
+    if !threshold_pct.is_finite() || threshold_pct < 0.0 {
+        return Err(format!(
+            "diff threshold must be a finite, non-negative percentage, got {threshold_pct}"
+        ));
+    }
     let rows_a = store_a.resolve(manifest_a)?;
     let rows_b = store_b.resolve(manifest_b)?;
     let lookup_b = |workload: &str, config: &str| -> Option<&RunSummary> {
@@ -257,6 +264,20 @@ mod tests {
         // A generous threshold un-flags the same delta.
         let relaxed = diff_sweeps(&store_a, &man_a, &store_b, &man_b, 50.0).unwrap();
         assert_eq!(relaxed.regressions(), 0);
+        cleanup(&store_a, &store_b);
+    }
+
+    #[test]
+    fn non_finite_and_negative_thresholds_are_rejected() {
+        let (store_a, man_a) = store_with("gate-base", &[(1, summary("sc", 1000, 900, 100))]);
+        let (store_b, man_b) = store_with("gate-slow", &[(2, summary("sc", 2000, 900, 1100))]);
+        for threshold in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let err = diff_sweeps(&store_a, &man_a, &store_b, &man_b, threshold)
+                .expect_err("a threshold that can never (or always) flag must be rejected");
+            assert!(err.contains("threshold"), "{err}");
+        }
+        let strict = diff_sweeps(&store_a, &man_a, &store_b, &man_b, 0.0).unwrap();
+        assert_eq!(strict.regressions(), 1, "a zero threshold flags any slowdown");
         cleanup(&store_a, &store_b);
     }
 

@@ -10,7 +10,7 @@
 //! ifence figures [--figure all|1|8-10|11|12] [common options]
 //! ifence sweep --engines sc,Invisi_rmo [--workloads Barnes,Apache] [--name NAME]
 //! ifence litmus [--iterations N]
-//! ifence report <name>            (or: ifence report --bench [FILE])
+//! ifence report [<name>]
 //! ifence diff <name-a> <name-b> [--threshold PCT] [--against DIR]
 //! ifence trace record [--engine LABEL] [--workloads NAME] [--out FILE]
 //! ifence trace summarize [FILE]
@@ -34,7 +34,7 @@ use ifence_sim::figures::{run_all_figures, FigureContext};
 use ifence_sim::sweep::{manifest_for_grid, ExperimentMatrix};
 use ifence_sim::{run_litmus, ExperimentParams, Machine};
 use ifence_stats::{ColumnTable, MachineTrace, PhaseProfile, TraceKind};
-use ifence_store::{diff_sweeps, trace_from_jsonl, trace_to_jsonl, ExperimentStore, Json};
+use ifence_store::{diff_sweeps, trace_from_jsonl, trace_to_jsonl, ExperimentStore};
 use ifence_types::{ConsistencyModel, EngineKind};
 use ifence_workloads::{presets, LitmusTest, Workload};
 use std::path::PathBuf;
@@ -92,7 +92,6 @@ struct Cli {
     core: Option<u32>,
     cycles: Option<String>,
     out: Option<PathBuf>,
-    bench: bool,
     help: bool,
 }
 
@@ -119,7 +118,6 @@ impl Cli {
             core: None,
             cycles: None,
             out: None,
-            bench: false,
             help: false,
         };
         let mut iter = args.iter();
@@ -156,7 +154,6 @@ impl Cli {
                 "--core" => cli.core = Some(parse_num(&value(&mut iter, "--core")?)?),
                 "--cycles" => cli.cycles = Some(value(&mut iter, "--cycles")?),
                 "--out" => cli.out = Some(PathBuf::from(value(&mut iter, "--out")?)),
-                "--bench" => cli.bench = true,
                 "--help" | "-h" => cli.help = true,
                 other if other.starts_with('-') => return Err(format!("unknown option {other}")),
                 other => cli.positional.push(other.to_string()),
@@ -508,19 +505,13 @@ fn must_forbid(pattern: &str, fenced: bool, model: ConsistencyModel) -> bool {
 fn cmd_report(cli: &Cli) -> Result<i32, String> {
     if cli.help {
         println!(
-            "usage: ifence report <name> [common options]\n\
-             \x20      ifence report --bench [FILE]\n\n\
+            "usage: ifence report [<name>] [common options]\n\n\
              Re-renders a stored sweep's tables from the experiment store without\n\
              running any simulation, including the fabric's memory-hierarchy columns\n\
              (L2 hits/misses, evictions/recalls, DRAM traffic). With no <name>, lists\n\
-             the stored sweeps. With --bench, renders the bench wall-clock trajectory\n\
-             (default: BENCH_results.json) including any profile_<phase>_ms columns\n\
-             recorded under IFENCE_PROFILE=1."
+             the stored sweeps."
         );
         return Ok(0);
-    }
-    if cli.bench {
-        return report_bench(cli);
     }
     let store =
         cli.open_store()?.ok_or_else(|| "report needs a store (omit --no-store)".to_string())?;
@@ -576,65 +567,6 @@ fn cmd_report(cli: &Cli) -> Result<i32, String> {
         }
     }
     println!("{table}");
-    Ok(0)
-}
-
-/// `ifence report --bench [FILE]` — renders the bench wall-clock trajectory
-/// (`BENCH_results.json`) as a table, surfacing the `profile_<phase>_ms`
-/// columns that profiled runs record alongside their wall clock.
-fn report_bench(cli: &Cli) -> Result<i32, String> {
-    let path = cli
-        .positional
-        .first()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_results.json"));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let Json::Array(entries) =
-        Json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?
-    else {
-        return Err(format!("{} is not a JSON array of bench records", path.display()));
-    };
-    // The profile columns are optional per record (only profiled runs carry
-    // them); the header is the union, in first-appearance order.
-    let mut profile_columns: Vec<String> = Vec::new();
-    for entry in &entries {
-        if let Json::Object(fields) = entry {
-            for (name, _) in fields {
-                if name.starts_with("profile_") && !profile_columns.contains(name) {
-                    profile_columns.push(name.clone());
-                }
-            }
-        }
-    }
-    let mut header = vec![
-        "bench".to_string(),
-        "detail".to_string(),
-        "instrs".to_string(),
-        "wall ms".to_string(),
-    ];
-    header.extend(profile_columns.iter().cloned());
-    let mut table = ColumnTable::new(header);
-    let cell = |entry: &Json, name: &str| -> String {
-        match entry.field(name) {
-            Some(Json::Str(s)) => s.clone(),
-            Some(Json::UInt(n)) => n.to_string(),
-            Some(Json::Float(x)) => format!("{x:.1}"),
-            _ => String::new(),
-        }
-    };
-    for entry in &entries {
-        let mut row = vec![
-            cell(entry, "bench"),
-            cell(entry, "detail"),
-            cell(entry, "instructions_per_core"),
-            cell(entry, "wall_clock_ms"),
-        ];
-        row.extend(profile_columns.iter().map(|name| cell(entry, name)));
-        table.push_row(row);
-    }
-    println!("{table}");
-    println!("{} bench record(s) in {}", entries.len(), path.display());
     Ok(0)
 }
 

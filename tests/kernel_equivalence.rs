@@ -6,7 +6,8 @@
 //! workload all five schedules (dense, event-driven, epoch-parallel at 1, 2
 //! and 4 threads) must produce byte-identical [`MachineResult`]s — cycle
 //! counts, per-core counters, runtime breakdowns and retired-load values
-//! alike.
+//! alike. A 64-core machine on an 8×8 torus is held to the same standard
+//! with an 8-thread schedule added.
 //!
 //! This is the safety net for the whole quiescence analysis, for the stage
 //! guards of `Core::step`, and for the epoch-parallel merge order: any wake
@@ -59,8 +60,11 @@ fn engines() -> Vec<EngineKind> {
     EngineKind::all().to_vec()
 }
 
-fn run_with_kernel(engine: EngineKind, workload: &WorkloadSpec, mode: KernelMode) -> MachineResult {
-    let mut cfg = MachineConfig::small_test(engine);
+fn run_with_kernel(
+    mut cfg: MachineConfig,
+    workload: &WorkloadSpec,
+    mode: KernelMode,
+) -> MachineResult {
     mode.apply(&mut cfg);
     let programs = workload.generate(cfg.cores, INSTRUCTIONS, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result(MAX_CYCLES)
@@ -99,14 +103,21 @@ fn assert_matches_reference(
     assert_eq!(dense, other, "{label} on {workload}: {mode:?} results diverge");
 }
 
-fn assert_equivalent(engine: EngineKind, workload: &WorkloadSpec) {
-    let dense = run_with_kernel(engine, workload, KernelMode::Dense);
+/// Runs `cfg` under the dense reference and then under every other mode in
+/// `modes`, requiring each to match the reference.
+fn assert_equivalent(
+    cfg: MachineConfig,
+    workload: &WorkloadSpec,
+    modes: impl IntoIterator<Item = KernelMode>,
+) {
+    let engine = cfg.engine;
+    let dense = run_with_kernel(cfg.clone(), workload, KernelMode::Dense);
     assert!(dense.finished, "{} on {} did not finish", engine.label(), workload.name);
-    for mode in KernelMode::ALL {
+    for mode in modes {
         if mode == KernelMode::Dense {
             continue;
         }
-        let other = run_with_kernel(engine, workload, mode);
+        let other = run_with_kernel(cfg.clone(), workload, mode);
         assert_matches_reference(&dense, &other, mode, engine, &workload.name);
     }
 }
@@ -115,7 +126,7 @@ fn assert_equivalent(engine: EngineKind, workload: &WorkloadSpec) {
 fn every_engine_is_equivalent_on_barnes() {
     let workload = presets::barnes();
     for engine in engines() {
-        assert_equivalent(engine, &workload);
+        assert_equivalent(MachineConfig::small_test(engine), &workload, KernelMode::ALL);
     }
 }
 
@@ -123,7 +134,26 @@ fn every_engine_is_equivalent_on_barnes() {
 fn every_engine_is_equivalent_on_apache() {
     let workload = presets::apache();
     for engine in engines() {
-        assert_equivalent(engine, &workload);
+        assert_equivalent(MachineConfig::small_test(engine), &workload, KernelMode::ALL);
+    }
+}
+
+#[test]
+fn wide_torus_is_equivalent_on_apache_up_to_eight_threads() {
+    // The 4-core test machine cannot give eight workers a core each; this
+    // scales it to an 8×8 torus so the epoch merge, routing tables and wake
+    // index all see 64 nodes, and adds an 8-thread schedule.
+    let workload = presets::apache();
+    for engine in [
+        EngineKind::Conventional(ConsistencyModel::Sc),
+        EngineKind::InvisiSelective(ConsistencyModel::Sc),
+    ] {
+        let mut cfg = MachineConfig::small_test(engine);
+        cfg.cores = 64;
+        cfg.interconnect.mesh_width = 8;
+        cfg.interconnect.mesh_height = 8;
+        let modes = KernelMode::ALL.into_iter().chain([KernelMode::EpochParallel(8)]);
+        assert_equivalent(cfg, &workload, modes);
     }
 }
 
@@ -172,10 +202,11 @@ fn epoch_parallel_runs_are_repeat_deterministic() {
     let workload = presets::apache();
     let engine = EngineKind::InvisiSelective(ConsistencyModel::Sc);
     let mode = KernelMode::EpochParallel(4);
-    let reference = run_with_kernel(engine, &workload, mode);
+    let cfg = MachineConfig::small_test(engine);
+    let reference = run_with_kernel(cfg.clone(), &workload, mode);
     assert!(reference.finished);
     for repeat in 1..3 {
-        let again = run_with_kernel(engine, &workload, mode);
+        let again = run_with_kernel(cfg.clone(), &workload, mode);
         assert_eq!(reference, again, "repeat {repeat} of the same {mode:?} run diverges");
     }
 }
