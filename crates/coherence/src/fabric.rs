@@ -9,6 +9,15 @@
 //! flow through each core's `on_external` path and can be squashed against
 //! or deferred by speculative state exactly like a remote writer's
 //! invalidation.
+//!
+//! A directory access probes its L2 line once
+//! ([`BankedL2::touch_unpinned`]): a line pinned by another transaction is
+//! retried without touching its LRU position, a resident one is a hit, and
+//! an absent one is fetched from DRAM. Events in the timing wheel are a few
+//! words each: a fill's granted state and block data are captured into the
+//! transaction's slab slot when the fill is scheduled, and the
+//! [`Delivery::Fill`] is built from that slot when the event pops and the
+//! transaction completes.
 
 use crate::directory::{home_of, DirectoryEntry, DirectoryState};
 use crate::event_queue::EventQueue;
@@ -75,10 +84,21 @@ impl FabricConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A scheduled fabric event. Every variant is a few words: a fill's granted
+/// state and block data wait in its transaction's slab slot
+/// ([`Txn::fill`]) rather than in the timing wheel, so the wheel moves no
+/// 64-byte block payload per schedule and pop.
+#[derive(Debug, Clone, Copy)]
 enum EventKind {
+    /// The transaction's request reaches its home directory.
     DirAccess(u64),
-    Deliver(Delivery),
+    /// The transaction's data response reaches its requester.
+    Fill(u64),
+    /// An invalidation (a remote writer's GetM, or an inclusion recall)
+    /// reaches a holder.
+    Invalidate { core: CoreId, block: BlockAddr, txn: TxnId, requester: CoreId, recall: bool },
+    /// A downgrade (a remote reader's GetS) reaches the owner.
+    Downgrade { core: CoreId, block: BlockAddr, txn: TxnId, requester: CoreId },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +118,10 @@ struct Txn {
     pending_acks: usize,
     data_ready_at: Cycle,
     grant_exclusive: bool,
-    fill_scheduled: bool,
+    /// The granted state and the block data, captured when the fill is
+    /// scheduled and delivered when its [`EventKind::Fill`] pops. `Some`
+    /// also marks the fill as scheduled.
+    fill: Option<(LineState, BlockData)>,
 }
 
 /// The directory-MESI coherence fabric (see the crate-level documentation).
@@ -295,7 +318,7 @@ impl CoherenceFabric {
                     pending_acks: 0,
                     data_ready_at: now,
                     grant_exclusive: false,
-                    fill_scheduled: false,
+                    fill: None,
                 });
                 let home = self.home(req.block);
                 let arrive = now + self.latency(req.core, home) + self.cfg.directory_latency;
@@ -328,24 +351,12 @@ impl CoherenceFabric {
         }
     }
 
-    /// True while the block's L2 line is pinned by an in-flight transaction
-    /// (GetS/GetM being serviced, or an inclusion recall draining its L1
-    /// holders).
-    fn line_busy(&self, block: BlockAddr) -> bool {
-        self.l2.get(block.number()).map(|l| l.busy).unwrap_or(false)
-    }
-
-    /// Ensures `block` is L2-resident, returning the data latency of this
-    /// access: the hit latency when resident, the DRAM latency when the
-    /// block had to be fetched and filled. `None` means the access cannot
-    /// proceed yet — a victim's L1 holders are being recalled, or every way
-    /// of the target set is pinned — and the caller must retry.
-    fn ensure_resident(&mut self, block: BlockAddr, now: Cycle) -> Option<u64> {
+    /// Fetches the absent `block` from DRAM into the L2, returning the DRAM
+    /// latency of this access. `None` means the fill cannot proceed yet — a
+    /// victim's L1 holders are being recalled, or every way of the target
+    /// set is pinned — and the caller must retry.
+    fn install_from_dram(&mut self, block: BlockAddr, now: Cycle) -> Option<u64> {
         let number = block.number();
-        if self.l2.touch(number) {
-            self.stats.l2_hits += 1;
-            return Some(self.cfg.l2.hit_latency);
-        }
         let data = self.dram_block(number);
         match self.l2.fill(number, data, DirectoryEntry::new(), DirectoryEntry::is_uncached) {
             L2FillOutcome::Installed { evicted } => {
@@ -400,7 +411,7 @@ impl CoherenceFabric {
             pending_acks: holders.len(),
             data_ready_at: now,
             grant_exclusive: false,
-            fill_scheduled: false,
+            fill: None,
         });
         self.stats.l2_recalls += 1;
         self.trace.emit_for(home.index() as u32, now, TraceKind::L2Recall, holders.len() as u64);
@@ -408,13 +419,13 @@ impl CoherenceFabric {
             let deliver_at = now + self.latency(home, holder);
             self.schedule(
                 deliver_at,
-                EventKind::Deliver(Delivery::Invalidate {
+                EventKind::Invalidate {
                     core: holder,
                     block,
                     txn: TxnId(id),
                     requester: home,
                     recall: true,
-                }),
+                },
             );
         }
         self.holder_scratch = holders;
@@ -425,14 +436,19 @@ impl CoherenceFabric {
             Some(t) => (t.block, t.requester, t.kind),
             None => return,
         };
-        if self.line_busy(block) {
-            self.stats.busy_retries += 1;
-            self.schedule(now + self.cfg.retry_interval(), EventKind::DirAccess(id));
-            return;
-        }
-        let Some(data_lat) = self.ensure_resident(block, now) else {
-            // A recall is draining the victim's holders, or every way of the
-            // set is pinned: retry once the set has breathing room.
+        // One probe answers both "is the line pinned by another transaction"
+        // and "is it resident"; a pinned line keeps its LRU position.
+        let data_lat = match self.l2.touch_unpinned(block.number()) {
+            Some(true) => {
+                self.stats.l2_hits += 1;
+                Some(self.cfg.l2.hit_latency)
+            }
+            Some(false) => None,
+            None => self.install_from_dram(block, now),
+        };
+        let Some(data_lat) = data_lat else {
+            // The line is pinned, a recall is draining a victim's holders, or
+            // every way of the set is pinned: retry later.
             self.stats.busy_retries += 1;
             self.schedule(now + self.cfg.retry_interval(), EventKind::DirAccess(id));
             return;
@@ -444,7 +460,7 @@ impl CoherenceFabric {
         // hot path neither clones the directory entry nor allocates.
         let mut holders = std::mem::take(&mut self.holder_scratch);
         let (owner, uncached, already_shared) = {
-            let line = self.l2.get_mut(block.number()).expect("resident after ensure_resident");
+            let line = self.l2.get_mut(block.number()).expect("resident after the probe or fill");
             line.busy = true;
             if matches!(kind, TxnKind::GetM) {
                 line.dir.holders_except_into(requester, &mut holders);
@@ -465,12 +481,7 @@ impl CoherenceFabric {
                         let deliver_at = now + self.latency(home, o);
                         self.schedule(
                             deliver_at,
-                            EventKind::Deliver(Delivery::Downgrade {
-                                core: o,
-                                block,
-                                txn: TxnId(id),
-                                requester,
-                            }),
+                            EventKind::Downgrade { core: o, block, txn: TxnId(id), requester },
                         );
                         if let Some(t) = self.txns.get_mut(id) {
                             t.pending_acks = 1;
@@ -491,13 +502,13 @@ impl CoherenceFabric {
                     let deliver_at = now + self.latency(home, h);
                     self.schedule(
                         deliver_at,
-                        EventKind::Deliver(Delivery::Invalidate {
+                        EventKind::Invalidate {
                             core: h,
                             block,
                             txn: TxnId(id),
                             requester,
                             recall: false,
-                        }),
+                        },
                     );
                 }
                 if let Some(t) = self.txns.get_mut(id) {
@@ -516,51 +527,34 @@ impl CoherenceFabric {
         self.holder_scratch = holders;
     }
 
+    /// Captures the fill's granted state and the block's data into the
+    /// transaction (once) and schedules its delivery to the requester.
     fn schedule_fill(&mut self, id: u64, now: Cycle) {
-        let (requester, block, kind, data_ready, grant_exclusive) = {
-            let t = match self.txns.get_mut(id) {
-                Some(t) => t,
-                None => return,
-            };
-            if t.fill_scheduled {
-                return;
-            }
-            t.fill_scheduled = true;
-            (t.requester, t.block, t.kind, t.data_ready_at, t.grant_exclusive)
+        let Some(t) = self.txns.get(id) else { return };
+        if t.fill.is_some() {
+            return;
+        }
+        let (requester, block) = (t.requester, t.block);
+        let state = match t.kind {
+            TxnKind::GetS if !t.grant_exclusive => LineState::Shared,
+            TxnKind::GetS | TxnKind::GetM => LineState::Exclusive,
+            TxnKind::Recall => unreachable!("recalls deliver no fill"),
         };
         let home = self.home(block);
+        let fill_at = t.data_ready_at.max(now) + self.latency(home, requester);
         // The pinned line is the single authoritative copy: respond() merged
         // any holder's dirty data into it before the last ack landed here.
         let data = self.l2.get(block.number()).expect("txn line stays pinned").data;
-        let state = match kind {
-            TxnKind::GetM => LineState::Exclusive,
-            TxnKind::GetS => {
-                if grant_exclusive {
-                    LineState::Exclusive
-                } else {
-                    LineState::Shared
-                }
-            }
-            TxnKind::Recall => unreachable!("recalls deliver no fill"),
-        };
-        let fill_at = data_ready.max(now) + self.latency(home, requester);
-        self.schedule(
-            fill_at,
-            EventKind::Deliver(Delivery::Fill {
-                core: requester,
-                block,
-                state,
-                data,
-                txn: TxnId(id),
-            }),
-        );
+        self.txns.get_mut(id).expect("checked above").fill = Some((state, data));
+        self.schedule(fill_at, EventKind::Fill(id));
     }
 
-    fn finalize_fill(&mut self, id: u64) {
-        let t = match self.txns.remove(id) {
-            Some(t) => t,
-            None => return,
-        };
+    /// Completes a transaction whose fill is due: records the requester in
+    /// the directory, unpins the line, and returns the fill delivery built
+    /// from the state and data parked in the transaction.
+    fn finalize_fill(&mut self, id: u64) -> Option<Delivery> {
+        let t = self.txns.remove(id)?;
+        let (state, data) = t.fill.expect("a fill event follows schedule_fill");
         let line = self.l2.get_mut(t.block.number()).expect("txn line stays pinned");
         match t.kind {
             TxnKind::GetM => line.dir.set_owner(t.requester),
@@ -574,6 +568,7 @@ impl CoherenceFabric {
             TxnKind::Recall => unreachable!("recalls complete via finalize_recall"),
         }
         line.busy = false;
+        Some(Delivery::Fill { core: t.requester, block: t.block, state, data, txn: TxnId(id) })
     }
 
     /// Completes an inclusion recall: every holder has acknowledged, so the
@@ -645,11 +640,12 @@ impl CoherenceFabric {
         while let Some((time, kind)) = self.events.pop_due(now) {
             match kind {
                 EventKind::DirAccess(id) => self.process_dir_access(id, time.max(now)),
-                EventKind::Deliver(d) => {
-                    if let Delivery::Fill { txn, .. } = d {
-                        self.finalize_fill(txn.0);
-                    }
-                    out.push(d);
+                EventKind::Fill(id) => out.extend(self.finalize_fill(id)),
+                EventKind::Invalidate { core, block, txn, requester, recall } => {
+                    out.push(Delivery::Invalidate { core, block, txn, requester, recall })
+                }
+                EventKind::Downgrade { core, block, txn, requester } => {
+                    out.push(Delivery::Downgrade { core, block, txn, requester })
                 }
             }
         }
@@ -1112,5 +1108,12 @@ mod tests {
         assert_eq!(fabric.stats().l2_evictions, 0);
         assert_eq!(fabric.stats().l2_recalls, 0);
         assert_eq!(fabric.stats().l2_misses, 64, "every first touch is a cold miss");
+    }
+
+    /// The timing wheel stores events inline; a block payload (64 bytes of
+    /// data plus its state) belongs in the transaction slot, not here.
+    #[test]
+    fn events_carry_no_block_payload() {
+        assert!(std::mem::size_of::<EventKind>() <= 48);
     }
 }

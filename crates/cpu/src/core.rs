@@ -78,8 +78,6 @@ pub struct Core {
     /// retirement; squashes only truncate the tail, so clamping to the
     /// current length keeps it sound.
     issued_prefix: usize,
-    /// Straggler dispatch ids found on a fill (kept to reuse the allocation).
-    straggler_scratch: Vec<u64>,
 }
 
 impl Core {
@@ -125,7 +123,6 @@ impl Core {
             pending_replies: Vec::new(),
             load_results: Vec::new(),
             issued_prefix: 0,
-            straggler_scratch: Vec::new(),
         }
     }
 
@@ -340,15 +337,8 @@ impl Core {
                 for waiter in result.waiters {
                     self.complete_waiter(waiter, block, now);
                 }
-                // Also wake any instruction that issued a request for this
-                // block but whose waiter registration was lost (e.g. it was
-                // re-dispatched after a replay while the miss was in flight).
-                let mut stragglers = std::mem::take(&mut self.straggler_scratch);
-                self.rob.pending_issued_of(block, &mut stragglers);
-                for &waiter in &stragglers {
-                    self.complete_waiter(waiter, block, now);
-                }
-                self.straggler_scratch = stragglers;
+                #[cfg(debug_assertions)]
+                self.assert_pending_entries_are_waiters();
                 None
             }
             Delivery::Invalidate { block, txn, recall, .. } => {
@@ -362,6 +352,31 @@ impl Core {
                 self.stats.counters.external_downgrades += 1;
                 Some(self.handle_external(block, ExternalKind::Downgrade, txn, now))
             }
+        }
+    }
+
+    /// Checks the invariant that lets a fill wake exactly its MSHR's
+    /// waiters: every issued, incomplete ROB entry with a block is a waiter
+    /// in the MSHR for that block. Issuing registers the waiter
+    /// (`ensure_read_miss`, `ensure_write_miss`), only the fill removes it,
+    /// and an entry squashed and re-dispatched registers its new dispatch id
+    /// when it issues again.
+    #[cfg(debug_assertions)]
+    fn assert_pending_entries_are_waiters(&self) {
+        for position in 0..self.rob.len() {
+            let entry = self.rob.get(position).expect("position below len");
+            let Some(block) = entry.block else { continue };
+            if !self.rob.is_issued(position) || self.rob.complete_at(position).is_some() {
+                continue;
+            }
+            let registered =
+                self.mem.mshrs.get(block).is_some_and(|m| m.waiters.contains(&entry.dispatch_id));
+            assert!(
+                registered,
+                "core{}: issued, incomplete #{} on {block} is not an MSHR waiter",
+                self.id.index(),
+                entry.program_index
+            );
         }
     }
 
@@ -444,17 +459,23 @@ impl Core {
     }
 
     /// Returns true if any deferred request was resolved (state changed).
+    /// The still-waiting snoops are compacted to the front of the taken
+    /// list in their original order, so the list's allocation is reused.
     fn resolve_deferred(&mut self, now: Cycle) -> bool {
-        let mut still_deferred = Vec::new();
-        let deferred = std::mem::take(&mut self.deferred);
+        let mut deferred = std::mem::take(&mut self.deferred);
         let before = deferred.len();
-        for d in deferred {
+        let mut kept = 0;
+        for i in 0..before {
+            let d = deferred[i];
             let resolution = {
                 let Core { mem, engine, stats, .. } = self;
                 engine.resolve_deferred(mem, stats, d.block, d.kind, d.deadline, now)
             };
             match resolution {
-                DeferResolution::Wait => still_deferred.push(d),
+                DeferResolution::Wait => {
+                    deferred[kept] = d;
+                    kept += 1;
+                }
                 DeferResolution::Ack => {
                     self.stats.trace.emit_at(now, TraceKind::CovDeferEnd, 0);
                     self.in_window_snoop(d.block, d.kind);
@@ -469,9 +490,9 @@ impl Core {
                 }
             }
         }
-        let resolved = still_deferred.len() != before;
-        self.deferred = still_deferred;
-        resolved
+        deferred.truncate(kept);
+        self.deferred = deferred;
+        kept != before
     }
 
     /// Issues ready instructions, returning true if any state changed. The
@@ -1068,6 +1089,70 @@ mod tests {
         }
         assert!(core.finished());
         assert_eq!(core.retired_count(), 3);
+    }
+
+    /// A load squashed by an in-window replay while its miss is in flight is
+    /// re-dispatched under a new dispatch id, which joins the outstanding
+    /// MSHR as a waiter: the one fill completes it, and no second request
+    /// for the block is sent.
+    #[test]
+    fn redispatched_load_completes_on_the_inflight_fill() {
+        let cfg = machine_cfg();
+        let (a, b) = (0x7000, 0x7040);
+        let mut program = Program::new();
+        program.push(Instruction::op(200));
+        program.push(Instruction::load(Addr::new(a)));
+        program.push(Instruction::load(Addr::new(b)));
+        let mut core = Core::new(CoreId(0), program, &cfg, Box::new(FreeRetireEngine));
+        prefill(&mut core, &[a], LineState::Shared);
+        for now in 0..10 {
+            core.step(now);
+        }
+        let first: Vec<_> = core.take_requests().iter().map(|r| r.block).collect();
+        assert_eq!(first, vec![blk(b)], "A hits, B misses");
+        // A remote writer invalidates A: the in-window snoop squashes both
+        // loads while B's GetS is still outstanding.
+        core.handle_delivery(
+            Delivery::Invalidate {
+                core: CoreId(0),
+                block: blk(a),
+                txn: TxnId(1),
+                requester: CoreId(1),
+                recall: false,
+            },
+            10,
+        );
+        assert_eq!(core.stats().counters.in_window_replays, 1);
+        assert_eq!(core.rob.len(), 1, "both loads squashed");
+        for now in 11..20 {
+            core.step(now);
+        }
+        assert_eq!(core.rob.len(), 3, "both loads re-dispatched");
+        assert!(core.mem.mshrs.contains(blk(b)), "B's GetS still in flight");
+        let second: Vec<_> = core.take_requests().iter().map(|r| r.block).collect();
+        assert_eq!(second, vec![blk(a)], "A misses now; no second GetS for B");
+        for (now, block, value) in [(20, b, 22), (21, a, 11)] {
+            core.handle_delivery(
+                Delivery::Fill {
+                    core: CoreId(0),
+                    block: blk(block),
+                    state: LineState::Shared,
+                    data: BlockData::from_words([value; 8]),
+                    txn: TxnId(0),
+                },
+                now,
+            );
+        }
+        for now in 22..600 {
+            core.step(now);
+            if core.finished() {
+                break;
+            }
+        }
+        assert!(core.finished());
+        assert_eq!(core.retired_count(), 3);
+        assert_eq!(core.load_results(), &[(1, 11), (2, 22)]);
+        assert!(core.take_requests().is_empty(), "no further requests");
     }
 
     #[test]

@@ -222,27 +222,6 @@ impl Rob {
         }
     }
 
-    /// Replaces the contents of `out` with the dispatch ids, oldest first, of
-    /// the issued instructions on `block` that have not completed: the ones a
-    /// fill of `block` must wake. The scan reads the dense completion and
-    /// issue arrays and looks at an entry's block only when both match.
-    pub fn pending_issued_of(&self, block: BlockAddr, out: &mut Vec<u64>) {
-        out.clear();
-        // The three rings move in lockstep, so their runs split alike.
-        let (entries, wrapped_entries) = self.entries.as_slices();
-        let (complete, wrapped_complete) = self.complete_at.as_slices();
-        let (issued, wrapped_issued) = self.issued.as_slices();
-        let runs =
-            [(entries, complete, issued), (wrapped_entries, wrapped_complete, wrapped_issued)];
-        for (entries, complete, issued) in runs {
-            for ((&c, &i), e) in complete.iter().zip(issued).zip(entries) {
-                if i && c == PENDING && e.block == Some(block) {
-                    out.push(e.dispatch_id);
-                }
-            }
-        }
-    }
-
     /// Removes and returns the oldest instruction (retirement).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
         let entry = self.entries.pop_front();

@@ -195,18 +195,19 @@ impl<D> BankedL2<D> {
         }
     }
 
-    /// Marks `block` most-recently-used, returning whether it is resident:
-    /// the hit check and the LRU update in one probe.
-    pub fn touch(&mut self, block: u64) -> bool {
+    /// Marks `block` most-recently-used unless an in-flight transaction pins
+    /// it: `Some(true)` when it was resident and is now MRU, `Some(false)`
+    /// when it is pinned (and left untouched), `None` when it is absent. The
+    /// directory's busy check and its hit check in one probe.
+    pub fn touch_unpinned(&mut self, block: u64) -> Option<bool> {
         let stamp = self.stamp + 1;
-        match self.get_mut(block) {
-            Some(line) => {
-                line.lru = stamp;
-                self.stamp = stamp;
-                true
-            }
-            None => false,
+        let line = self.get_mut(block)?;
+        if line.busy {
+            return Some(false);
         }
+        line.lru = stamp;
+        self.stamp = stamp;
+        Some(true)
     }
 
     /// Installs `block` (not currently resident) with the given data and
@@ -335,7 +336,7 @@ mod tests {
         assert!(!l2.unbounded());
         l2.fill(0, BlockData::zeroed(), 0, |_| true);
         l2.fill(4, BlockData::zeroed(), 0, |_| true);
-        l2.touch(0); // 4 is now LRU
+        l2.touch_unpinned(0); // 4 is now LRU
         match l2.fill(8, BlockData::zeroed(), 0, |_| true) {
             L2FillOutcome::Installed { evicted: Some(ev) } => assert_eq!(ev.block, 4),
             other => panic!("expected eviction of block 4, got {other:?}"),
@@ -348,7 +349,7 @@ mod tests {
         let mut l2 = l2(4 * 2 * 64, 2);
         l2.fill(0, BlockData::zeroed(), 1, |_| true); // one L1 holder
         l2.fill(4, BlockData::zeroed(), 1, |_| true);
-        l2.touch(4); // 0 is LRU
+        l2.touch_unpinned(4); // 0 is LRU
         match l2.fill(8, BlockData::zeroed(), 0, |holders| *holders == 0) {
             L2FillOutcome::NeedsRecall { victim } => assert_eq!(victim, 0),
             other => panic!("expected NeedsRecall for block 0, got {other:?}"),
@@ -379,6 +380,23 @@ mod tests {
             }
             other => panic!("unpinned LRU way must be evictable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn touch_unpinned_leaves_pinned_lines_in_lru_order() {
+        let mut l2 = l2(4 * 2 * 64, 2);
+        assert_eq!(l2.touch_unpinned(0), None, "absent");
+        l2.fill(0, BlockData::zeroed(), 0, |_| true);
+        l2.fill(4, BlockData::zeroed(), 0, |_| true);
+        l2.get_mut(0).unwrap().busy = true;
+        assert_eq!(l2.touch_unpinned(0), Some(false), "pinned");
+        l2.get_mut(0).unwrap().busy = false;
+        // The pinned touch did not refresh block 0: it is still the LRU way.
+        match l2.fill(8, BlockData::zeroed(), 0, |_| true) {
+            L2FillOutcome::Installed { evicted: Some(ev) } => assert_eq!(ev.block, 0),
+            other => panic!("expected eviction of block 0, got {other:?}"),
+        }
+        assert_eq!(l2.touch_unpinned(4), Some(true), "resident and unpinned");
     }
 
     #[test]

@@ -149,15 +149,6 @@ impl MshrFile {
         Some(self.entries.remove(pos))
     }
 
-    /// Discards all waiters (used when the pipeline is squashed); the misses
-    /// themselves remain outstanding because the coherence transactions are
-    /// already in flight.
-    pub fn clear_waiters(&mut self) {
-        for e in &mut self.entries {
-            e.waiters.clear();
-        }
-    }
-
     /// Cycle at which the oldest still-outstanding miss was issued, if any —
     /// used by the event-driven kernel's deadlock diagnostics to show how
     /// long a core has been waiting on the fabric.
@@ -225,16 +216,6 @@ mod tests {
         assert_eq!(e.issued_at, 3);
         assert!(m.is_empty());
         assert!(m.complete(blk(0x00)).is_none());
-    }
-
-    #[test]
-    fn clear_waiters_keeps_entries() {
-        let mut m = MshrFile::new(2);
-        m.allocate(blk(0x00), false, false, 0).unwrap();
-        m.merge_waiter(blk(0x00), 1, false);
-        m.clear_waiters();
-        assert!(m.contains(blk(0x00)));
-        assert!(m.get(blk(0x00)).unwrap().waiters.is_empty());
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! count), so the table must hold under `IFENCE_DENSE=1` and
 //! `IFENCE_THREADS=n` as well.
 //!
-//! A deliberate model change re-captures the table: run this test with
+//! A second, smaller table pins the paper's 16-core machine (8 MB banked
+//! L2, 4×4 torus) on the three cells the repository benchmark measures, at a
+//! short trace length, so the full-size path is covered in tier-1 too.
+//!
+//! A deliberate model change re-captures the tables: run this test with
 //! `IFENCE_GOLDEN_PRINT=1` and paste the printed rows.
 
 use ifence_sim::MachineResult;
@@ -135,6 +139,25 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("ASOrmo", "ServerSwings", 0xb194d8e74f5eb313),
 ];
 
+/// `(engine label, workload name, digest)` for the paper-machine cells of
+/// [`paper_machine_params`].
+const PAPER_MACHINE_DIGESTS: [(&str, &str, u64); 3] = [
+    ("sc", "Apache", 0x591c805654e2a0c2),
+    ("Invisi_sc", "Apache", 0xc6d230f5203ab374),
+    ("Invisi_cont_CoV", "Barnes", 0xe725055970ac3704),
+];
+
+/// The paper's 16-core machine at seed 1, with a trace short enough for
+/// tier-1.
+fn paper_machine_params() -> ExperimentParams {
+    ExperimentParams {
+        instructions_per_core: 2_000,
+        seed: 1,
+        full_machine: true,
+        ..ExperimentParams::quick_test()
+    }
+}
+
 fn run(engine: EngineKind, workload: &Workload, params: &ExperimentParams) -> MachineResult {
     let cfg = params.config_for(engine);
     let sources = workload.sources(cfg.cores, params.instructions_per_core, params.seed);
@@ -170,5 +193,32 @@ fn full_results_match_the_recorded_digests() {
         }
     }
     assert_eq!(cells, GOLDEN_DIGESTS.len(), "every cell has exactly one recorded digest");
+    assert!(mismatches.is_empty(), "results diverge from the goldens:\n{}", mismatches.join("\n"));
+}
+
+#[test]
+fn paper_machine_results_match_the_recorded_digests() {
+    let params = paper_machine_params();
+    let print = std::env::var("IFENCE_GOLDEN_PRINT").is_ok();
+    let mut mismatches = Vec::new();
+    for (label, workload_name, golden) in PAPER_MACHINE_DIGESTS {
+        let engine = EngineKind::all().into_iter().find(|e| e.label() == label).expect("engine");
+        let workload = presets::all_workloads()
+            .into_iter()
+            .find(|w| w.name() == workload_name)
+            .expect("workload");
+        let result = run(engine, &workload, &params);
+        assert!(result.finished, "{label}/{workload_name}: run must finish");
+        assert_eq!(result.per_core.len(), 16, "the paper machine has 16 cores");
+        let digest = fnv1a(result.to_json().encode().as_bytes());
+        if print {
+            println!("    (\"{label}\", \"{workload_name}\", {digest:#018x}),");
+        }
+        if digest != golden {
+            mismatches.push(format!(
+                "{label}/{workload_name}: digest {digest:#018x}, recorded {golden:#018x}"
+            ));
+        }
+    }
     assert!(mismatches.is_empty(), "results diverge from the goldens:\n{}", mismatches.join("\n"));
 }
