@@ -21,9 +21,7 @@
 
 use crate::directory::{home_of, DirectoryEntry, DirectoryState};
 use crate::event_queue::EventQueue;
-use crate::messages::{
-    CoherenceReqKind, CoherenceRequest, Delivery, FabricInput, SnoopReply, TxnId,
-};
+use crate::messages::{CoherenceReqKind, CoherenceRequest, Delivery, SnoopReply, TxnId};
 use crate::slab::Slab;
 use ifence_mem::{BankedL2, BlockData, L2FillOutcome, LineState};
 use ifence_stats::{FabricStats, Log2Hist, TraceEvent, TraceKind, TraceSink};
@@ -72,15 +70,6 @@ impl FabricConfig {
     /// Delay before a request to a busy block or full set is retried.
     fn retry_interval(&self) -> u64 {
         self.interconnect.retry_interval
-    }
-
-    /// Lower bound between any core emission and the earliest delivery it
-    /// can cause. Takes the fabric's own directory latency (which
-    /// [`FabricConfig::from_machine`] copies from the interconnect, but
-    /// hand-built configs may set independently) into account alongside the
-    /// interconnect's bound.
-    fn min_crossing_latency(&self) -> u64 {
-        self.interconnect.min_crossing_latency().min(self.directory_latency)
     }
 }
 
@@ -650,34 +639,6 @@ impl CoherenceFabric {
             }
         }
     }
-
-    /// Replays one buffered core emission at its original cycle `at` — the
-    /// epoch-parallel kernel's ordered ingest point. Exactly equivalent to
-    /// the serial kernel calling [`CoherenceFabric::respond`] /
-    /// [`CoherenceFabric::request`] at cycle `at`: provided the inputs are
-    /// fed in the serial order (cycle-major, delivery-routing before core
-    /// steps, core-index-minor, replies before requests within a core's
-    /// cycle), the fabric's event schedule — heap keys, sequence numbers,
-    /// slab layout and all — is identical to the serial run's.
-    pub fn ingest(&mut self, input: FabricInput, at: Cycle) {
-        match input {
-            FabricInput::Reply(reply) => self.respond(reply, at),
-            FabricInput::Request(req) => self.request(req, at),
-        }
-    }
-
-    /// The earliest cycle after `from` at which a core could observe the
-    /// fabric act: the earliest already-scheduled event, capped by the
-    /// soonest any emission made at or after `from` could produce a
-    /// delivery (`from` + the minimum crossing latency). The epoch-parallel
-    /// kernel steps cores independently strictly below this bound.
-    pub fn next_interaction_bound(&self, from: Cycle) -> Cycle {
-        let emission_floor = from + self.cfg.min_crossing_latency().max(1);
-        match self.next_due() {
-            Some(due) => due.min(emission_floor),
-            None => emission_floor,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -938,25 +899,6 @@ mod tests {
             now = next;
         }
         assert!(!fabric.busy());
-    }
-
-    #[test]
-    fn next_interaction_bound_is_safe_against_fresh_emissions() {
-        // The bound promises: nothing a core emits at cycle t ≥ from can
-        // cause a delivery before the bound. The test config's tightest
-        // crossing is the directory occupancy (2 cycles), so the bound from
-        // an idle fabric is from + 2 — and a request injected *at* `from`
-        // must indeed not schedule anything earlier than that.
-        let mut fabric = CoherenceFabric::new(config());
-        let bound = fabric.next_interaction_bound(100);
-        assert_eq!(bound, 102, "idle fabric: bound is the emission floor");
-        fabric.request(gets(0, blk(0x0)), 100);
-        let due = fabric.next_due().expect("the directory access is scheduled");
-        assert!(due >= bound, "a fresh emission at `from` never beats the bound (due {due})");
-        // With a pending event nearer than the floor, the event wins.
-        assert_eq!(fabric.next_interaction_bound(due - 1), due);
-        // With the pending event beyond the floor, the floor wins.
-        assert_eq!(fabric.next_interaction_bound(0), 2);
     }
 
     #[test]

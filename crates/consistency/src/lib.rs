@@ -1,8 +1,8 @@
 //! Conventional (non-speculative) implementations of SC, TSO, and RMO.
 //!
 //! These are the baseline memory-consistency implementations of Section 2.1 /
-//! Figure 2 of the paper. They are expressed as [`OrderingEngine`]s
-//! (see `ifence-cpu`) whose retirement rules are:
+//! Figure 2 of the paper. They are expressed as
+//! [`OrderingEngine`](ifence_cpu::OrderingEngine)s whose retirement rules are:
 //!
 //! | Model | Load | Store | Atomic | Fence |
 //! |-------|------|-------|--------|-------|

@@ -6,15 +6,15 @@ use crate::engine::{
 };
 use crate::mem_side::CoreMem;
 use crate::rob::Rob;
-use ifence_coherence::{CoherenceRequest, Delivery, FabricInput, SnoopReply, TxnId};
+use ifence_coherence::{CoherenceRequest, Delivery, SnoopReply, TxnId};
 use ifence_stats::{CoreStats, TraceKind};
 use ifence_types::{
     earliest_wake, BlockAddr, BoxedSource, CoreActivity, CoreConfig, CoreId, Cycle, CycleClass,
     InstrKind, MachineConfig, Program, ProgramSource, StallReason,
 };
 
-/// Sleep record for a quiescent core, kept by the machine kernels (serial
-/// event-driven and epoch-parallel alike) while the core is provably idle.
+/// Sleep record for a quiescent core, kept by the event-driven machine
+/// kernel while the core is provably idle.
 /// On wake-up the skipped stretch is attributed in bulk via
 /// [`Core::absorb_quiescent_cycles`], keeping cycle breakdowns exact.
 #[derive(Debug, Clone, Copy)]
@@ -27,16 +27,6 @@ pub struct CoreSleep {
     /// Earliest cycle the core could act of its own accord; `None` means
     /// only a coherence delivery can wake it.
     pub wake_at: Option<Cycle>,
-}
-
-/// What [`Core::step_until`] observed over one epoch's worth of stepping.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochStepReport {
-    /// Last cycle within the epoch at which the core progressed.
-    pub last_progress: Option<Cycle>,
-    /// First cycle within this call at which [`Core::finished`] held after
-    /// the core's step (the cycle the core finished on, if it did).
-    pub finished_at: Option<Cycle>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -831,81 +821,6 @@ impl Core {
     /// without cloning (the machine's consuming finalisation path).
     pub fn into_parts(self) -> (CoreStats, Vec<(usize, u64)>) {
         (self.stats, self.load_results)
-    }
-
-    /// Steps this core alone over the epoch `[from, until)`, replaying the
-    /// serial kernel's per-core schedule exactly: one [`Core::step`] per
-    /// awake cycle, sleep on quiescence, wake at the recorded hint
-    /// (attributing the skipped stretch in bulk, exactly as the serial
-    /// kernel does at the moment it re-checks a sleeping core), and stay
-    /// asleep past the horizon when the hint lies beyond it.
-    ///
-    /// Every emission — snoop replies first, then coherence requests, the
-    /// serial routing order within one core's cycle — is appended to `sink`
-    /// tagged with its emission cycle, so the epoch-parallel kernel can
-    /// merge all cores' traffic back into the fabric in the exact serial
-    /// interleaving (cycle-major, core-index-minor). The horizon guarantees
-    /// no delivery can land inside `(from, until)`, so stepping without the
-    /// machine in the loop is exact.
-    pub fn step_until(
-        &mut self,
-        from: Cycle,
-        until: Cycle,
-        sleep: &mut Option<CoreSleep>,
-        sink: &mut Vec<(Cycle, FabricInput)>,
-    ) -> EpochStepReport {
-        let mut report = EpochStepReport::default();
-        let mut t = from;
-        while t < until {
-            if let Some(s) = *sleep {
-                match s.wake_at {
-                    // The hint lands inside the epoch: jump straight to it
-                    // (or wake immediately if it is already due) and
-                    // attribute the skipped stretch, like the serial loop
-                    // does when it re-checks the sleeping core.
-                    Some(w) if w < until => {
-                        let wake_t = w.max(t);
-                        if let Some(class) = s.class {
-                            if wake_t > s.since {
-                                self.absorb_quiescent_cycles(class, wake_t - s.since);
-                            }
-                        }
-                        *sleep = None;
-                        t = wake_t;
-                    }
-                    // Sleeps past the horizon: only a delivery (next epoch)
-                    // can wake it.
-                    _ => break,
-                }
-            }
-            let activity = self.step(t);
-            let emitted_before = sink.len();
-            for reply in self.pending_replies.drain(..) {
-                sink.push((t, FabricInput::Reply(reply)));
-            }
-            for request in self.mem.drain_requests() {
-                sink.push((t, FabricInput::Request(request)));
-            }
-            // Machine-level progress counts emissions too (the serial loop
-            // marks a cycle progressed when it routes traffic), but the
-            // core's own sleep decision depends only on its activity report,
-            // exactly as in the serial per-core phase.
-            if activity.progressed || sink.len() > emitted_before {
-                report.last_progress = Some(t);
-            }
-            if !activity.progressed {
-                *sleep = Some(CoreSleep {
-                    since: t + 1,
-                    class: activity.class,
-                    wake_at: activity.wake_at,
-                });
-            }
-            if report.finished_at.is_none() && self.finished() {
-                report.finished_at = Some(t);
-            }
-            t += 1;
-        }
-        report
     }
 }
 

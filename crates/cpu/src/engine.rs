@@ -110,8 +110,8 @@ impl RetireCtx<'_> {
 
 /// A memory-consistency implementation plugged into a [`crate::Core`].
 ///
-/// Engines are plain timing state and must be [`Send`] so a whole core can
-/// migrate into an epoch-parallel worker thread.
+/// Engines are plain timing state and must be [`Send`], so a machine built
+/// on one thread can run on another.
 pub trait OrderingEngine: Send {
     /// Human-readable label (matches the paper's bar labels, e.g. "Invisi_rmo").
     fn name(&self) -> String;

@@ -202,20 +202,6 @@ impl InterconnectConfig {
     pub fn latency(&self, from: usize, to: usize) -> u64 {
         self.hops(from, to) * self.hop_latency
     }
-
-    /// Lower bound, in cycles, between a core emitting a request or reply
-    /// into the fabric and *any* resulting delivery landing at a core.
-    ///
-    /// Two paths set the floor: a request always pays directory occupancy
-    /// before its transaction can schedule anything (even when requester ==
-    /// home and the hop count is zero, e.g. a GetM upgrade of an
-    /// already-shared line that fills without a data fetch), and a snoop
-    /// reply's completion fill always crosses at least one hop (the replier
-    /// is never the requester). The epoch-parallel kernel uses this bound to
-    /// size its safe horizon.
-    pub fn min_crossing_latency(&self) -> u64 {
-        self.hop_latency.min(self.directory_latency)
-    }
 }
 
 /// Policy parameters for post-retirement speculation.
@@ -442,14 +428,10 @@ pub struct MachineConfig {
     /// Only `perfbench/` reads this.
     #[doc(hidden)]
     pub leap_kernel: bool,
-    /// Number of worker threads the machine's epoch-parallel kernel may use
-    /// to step this one machine's cores concurrently. `1` (the default) runs
-    /// the serial kernel; `>= 2` partitions the cores across
-    /// `std::thread::scope` workers that step independently up to a safe
-    /// horizon and merge their fabric traffic in exact serial order, so
-    /// results stay byte-identical at any thread count. Clamped to the core
-    /// count; the dense debug kernel always runs serially. Overridable at
-    /// run time with `IFENCE_THREADS`.
+    /// Only `perfbench/` sets or reads this. [`MachineConfig::validate`]
+    /// rejects any value but 1: one machine runs on one host thread, and
+    /// sweeps run machines in parallel through `IFENCE_JOBS`.
+    #[doc(hidden)]
     pub machine_threads: usize,
     /// Collect structured trace events (speculation begin/commit/abort, CoV
     /// deferral start/end, store-buffer high-water marks, L2
@@ -524,7 +506,8 @@ impl MachineConfig {
     /// # Errors
     /// Returns a [`ConfigError`] describing the first problem found (zero
     /// cores, non-power-of-two block size, core count not matching the torus,
-    /// zero-capacity structures, or an engine/checkpoint mismatch).
+    /// zero-capacity structures, an engine/checkpoint mismatch, or a machine
+    /// thread count other than 1).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("core count must be non-zero"));
@@ -545,8 +528,12 @@ impl MachineConfig {
         if self.interconnect.retry_interval == 0 {
             return Err(ConfigError::new("retry interval must be non-zero"));
         }
-        if self.machine_threads == 0 {
-            return Err(ConfigError::new("machine threads must be non-zero"));
+        if self.machine_threads != 1 {
+            return Err(ConfigError::new(format!(
+                "machine threads must be 1, not {}: a machine runs on one host thread \
+                 (parallelise a sweep across machines with IFENCE_JOBS)",
+                self.machine_threads
+            )));
         }
         if !self.l2.unbounded() {
             if self.l2.associativity == 0 {
@@ -735,16 +722,7 @@ mod tests {
         });
         assert_rejected("ROB size must be non-zero", |cfg| cfg.core.rob_size = 0);
         assert_rejected("ROB size must be non-zero", |cfg| cfg.core.width = 0);
-        assert_rejected("machine threads must be non-zero", |cfg| cfg.machine_threads = 0);
-    }
-
-    #[test]
-    fn min_crossing_latency_is_the_tighter_of_hop_and_directory() {
-        // Paper torus: a GetM upgrade at its own home node can fill after
-        // directory occupancy alone (8 cycles), well under one hop (100).
-        assert_eq!(InterconnectConfig::paper_torus().min_crossing_latency(), 8);
-        let small = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        assert_eq!(small.interconnect.min_crossing_latency(), 4);
+        assert_rejected("IFENCE_JOBS", |cfg| cfg.machine_threads = 2);
     }
 
     #[test]

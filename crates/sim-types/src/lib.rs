@@ -19,6 +19,8 @@
 //! * [`CoreActivity`] — per-cycle activity reports with next-wake hints, the
 //!   contract between cores and the event-driven simulation kernel
 //!   ([`activity`]).
+//! * [`parse_flag`] — the one grammar of the boolean environment flags
+//!   ([`flag`]).
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 pub mod activity;
 pub mod addr;
 pub mod config;
+pub mod flag;
 pub mod fnv;
 pub mod instr;
 pub mod model;
@@ -51,6 +54,7 @@ pub use config::{
     CacheConfig, CoreConfig, DramConfig, EngineKind, InterconnectConfig, L2Config, MachineConfig,
     SpeculationConfig, StoreBufferConfig,
 };
+pub use flag::parse_flag;
 pub use fnv::{fnv1a, FnvBuildHasher, FnvMap, FnvSet};
 pub use instr::{FenceKind, InstrKind, Instruction, Program};
 pub use model::{ConsistencyModel, StoreBufferKind};

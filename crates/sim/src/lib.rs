@@ -13,15 +13,10 @@
 //!   the event-driven simulation kernel, which skips provably quiescent
 //!   cycles (byte-identical to the dense poll-every-cycle debug mode,
 //!   `IFENCE_DENSE=1`) and stops immediately with a diagnostic when it
-//!   proves the machine deadlocked. With `machine_threads > 1` (or
-//!   `IFENCE_THREADS`), the same machine runs under the deterministic
-//!   epoch-parallel kernel: cores are partitioned across scoped worker
-//!   threads that step independently to a coherence-derived horizon, and
-//!   emissions are merged back into the fabric in exact serial order, so
-//!   results stay byte-identical at any thread count.
-//!   [`Machine::into_result`] is the
-//!   consuming finalisation path that moves (never clones) the per-core
-//!   statistics into the [`machine::MachineResult`].
+//!   proves the machine deadlocked. One machine runs on one host thread.
+//!   [`Machine::into_result`] is the consuming finalisation path that moves
+//!   (never clones) the per-core statistics into the
+//!   [`machine::MachineResult`].
 //! * [`runner`] — convenience functions that run one
 //!   [`ifence_workloads::Workload`] (steady preset or phased scenario) under
 //!   one engine and return a [`ifence_stats::RunSummary`]; experiment sizes
@@ -59,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod epoch;
 pub mod figures;
 pub mod machine;
 pub mod persist;

@@ -34,15 +34,8 @@
 //! [`MachineResult::deadlocked`] set and a per-core diagnostic instead of
 //! spinning to the cycle limit.
 //!
-//! A third level, **epoch parallelism** (`crate::epoch`), steps one
-//! machine's cores across threads: with [`MachineConfig::machine_threads`]
-//! `>= 2` (or `IFENCE_THREADS`), the run loop partitions the cores over
-//! `std::thread::scope` workers, each of which steps its cores independently
-//! up to a safe horizon below which no cross-core interaction can land
-//! ([`ifence_coherence::CoherenceFabric::next_interaction_bound`]), then
-//! merges every worker's buffered fabric traffic back in the exact serial
-//! order — so results stay byte-identical to the serial kernel at any
-//! thread count. The dense debug mode always runs serially.
+//! One machine always runs on one host thread: sweeps get their host
+//! parallelism across machines, through `IFENCE_JOBS`.
 
 use ifence_coherence::{
     CoherenceFabric, CoherenceRequest, Delivery, EventQueue, FabricConfig, SnoopReply,
@@ -53,7 +46,7 @@ use ifence_stats::{
     RunSummary,
 };
 use ifence_types::{
-    earliest_wake, BoxedSource, CoreId, Cycle, MachineConfig, Program, ProgramSource,
+    earliest_wake, parse_flag, BoxedSource, CoreId, Cycle, MachineConfig, Program, ProgramSource,
 };
 use invisifence::build_engine;
 use std::fmt;
@@ -122,21 +115,16 @@ impl MachineResult {
 /// documentation).
 pub struct Machine {
     cfg: MachineConfig,
-    pub(crate) cores: Vec<Core>,
-    pub(crate) fabric: CoherenceFabric,
-    pub(crate) now: Cycle,
+    cores: Vec<Core>,
+    fabric: CoherenceFabric,
+    now: Cycle,
     /// Dense (poll-every-cycle) debug mode, resolved once at construction
     /// from the configuration flag and the `IFENCE_DENSE` environment
     /// variable.
     dense: bool,
-    /// Worker-thread count of the epoch-parallel kernel, resolved once at
-    /// construction from [`MachineConfig::machine_threads`] and the
-    /// `IFENCE_THREADS` environment variable, clamped to the core count.
-    /// `1` = the serial kernel; dense mode always forces 1.
-    pub(crate) threads: usize,
     /// Per-core sleep state: `Some` while the core is quiescent and need not
     /// be stepped (see the module documentation).
-    pub(crate) sleeping: Vec<Option<CoreSleep>>,
+    sleeping: Vec<Option<CoreSleep>>,
     /// Indexed wake dispatch: the ascending-sorted indices of the cores that
     /// are awake (`sleeping[i].is_none()`). The stepping loop walks exactly
     /// these instead of scanning every core each stepped cycle.
@@ -151,7 +139,7 @@ pub struct Machine {
     /// construction so the hot loop pays a plain bool test instead of an
     /// atomic load per phase per cycle. Profiling observes host wall clock
     /// only — it cannot change any simulated result.
-    pub(crate) profiling: bool,
+    profiling: bool,
     /// Reusable buffers for the per-cycle delivery/reply/request routing, so
     /// the hot loop allocates nothing in steady state.
     delivery_buf: Vec<Delivery>,
@@ -211,13 +199,8 @@ impl Machine {
                 Core::from_source(CoreId(i), source, &cfg, build_engine(cfg.engine, &cfg))
             })
             .collect();
-        let dense = cfg.dense_kernel || env_dense_override();
-        let threads = if dense {
-            1
-        } else {
-            env_threads_override().unwrap_or(cfg.machine_threads).clamp(1, cores.len())
-        };
-        if cfg.trace || env_trace_override() {
+        let dense = cfg.dense_kernel || env_flag("IFENCE_DENSE");
+        if cfg.trace || env_flag("IFENCE_TRACE") {
             for core in &mut cores {
                 core.enable_trace(0);
             }
@@ -231,7 +214,6 @@ impl Machine {
             fabric,
             now: 0,
             dense,
-            threads,
             sleeping,
             awake,
             wake_wheel: EventQueue::new(),
@@ -260,10 +242,10 @@ impl Machine {
         false
     }
 
-    /// Number of worker threads the epoch-parallel kernel will use for this
-    /// machine (1 = the serial kernel).
+    /// Only `perfbench/` reads this; always `1`.
+    #[doc(hidden)]
     pub fn machine_threads(&self) -> usize {
-        self.threads
+        1
     }
 
     /// The machine configuration.
@@ -307,7 +289,7 @@ impl Machine {
 
     /// Starts a phase timer when the kernel phase profiler is on (the guard
     /// holds no borrow of the machine, so it can bracket `&mut self` work).
-    pub(crate) fn timer(&self, phase: Phase) -> Option<PhaseTimer> {
+    fn timer(&self, phase: Phase) -> Option<PhaseTimer> {
         if self.profiling {
             PhaseProfile::global().start(phase)
         } else {
@@ -327,24 +309,6 @@ impl Machine {
             // in ascending order — the same order as a full scan.
             if let Err(at) = self.awake.binary_search(&idx) {
                 self.awake.insert(at, idx);
-            }
-        }
-    }
-
-    /// Rebuilds the indexed wake dispatch state from `sleeping` (after the
-    /// epoch-parallel kernel reassembles the cores it partitioned out).
-    /// Sleepers' wake hints are rescheduled on the wheel; any entries already
-    /// there go stale and are skipped on pop.
-    pub(crate) fn rebuild_wake_index(&mut self) {
-        self.awake.clear();
-        for (i, sleep) in self.sleeping.iter().enumerate() {
-            match sleep {
-                None => self.awake.push(i),
-                Some(s) => {
-                    if let Some(wake) = s.wake_at {
-                        self.wake_wheel.schedule(wake, i);
-                    }
-                }
             }
         }
     }
@@ -480,13 +444,8 @@ impl Machine {
 
     /// The shared simulation loop: dense stepping after any progressed cycle,
     /// a single time jump over provably quiescent stretches otherwise (unless
-    /// the dense debug mode is forced). Returns the deadlock verdict. With
-    /// two or more machine threads the epoch-parallel kernel takes over —
-    /// byte-identical by construction (see `crate::epoch`).
+    /// the dense debug mode is forced). Returns the deadlock verdict.
     fn run_loop(&mut self, max_cycles: Cycle) -> (bool, Option<String>) {
-        if self.threads > 1 {
-            return crate::epoch::run_epoch_loop(self, max_cycles);
-        }
         while self.now < max_cycles && !self.all_finished() {
             let outcome = self.step_cycle();
             if outcome.progressed {
@@ -515,7 +474,7 @@ impl Machine {
     }
 
     /// A one-line-per-core snapshot of why nothing can make progress.
-    pub(crate) fn deadlock_snapshot(&self) -> String {
+    fn deadlock_snapshot(&self) -> String {
         let mut out = format!(
             "deadlock at cycle {}: no core can wake and the fabric has no pending events \
              ({} transactions outstanding)",
@@ -625,47 +584,11 @@ impl Machine {
     }
 }
 
-/// Parses an `IFENCE_DENSE`-style boolean. `None` means unrecognised — the
-/// single grammar shared by [`Machine::new`] and
-/// [`crate::runner::ExperimentParams::from_env`], so no spelling is honoured
-/// in one place and warned about in the other.
-pub(crate) fn parse_dense_flag(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "false" | "no" => Some(false),
-        "1" | "true" | "yes" => Some(true),
-        _ => None,
-    }
-}
-
-/// True when the `IFENCE_DENSE` environment variable requests the dense
-/// (poll-every-cycle) debug kernel. Unrecognised values are treated as unset
-/// (the warning is printed once, by `ExperimentParams::from_env`, not here —
-/// a sweep constructs many machines).
-fn env_dense_override() -> bool {
-    match std::env::var("IFENCE_DENSE") {
-        Ok(raw) => parse_dense_flag(&raw).unwrap_or(false),
-        Err(_) => false,
-    }
-}
-
-/// True when the `IFENCE_TRACE` environment variable turns on structured
-/// event tracing (see [`MachineConfig::trace`]). The environment can only
-/// turn tracing *on*; unrecognised values are treated as unset, mirroring
-/// `IFENCE_DENSE`.
-fn env_trace_override() -> bool {
-    match std::env::var("IFENCE_TRACE") {
-        Ok(raw) => parse_dense_flag(&raw).unwrap_or(false),
-        Err(_) => false,
-    }
-}
-
-/// The `IFENCE_THREADS` override for the epoch-parallel kernel's worker
-/// count. Zero and unparseable values are treated as unset (the warning is
-/// printed once, by `ExperimentParams::from_env`, not here — a sweep
-/// constructs many machines).
-fn env_threads_override() -> Option<usize> {
-    let raw = std::env::var("IFENCE_THREADS").ok()?;
-    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
+/// True when the environment variable `name` holds a [`parse_flag`] spelling
+/// of on. Unrecognised values count as off; the warning is printed once, by
+/// `ExperimentParams::from_env`, not here — a sweep constructs many machines.
+fn env_flag(name: &str) -> bool {
+    std::env::var(name).ok().and_then(|raw| parse_flag(&raw)).unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -766,80 +689,6 @@ mod tests {
         let skip_result = skip.into_result(5_000_000);
         assert!(dense_result.finished);
         assert_eq!(dense_result, skip_result, "the two kernels must be byte-identical");
-    }
-
-    #[test]
-    fn epoch_parallel_kernel_agrees_with_the_serial_kernels() {
-        // The epoch-parallel kernel must be byte-identical to the serial
-        // kernel at every thread count (the full matrix lives in
-        // tests/kernel_equivalence.rs; this is the in-crate smoke).
-        for engine in [
-            EngineKind::Conventional(ConsistencyModel::Sc),
-            EngineKind::InvisiSelective(ConsistencyModel::Sc),
-        ] {
-            let spec = WorkloadSpec::uniform("epoch-mode");
-            let serial_cfg = MachineConfig::small_test(engine);
-            let programs = spec.generate(serial_cfg.cores, 500, 11);
-            let serial = Machine::new(serial_cfg, programs.clone()).unwrap().into_result(5_000_000);
-            assert!(serial.finished);
-            for threads in [2, 4] {
-                let mut cfg = MachineConfig::small_test(engine);
-                cfg.machine_threads = threads;
-                let machine = Machine::new(cfg, programs.clone()).unwrap();
-                let parallel = machine.into_result(5_000_000);
-                assert_eq!(
-                    serial,
-                    parallel,
-                    "{} at {threads} threads: epoch parallelism must be byte-identical",
-                    engine.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_parallel_kernel_reports_deadlocks() {
-        // Same starved-MSHR machine as the serial deadlock test: the epoch
-        // kernel's all-asleep analysis must prove the deadlock instead of
-        // spinning to the cycle limit.
-        let mut cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        cfg.l1.mshrs = 0;
-        cfg.machine_threads = 2;
-        let mut programs = vec![Program::new(); cfg.cores];
-        programs[0].push(ifence_types::Instruction::load(ifence_types::Addr::new(0x4000)));
-        let result = Machine::new(cfg, programs).unwrap().into_result(1_000_000);
-        assert!(result.deadlocked);
-        assert!(result.cycles < 1_000, "detected immediately, not at the cycle limit");
-        let diagnostic = result.deadlock_diagnostic.expect("a diagnostic is recorded");
-        assert!(diagnostic.contains("deadlock at cycle"), "got: {diagnostic}");
-        assert!(diagnostic.contains("core0"), "per-core snapshots included: {diagnostic}");
-    }
-
-    #[test]
-    fn thread_count_is_clamped_and_dense_mode_stays_serial() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let programs = WorkloadSpec::uniform("threads").generate(4, 50, 2);
-        // More threads than cores degrade to one thread per core (under
-        // IFENCE_DENSE=1 the machine is forced dense and therefore serial;
-        // under IFENCE_THREADS=n the override still clamps to the 4 cores).
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.machine_threads = 64;
-        let machine = Machine::new(cfg, programs.clone()).unwrap();
-        if machine.dense_kernel() {
-            assert_eq!(machine.machine_threads(), 1);
-        } else {
-            assert!(machine.machine_threads() <= 4 && machine.machine_threads() >= 1);
-            if std::env::var("IFENCE_THREADS").is_err() {
-                assert_eq!(machine.machine_threads(), 4);
-            }
-        }
-        // The dense debug kernel is strictly serial, whatever the config
-        // (and whatever IFENCE_THREADS) asks for.
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.machine_threads = 4;
-        cfg.dense_kernel = true;
-        let machine = Machine::new(cfg, programs).unwrap();
-        assert_eq!(machine.machine_threads(), 1, "dense debug mode never threads");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::machine::Machine;
 use ifence_stats::RunSummary;
-use ifence_types::{BoxedSource, EmptySource, EngineKind, MachineConfig, ProgramSource};
+use ifence_types::{
+    parse_flag, BoxedSource, EmptySource, EngineKind, MachineConfig, ProgramSource,
+};
 use ifence_workloads::{LitmusTest, Workload};
 
 /// Parameters of one experiment run.
@@ -29,15 +31,10 @@ pub struct ExperimentParams {
     /// event-driven one that skips quiescent cycles; results are identical,
     /// only slower. Settable with `IFENCE_DENSE=1`.
     pub dense_kernel: bool,
-    /// Worker threads used *inside* each simulated machine by the
-    /// epoch-parallel kernel (the result is byte-identical at any value;
-    /// only the wall-clock time changes). Defaults to 1 (serial); override
-    /// with the `IFENCE_THREADS` environment variable. Composes with
-    /// [`ExperimentParams::parallelism`]: a sweep runs up to
-    /// `jobs × machine_threads` OS threads, so [`effective_jobs`] clamps the
-    /// job count when the product would oversubscribe the host.
-    ///
-    /// [`effective_jobs`]: ExperimentParams::effective_jobs
+    /// Only `perfbench/` sets or reads this: the machine configuration
+    /// rejects any value but 1 (one machine runs on one host thread; sweeps
+    /// parallelise across machines through [`ExperimentParams::parallelism`]).
+    #[doc(hidden)]
     pub machine_threads: usize,
     /// Override the shared-L2 capacity in bytes (`None` keeps the machine's
     /// default; `Some(0)` selects the unbounded sentinel). This is how the
@@ -83,16 +80,14 @@ fn env_parse<T: std::str::FromStr>(lookup: EnvLookup<'_>, name: &str, default: T
     }
 }
 
-/// Clamps a sweep's job count so that `jobs × machine_threads` does not
-/// exceed the host's available parallelism. Returns the effective job count
-/// and whether it was actually reduced. Pure so tests can cover the
-/// arithmetic without depending on the host's core count.
-fn clamp_jobs(jobs: usize, machine_threads: usize, available: usize) -> (usize, bool) {
-    if jobs.saturating_mul(machine_threads) <= available {
-        return (jobs, false);
-    }
-    let fitted = (available / machine_threads).max(1);
-    (fitted.min(jobs), fitted < jobs)
+/// Reads the boolean flag `name` from `lookup` with [`parse_flag`], warning
+/// on stderr (and keeping it off) when the value is present but unrecognised.
+fn env_flag(lookup: EnvLookup<'_>, name: &str) -> bool {
+    let Some(raw) = lookup(name) else { return false };
+    parse_flag(&raw).unwrap_or_else(|| {
+        eprintln!("warning: ignoring unparseable {name}={raw:?} (expected 0/1); using the default");
+        false
+    })
 }
 
 impl Default for ExperimentParams {
@@ -115,13 +110,11 @@ impl Default for ExperimentParams {
 
 impl ExperimentParams {
     /// Parameters for the benchmark harness: the paper-scale machine, with
-    /// the trace length, seed, sweep parallelism and intra-machine thread
-    /// count overridable through the `IFENCE_INSTRS`, `IFENCE_SEED`,
-    /// `IFENCE_JOBS` and `IFENCE_THREADS` environment variables (the last
-    /// two compose: `IFENCE_JOBS` machines run concurrently, each on
-    /// `IFENCE_THREADS` threads, and [`ExperimentParams::effective_jobs`]
-    /// clamps the product to the host). Unparseable values warn on stderr
-    /// and keep the default.
+    /// the trace length, seed and sweep parallelism overridable through the
+    /// `IFENCE_INSTRS`, `IFENCE_SEED` and `IFENCE_JOBS` environment
+    /// variables, and the dense kernel through `IFENCE_DENSE`. Unparseable
+    /// values, `IFENCE_TRACE`'s included, warn on stderr and keep the
+    /// default.
     pub fn from_env() -> Self {
         Self::from_env_with(&process_env)
     }
@@ -134,17 +127,10 @@ impl ExperimentParams {
             env_parse(lookup, "IFENCE_INSTRS", params.instructions_per_core).max(1);
         params.seed = env_parse(lookup, "IFENCE_SEED", params.seed);
         params.parallelism = env_parse(lookup, "IFENCE_JOBS", params.parallelism).max(1);
-        params.machine_threads = env_parse(lookup, "IFENCE_THREADS", params.machine_threads).max(1);
-        params.dense_kernel = match lookup("IFENCE_DENSE") {
-            Some(raw) => crate::machine::parse_dense_flag(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: ignoring unparseable IFENCE_DENSE={raw:?} (expected 0/1); \
-                     using the default"
-                );
-                false
-            }),
-            None => false,
-        };
+        params.dense_kernel = env_flag(lookup, "IFENCE_DENSE");
+        // Each machine reads `IFENCE_TRACE` itself; this only warns, once
+        // per run instead of once per machine, about a spelling it ignores.
+        env_flag(lookup, "IFENCE_TRACE");
         params
     }
 
@@ -164,28 +150,8 @@ impl ExperimentParams {
     }
 
     /// The worker-thread count sweeps should use (always at least 1).
-    ///
-    /// When every job also runs `machine_threads` intra-machine workers, the
-    /// naive product can oversubscribe the host (e.g. 8 jobs × 4 threads on
-    /// an 8-way box); in that case the job count is clamped so the product
-    /// fits the available parallelism, and a warning is printed once so the
-    /// reduction is never silent.
     pub fn effective_jobs(&self) -> usize {
-        let (jobs, clamped) =
-            clamp_jobs(self.parallelism.max(1), self.machine_threads.max(1), available_jobs());
-        if clamped {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: clamping sweep jobs to {jobs} so that jobs × \
-                     IFENCE_THREADS ({}) fits the {} available hardware threads \
-                     (set IFENCE_JOBS explicitly below the clamp to silence this)",
-                    self.machine_threads,
-                    available_jobs()
-                );
-            });
-        }
-        jobs
+        self.parallelism.max(1)
     }
 
     /// The complete machine configuration one cell of an experiment runs
@@ -304,41 +270,13 @@ mod tests {
         let env = |name: &str| match name {
             "IFENCE_JOBS" => Some("3".to_string()),
             "IFENCE_DENSE" => Some("yes".to_string()),
-            "IFENCE_THREADS" => Some("4".to_string()),
             _ => None,
         };
         let p = ExperimentParams::from_env_with(&env);
         assert_eq!(p.parallelism, 3);
         assert!(p.dense_kernel);
-        assert_eq!(p.machine_threads, 4);
         let unset = ExperimentParams::from_env_with(&|_| None);
         assert_eq!(unset, ExperimentParams::default());
-        assert_eq!(unset.machine_threads, 1, "machines are serial by default");
-    }
-
-    #[test]
-    fn machine_threads_reach_the_derived_config() {
-        let env = |name: &str| (name == "IFENCE_THREADS").then(|| "2".to_string());
-        let p = ExperimentParams::from_env_with(&env);
-        let cfg = p.config_for(EngineKind::Conventional(ConsistencyModel::Sc));
-        assert_eq!(cfg.machine_threads, 2);
-        // Zero is treated as "unset", not as an invalid config.
-        let env = |name: &str| (name == "IFENCE_THREADS").then(|| "0".to_string());
-        assert_eq!(ExperimentParams::from_env_with(&env).machine_threads, 1);
-    }
-
-    #[test]
-    fn job_clamping_keeps_the_thread_product_within_the_host() {
-        // 8 jobs × 2 threads on an 8-way host → 4 jobs, reduced.
-        assert_eq!(clamp_jobs(8, 2, 8), (4, true));
-        // Serial machines never clamp.
-        assert_eq!(clamp_jobs(4, 1, 8), (4, false));
-        // More threads than the host has still leaves one job, but that is
-        // not a *reduction* of the requested single job.
-        assert_eq!(clamp_jobs(1, 16, 1), (1, false));
-        // A product that fits exactly is untouched.
-        assert_eq!(clamp_jobs(3, 2, 16), (3, false));
-        assert_eq!(clamp_jobs(4, 4, 16), (4, false));
     }
 
     #[test]

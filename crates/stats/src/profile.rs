@@ -1,18 +1,18 @@
 //! A zero-dependency kernel phase profiler.
 //!
 //! The simulation kernel spends its host wall clock in a handful of phases —
-//! stepping cores, stepping the fabric's event queue, routing deliveries,
-//! and (in the epoch-parallel kernel) merging worker traffic. This module
-//! accumulates per-phase wall-clock time into process-global atomics so the
-//! ablation benches and the CLI can report *where* the host time goes, not
-//! just how much of it there is.
+//! stepping cores, stepping the fabric's event queue and routing
+//! deliveries. This module accumulates per-phase wall-clock time into
+//! process-global atomics so the CLI and the benchmark can report *where*
+//! the host time goes, not just how much of it there is.
 //!
 //! Profiling is off by default and costs one relaxed atomic load per
 //! would-be measurement when off. It is enabled by the `IFENCE_PROFILE`
-//! environment variable (`1`/`true`/`yes`; read once, at first use) or
-//! forced programmatically with [`PhaseProfile::set_enabled`] (benches and
-//! the profiler's own tests). The accumulators are global because the epoch
-//! kernel's phases run on worker threads and sweeps construct many machines;
+//! environment variable (read once, at first use, with
+//! [`ifence_types::parse_flag`]; an unrecognised value warns once and counts
+//! as off) or forced programmatically with [`PhaseProfile::set_enabled`]
+//! (the benchmark and the profiler's own tests). The accumulators are
+//! global because sweeps construct many machines, on several threads;
 //! [`PhaseProfile::snapshot`] plus [`ProfileSnapshot::delta`] scope a
 //! measurement to one run.
 //!
@@ -20,6 +20,7 @@
 //! time only, so enabling it cannot change a single simulated cycle
 //! (`examples/profile_smoke.rs` asserts exactly that).
 
+use ifence_types::parse_flag;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -33,15 +34,14 @@ pub enum Phase {
     FabricStep,
     /// Routing deliveries, replies and requests between cores and fabric.
     DeliveryRouting,
-    /// The epoch-parallel kernel's merge of worker traffic back into the
-    /// serial order (zero in the serial kernel).
+    /// Nothing records this phase and its slot always reads zero; it stays
+    /// only because `perfbench/` reads it. Not in [`Phase::ALL`].
     Merge,
 }
 
 impl Phase {
-    /// Every phase, in reporting order.
-    pub const ALL: [Phase; 4] =
-        [Phase::CoreStep, Phase::FabricStep, Phase::DeliveryRouting, Phase::Merge];
+    /// Every recorded phase, in reporting order.
+    pub const ALL: [Phase; 3] = [Phase::CoreStep, Phase::FabricStep, Phase::DeliveryRouting];
 
     /// Stable lower-case label (report columns, JSON field suffixes).
     pub fn label(self) -> &'static str {
@@ -72,10 +72,15 @@ pub struct PhaseProfile {
 
 static GLOBAL: OnceLock<PhaseProfile> = OnceLock::new();
 
-/// True when `raw` spells an enabled `IFENCE_PROFILE` (same accepted
-/// spellings as the kernel's other boolean flags: `1`/`true`/`yes`).
-fn parse_profile_flag(raw: &str) -> bool {
-    matches!(raw.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes")
+/// Whether an `IFENCE_PROFILE` value (`None` = unset) turns profiling on,
+/// warning on stderr when the value is unrecognised. Called once per process,
+/// by [`PhaseProfile::global`]'s initialisation.
+fn profile_flag(raw: Option<&str>) -> bool {
+    let Some(raw) = raw else { return false };
+    parse_flag(raw).unwrap_or_else(|| {
+        eprintln!("warning: ignoring unparseable IFENCE_PROFILE={raw:?} (expected 0/1); profiling stays off");
+        false
+    })
 }
 
 impl PhaseProfile {
@@ -83,11 +88,7 @@ impl PhaseProfile {
     /// `IFENCE_PROFILE` on first use.
     pub fn global() -> &'static PhaseProfile {
         GLOBAL.get_or_init(|| PhaseProfile {
-            enabled: AtomicBool::new(
-                std::env::var("IFENCE_PROFILE")
-                    .map(|raw| parse_profile_flag(&raw))
-                    .unwrap_or(false),
-            ),
+            enabled: AtomicBool::new(profile_flag(std::env::var("IFENCE_PROFILE").ok().as_deref())),
             nanos: Default::default(),
             counts: Default::default(),
         })
@@ -225,11 +226,11 @@ mod tests {
         let before = p.snapshot();
         p.record(Phase::FabricStep, 1_500_000);
         p.record(Phase::FabricStep, 500_000);
-        p.record(Phase::Merge, 250_000);
+        p.record(Phase::DeliveryRouting, 250_000);
         let d = p.snapshot().delta(&before);
         assert_eq!(d.nanos(Phase::FabricStep), 2_000_000);
         assert_eq!(d.count(Phase::FabricStep), 2);
-        assert_eq!(d.nanos(Phase::Merge), 250_000);
+        assert_eq!(d.nanos(Phase::DeliveryRouting), 250_000);
         assert_eq!(d.nanos(Phase::CoreStep), 0);
         assert_eq!(d.total_nanos(), 2_250_000);
         assert!((d.millis(Phase::FabricStep) - 2.0).abs() < 1e-9);
@@ -255,10 +256,11 @@ mod tests {
     #[test]
     fn flag_grammar_matches_the_kernel_flags() {
         for on in ["1", "true", "YES", " yes "] {
-            assert!(parse_profile_flag(on), "{on:?} should enable");
+            assert!(profile_flag(Some(on)), "{on:?} should enable");
         }
         for off in ["", "0", "false", "no", "2", "on"] {
-            assert!(!parse_profile_flag(off), "{off:?} should not enable");
+            assert!(!profile_flag(Some(off)), "{off:?} should not enable");
         }
+        assert!(!profile_flag(None), "unset leaves profiling off");
     }
 }

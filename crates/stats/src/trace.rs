@@ -10,8 +10,8 @@
 //! deadlock diagnostic — never anything about the host, so the stream is a
 //! pure function of the simulated execution.
 //!
-//! That purity is the subsystem's correctness ratchet: because all five
-//! kernel modes (dense/event/epoch-1/2/4) execute the identical simulated
+//! That purity is the subsystem's correctness ratchet: because both kernel
+//! modes (dense and event-driven) execute the identical simulated
 //! interaction sequence, their merged trace streams must be
 //! byte-identical, and `tests/trace_equivalence.rs` plus the CI smoke leg
 //! hold them to it. If a future kernel reorders an interaction, the trace

@@ -341,7 +341,6 @@ impl JsonCodec for MachineConfig {
             ("engine", self.engine.to_json()),
             ("seed", uint(self.seed)),
             ("dense_kernel", Json::Bool(self.dense_kernel)),
-            ("machine_threads", us(self.machine_threads)),
             ("trace", Json::Bool(self.trace)),
         ])
     }
@@ -361,7 +360,6 @@ impl JsonCodec for MachineConfig {
             engine,
             seed: f.u64("seed")?,
             dense_kernel: f.bool("dense_kernel")?,
-            machine_threads: f.usize("machine_threads")?,
             trace: f.bool("trace")?,
             ..MachineConfig::with_engine(engine)
         })

@@ -6,11 +6,10 @@
 //! buffer, speculation policy, latencies, seed), the workload recipe, the
 //! trace budget and the cycle limit, plus [`SCHEMA_VERSION`]. Anything
 //! *proven* not to affect results is normalized out: the kernel mode
-//! (`dense_kernel`, byte-identical by `tests/kernel_equivalence.rs`), the
-//! intra-machine thread count (`machine_threads`, byte-identical by the same
-//! suite), tracing (`trace`) and the sweep parallelism (never part of the
-//! config) do not reach the hash, so dense-mode debug runs, event-driven
-//! runs and epoch-parallel runs all share cache entries.
+//! (`dense_kernel`, byte-identical by `tests/kernel_equivalence.rs`),
+//! tracing (`trace`) and the sweep parallelism (never part of the config)
+//! do not reach the hash, so dense-mode debug runs and event-driven runs
+//! share cache entries.
 //!
 //! The full key JSON is stored alongside each entry and compared on lookup,
 //! so a 64-bit hash collision degrades to a cache miss, never to a wrong
@@ -48,7 +47,11 @@ use ifence_workloads::Workload;
 /// v7: `MachineConfig` no longer serializes its two execution-path flags
 /// (serialized layout change: every kernel runs the one guarded core
 /// pipeline, so neither flag selects anything).
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// v8: `MachineConfig` no longer serializes `machine_threads` (serialized
+/// layout change: every machine runs on one host thread, so the count
+/// selects nothing).
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from
@@ -68,9 +71,9 @@ pub struct CellKey {
 impl CellKey {
     /// Builds the key for one cell. `machine` must already carry the run's
     /// seed and engine (as produced by the experiment runner); its
-    /// `dense_kernel` / `trace` flags and `machine_threads` count are
-    /// normalized before hashing because every kernel mode, thread count and
-    /// tracing setting produces byte-identical results.
+    /// `dense_kernel` / `trace` flags are normalized before hashing because
+    /// both kernel modes and every tracing setting produce byte-identical
+    /// results.
     pub fn new(
         machine: &MachineConfig,
         workload: &Workload,
@@ -79,7 +82,6 @@ impl CellKey {
     ) -> Self {
         let mut machine = machine.clone();
         machine.dense_kernel = false;
-        machine.machine_threads = 1;
         machine.trace = false;
         let doc = Json::Object(vec![
             ("schema".to_string(), Json::UInt(SCHEMA_VERSION)),
@@ -158,17 +160,6 @@ mod tests {
         cfg.dense_kernel = true;
         let dense = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
         assert_eq!(sparse, dense, "kernel mode is proven byte-identical; keys must match");
-    }
-
-    #[test]
-    fn machine_threads_is_normalized_out() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.seed = 7;
-        let serial = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        cfg.machine_threads = 4;
-        let parallel = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        assert_eq!(serial, parallel, "thread count is proven byte-identical; keys must match");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The workload abstraction the experiment layers run: a named recipe for
-//! per-core [`InstructionSource`]s.
+//! per-core [`InstructionSource`](ifence_types::InstructionSource)s.
 //!
 //! A [`Workload`] is either *steady* — one [`WorkloadSpec`] governing the
 //! whole trace, the shape of every Figure 7 preset — or *phased* — a cycle

@@ -6,9 +6,8 @@
 //! The table below was captured before the core pipeline was folded into one
 //! guarded `Core::step`, so it holds every later kernel change to the
 //! results the simulator produced before it. The digests are independent of
-//! the kernel schedule (dense, event-driven, epoch-parallel at any thread
-//! count), so the table must hold under `IFENCE_DENSE=1` and
-//! `IFENCE_THREADS=n` as well.
+//! the kernel schedule (dense or event-driven), so the table must hold under
+//! `IFENCE_DENSE=1` as well.
 //!
 //! A second, smaller table pins the paper's 16-core machine (8 MB banked
 //! L2, 4×4 torus) on the three cells the repository benchmark measures, at a

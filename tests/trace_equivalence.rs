@@ -6,9 +6,8 @@
 //!    a [`MachineResult`] byte-identical (and byte-identical when encoded)
 //!    to the untraced run — trace sinks observe the simulation, they never
 //!    perturb it.
-//! 2. **The trace is kernel-invariant.** All five kernel modes
-//!    (dense/event/epoch-1/2/4) execute the identical simulated interaction
-//!    sequence, so their merged traces — exported as JSONL through the store
+//! 2. **The trace is kernel-invariant.** Both kernel modes (dense and
+//!    event-driven) execute the identical simulated interaction sequence, so their merged traces — exported as JSONL through the store
 //!    codec — must be byte-identical. A kernel that reorders one interaction
 //!    fails here with a named event at a named cycle, long before aggregate
 //!    counters could localize it.
@@ -21,39 +20,16 @@ use invisifence_repro::prelude::*;
 const MAX_CYCLES: u64 = 30_000_000;
 const INSTRUCTIONS: usize = 600;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelMode {
-    Dense,
-    Event,
-    EpochParallel(usize),
-}
-
-impl KernelMode {
-    const ALL: [KernelMode; 5] = [
-        KernelMode::Dense,
-        KernelMode::Event,
-        KernelMode::EpochParallel(1),
-        KernelMode::EpochParallel(2),
-        KernelMode::EpochParallel(4),
-    ];
-
-    fn apply(self, cfg: &mut MachineConfig) {
-        cfg.dense_kernel = self == KernelMode::Dense;
-        cfg.machine_threads = match self {
-            KernelMode::EpochParallel(threads) => threads,
-            _ => 1,
-        };
-    }
-}
-
+/// Runs `workload` under `engine` on the dense kernel (`dense`) or the
+/// event-driven one, traced or not.
 fn run(
     engine: EngineKind,
     workload: &WorkloadSpec,
-    mode: KernelMode,
+    dense: bool,
     trace: bool,
 ) -> (MachineResult, MachineTrace) {
     let mut cfg = MachineConfig::small_test(engine);
-    mode.apply(&mut cfg);
+    cfg.dense_kernel = dense;
     cfg.trace = trace;
     let programs = workload.generate(cfg.cores, INSTRUCTIONS, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result_with_trace(MAX_CYCLES)
@@ -65,10 +41,10 @@ fn assert_trace_invariants(engine: EngineKind, workload: &WorkloadSpec) {
 
     // Invariant 1: tracing never changes the simulated result — structurally
     // and in its canonical encoding.
-    let (untraced, empty) = run(engine, workload, KernelMode::Event, false);
+    let (untraced, empty) = run(engine, workload, false, false);
     assert!(untraced.finished, "{label} on {name} did not finish");
     assert!(empty.events.is_empty(), "untraced run must collect no events");
-    let (traced, trace) = run(engine, workload, KernelMode::Event, true);
+    let (traced, trace) = run(engine, workload, false, true);
     assert_eq!(untraced, traced, "{label} on {name}: tracing changed the simulated result");
     assert_eq!(
         untraced.to_json().encode(),
@@ -77,33 +53,28 @@ fn assert_trace_invariants(engine: EngineKind, workload: &WorkloadSpec) {
     );
     assert_eq!(trace.dropped, 0, "{label} on {name}: the test scale must trace losslessly");
 
-    // Invariant 2: the JSONL trace stream is byte-identical across all five
-    // kernel modes.
+    // Invariant 2: the dense kernel's JSONL trace stream is byte-identical
+    // to the event-driven one.
     let reference = trace_to_jsonl(&trace);
-    for mode in KernelMode::ALL {
-        if mode == KernelMode::Event {
-            continue;
-        }
-        let (result, other) = run(engine, workload, mode, true);
-        assert_eq!(untraced, result, "{label} on {name}: {mode:?} traced result diverges");
-        let jsonl = trace_to_jsonl(&other);
-        if jsonl != reference {
-            let diverging = trace
-                .events
-                .iter()
-                .zip(&other.events)
-                .position(|(a, b)| a != b)
-                .map(|i| {
-                    format!(
-                        "first diverging event index {i}: {:?} vs {:?}",
-                        trace.events[i], other.events[i]
-                    )
-                })
-                .unwrap_or_else(|| {
-                    format!("event counts differ: {} vs {}", trace.events.len(), other.events.len())
-                });
-            panic!("{label} on {name}: {mode:?} trace diverges from event-driven ({diverging})");
-        }
+    let (result, other) = run(engine, workload, true, true);
+    assert_eq!(untraced, result, "{label} on {name}: dense traced result diverges");
+    let jsonl = trace_to_jsonl(&other);
+    if jsonl != reference {
+        let diverging = trace
+            .events
+            .iter()
+            .zip(&other.events)
+            .position(|(a, b)| a != b)
+            .map(|i| {
+                format!(
+                    "first diverging event index {i}: {:?} vs {:?}",
+                    trace.events[i], other.events[i]
+                )
+            })
+            .unwrap_or_else(|| {
+                format!("event counts differ: {} vs {}", trace.events.len(), other.events.len())
+            });
+        panic!("{label} on {name}: dense trace diverges from event-driven ({diverging})");
     }
 
     // The canonical stream also survives a decode/re-encode cycle.
@@ -136,7 +107,7 @@ fn traced_runs_produce_the_expected_vocabulary() {
     // store-buffer occupancy).
     let workload = presets::apache();
     let engine = EngineKind::InvisiSelective(ConsistencyModel::Sc);
-    let (result, trace) = run(engine, &workload, KernelMode::Event, true);
+    let (result, trace) = run(engine, &workload, false, true);
     assert!(result.finished);
     assert!(!trace.events.is_empty(), "traced run collected no events");
     let counts = trace.counts_by_kind();
