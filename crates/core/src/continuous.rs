@@ -236,7 +236,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         // the earlier chunk's commit before it retires; keeping the core's
         // conventional load-queue snoop active closes that window. This is a
         // conservative approximation (slightly more in-window replays, same
-        // ordering guarantees) documented in DESIGN.md.
+        // ordering guarantees); see PAPER.md, "Modelling approximations".
         false
     }
 

@@ -127,11 +127,6 @@ impl Core {
         self.id
     }
 
-    /// The name of the ordering engine driving this core.
-    pub fn engine_name(&self) -> String {
-        self.engine.name()
-    }
-
     /// Statistics gathered so far.
     pub fn stats(&self) -> &CoreStats {
         &self.stats

@@ -170,11 +170,6 @@ impl Rob {
         self.entries.front()
     }
 
-    /// Mutable access to the oldest in-flight instruction.
-    pub fn head_mut(&mut self) -> Option<&mut RobEntry> {
-        self.entries.front_mut()
-    }
-
     /// Completion cycle of the `index`-th oldest instruction (`None` while
     /// still executing or not yet issued for a miss).
     pub fn complete_at(&self, index: usize) -> Option<Cycle> {

@@ -121,7 +121,8 @@ impl L1Cache {
             // victim-cache promotion displacing a line from a set whose ways
             // are all speculative; the line's data still follows the normal
             // eviction path, at the cost of losing its speculative marking —
-            // a conservative, very rare approximation documented in DESIGN.md.
+            // a conservative, very rare approximation (PAPER.md, "Modelling
+            // approximations").
             if evicted.state == LineState::Invalid {
                 return;
             }

@@ -6,7 +6,6 @@
 //! expressed in core cycles at 4 GHz.
 
 use crate::model::{ConsistencyModel, StoreBufferKind};
-use crate::stall::CycleClass;
 use std::fmt;
 
 /// Parameters of a single level of cache.
@@ -632,16 +631,6 @@ impl MachineConfig {
             ),
             ("Ordering engine".to_string(), self.engine.label()),
         ]
-    }
-
-    /// Names of the runtime-breakdown segments in figure order (legend of
-    /// Figures 9, 11 and 12).
-    pub fn breakdown_legend() -> [&'static str; 5] {
-        let mut out = [""; 5];
-        for (i, c) in CycleClass::ALL.iter().enumerate() {
-            out[i] = c.label();
-        }
-        out
     }
 }
 

@@ -146,19 +146,9 @@ impl Program {
         Program { instructions: Vec::new() }
     }
 
-    /// Creates a program from a vector of instructions.
-    pub fn from_instructions(instructions: Vec<Instruction>) -> Self {
-        Program { instructions }
-    }
-
     /// Appends an instruction.
     pub fn push(&mut self, instr: Instruction) {
         self.instructions.push(instr);
-    }
-
-    /// Appends all instructions of `other`.
-    pub fn extend_from(&mut self, other: &Program) {
-        self.instructions.extend_from_slice(&other.instructions);
     }
 
     /// Number of instructions in the program.

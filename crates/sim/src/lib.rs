@@ -23,12 +23,14 @@
 //!   are controlled by [`runner::ExperimentParams`] (override with the
 //!   `IFENCE_INSTRS` / `IFENCE_SEED` environment variables).
 //! * [`sweep`] — the parallel experiment-sweep engine: an
-//!   [`sweep::ExperimentMatrix`] of (engine × workload) cells executed across
-//!   scoped worker threads (`IFENCE_JOBS`, default: available cores) with
-//!   results collected in grid order, byte-identical at any parallelism.
-//! * [`figures`] — the per-figure experiment drivers that regenerate every
-//!   result figure of the paper (Figures 1, 8, 9, 10, 11, 12) as data plus a
-//!   printable table, all routed through the sweep engine.
+//!   [`sweep::ExperimentMatrix`] of (machine configuration × workload) cells
+//!   executed across scoped worker threads (`IFENCE_JOBS`, default:
+//!   available cores) with results collected in grid order, byte-identical
+//!   at any parallelism.
+//! * [`figures`] — the one ordered list of sections behind `ifence figures`:
+//!   every table of the paper (Figures 1, 2, 4–12) and the sensitivity
+//!   sweeps (L2 capacity, store buffer, minimum chunk, CoV timeout), the
+//!   simulated ones routed through the sweep engine.
 //! * **Result caching** — [`sweep::ExperimentMatrix::run_cached`] and the
 //!   [`figures::FigureContext`] thread an [`ifence_store::ExperimentStore`]
 //!   through the sweep: cells are looked up before dispatch and persisted
@@ -62,4 +64,4 @@ pub mod sweep;
 
 pub use machine::{Machine, MachineResult};
 pub use runner::{available_jobs, run_experiment, run_litmus, ExperimentParams};
-pub use sweep::{cell_key, manifest_for_grid, parallel_map, ExperimentMatrix, SweepRun};
+pub use sweep::{cell_key, engine_configs, manifest_for_grid, ExperimentMatrix, SweepRun};

@@ -36,12 +36,6 @@ pub struct ExperimentParams {
     /// parallelise across machines through [`ExperimentParams::parallelism`]).
     #[doc(hidden)]
     pub machine_threads: usize,
-    /// Override the shared-L2 capacity in bytes (`None` keeps the machine's
-    /// default; `Some(0)` selects the unbounded sentinel). This is how the
-    /// L2-capacity sensitivity sweep varies the cache while sharing every
-    /// other parameter — and since [`ExperimentParams::config_for`] folds it
-    /// into the `MachineConfig`, each capacity gets its own store cache key.
-    pub l2_size_override: Option<usize>,
 }
 
 /// The number of hardware threads available to this process (at least 1).
@@ -49,16 +43,11 @@ pub fn available_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// An environment lookup: maps a variable name to its value, if set. The
-/// process environment is [`process_env`]; tests inject closures over fixed
-/// maps instead of mutating the process-global environment (which races with
-/// the parallel test harness).
+/// An environment lookup: maps a variable name to its value, if set.
+/// [`ExperimentParams::from_env`] reads the process environment; tests
+/// inject closures over fixed maps instead of mutating the process-global
+/// environment (which races with the parallel test harness).
 pub type EnvLookup<'a> = &'a dyn Fn(&str) -> Option<String>;
-
-/// The real process environment, as an [`EnvLookup`].
-pub fn process_env(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
 
 /// Parses a variable from `lookup`, warning on stderr (and keeping
 /// `default`) when the value is present but unparseable — a silent fallback
@@ -103,20 +92,19 @@ impl Default for ExperimentParams {
             parallelism: available_jobs(),
             dense_kernel: false,
             machine_threads: 1,
-            l2_size_override: None,
         }
     }
 }
 
 impl ExperimentParams {
-    /// Parameters for the benchmark harness: the paper-scale machine, with
+    /// Parameters for figure regeneration: the paper-scale machine, with
     /// the trace length, seed and sweep parallelism overridable through the
     /// `IFENCE_INSTRS`, `IFENCE_SEED` and `IFENCE_JOBS` environment
     /// variables, and the dense kernel through `IFENCE_DENSE`. Unparseable
     /// values, `IFENCE_TRACE`'s included, warn on stderr and keep the
     /// default.
     pub fn from_env() -> Self {
-        Self::from_env_with(&process_env)
+        Self::from_env_with(&|name| std::env::var(name).ok())
     }
 
     /// Like [`ExperimentParams::from_env`], but reading variables through an
@@ -145,7 +133,6 @@ impl ExperimentParams {
             parallelism: available_jobs(),
             dense_kernel: false,
             machine_threads: 1,
-            l2_size_override: None,
         }
     }
 
@@ -167,9 +154,6 @@ impl ExperimentParams {
         cfg.seed = self.seed;
         cfg.dense_kernel = self.dense_kernel;
         cfg.machine_threads = self.machine_threads;
-        if let Some(size) = self.l2_size_override {
-            cfg.l2.size_bytes = size;
-        }
         cfg
     }
 }
@@ -189,9 +173,19 @@ pub fn run_experiment(
     workload: &Workload,
     params: &ExperimentParams,
 ) -> RunSummary {
-    let cfg = params.config_for(engine);
+    run_config(&params.config_for(engine), workload, params)
+}
+
+/// Runs `workload` on the machine `cfg` describes (one sweep cell), with the
+/// trace length, seed and cycle limit of `params`.
+pub(crate) fn run_config(
+    cfg: &MachineConfig,
+    workload: &Workload,
+    params: &ExperimentParams,
+) -> RunSummary {
     let sources = workload.sources(cfg.cores, params.instructions_per_core, params.seed);
-    let machine = Machine::from_sources(cfg, sources).expect("derived configuration is valid");
+    let machine =
+        Machine::from_sources(cfg.clone(), sources).expect("derived configuration is valid");
     let result = machine.into_result(params.max_cycles);
     result.summary(workload.name())
 }

@@ -1,14 +1,21 @@
 //! Parallel experiment-sweep engine.
 //!
-//! Every figure of the paper compares a grid of (ordering engine × workload)
-//! cells, and each cell is an independent, deterministic simulation: the
-//! result of a cell is fully determined by the engine, the workload spec and
-//! the [`ExperimentParams`] (in particular the seed), never by when or on
-//! which thread the cell happens to run. That independence is what this
-//! module exploits: an [`ExperimentMatrix`] executes its cells across a pool
-//! of scoped worker threads and collects the results in grid order, so the
+//! Every figure and sensitivity sweep of the paper compares a grid of
+//! (machine configuration × workload) cells, and each cell is an
+//! independent, deterministic simulation: the result of a cell is fully
+//! determined by the [`MachineConfig`], the workload spec and the
+//! [`ExperimentParams`] (trace length and seed), never by when or on which
+//! thread the cell happens to run. That independence is what this module
+//! exploits: an [`ExperimentMatrix`] executes its cells across a pool of
+//! scoped worker threads and collects the results in grid order, so the
 //! output is **byte-identical for a fixed seed regardless of the worker
 //! count** — only the wall-clock time changes.
+//!
+//! A grid column is a whole [`MachineConfig`], not just an ordering engine,
+//! so a configuration ablation (store-buffer size, L2 capacity, ...) is the
+//! same kind of grid as a figure: its cells are cached under their own keys,
+//! since [`CellKey`] hashes the full configuration. [`engine_configs`] builds
+//! the plain columns, one per engine.
 //!
 //! The worker count comes from [`ExperimentParams::parallelism`] (defaulting
 //! to the number of available cores, overridable with the `IFENCE_JOBS`
@@ -17,19 +24,20 @@
 //! # Example
 //!
 //! ```
-//! use ifence_sim::sweep::ExperimentMatrix;
+//! use ifence_sim::sweep::{engine_configs, ExperimentMatrix};
 //! use ifence_sim::ExperimentParams;
 //! use ifence_types::{ConsistencyModel, EngineKind};
 //! use ifence_workloads::{Workload, WorkloadSpec};
 //!
+//! let mut params = ExperimentParams::quick_test();
+//! params.instructions_per_core = 400;
 //! let engines = [
 //!     EngineKind::Conventional(ConsistencyModel::Rmo),
 //!     EngineKind::InvisiSelective(ConsistencyModel::Rmo),
 //! ];
+//! let configs = engine_configs(&engines, &params);
 //! let workloads = [Workload::from(WorkloadSpec::uniform("demo"))];
-//! let mut params = ExperimentParams::quick_test();
-//! params.instructions_per_core = 400;
-//! let grid = ExperimentMatrix::new(&engines, &workloads).run(&params);
+//! let grid = ExperimentMatrix::new(&configs, &workloads).run(&params);
 //! assert_eq!(grid.len(), 1);
 //! assert_eq!(grid[0].1.len(), 2);
 //! ```
@@ -37,26 +45,23 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::runner::{run_experiment, ExperimentParams};
+use crate::runner::{run_config, ExperimentParams};
 use ifence_stats::RunSummary;
 use ifence_store::{CacheStats, CellKey, ExperimentStore, ManifestRow, SweepManifest};
-use ifence_types::EngineKind;
+use ifence_types::{EngineKind, MachineConfig};
 use ifence_workloads::Workload;
 
 /// Applies `f` to every item with up to `jobs` worker threads and returns the
 /// results **in input order**, regardless of how the items were scheduled.
 ///
-/// This is the primitive under [`ExperimentMatrix`]; it is exposed so other
-/// grid-shaped sweeps (the bench harness's configuration ablations, for
-/// example) can run through the same engine. Workers pull the next unclaimed
-/// index from a shared counter, so long and short items load-balance
-/// automatically. `jobs <= 1` degrades to a plain serial loop on the calling
-/// thread.
+/// Workers pull the next unclaimed index from a shared counter, so long and
+/// short items load-balance automatically. `jobs <= 1` degrades to a plain
+/// serial loop on the calling thread.
 ///
 /// # Panics
 /// Propagates a panic from any invocation of `f` once all workers have been
 /// joined.
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -86,40 +91,44 @@ where
         .collect()
 }
 
-/// The content-addressed store key for one `(engine × workload)` cell at the
-/// given parameters — the single place key derivation happens, so lookups
-/// before dispatch and write-behinds after completion can never disagree.
-pub fn cell_key(engine: EngineKind, workload: &Workload, params: &ExperimentParams) -> CellKey {
-    CellKey::new(
-        &params.config_for(engine),
-        workload,
-        params.instructions_per_core,
-        params.max_cycles,
-    )
+/// One grid column per engine: each engine's default machine configuration
+/// at the given parameters ([`ExperimentParams::config_for`]).
+pub fn engine_configs(engines: &[EngineKind], params: &ExperimentParams) -> Vec<MachineConfig> {
+    engines.iter().map(|&engine| params.config_for(engine)).collect()
 }
 
-/// The store manifest describing an `(engines × workloads)` grid at the
-/// given parameters — the single place manifest rows and their cell hashes
-/// are derived (shared by the figure drivers and the `ifence sweep` CLI, so
-/// the two can never drift apart in how they address cells).
+/// The content-addressed store key for one `(configuration × workload)` cell
+/// at the given parameters — the single place key derivation happens, so
+/// lookups before dispatch and write-behinds after completion can never
+/// disagree.
+pub fn cell_key(config: &MachineConfig, workload: &Workload, params: &ExperimentParams) -> CellKey {
+    CellKey::new(config, workload, params.instructions_per_core, params.max_cycles)
+}
+
+/// The store manifest describing a `(configs × workloads)` grid at the given
+/// parameters — the single place manifest rows and their cell hashes are
+/// derived (shared by the figure drivers and the `ifence sweep` CLI, so the
+/// two can never drift apart in how they address cells). Columns are
+/// labelled by engine, so the configurations of one manifest must run
+/// distinct engines.
 pub fn manifest_for_grid(
     name: &str,
     figure: &str,
-    engines: &[EngineKind],
+    configs: &[MachineConfig],
     workloads: &[Workload],
     params: &ExperimentParams,
 ) -> SweepManifest {
     SweepManifest {
         name: ifence_store::slug(name),
         figure: figure.to_string(),
-        configs: engines.iter().map(|e| e.label()).collect(),
+        configs: configs.iter().map(|c| c.engine.label()).collect(),
         instructions_per_core: params.instructions_per_core as u64,
         seed: params.seed,
         rows: workloads
             .iter()
             .map(|w| ManifestRow {
                 workload: w.name().to_string(),
-                cells: engines.iter().map(|&e| cell_key(e, w, params).hash).collect(),
+                cells: configs.iter().map(|c| cell_key(c, w, params).hash).collect(),
             })
             .collect(),
     }
@@ -137,29 +146,30 @@ pub struct SweepRun {
     pub cache: CacheStats,
 }
 
-/// The (engine × workload) grid of one experiment sweep.
+/// The (configuration × workload) grid of one experiment sweep.
 ///
-/// Cells are executed via [`parallel_map`] and collected workload-major, in
-/// the exact order a serial double loop over `workloads` then `engines` would
+/// Cells are executed on a worker pool and collected workload-major, in the
+/// exact order a serial double loop over `workloads` then `configs` would
 /// produce. Every cell runs with the same [`ExperimentParams`] — notably the
-/// same seed, since comparing engines is only meaningful on identical traces
-/// — so the grid is deterministic for a fixed seed at any parallelism.
+/// same seed, since comparing configurations is only meaningful on identical
+/// traces — so the grid is deterministic for a fixed seed at any
+/// parallelism.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentMatrix<'a> {
-    engines: &'a [EngineKind],
+    configs: &'a [MachineConfig],
     workloads: &'a [Workload],
 }
 
 impl<'a> ExperimentMatrix<'a> {
-    /// A matrix running each of `engines` on each of `workloads` (steady
+    /// A matrix running each of `configs` on each of `workloads` (steady
     /// presets and phased scenarios alike — every cell streams its traces).
-    pub fn new(engines: &'a [EngineKind], workloads: &'a [Workload]) -> Self {
-        ExperimentMatrix { engines, workloads }
+    pub fn new(configs: &'a [MachineConfig], workloads: &'a [Workload]) -> Self {
+        ExperimentMatrix { configs, workloads }
     }
 
     /// Number of cells in the grid.
     pub fn len(&self) -> usize {
-        self.engines.len() * self.workloads.len()
+        self.configs.len() * self.workloads.len()
     }
 
     /// Whether the grid has no cells.
@@ -168,7 +178,7 @@ impl<'a> ExperimentMatrix<'a> {
     }
 
     /// Runs every cell and returns `(workload name, summaries)` rows where
-    /// `summaries[i]` ran under `engines[i]`.
+    /// `summaries[i]` ran under `configs[i]`.
     pub fn run(&self, params: &ExperimentParams) -> Vec<(String, Vec<RunSummary>)> {
         self.run_cached(params, None).rows
     }
@@ -193,15 +203,15 @@ impl<'a> ExperimentMatrix<'a> {
         store: Option<&ExperimentStore>,
     ) -> SweepRun {
         let cells: Vec<(usize, usize)> = (0..self.workloads.len())
-            .flat_map(|w| (0..self.engines.len()).map(move |e| (w, e)))
+            .flat_map(|w| (0..self.configs.len()).map(move |c| (w, c)))
             .collect();
         let mut slots: Vec<Option<RunSummary>> = vec![None; cells.len()];
         let keys: Vec<Option<CellKey>> = match store {
             Some(store) => cells
                 .iter()
                 .enumerate()
-                .map(|(i, &(w, e))| {
-                    let key = cell_key(self.engines[e], &self.workloads[w], params);
+                .map(|(i, &(w, c))| {
+                    let key = cell_key(&self.configs[c], &self.workloads[w], params);
                     slots[i] = store.get(&key);
                     Some(key)
                 })
@@ -212,8 +222,8 @@ impl<'a> ExperimentMatrix<'a> {
         let misses: Vec<usize> =
             slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
         let computed = parallel_map(&misses, params.effective_jobs(), |_, &i| {
-            let (w, e) = cells[i];
-            let summary = run_experiment(self.engines[e], &self.workloads[w], params);
+            let (w, c) = cells[i];
+            let summary = run_config(&self.configs[c], &self.workloads[w], params);
             if let (Some(store), Some(key)) = (store, keys[i].as_ref()) {
                 if let Err(err) = store.put(key, &summary) {
                     eprintln!(
@@ -231,7 +241,7 @@ impl<'a> ExperimentMatrix<'a> {
         let mut rows: Vec<(String, Vec<RunSummary>)> = self
             .workloads
             .iter()
-            .map(|w| (w.name().to_string(), Vec::with_capacity(self.engines.len())))
+            .map(|w| (w.name().to_string(), Vec::with_capacity(self.configs.len())))
             .collect();
         for ((w, _), summary) in cells.into_iter().zip(slots) {
             rows[w].1.push(summary.expect("every slot filled by lookup or computation"));
@@ -251,6 +261,10 @@ mod tests {
         p.instructions_per_core = 600;
         p.parallelism = parallelism;
         p
+    }
+
+    fn columns(engines: &[EngineKind]) -> Vec<MachineConfig> {
+        engine_configs(engines, &ExperimentParams::quick_test())
     }
 
     #[test]
@@ -278,7 +292,8 @@ mod tests {
             EngineKind::InvisiSelective(ConsistencyModel::Rmo),
         ];
         let workloads = [presets::barnes().into(), presets::ocean().into()];
-        let matrix = ExperimentMatrix::new(&engines, &workloads);
+        let configs = columns(&engines);
+        let matrix = ExperimentMatrix::new(&configs, &workloads);
         assert_eq!(matrix.len(), 4);
         assert!(!matrix.is_empty());
         let rows = matrix.run(&quick(2));
@@ -298,7 +313,8 @@ mod tests {
             EngineKind::InvisiSelective(ConsistencyModel::Rmo),
         ];
         let workloads = [presets::barnes().into(), presets::apache().into()];
-        let matrix = ExperimentMatrix::new(&engines, &workloads);
+        let configs = columns(&engines);
+        let matrix = ExperimentMatrix::new(&configs, &workloads);
         let params = quick(4);
         let uncached = matrix.run(&params);
 
@@ -338,12 +354,14 @@ mod tests {
             std::env::temp_dir().join(format!("ifence-sweep-resume-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store = ExperimentStore::open(&root).unwrap();
-        ExperimentMatrix::new(&engines[..1], &workloads).run_cached(&params, Some(&store));
+        ExperimentMatrix::new(&columns(&engines[..1]), &workloads)
+            .run_cached(&params, Some(&store));
         assert_eq!(store.len(), 1);
 
-        let resumed = ExperimentMatrix::new(&engines, &workloads).run_cached(&params, Some(&store));
+        let resumed =
+            ExperimentMatrix::new(&columns(&engines), &workloads).run_cached(&params, Some(&store));
         assert_eq!(resumed.cache, CacheStats { hits: 1, misses: 1 });
-        let full = ExperimentMatrix::new(&engines, &workloads).run(&params);
+        let full = ExperimentMatrix::new(&columns(&engines), &workloads).run(&params);
         assert_eq!(resumed.rows, full);
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -359,7 +377,8 @@ mod tests {
             EngineKind::InvisiSelective(ConsistencyModel::Rmo),
         ];
         let workloads = [presets::barnes().into(), Workload::from(presets::server_swings())];
-        let matrix = ExperimentMatrix::new(&engines, &workloads);
+        let configs = columns(&engines);
+        let matrix = ExperimentMatrix::new(&configs, &workloads);
         let serial = matrix.run(&quick(1));
         for jobs in [2, 8] {
             let parallel = matrix.run(&quick(jobs));

@@ -1,11 +1,12 @@
 //! Content-addressed cache keys for experiment cells.
 //!
-//! A cell — one `(engine × workload)` simulation at fixed parameters — is
-//! keyed by the FNV-1a hash of the canonical JSON encoding of everything
-//! that determines its result: the complete [`MachineConfig`] (engine, store
-//! buffer, speculation policy, latencies, seed), the workload recipe, the
-//! trace budget and the cycle limit, plus [`SCHEMA_VERSION`]. Anything
-//! *proven* not to affect results is normalized out: the kernel mode
+//! A cell — one `(machine configuration × workload)` simulation at fixed
+//! parameters — is keyed by the FNV-1a hash of the canonical JSON encoding
+//! of everything that determines its result: the complete [`MachineConfig`]
+//! (engine, store buffer, speculation policy, latencies, seed), the
+//! workload recipe, the trace budget and the cycle limit, plus
+//! [`SCHEMA_VERSION`]. Anything *proven* not to affect results is
+//! normalized out: the kernel mode
 //! (`dense_kernel`, byte-identical by `tests/kernel_equivalence.rs`),
 //! tracing (`trace`) and the sweep parallelism (never part of the config)
 //! do not reach the hash, so dense-mode debug runs and event-driven runs

@@ -7,7 +7,7 @@
 //! memory-operation statistics (synchronisation frequency, store burstiness,
 //! sharing, working-set size) are chosen per workload so that the conventional
 //! SC/TSO/RMO baselines reproduce the ordering-stall profile of Figure 1.
-//! The substitution is documented in `DESIGN.md`.
+//! The substitution is described in PAPER.md, "Modelling approximations".
 //!
 //! * [`WorkloadSpec`] — the tunable statistical model of one workload.
 //! * [`Workload`] — the runnable abstraction: a steady spec or a

@@ -10,7 +10,7 @@
 //! start, removed on success), so the smoke measures the cache itself, not
 //! leftover state.
 
-use ifence_sim::figures::{run_all_figures, FigureContext};
+use ifence_sim::figures::{run_figures, FigureContext, SECTIONS};
 use ifence_sim::ExperimentParams;
 use ifence_store::ExperimentStore;
 use ifence_workloads::presets;
@@ -30,11 +30,11 @@ fn main() {
     let ctx = FigureContext::with_store(&params, &store);
 
     let cold_start = Instant::now();
-    let (cold_sections, cold_cache) = run_all_figures(&workloads, &ctx);
+    let (cold_sections, cold_cache) = run_figures(SECTIONS, &workloads, &ctx);
     let cold_elapsed = cold_start.elapsed();
 
     let warm_start = Instant::now();
-    let (warm_sections, warm_cache) = run_all_figures(&workloads, &ctx);
+    let (warm_sections, warm_cache) = run_figures(SECTIONS, &workloads, &ctx);
     let warm_elapsed = warm_start.elapsed();
 
     println!(

@@ -1,4 +1,4 @@
-//! Long-trace smoke test: run one workload on the paper machine with a
+//! Long-trace smoke test: run Apache on the paper machine with a
 //! trace budget that would be hostile to the materialized path (CI uses
 //! `IFENCE_INSTRS=1000000`, i.e. 16 million instructions machine-wide), and
 //! assert that per-core trace state stayed bounded by the replay window —
@@ -18,10 +18,7 @@ use std::time::Instant;
 
 fn main() {
     let params = ExperimentParams::from_env();
-    let workload = std::env::var("IFENCE_WORKLOADS")
-        .ok()
-        .and_then(|names| names.split(',').next().and_then(|n| presets::workload_by_name(n.trim())))
-        .unwrap_or_else(|| presets::apache().into());
+    let workload: Workload = presets::apache().into();
     let engine = EngineKind::InvisiSelective(ConsistencyModel::Rmo);
 
     let mut cfg = MachineConfig::with_engine(engine);

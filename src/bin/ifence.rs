@@ -7,7 +7,7 @@
 //! one command away.
 //!
 //! ```text
-//! ifence figures [--figure all|1|8-10|11|12] [common options]
+//! ifence figures [--figure all|ID] [--workloads Barnes,Apache] [common options]
 //! ifence sweep --engines sc,Invisi_rmo [--workloads Barnes,Apache] [--name NAME]
 //! ifence litmus [--iterations N]
 //! ifence report [<name>]
@@ -30,8 +30,8 @@
 //! beyond the threshold, `litmus` observed a forbidden outcome, or
 //! `trace diff` found diverging streams.
 
-use ifence_sim::figures::{run_all_figures, FigureContext};
-use ifence_sim::sweep::{manifest_for_grid, ExperimentMatrix};
+use ifence_sim::figures::{run_figures, select_figures, FigureContext, SECTIONS};
+use ifence_sim::sweep::{engine_configs, manifest_for_grid, ExperimentMatrix};
 use ifence_sim::{run_litmus, ExperimentParams, Machine};
 use ifence_stats::{ColumnTable, MachineTrace, PhaseProfile, TraceKind};
 use ifence_store::{diff_sweeps, trace_from_jsonl, trace_to_jsonl, ExperimentStore};
@@ -252,71 +252,35 @@ fn run(args: &[String]) -> Result<i32, String> {
 
 fn cmd_figures(cli: &Cli) -> Result<i32, String> {
     if cli.help {
+        let ids: Vec<&str> = SECTIONS.iter().map(|section| section.id).collect();
         println!(
-            "usage: ifence figures [--figure all|1|8-10|11|12] [common options]\n\n\
-             Regenerates the paper's figure tables. With a store (the default), every\n\
-             (engine x workload) cell is cached: an interrupted run resumes where it\n\
-             stopped and a warm re-run performs zero simulations."
+            "usage: ifence figures [--figure all|ID] [--workloads NAMES] [common options]\n\n\
+             Regenerates the paper's tables and sensitivity sweeps; --figure picks one\n\
+             section by id ({}). With a store (the default), every cell is\n\
+             cached: an interrupted run resumes where it stopped and a warm re-run\n\
+             performs zero simulations.",
+            ids.join(", ")
         );
         return Ok(0);
     }
+    let sections = select_figures(cli.figure.as_deref().unwrap_or("all"))?;
+    let workloads = cli.workload_list()?;
     let params = cli.params();
     let store = cli.open_store()?;
     let ctx = match &store {
         Some(store) => FigureContext::with_store(&params, store),
         None => FigureContext::new(&params),
     };
-    let workloads = cli.workload_list()?;
-    let which = cli.figure.as_deref().unwrap_or("all");
-    let (sections, cache): (Vec<(String, ColumnTable)>, ifence_store::CacheStats) = match which {
-        "all" => run_all_figures(&workloads, &ctx),
-        "1" => {
-            let (data, table) = ifence_sim::figures::figure1_in(&workloads, &ctx);
-            (
-                vec![(
-                    "Figure 1: ordering stalls in conventional implementations".to_string(),
-                    table,
-                )],
-                data.cache,
-            )
-        }
-        "8" | "9" | "10" | "8-10" => {
-            let data = ifence_sim::figures::selective_matrix_in(&workloads, &ctx);
-            (
-                vec![
-                    (
-                        "Figure 8: speedup over conventional SC".to_string(),
-                        ifence_sim::figures::figure8(&data),
-                    ),
-                    (
-                        "Figure 9: runtime breakdown (normalised to SC)".to_string(),
-                        ifence_sim::figures::figure9(&data),
-                    ),
-                    (
-                        "Figure 10: % of cycles spent speculating".to_string(),
-                        ifence_sim::figures::figure10(&data),
-                    ),
-                ],
-                data.cache,
-            )
-        }
-        "11" => {
-            let (data, table) = ifence_sim::figures::figure11_in(&workloads, &ctx);
-            (vec![("Figure 11: comparison with ASO".to_string(), table)], data.cache)
-        }
-        "12" => {
-            let (data, table) = ifence_sim::figures::figure12_in(&workloads, &ctx);
-            (
-                vec![(
-                    "Figure 12: continuous speculation and commit-on-violate".to_string(),
-                    table,
-                )],
-                data.cache,
-            )
-        }
-        other => return Err(format!("unknown --figure {other:?} (use all, 1, 8-10, 11 or 12)")),
-    };
-    for (title, table) in &sections {
+    // The sweep worker count is deliberately not printed: the output is
+    // byte-identical for a fixed seed at any --jobs.
+    println!(
+        "machine: {}; {} instructions/core, seed {}",
+        if params.full_machine { "16-core paper baseline" } else { "4-core reduced test machine" },
+        params.instructions_per_core,
+        params.seed
+    );
+    let (tables, cache) = run_figures(sections, &workloads, &ctx);
+    for (title, table) in &tables {
         println!("== {title} ==");
         println!("{table}");
     }
@@ -382,14 +346,15 @@ fn cmd_sweep(cli: &Cli) -> Result<i32, String> {
     let workloads = cli.workload_list()?;
     let params = cli.params();
     let store = cli.open_store()?;
-    let sweep = ExperimentMatrix::new(&engines, &workloads).run_cached(&params, store.as_ref());
+    let configs = engine_configs(&engines, &params);
+    let sweep = ExperimentMatrix::new(&configs, &workloads).run_cached(&params, store.as_ref());
 
     let name = cli.name.clone().unwrap_or_else(|| "sweep".to_string());
     if let Some(store) = &store {
         let manifest = manifest_for_grid(
             &name,
             &format!("custom sweep {name}"),
-            &engines,
+            &configs,
             &workloads,
             &params,
         );

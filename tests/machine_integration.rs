@@ -148,18 +148,19 @@ fn figure_drivers_produce_complete_tables_on_a_small_run() {
     let mut params = quick();
     params.instructions_per_core = 600;
     let workloads: Vec<Workload> = vec![presets::barnes().into(), presets::dss_db2().into()];
-    let (data1, table1) = figures::figure1(&workloads, &params);
+    let ctx = FigureContext::new(&params);
+    let (data1, table1) = figures::figure1(&workloads, &ctx);
     assert_eq!(data1.per_workload.len(), 2);
     assert_eq!(table1.len(), 6);
 
-    let matrix = figures::selective_matrix(&workloads, &params);
-    assert_eq!(figures::figure8(&matrix).len(), 2);
+    let matrix = figures::selective_matrix(&workloads, &ctx);
+    assert_eq!(figures::figure8(&matrix).len(), 3, "two workloads and the geometric mean");
     assert_eq!(figures::figure9(&matrix).len(), 12);
     assert_eq!(figures::figure10(&matrix).len(), 6);
 
-    let (_, table11) = figures::figure11(&workloads, &params);
+    let (_, table11) = figures::figure11(&workloads, &ctx);
     assert_eq!(table11.len(), 6);
-    let (_, table12) = figures::figure12(&workloads, &params);
+    let (_, table12) = figures::figure12(&workloads, &ctx);
     assert_eq!(table12.len(), 10);
 }
 
