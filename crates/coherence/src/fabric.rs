@@ -611,19 +611,11 @@ impl CoherenceFabric {
         }
     }
 
-    /// Advances the fabric to cycle `now`, returning every delivery that is
-    /// due. The caller must route each delivery to its destination core and,
-    /// for external requests, feed the core's [`SnoopReply`] back via
-    /// [`CoherenceFabric::respond`].
-    pub fn step(&mut self, now: Cycle) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        self.step_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`CoherenceFabric::step`]: clears `out` and
-    /// fills it with the due deliveries, so hot kernel loops can reuse one
-    /// buffer across cycles.
+    /// Advances the fabric to cycle `now`: clears `out` and fills it with
+    /// every delivery that is due, so hot kernel loops can reuse one buffer
+    /// across cycles. The caller must route each delivery to its destination
+    /// core and, for external requests, feed the core's [`SnoopReply`] back
+    /// via [`CoherenceFabric::respond`].
     pub fn step_into(&mut self, now: Cycle, out: &mut Vec<Delivery>) {
         out.clear();
         while let Some((time, kind)) = self.events.pop_due(now) {
@@ -691,8 +683,10 @@ mod tests {
         limit: Cycle,
     ) -> Vec<(Cycle, Delivery)> {
         let mut fills = Vec::new();
+        let mut due = Vec::new();
         for now in 0..limit {
-            for d in fabric.step(now) {
+            fabric.step_into(now, &mut due);
+            for d in due.drain(..) {
                 match d {
                     Delivery::Fill { .. } => fills.push((now, d)),
                     Delivery::Invalidate { core, txn, .. }
@@ -736,8 +730,10 @@ mod tests {
         let mut downgrades = 0;
         let mut fills = Vec::new();
         let dirty = BlockData::from_words([0xAB; 8]);
+        let mut due = Vec::new();
         for now in 1000..3000 {
-            for d in fabric.step(now) {
+            fabric.step_into(now, &mut due);
+            for d in due.drain(..) {
                 match d {
                     Delivery::Downgrade { core, txn, requester, .. } => {
                         assert_eq!(core, CoreId(1));
@@ -774,8 +770,10 @@ mod tests {
         fabric.request(getm(2, blk(0x80)), 1200);
         let mut invalidated_cores = Vec::new();
         let mut fill = None;
+        let mut due = Vec::new();
         for now in 1200..4000 {
-            for d in fabric.step(now) {
+            fabric.step_into(now, &mut due);
+            for d in due.drain(..) {
                 match d {
                     Delivery::Invalidate { core, txn, recall, .. } => {
                         assert!(!recall, "a remote GetM is not an inclusion recall");
@@ -806,8 +804,10 @@ mod tests {
         fabric.request(getm(1, blk(0xc0)), 600);
         let mut deferred_txn = None;
         let mut fill_time = None;
+        let mut due = Vec::new();
         for now in 600..5000 {
-            for d in fabric.step(now) {
+            fabric.step_into(now, &mut due);
+            for d in due.drain(..) {
                 match d {
                     Delivery::Invalidate { core, txn, .. } => {
                         assert_eq!(core, CoreId(0));
@@ -889,8 +889,10 @@ mod tests {
         // Stepping straight to the due cycle performs the same work dense
         // stepping would: eventually the fill is delivered and nothing is due.
         let mut now = 100;
+        let mut due = Vec::new();
         while let Some(next) = fabric.next_due() {
-            for d in fabric.step(next) {
+            fabric.step_into(next, &mut due);
+            for d in due.drain(..) {
                 if let Delivery::Downgrade { core, txn, .. } = d {
                     fabric.respond(SnoopReply::Ack { core, txn, dirty_data: None }, next);
                 }
@@ -1010,8 +1012,10 @@ mod tests {
         let mut recalled = None;
         let mut fills = Vec::new();
         let dirty = BlockData::from_words([0x77; 8]);
+        let mut due = Vec::new();
         for now in 1200..6000 {
-            for d in fabric.step(now) {
+            fabric.step_into(now, &mut due);
+            for d in due.drain(..) {
                 match d {
                     Delivery::Invalidate { core, txn, recall, block, .. } => {
                         assert!(recall, "the only invalidation here is the inclusion recall");

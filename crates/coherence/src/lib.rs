@@ -30,9 +30,10 @@
 //! let block = BlockAddr::containing(Addr::new(0x4000), 64);
 //! fabric.request(CoherenceRequest { core: CoreId(0), block, kind: CoherenceReqKind::GetS }, 0);
 //! // Advance time until the fill comes back.
-//! let mut fills = 0;
+//! let (mut fills, mut due) = (0, Vec::new());
 //! for cycle in 0..10_000 {
-//!     for d in fabric.step(cycle) {
+//!     fabric.step_into(cycle, &mut due);
+//!     for d in due.drain(..) {
 //!         if let Delivery::Fill { core, .. } = d {
 //!             assert_eq!(core, CoreId(0));
 //!             fills += 1;

@@ -37,15 +37,7 @@ impl ConventionalEngine {
             }
             // RMO: store hits retire directly into the data cache; misses go
             // to the coalescing buffer.
-            ConsistencyModel::Rmo => {
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
-            }
+            ConsistencyModel::Rmo => ctx.store_non_speculative(addr, value),
         }
     }
 
@@ -71,10 +63,6 @@ impl ConventionalEngine {
 }
 
 impl OrderingEngine for ConventionalEngine {
-    fn name(&self) -> String {
-        self.model.label().to_string()
-    }
-
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         match ctx.entry.instr.kind {
             InstrKind::Op(_) => RetireOutcome::Retired,
@@ -110,7 +98,7 @@ impl OrderingEngine for ConventionalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifence_cpu::{Core, OrderingEngine};
+    use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
     use ifence_types::{
         BlockAddr, CoreId, CycleClass, EngineKind, Instruction, MachineConfig, Program,
@@ -141,14 +129,6 @@ mod tests {
             if core.finished() {
                 break;
             }
-        }
-    }
-
-    #[test]
-    fn engine_names_match_model_labels() {
-        for m in ConsistencyModel::ALL {
-            assert_eq!(ConventionalEngine::new(m).name(), m.label());
-            assert_eq!(ConventionalEngine::new(m).model(), m);
         }
     }
 

@@ -22,7 +22,7 @@
 //! use ifence_types::ConsistencyModel;
 //!
 //! let engine = ConventionalEngine::new(ConsistencyModel::Tso);
-//! assert_eq!(engine.name(), "tso");
+//! assert_eq!(engine.model(), ConsistencyModel::Tso);
 //! assert!(!engine.speculating());
 //! ```
 

@@ -21,8 +21,8 @@
 //! already.
 
 use ifence_cpu::{
-    CoreMem, DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use ifence_stats::{CoreStats, ProvisionalBreakdown};
 use ifence_types::{
@@ -70,11 +70,6 @@ impl AsoEngine {
         }
     }
 
-    /// The consistency model this engine enforces.
-    pub fn model(&self) -> ConsistencyModel {
-        self.model
-    }
-
     /// Current Scalable Store Buffer occupancy (speculative stores awaiting
     /// commit).
     pub fn ssb_occupancy(&self) -> usize {
@@ -112,13 +107,7 @@ impl AsoEngine {
         match ctx.entry.instr.kind {
             InstrKind::Op(_) | InstrKind::Load(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
             InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
+                ctx.store_non_speculative(addr, value)
             }
         }
     }
@@ -240,10 +229,6 @@ impl AsoEngine {
 }
 
 impl OrderingEngine for AsoEngine {
-    fn name(&self) -> String {
-        format!("ASO{}", self.model.label())
-    }
-
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         if self.speculating_now() {
             return self.retire_speculative(ctx);
@@ -265,7 +250,7 @@ impl OrderingEngine for AsoEngine {
         outcome
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) -> Vec<EngineAction> {
+    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) {
         if let Some(until) = self.committing_until {
             if now >= until {
                 self.committing_until = None;
@@ -277,7 +262,6 @@ impl OrderingEngine for AsoEngine {
         if self.speculating_now() && mem.sb_empty() {
             self.commit_all(stats, now);
         }
-        Vec::new()
     }
 
     fn on_external(
@@ -340,17 +324,16 @@ impl OrderingEngine for AsoEngine {
         mem: &mut CoreMem,
         stats: &mut CoreStats,
         now: Cycle,
-    ) -> Vec<EngineAction> {
+    ) -> Option<usize> {
         if !self.speculating_now() {
-            return Vec::new();
+            return None;
         }
         if mem.sb_empty() {
             self.commit_all(stats, now);
-            return Vec::new();
+            return None;
         }
         stats.counters.speculations_aborted_structural += 1;
-        let resume_at = self.abort_from(0, mem, stats);
-        vec![EngineAction::Rollback { resume_at }]
+        Some(self.abort_from(0, mem, stats))
     }
 
     fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
@@ -421,12 +404,6 @@ mod tests {
         for &b in blocks {
             core.mem.l1.fill(blk(b), LineState::Exclusive, BlockData::zeroed());
         }
-    }
-
-    #[test]
-    fn name_matches_paper_label() {
-        assert_eq!(AsoEngine::new(ConsistencyModel::Sc, &cfg()).name(), "ASOsc");
-        assert_eq!(AsoEngine::new(ConsistencyModel::Sc, &cfg()).model(), ConsistencyModel::Sc);
     }
 
     #[test]

@@ -1,19 +1,26 @@
 //! InvisiFence-Continuous (Section 4.2): execute everything inside
-//! speculative chunks, subsuming the in-window ordering mechanism.
+//! speculative chunks.
 
 use crate::kernel::SpeculationKernel;
 use ifence_cpu::{
-    CoreMem, DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use ifence_stats::CoreStats;
-use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, MachineConfig, StallReason};
+use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, SpeculationConfig, StallReason};
 
 /// InvisiFence-Continuous: all memory operations execute speculatively as part
 /// of a chunk of at least `min_chunk` instructions. Loads mark their
-/// speculatively-read bits at execute time, so no separate in-window ordering
-/// mechanism (load-queue snooping) is needed. Two in-flight checkpoints
+/// speculatively-read bits at execute time. Two in-flight checkpoints
 /// pipeline the commit of a closed chunk with execution of its successor.
+///
+/// The paper's continuous mode thereby subsumes load-queue snooping. In this
+/// model a load can execute while one chunk is youngest and retire into the
+/// next, so its execute-time marking may be cleared by the earlier chunk's
+/// commit before it retires; the core's load-queue snoop, which runs for
+/// every engine, closes that window. This is a conservative approximation
+/// (slightly more in-window replays, same ordering guarantees); see
+/// PAPER.md, "Modelling approximations".
 ///
 /// With `commit_on_violate` enabled, an external request that would abort a
 /// chunk is instead deferred for a bounded interval, giving the chunk a chance
@@ -22,57 +29,24 @@ use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, MachineConfig, Stall
 #[derive(Debug)]
 pub struct InvisiContinuousEngine {
     kernel: SpeculationKernel,
-    commit_on_violate: bool,
-    cov_timeout: Cycle,
     min_chunk: usize,
-    retire_one_nonspec: bool,
     /// Blocks read at execute time before the first chunk of an episode has
-    /// opened; they are marked speculatively-read as soon as it does. Until
-    /// then the core's ordinary load-queue snooping covers them (see
-    /// [`InvisiContinuousEngine::subsumes_in_window`]).
+    /// opened; they are marked speculatively-read as soon as it does, so the
+    /// list is empty whenever a chunk is open. Until then the core's ordinary
+    /// load-queue snooping covers them.
     pending_reads: Vec<BlockAddr>,
 }
 
 impl InvisiContinuousEngine {
-    /// Creates a continuous engine from the machine configuration (checkpoint
-    /// count, minimum chunk size, commit-on-violate policy and timeout).
-    pub fn new(cfg: &MachineConfig) -> Self {
-        Self::with_speculation(cfg.speculation)
-    }
-
-    /// Creates a continuous engine from just the speculation parameters (the
-    /// only part of the machine configuration it needs — the construction
-    /// path avoids cloning a whole `MachineConfig` per core).
-    pub fn with_speculation(speculation: ifence_types::SpeculationConfig) -> Self {
+    /// Creates a continuous engine (two checkpoints) with the minimum chunk
+    /// size of `speculation`, deferring conflicts for
+    /// `speculation.cov_timeout` cycles when `commit_on_violate` is set.
+    pub fn new(commit_on_violate: bool, speculation: &SpeculationConfig) -> Self {
         InvisiContinuousEngine {
-            kernel: SpeculationKernel::new(speculation.checkpoints.max(2)),
-            commit_on_violate: speculation.commit_on_violate,
-            cov_timeout: speculation.cov_timeout,
+            kernel: SpeculationKernel::new(2, commit_on_violate.then_some(speculation.cov_timeout)),
             min_chunk: speculation.min_chunk_instructions.max(1),
-            retire_one_nonspec: false,
             pending_reads: Vec::new(),
         }
-    }
-
-    /// Access to the underlying speculation mechanisms (used by tests).
-    pub fn kernel(&self) -> &SpeculationKernel {
-        &self.kernel
-    }
-
-    /// Whether the commit-on-violate policy is enabled.
-    pub fn commit_on_violate(&self) -> bool {
-        self.commit_on_violate
-    }
-
-    fn abort(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
-        let resume = self.kernel.abort_from(position, mem, stats);
-        self.pending_reads.clear();
-        if !self.kernel.speculating() {
-            // Forward progress: re-execute the first instruction outside any
-            // chunk before chunked execution resumes.
-            self.retire_one_nonspec = true;
-        }
-        resume
     }
 
     fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
@@ -81,43 +55,21 @@ impl InvisiContinuousEngine {
         // the store buffer to drain first (fences and plain ops are free).
         match ctx.entry.instr.kind {
             InstrKind::Op(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
-            InstrKind::Load(_) => {
-                if ctx.mem.sb_empty() {
-                    RetireOutcome::Retired
-                } else {
-                    RetireOutcome::Stall(StallReason::StoreBufferDrain)
-                }
-            }
+            _ if !ctx.mem.sb_empty() => RetireOutcome::Stall(StallReason::StoreBufferDrain),
+            InstrKind::Load(_) => RetireOutcome::Retired,
             InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                if !ctx.mem.sb_empty() {
-                    return RetireOutcome::Stall(StallReason::StoreBufferDrain);
-                }
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
+                ctx.store_non_speculative(addr, value)
             }
         }
     }
 }
 
 impl OrderingEngine for InvisiContinuousEngine {
-    fn name(&self) -> String {
-        if self.commit_on_violate {
-            "Invisi_cont_CoV".to_string()
-        } else {
-            "Invisi_cont".to_string()
-        }
-    }
-
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        if self.retire_one_nonspec {
+        if self.kernel.must_retire_nonspec() {
             let outcome = self.retire_non_speculative(ctx);
             if outcome == RetireOutcome::Retired {
-                self.retire_one_nonspec = false;
+                self.kernel.retired_nonspec();
             }
             return outcome;
         }
@@ -154,12 +106,12 @@ impl OrderingEngine for InvisiContinuousEngine {
             }
             // Before the first chunk opens, remember the read; it is marked
             // when the chunk begins (and the core's load-queue snooping covers
-            // the interim — see `subsumes_in_window`).
+            // the interim).
             None => self.pending_reads.push(block),
         }
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) -> Vec<EngineAction> {
+    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {
         // Pipelined chunk commit: a closed chunk commits once its stores have
         // drained.
         while self.kernel.try_commit_oldest(mem, stats, true) {}
@@ -170,7 +122,6 @@ impl OrderingEngine for InvisiContinuousEngine {
         {
             self.kernel.try_commit_oldest(mem, stats, false);
         }
-        Vec::new()
     }
 
     fn on_external(
@@ -181,17 +132,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         kind: ExternalKind,
         now: Cycle,
     ) -> ExternalOutcome {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => ExternalOutcome::Ack,
-            Some(position) => {
-                if self.commit_on_violate {
-                    ExternalOutcome::Defer { until: now + self.cov_timeout }
-                } else {
-                    let resume_at = self.abort(position, mem, stats);
-                    ExternalOutcome::AckAfterRollback { resume_at }
-                }
-            }
-        }
+        self.kernel.on_external(mem, stats, block, kind, now)
     }
 
     fn resolve_deferred(
@@ -203,21 +144,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         deadline: Cycle,
         now: Cycle,
     ) -> DeferResolution {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => {
-                stats.counters.cov_commits += 1;
-                DeferResolution::Ack
-            }
-            Some(position) => {
-                if now >= deadline {
-                    stats.counters.cov_timeouts += 1;
-                    let resume_at = self.abort(position, mem, stats);
-                    DeferResolution::AckAfterRollback { resume_at }
-                } else {
-                    DeferResolution::Wait
-                }
-            }
-        }
+        self.kernel.resolve_deferred(mem, stats, block, kind, deadline, now)
     }
 
     fn speculating(&self) -> bool {
@@ -225,19 +152,7 @@ impl OrderingEngine for InvisiContinuousEngine {
     }
 
     fn rollback_floor(&self) -> Option<usize> {
-        self.kernel.oldest().map(|e| e.checkpoint)
-    }
-
-    fn subsumes_in_window(&self) -> bool {
-        // The paper's continuous mode subsumes load-queue snooping because a
-        // load's speculatively-read bit protects it from execute to commit.
-        // In this model a load can execute while one chunk is youngest and
-        // retire into the next, so its execute-time marking may be cleared by
-        // the earlier chunk's commit before it retires; keeping the core's
-        // conventional load-queue snoop active closes that window. This is a
-        // conservative approximation (slightly more in-window replays, same
-        // ordering guarantees); see PAPER.md, "Modelling approximations".
-        false
+        self.kernel.rollback_floor()
     }
 
     fn can_drain(&self, epoch: Option<u8>) -> bool {
@@ -249,16 +164,8 @@ impl OrderingEngine for InvisiContinuousEngine {
         mem: &mut CoreMem,
         stats: &mut CoreStats,
         _now: Cycle,
-    ) -> Vec<EngineAction> {
-        if !self.kernel.speculating() {
-            return Vec::new();
-        }
-        if self.kernel.commit_all(mem, stats) {
-            return Vec::new();
-        }
-        stats.counters.speculations_aborted_structural += 1;
-        let resume_at = self.abort(0, mem, stats);
-        vec![EngineAction::Rollback { resume_at }]
+    ) -> Option<usize> {
+        self.kernel.on_eviction_pressure(mem, stats)
     }
 
     fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
@@ -273,10 +180,11 @@ impl OrderingEngine for InvisiContinuousEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifence_coherence::SnoopReply;
     use ifence_coherence::{Delivery, TxnId};
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
-    use ifence_types::{Addr, CoreId, EngineKind, Instruction, Program};
+    use ifence_types::{Addr, CoreId, EngineKind, Instruction, MachineConfig, Program};
 
     fn cfg(cov: bool) -> MachineConfig {
         let mut m =
@@ -289,28 +197,69 @@ mod tests {
         BlockAddr::containing(Addr::new(byte), 64)
     }
 
+    fn core_on(machine: &MachineConfig, program: Program) -> Core {
+        let cov = machine.engine.commit_on_violate();
+        let engine = InvisiContinuousEngine::new(cov, &machine.speculation);
+        Core::new(CoreId(0), program, machine, Box::new(engine))
+    }
+
     fn core_with(cov: bool, program: Program) -> Core {
-        let machine = cfg(cov);
-        Core::new(CoreId(0), program, &machine, Box::new(InvisiContinuousEngine::new(&machine)))
+        core_on(&cfg(cov), program)
     }
 
     fn core_with_chunk(cov: bool, min_chunk: usize, program: Program) -> Core {
         let mut machine = cfg(cov);
         machine.speculation.min_chunk_instructions = min_chunk;
-        Core::new(CoreId(0), program, &machine, Box::new(InvisiContinuousEngine::new(&machine)))
+        core_on(&machine, program)
+    }
+
+    /// Steps the core over `cycles`, reporting whether any snoop reply it
+    /// released was an acknowledgement.
+    fn step_until_ack(core: &mut Core, cycles: std::ops::Range<u64>) -> bool {
+        let mut replies = Vec::new();
+        for now in cycles {
+            core.step(now);
+            core.drain_replies_into(&mut replies);
+            if replies.iter().any(|r| matches!(r, SnoopReply::Ack { .. })) {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn invalidate(block: u64, txn: u64, recall: bool) -> Delivery {
+        Delivery::Invalidate {
+            core: CoreId(0),
+            block: blk(block),
+            txn: TxnId(txn),
+            requester: CoreId(if recall { 0 } else { 1 }),
+            recall,
+        }
+    }
+
+    /// A CoV core whose open chunk has speculatively read 0x1000 behind a
+    /// store miss to 0x9000 that has not been serviced.
+    fn cov_core_reading_behind_a_store_miss(cov_timeout: u64) -> Core {
+        let mut machine = cfg(true);
+        machine.speculation.cov_timeout = cov_timeout;
+        let mut program = Program::new();
+        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss
+        program.push(Instruction::load(Addr::new(0x1000)));
+        program.push(Instruction::op(1));
+        let mut core = core_on(&machine, program);
+        prefill(&mut core, &[0x1000]);
+        for now in 0..20 {
+            core.step(now);
+        }
+        assert!(core.speculating());
+        assert!(core.mem.l1.is_spec_read(blk(0x1000), 0));
+        core
     }
 
     fn prefill(core: &mut Core, blocks: &[u64]) {
         for &b in blocks {
             core.mem.l1.fill(blk(b), LineState::Exclusive, BlockData::zeroed());
         }
-    }
-
-    #[test]
-    fn names_distinguish_cov() {
-        assert_eq!(InvisiContinuousEngine::new(&cfg(false)).name(), "Invisi_cont");
-        assert_eq!(InvisiContinuousEngine::new(&cfg(true)).name(), "Invisi_cont_CoV");
-        assert!(InvisiContinuousEngine::new(&cfg(true)).commit_on_violate());
     }
 
     #[test]
@@ -372,8 +321,10 @@ mod tests {
         assert!(core.stats().breakdown.get(CycleClass::Violation) > 0);
         // The invalidated block must be refetched: answer the GetS.
         let mut finished = false;
+        let mut requests = Vec::new();
         for now in 11..4000 {
-            for req in core.take_requests() {
+            core.drain_requests_into(&mut requests);
+            for req in requests.drain(..) {
                 core.handle_delivery(
                     Delivery::Fill {
                         core: CoreId(0),
@@ -439,23 +390,60 @@ mod tests {
             },
             6,
         );
-        assert!(matches!(reply, Some(ifence_coherence::SnoopReply::Defer { .. })));
+        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
         // Keep running: chunks commit (no outstanding misses), clearing the
         // conflict, so the deferred request is acknowledged without an abort.
-        let mut acked = false;
-        for now in 7..4000 {
-            core.step(now);
-            for r in core.take_replies() {
-                if matches!(r, ifence_coherence::SnoopReply::Ack { .. }) {
-                    acked = true;
-                }
-            }
-            if core.finished() {
-                break;
-            }
-        }
-        assert!(acked);
+        assert!(step_until_ack(&mut core, 7..4000));
         assert_eq!(core.stats().counters.speculations_aborted, 0);
         assert!(core.stats().counters.cov_commits >= 1);
+    }
+
+    #[test]
+    fn l2_recall_defers_under_commit_on_violate() {
+        // Under commit-on-violate an inclusion recall is deferred exactly
+        // like a remote writer's invalidation, giving the chunk a chance to
+        // commit before the line is surrendered.
+        let mut core = cov_core_reading_behind_a_store_miss(4000);
+        let reply = core.handle_delivery(invalidate(0x1000, 12, true), 20);
+        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(core.stats().counters.cov_deferrals, 1);
+        assert_eq!(core.stats().counters.l2_recalls_received, 1);
+        assert!(core.speculating(), "the deferred recall leaves the chunk alive");
+    }
+
+    #[test]
+    fn commit_on_violate_defers_and_commits_when_stores_complete() {
+        let mut core = cov_core_reading_behind_a_store_miss(4000);
+        // A conflicting external request is deferred rather than aborting.
+        let reply = core.handle_delivery(invalidate(0x1000, 2, false), 20);
+        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(core.stats().counters.cov_deferrals, 1);
+        // Complete the store miss: the chunk commits and the deferred
+        // acknowledgement is released without any rollback.
+        let fill = Delivery::Fill {
+            core: CoreId(0),
+            block: blk(0x9000),
+            state: LineState::Exclusive,
+            data: BlockData::zeroed(),
+            txn: TxnId(0),
+        };
+        core.handle_delivery(fill, 30);
+        assert!(
+            step_until_ack(&mut core, 31..200),
+            "deferred request acknowledged after the commit"
+        );
+        assert_eq!(core.stats().counters.speculations_aborted, 0);
+        assert_eq!(core.stats().counters.cov_commits, 1);
+        assert!(core.stats().counters.speculations_committed >= 1);
+    }
+
+    #[test]
+    fn commit_on_violate_times_out_and_aborts() {
+        // The store miss is never serviced, so the chunk cannot commit.
+        let mut core = cov_core_reading_behind_a_store_miss(50);
+        core.handle_delivery(invalidate(0x1000, 2, false), 20);
+        assert!(step_until_ack(&mut core, 21..400), "timeout forces the acknowledgement");
+        assert_eq!(core.stats().counters.cov_timeouts, 1);
+        assert_eq!(core.stats().counters.speculations_aborted, 1);
     }
 }

@@ -12,7 +12,10 @@ use ifence_types::{EngineKind, MachineConfig};
 /// This is the single entry point the machine model uses to instantiate any
 /// of the configurations evaluated in the paper: conventional SC/TSO/RMO,
 /// InvisiFence-Selective (one or two checkpoints), InvisiFence-Continuous
-/// (with or without commit-on-violate), and the ASO baseline.
+/// (with or without commit-on-violate), and the ASO baseline. The kind alone
+/// fixes the checkpoint count and the commit-on-violate policy
+/// ([`EngineKind::checkpoints`], [`EngineKind::commit_on_violate`]); `cfg`
+/// supplies the remaining speculation parameters.
 ///
 /// # Example
 /// ```
@@ -20,24 +23,17 @@ use ifence_types::{EngineKind, MachineConfig};
 /// use ifence_types::{ConsistencyModel, EngineKind, MachineConfig};
 ///
 /// let cfg = MachineConfig::with_engine(EngineKind::Conventional(ConsistencyModel::Tso));
-/// assert_eq!(build_engine(cfg.engine, &cfg).name(), "tso");
+/// assert!(!build_engine(cfg.engine, &cfg).speculating());
 /// ```
 pub fn build_engine(kind: EngineKind, cfg: &MachineConfig) -> Box<dyn OrderingEngine> {
+    let spec = &cfg.speculation;
     match kind {
         EngineKind::Conventional(model) => Box::new(ConventionalEngine::new(model)),
-        EngineKind::InvisiSelective(model) => Box::new(InvisiSelectiveEngine::new(model, cfg)),
-        EngineKind::InvisiSelectiveTwoCkpt(model) => {
-            // SpeculationConfig is Copy: adjust a copy instead of cloning the
-            // whole machine configuration per core.
-            let mut spec = cfg.speculation;
-            spec.checkpoints = 2;
-            Box::new(InvisiSelectiveEngine::with_speculation(model, spec))
+        EngineKind::InvisiSelective(model) | EngineKind::InvisiSelectiveTwoCkpt(model) => {
+            Box::new(InvisiSelectiveEngine::new(model, kind.checkpoints(), spec))
         }
         EngineKind::InvisiContinuous { commit_on_violate } => {
-            let mut spec = cfg.speculation;
-            spec.checkpoints = spec.checkpoints.max(2);
-            spec.commit_on_violate = commit_on_violate;
-            Box::new(InvisiContinuousEngine::with_speculation(spec))
+            Box::new(InvisiContinuousEngine::new(commit_on_violate, spec))
         }
         EngineKind::Aso(model) => Box::new(AsoEngine::new(model, cfg)),
     }
@@ -46,27 +42,37 @@ pub fn build_engine(kind: EngineKind, cfg: &MachineConfig) -> Box<dyn OrderingEn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifence_types::ConsistencyModel::*;
+    use ifence_cpu::Core;
+    use ifence_mem::{BlockData, LineState};
+    use ifence_types::{Addr, BlockAddr, CoreId, Instruction, Program};
 
     #[test]
-    fn every_engine_kind_builds_with_matching_label() {
+    fn every_engine_kind_builds_and_runs_a_program() {
         // EngineKind::all() is the canonical list: a newly added kind that
-        // cannot be built (or whose engine misreports its name) fails here
-        // without anyone having to remember to extend a hand-written list.
+        // cannot be built, or whose engine cannot retire a store-load-fence
+        // program on warm lines, fails here without anyone having to
+        // remember to extend a hand-written list.
         for kind in EngineKind::all() {
-            let cfg = MachineConfig::with_engine(kind);
-            let engine = build_engine(kind, &cfg);
-            assert_eq!(engine.name(), kind.label(), "label mismatch for {kind:?}");
+            let cfg = MachineConfig::small_test(kind);
+            let mut program = Program::new();
+            program.push(Instruction::store(Addr::new(0x1000), 7));
+            program.push(Instruction::load(Addr::new(0x1040)));
+            program.push(Instruction::fence());
+            program.push(Instruction::load(Addr::new(0x1040)));
+            let mut core = Core::new(CoreId(0), program, &cfg, build_engine(kind, &cfg));
+            for byte in [0x1000, 0x1040] {
+                let block = BlockAddr::containing(Addr::new(byte), 64);
+                core.mem.l1.fill(block, LineState::Exclusive, BlockData::zeroed());
+            }
+            for now in 0..200 {
+                core.step(now);
+                if core.finished() {
+                    break;
+                }
+            }
+            assert!(core.finished(), "{kind} did not finish");
+            assert_eq!(core.retired_count(), 4, "{kind}");
+            assert_eq!(core.mem.read_value(Addr::new(0x1000)), Some(7), "{kind}");
         }
-    }
-
-    #[test]
-    fn continuous_engine_builds_even_from_single_checkpoint_config() {
-        // A config whose speculation block was not adjusted still yields a
-        // working continuous engine (it needs two checkpoints internally).
-        let mut cfg = MachineConfig::with_engine(EngineKind::Conventional(Rmo));
-        cfg.speculation.checkpoints = 1;
-        let engine = build_engine(EngineKind::InvisiContinuous { commit_on_violate: false }, &cfg);
-        assert_eq!(engine.name(), "Invisi_cont");
     }
 }

@@ -1,4 +1,5 @@
-//! The mechanism layer shared by every InvisiFence policy (Section 3).
+//! The mechanisms and the violation policy shared by both InvisiFence
+//! engines (Section 3).
 //!
 //! A [`SpeculationKernel`] manages one or two in-flight speculative episodes
 //! (checkpoints). For each episode it provides:
@@ -16,10 +17,18 @@
 //! * **violation detection** — matching external coherence requests against
 //!   the speculatively-read/written bits.
 //!
-//! Policies (selective, continuous, commit-on-violate) live in the engine
-//! types that embed this kernel.
+//! It also decides what a violation costs, once for both engines: a
+//! conflicting request aborts the oldest conflicting episode and every
+//! younger one, or, under commit-on-violate (Section 6.6), is deferred
+//! until the conflict clears or the timeout expires; eviction pressure on a
+//! speculative block commits everything or aborts everything; and an abort
+//! that empties the kernel owes one non-speculative retirement before the
+//! next episode (forward progress). When to speculate, how to chunk and when
+//! to commit stay with the engines (`selective`, `continuous`).
 
-use ifence_cpu::{CoreMem, RetireCtx, RetireOutcome};
+use ifence_cpu::{
+    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, RetireCtx, RetireOutcome,
+};
 use ifence_stats::{CoreStats, ProvisionalBreakdown, TraceKind};
 use ifence_types::{Addr, BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
 
@@ -35,23 +44,34 @@ pub struct Episode {
     pub retired: usize,
 }
 
-/// Shared speculation mechanisms: checkpoints, speculative bits, commit and
-/// abort (see the module documentation).
+/// Shared speculation mechanisms and violation policy: checkpoints,
+/// speculative bits, commit, abort or commit-on-violate deferral (see the
+/// module documentation).
 #[derive(Debug, Clone)]
 pub struct SpeculationKernel {
     episodes: Vec<Episode>,
     prov: [ProvisionalBreakdown; 2],
     max_episodes: usize,
+    /// The commit-on-violate window: `Some(timeout)` defers a conflicting
+    /// request for up to `timeout` cycles, `None` aborts at once.
+    cov_timeout: Option<Cycle>,
+    /// Set by an abort that leaves no episode in flight, cleared by the next
+    /// non-speculative retirement.
+    must_retire_nonspec: bool,
 }
 
 impl SpeculationKernel {
     /// Creates a kernel supporting up to `max_episodes` in-flight checkpoints
-    /// (clamped to 1..=2, the hardware budget of Section 3.1).
-    pub fn new(max_episodes: usize) -> Self {
+    /// (clamped to 1..=2, the hardware budget of Section 3.1) that defers a
+    /// conflicting request for `cov_timeout` cycles when it is `Some`
+    /// (commit-on-violate) and aborts at once when it is `None`.
+    pub fn new(max_episodes: usize, cov_timeout: Option<Cycle>) -> Self {
         SpeculationKernel {
             episodes: Vec::new(),
             prov: [ProvisionalBreakdown::new(), ProvisionalBreakdown::new()],
             max_episodes: max_episodes.clamp(1, 2),
+            cov_timeout,
+            must_retire_nonspec: false,
         }
     }
 
@@ -73,6 +93,26 @@ impl SpeculationKernel {
     /// The oldest in-flight episode, if any.
     pub fn oldest(&self) -> Option<&Episode> {
         self.episodes.first()
+    }
+
+    /// The program index the oldest live checkpoint would resume at (see
+    /// [`ifence_cpu::OrderingEngine::rollback_floor`]).
+    pub fn rollback_floor(&self) -> Option<usize> {
+        self.oldest().map(|e| e.checkpoint)
+    }
+
+    /// True after an abort emptied the kernel and before the next
+    /// non-speculative retirement: the engine must retire one instruction
+    /// outside any episode before beginning another, so repeated violations
+    /// cannot starve the core.
+    pub fn must_retire_nonspec(&self) -> bool {
+        self.must_retire_nonspec
+    }
+
+    /// Records a non-speculative retirement, paying off the forward-progress
+    /// debt of [`SpeculationKernel::must_retire_nonspec`].
+    pub fn retired_nonspec(&mut self) {
+        self.must_retire_nonspec = false;
     }
 
     /// The youngest in-flight episode, if any.
@@ -172,12 +212,7 @@ impl SpeculationKernel {
     /// with an external request for `block`: a remote write conflicts with
     /// local speculative reads and writes, a remote read only with local
     /// speculative writes (Section 3.2, "Violation detection").
-    pub fn conflict_position(
-        &self,
-        mem: &CoreMem,
-        block: BlockAddr,
-        is_write: bool,
-    ) -> Option<usize> {
+    fn conflict_position(&self, mem: &CoreMem, block: BlockAddr, is_write: bool) -> Option<usize> {
         self.episodes.iter().position(|e| {
             mem.l1.is_spec_written(block, e.slot)
                 || (is_write && mem.l1.is_spec_read(block, e.slot))
@@ -205,42 +240,38 @@ impl SpeculationKernel {
         if mem.sb.epoch_len(None) != 0 || mem.sb.epoch_len(Some(oldest.slot as u8)) != 0 {
             return false;
         }
-        self.episodes.remove(0);
-        mem.l1.flash_clear_epoch(oldest.slot);
-        self.prov[oldest.slot].commit_into(&mut stats.breakdown);
-        stats.counters.speculations_committed += 1;
-        stats.hists.episode_len.record(oldest.retired as u64);
-        stats.trace.emit(TraceKind::SpecCommit, oldest.retired as u64);
+        self.commit_oldest(mem, stats);
         true
+    }
+
+    /// The one commit routine: flash-clears the oldest episode's bits and
+    /// folds its provisional cycles into the breakdown.
+    fn commit_oldest(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
+        let ep = self.episodes.remove(0);
+        mem.l1.flash_clear_epoch(ep.slot);
+        self.prov[ep.slot].commit_into(&mut stats.breakdown);
+        stats.counters.speculations_committed += 1;
+        stats.hists.episode_len.record(ep.retired as u64);
+        stats.trace.emit(TraceKind::SpecCommit, ep.retired as u64);
     }
 
     /// Commits every in-flight episode at once, which is possible exactly when
     /// the store buffer is completely empty (the paper's opportunistic
     /// constant-time commit). Returns true if a commit happened.
-    pub fn commit_all(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) -> bool {
+    fn commit_all(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) -> bool {
         if self.episodes.is_empty() || !mem.sb.is_empty() {
             return false;
         }
-        for ep in self.episodes.drain(..) {
-            mem.l1.flash_clear_epoch(ep.slot);
-            self.prov[ep.slot].commit_into(&mut stats.breakdown);
-            stats.counters.speculations_committed += 1;
-            stats.hists.episode_len.record(ep.retired as u64);
-            stats.trace.emit(TraceKind::SpecCommit, ep.retired as u64);
-        }
+        self.finalize(mem, stats);
         true
     }
 
     /// Aborts the episode at `position` and every younger episode: speculative
     /// writes are flash-invalidated from the L1, speculative store-buffer
     /// entries discarded, and all provisional cycles charged to `Violation`.
+    /// An abort that empties the kernel sets the forward-progress flag.
     /// Returns the program index at which execution must resume.
-    pub fn abort_from(
-        &mut self,
-        position: usize,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
-    ) -> usize {
+    fn abort_from(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
         assert!(position < self.episodes.len(), "abort position out of range");
         let resume_at = self.episodes[position].checkpoint;
         let discarded: Vec<Episode> = self.episodes.drain(position..).collect();
@@ -253,15 +284,75 @@ impl SpeculationKernel {
             stats.hists.episode_len.record(ep.retired as u64);
             stats.trace.emit(TraceKind::SpecAbort, ep.retired as u64);
         }
+        if self.episodes.is_empty() {
+            self.must_retire_nonspec = true;
+        }
         resume_at
     }
 
-    /// Aborts every in-flight episode. Returns the resume index of the oldest.
-    ///
-    /// # Panics
-    /// Panics if no episode is in flight.
-    pub fn abort_all(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
-        self.abort_from(0, mem, stats)
+    /// Reacts to an external request for `block`: acknowledges it when no
+    /// episode conflicts, defers it under commit-on-violate, and otherwise
+    /// aborts from the oldest conflicting episode.
+    pub fn on_external(
+        &mut self,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+        block: BlockAddr,
+        kind: ExternalKind,
+        now: Cycle,
+    ) -> ExternalOutcome {
+        let Some(position) = self.conflict_position(mem, block, kind.is_write()) else {
+            return ExternalOutcome::Ack;
+        };
+        match self.cov_timeout {
+            Some(timeout) => ExternalOutcome::Defer { until: now + timeout },
+            None => ExternalOutcome::AckAfterRollback {
+                resume_at: self.abort_from(position, mem, stats),
+            },
+        }
+    }
+
+    /// Re-examines a deferred request: once no episode conflicts it is
+    /// acknowledged (a commit-on-violate success), at `deadline` the
+    /// conflicting episodes abort (a timeout), and until then it waits.
+    pub fn resolve_deferred(
+        &mut self,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+        block: BlockAddr,
+        kind: ExternalKind,
+        deadline: Cycle,
+        now: Cycle,
+    ) -> DeferResolution {
+        match self.conflict_position(mem, block, kind.is_write()) {
+            None => {
+                stats.counters.cov_commits += 1;
+                DeferResolution::Ack
+            }
+            Some(position) if now >= deadline => {
+                stats.counters.cov_timeouts += 1;
+                DeferResolution::AckAfterRollback {
+                    resume_at: self.abort_from(position, mem, stats),
+                }
+            }
+            Some(_) => DeferResolution::Wait,
+        }
+    }
+
+    /// Handles a fill that would evict a speculatively-accessed block:
+    /// commits every episode if the store buffer has drained, otherwise
+    /// aborts them all (a structural abort). Returns the resume index on
+    /// abort.
+    pub fn on_eviction_pressure(
+        &mut self,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+    ) -> Option<usize> {
+        if !self.speculating() || self.commit_all(mem, stats) {
+            return None;
+        }
+        stats.counters.speculations_aborted_structural += 1;
+        Some(self.abort_from(0, mem, stats))
     }
 
     /// Records `cycles` elapsed cycles: provisionally against the youngest
@@ -291,12 +382,8 @@ impl SpeculationKernel {
     /// trivially satisfied, and at the end of a simulation so provisional
     /// cycles are not lost).
     pub fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
-        for ep in self.episodes.drain(..) {
-            mem.l1.flash_clear_epoch(ep.slot);
-            self.prov[ep.slot].commit_into(&mut stats.breakdown);
-            stats.counters.speculations_committed += 1;
-            stats.hists.episode_len.record(ep.retired as u64);
-            stats.trace.emit(TraceKind::SpecCommit, ep.retired as u64);
+        while self.speculating() {
+            self.commit_oldest(mem, stats);
         }
     }
 }
@@ -346,7 +433,7 @@ mod tests {
     #[test]
     fn begin_assigns_distinct_slots_up_to_max() {
         let (_, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         assert!(!k.speculating());
         let s0 = k.begin(10, &mut stats).unwrap();
         let s1 = k.begin(20, &mut stats).unwrap();
@@ -361,7 +448,7 @@ mod tests {
     #[test]
     fn single_checkpoint_kernel_refuses_second_episode() {
         let (_, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         assert!(k.begin(5, &mut stats).is_none());
     }
@@ -370,7 +457,7 @@ mod tests {
     fn speculative_load_marks_read_bit_and_fence_retires_freely() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Shared, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         let slot = k.begin(0, &mut stats).unwrap();
         assert_eq!(
             retire(&mut k, &mut mem, &mut stats, Instruction::load(Addr::new(0x1000)), 0),
@@ -389,7 +476,7 @@ mod tests {
     fn speculative_store_hit_writes_l1_and_marks_written() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         let slot = k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x2000), 7), 0);
         assert!(mem.l1.is_spec_written(blk(0x2000), slot));
@@ -400,7 +487,7 @@ mod tests {
     #[test]
     fn speculative_store_miss_goes_to_buffer_with_epoch_tag() {
         let (mut mem, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         let slot = k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x3000), 9), 0);
         assert_eq!(mem.sb.epoch_len(Some(slot as u8)), 1);
@@ -411,7 +498,7 @@ mod tests {
     #[test]
     fn commit_all_requires_empty_store_buffer() {
         let (mut mem, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x3000), 9), 0);
         assert!(!k.commit_all(&mut mem, &mut stats), "buffered store blocks commit");
@@ -428,13 +515,13 @@ mod tests {
     fn abort_discards_speculative_state_and_charges_violation() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::from_words([1; 8]));
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(42, &mut stats).unwrap();
         k.record_cycles(CycleClass::Busy, 1, &mut stats);
         k.record_cycles(CycleClass::Other, 1, &mut stats);
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x2000), 7), 42);
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x5000), 8), 43);
-        let resume = k.abort_all(&mut mem, &mut stats);
+        let resume = k.abort_from(0, &mut mem, &mut stats);
         assert_eq!(resume, 42);
         assert!(!k.speculating());
         assert_eq!(stats.counters.speculations_aborted, 1);
@@ -454,7 +541,7 @@ mod tests {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Shared, BlockData::zeroed());
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::load(Addr::new(0x1000)), 0);
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x2000), 1), 1);
@@ -474,7 +561,7 @@ mod tests {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Exclusive, BlockData::zeroed());
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x1000), 1), 0);
         k.begin(10, &mut stats).unwrap();
@@ -494,7 +581,7 @@ mod tests {
     fn younger_episode_store_to_older_block_stays_in_buffer() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x1000), 1), 0);
         k.begin(5, &mut stats).unwrap();
@@ -512,7 +599,7 @@ mod tests {
     fn try_commit_oldest_respects_closure_and_drain_requirements() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x1000), 1), 0);
         assert!(!k.try_commit_oldest(&mut mem, &mut stats, true), "not closed yet");
@@ -523,12 +610,81 @@ mod tests {
     #[test]
     fn finalize_preserves_provisional_cycles() {
         let (mut mem, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         k.record_cycles(CycleClass::Busy, 2, &mut stats);
         assert_eq!(stats.breakdown.total(), 0);
         k.finalize(&mut mem, &mut stats);
         assert_eq!(stats.breakdown.get(CycleClass::Busy), 2);
         assert!(!k.speculating());
+    }
+
+    #[test]
+    fn conflict_aborts_at_once_and_owes_a_non_speculative_retirement() {
+        let (mut mem, mut stats) = mem_and_stats();
+        mem.l1.fill(blk(0x1000), LineState::Shared, BlockData::zeroed());
+        let mut k = SpeculationKernel::new(1, None);
+        k.begin(7, &mut stats).unwrap();
+        retire(&mut k, &mut mem, &mut stats, Instruction::load(Addr::new(0x1000)), 7);
+        let remote_read =
+            k.on_external(&mut mem, &mut stats, blk(0x1000), ExternalKind::Downgrade, 5);
+        assert_eq!(
+            remote_read,
+            ExternalOutcome::Ack,
+            "a remote read of a read block is no conflict"
+        );
+        let outcome = k.on_external(&mut mem, &mut stats, blk(0x1000), ExternalKind::Invalidate, 5);
+        assert_eq!(outcome, ExternalOutcome::AckAfterRollback { resume_at: 7 });
+        assert!(!k.speculating());
+        assert!(k.must_retire_nonspec(), "the emptying abort owes forward progress");
+        k.retired_nonspec();
+        assert!(!k.must_retire_nonspec());
+        assert_eq!(stats.counters.cov_timeouts + stats.counters.cov_commits, 0);
+    }
+
+    #[test]
+    fn commit_on_violate_defers_then_commits_or_times_out() {
+        for commits in [true, false] {
+            let (mut mem, mut stats) = mem_and_stats();
+            mem.l1.fill(blk(0x1000), LineState::Shared, BlockData::zeroed());
+            let mut k = SpeculationKernel::new(2, Some(100));
+            k.begin(3, &mut stats).unwrap();
+            retire(&mut k, &mut mem, &mut stats, Instruction::load(Addr::new(0x1000)), 3);
+            let inv = ExternalKind::Invalidate;
+            let outcome = k.on_external(&mut mem, &mut stats, blk(0x1000), inv, 10);
+            assert_eq!(outcome, ExternalOutcome::Defer { until: 110 });
+            assert!(k.speculating(), "deferral leaves the episode alive");
+            let wait = k.resolve_deferred(&mut mem, &mut stats, blk(0x1000), inv, 110, 50);
+            assert_eq!(wait, DeferResolution::Wait);
+            if commits {
+                assert!(k.try_commit_oldest(&mut mem, &mut stats, false));
+                let acked = k.resolve_deferred(&mut mem, &mut stats, blk(0x1000), inv, 110, 60);
+                assert_eq!(acked, DeferResolution::Ack);
+                assert_eq!((stats.counters.cov_commits, stats.counters.cov_timeouts), (1, 0));
+                assert!(!k.must_retire_nonspec());
+            } else {
+                let timed_out =
+                    k.resolve_deferred(&mut mem, &mut stats, blk(0x1000), inv, 110, 110);
+                assert_eq!(timed_out, DeferResolution::AckAfterRollback { resume_at: 3 });
+                assert_eq!((stats.counters.cov_commits, stats.counters.cov_timeouts), (0, 1));
+                assert_eq!(stats.counters.speculations_aborted, 1);
+                assert!(k.must_retire_nonspec());
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_pressure_commits_when_drained_and_aborts_otherwise() {
+        let (mut mem, mut stats) = mem_and_stats();
+        let mut k = SpeculationKernel::new(1, None);
+        assert_eq!(k.on_eviction_pressure(&mut mem, &mut stats), None, "nothing to do");
+        k.begin(0, &mut stats).unwrap();
+        assert_eq!(k.on_eviction_pressure(&mut mem, &mut stats), None, "drained: commits");
+        assert_eq!(stats.counters.speculations_committed, 1);
+        k.begin(4, &mut stats).unwrap();
+        retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x3000), 9), 4);
+        assert_eq!(k.on_eviction_pressure(&mut mem, &mut stats), Some(4), "buffered: aborts");
+        assert_eq!(stats.counters.speculations_aborted_structural, 1);
+        assert!(k.must_retire_nonspec());
     }
 }

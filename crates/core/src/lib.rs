@@ -13,7 +13,7 @@
 //!   Supports the optional second in-flight checkpoint of Section 6.4.
 //! * [`InvisiContinuousEngine`] — InvisiFence-Continuous (Section 4.2):
 //!   execute everything inside speculative chunks (≥ ~100 instructions),
-//!   subsuming the in-window ordering mechanism, with pipelined chunk commit
+//!   marking reads at execute time, with pipelined chunk commit
 //!   over two checkpoints and the optional commit-on-violate deferral policy
 //!   (Section 6.6).
 //! * [`AsoEngine`] — the ASO baseline of Wenisch et al. (Section 6.4's
@@ -21,11 +21,12 @@
 //!   commit by draining into the L2 while stalling external requests, and
 //!   periodic intermediate checkpoints for partial rollback.
 //!
-//! All engines share the mechanism layer in [`kernel`]: register checkpoints,
-//! per-block speculatively-read/written bits in the L1 (flash-clear commit,
-//! conditional flash-invalidate abort), a coalescing store buffer with
-//! per-epoch flash invalidation, and violation detection driven by external
-//! coherence requests.
+//! Both InvisiFence engines share the mechanism layer in [`kernel`]: register
+//! checkpoints, per-block speculatively-read/written bits in the L1
+//! (flash-clear commit, conditional flash-invalidate abort), a coalescing
+//! store buffer with per-epoch flash invalidation, violation detection driven
+//! by external coherence requests, and the one violation policy (abort or
+//! commit-on-violate deferral). ASO keeps its own per-store state and policy.
 //!
 //! # Example
 //!
@@ -33,9 +34,11 @@
 //! use invisifence::build_engine;
 //! use ifence_types::{ConsistencyModel, EngineKind, MachineConfig};
 //!
-//! let cfg = MachineConfig::with_engine(EngineKind::InvisiSelective(ConsistencyModel::Sc));
+//! let kind = EngineKind::InvisiSelective(ConsistencyModel::Sc);
+//! assert_eq!((kind.label(), kind.checkpoints()), ("Invisi_sc".to_string(), 1));
+//! let cfg = MachineConfig::with_engine(kind);
 //! let engine = build_engine(cfg.engine, &cfg);
-//! assert_eq!(engine.name(), "Invisi_sc");
+//! assert!(!engine.speculating());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,21 +3,19 @@
 
 use crate::kernel::SpeculationKernel;
 use ifence_cpu::{
-    CoreMem, DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CoreMem, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 use ifence_stats::CoreStats;
 use ifence_types::{
-    Addr, BlockAddr, ConsistencyModel, Cycle, CycleClass, InstrKind, MachineConfig, StallReason,
+    BlockAddr, ConsistencyModel, Cycle, CycleClass, InstrKind, SpeculationConfig, StallReason,
 };
 
 /// Outcome of attempting to retire an instruction non-speculatively under the
 /// target consistency model.
 enum NonSpecOutcome {
-    /// Retired without speculation (side effects already applied).
-    Retired,
-    /// Structural stall (store buffer full); speculation would not help.
-    Stall(StallReason),
+    /// Retired without speculation, or a structural stall (store buffer
+    /// full) that speculation would not help.
+    Done(RetireOutcome),
     /// The model imposes an ordering stall here — the trigger to speculate.
     Speculate,
 }
@@ -41,91 +39,52 @@ enum NonSpecOutcome {
 pub struct InvisiSelectiveEngine {
     model: ConsistencyModel,
     kernel: SpeculationKernel,
-    commit_on_violate: bool,
-    cov_timeout: Cycle,
     second_checkpoint_after: usize,
-    must_retire_nonspec: bool,
 }
 
 impl InvisiSelectiveEngine {
-    /// Creates a selective engine enforcing `model` with the speculation
-    /// parameters of `cfg` (checkpoint count, commit-on-violate policy).
-    pub fn new(model: ConsistencyModel, cfg: &MachineConfig) -> Self {
-        Self::with_speculation(model, cfg.speculation)
-    }
-
-    /// Creates a selective engine from just the speculation parameters (the
-    /// only part of the machine configuration it needs — the construction
-    /// path avoids cloning a whole `MachineConfig` per core).
-    pub fn with_speculation(
+    /// Creates a selective engine enforcing `model` with `checkpoints` (1 or
+    /// 2) in-flight checkpoints; a second checkpoint opens after
+    /// `speculation.aso_checkpoint_interval` speculative retirements.
+    pub fn new(
         model: ConsistencyModel,
-        speculation: ifence_types::SpeculationConfig,
+        checkpoints: usize,
+        speculation: &SpeculationConfig,
     ) -> Self {
         InvisiSelectiveEngine {
             model,
-            kernel: SpeculationKernel::new(speculation.checkpoints),
-            commit_on_violate: speculation.commit_on_violate,
-            cov_timeout: speculation.cov_timeout,
+            // Selective speculation aborts on a conflict: commit-on-violate
+            // is the continuous engine's policy (Section 6.6).
+            kernel: SpeculationKernel::new(checkpoints, None),
             second_checkpoint_after: speculation.aso_checkpoint_interval.max(1),
-            must_retire_nonspec: false,
-        }
-    }
-
-    /// Creates an engine with an explicit checkpoint count (1 or 2),
-    /// independent of a full machine configuration.
-    pub fn with_checkpoints(model: ConsistencyModel, checkpoints: usize) -> Self {
-        let mut cfg = MachineConfig::with_engine(ifence_types::EngineKind::InvisiSelective(model));
-        cfg.speculation.checkpoints = checkpoints;
-        Self::new(model, &cfg)
-    }
-
-    /// The consistency model this engine enforces.
-    pub fn model(&self) -> ConsistencyModel {
-        self.model
-    }
-
-    /// Access to the underlying speculation mechanisms (used by tests).
-    pub fn kernel(&self) -> &SpeculationKernel {
-        &self.kernel
-    }
-
-    fn store_non_speculative(
-        &self,
-        ctx: &mut RetireCtx<'_>,
-        addr: Addr,
-        value: u64,
-    ) -> NonSpecOutcome {
-        if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-            return NonSpecOutcome::Retired;
-        }
-        match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-            Ok(()) => NonSpecOutcome::Retired,
-            Err(_) => NonSpecOutcome::Stall(StallReason::StoreBufferFull),
         }
     }
 
     fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> NonSpecOutcome {
         let sb_empty = ctx.mem.sb_empty();
+        let retired = NonSpecOutcome::Done(RetireOutcome::Retired);
         match ctx.entry.instr.kind {
-            InstrKind::Op(_) => NonSpecOutcome::Retired,
+            InstrKind::Op(_) => retired,
             InstrKind::Load(_) => {
                 if self.model == ConsistencyModel::Sc && !sb_empty {
                     NonSpecOutcome::Speculate
                 } else {
-                    NonSpecOutcome::Retired
+                    retired
                 }
             }
             InstrKind::Fence(_) => {
                 if self.model != ConsistencyModel::Sc && !sb_empty {
                     NonSpecOutcome::Speculate
                 } else {
-                    NonSpecOutcome::Retired
+                    retired
                 }
             }
             InstrKind::Store(addr, value) => match self.model {
                 // RMO never orders plain stores: hit into the cache, miss into
                 // the unordered buffer.
-                ConsistencyModel::Rmo => self.store_non_speculative(ctx, addr, value),
+                ConsistencyModel::Rmo => {
+                    NonSpecOutcome::Done(ctx.store_non_speculative(addr, value))
+                }
                 // SC/TSO must preserve store-store order, which the unordered
                 // coalescing buffer cannot: a store behind other pending
                 // stores triggers speculation.
@@ -133,7 +92,7 @@ impl InvisiSelectiveEngine {
                     if !sb_empty {
                         NonSpecOutcome::Speculate
                     } else {
-                        self.store_non_speculative(ctx, addr, value)
+                        NonSpecOutcome::Done(ctx.store_non_speculative(addr, value))
                     }
                 }
             },
@@ -153,31 +112,13 @@ impl InvisiSelectiveEngine {
                     );
                     return NonSpecOutcome::Speculate;
                 }
-                self.store_non_speculative(ctx, addr, value)
+                NonSpecOutcome::Done(ctx.store_non_speculative(addr, value))
             }
         }
-    }
-
-    fn abort(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
-        let resume = self.kernel.abort_from(position, mem, stats);
-        if !self.kernel.speculating() {
-            // Forward progress: at least one instruction must retire
-            // non-speculatively before the next speculation begins.
-            self.must_retire_nonspec = true;
-        }
-        resume
     }
 }
 
 impl OrderingEngine for InvisiSelectiveEngine {
-    fn name(&self) -> String {
-        if self.kernel.max_episodes() >= 2 {
-            format!("Invisi_{}-2ckpt", self.model.label())
-        } else {
-            format!("Invisi_{}", self.model.label())
-        }
-    }
-
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         if self.kernel.speculating() {
             // Optionally open the second in-flight checkpoint so a late
@@ -192,13 +133,14 @@ impl OrderingEngine for InvisiSelectiveEngine {
             return self.kernel.retire_speculative(ctx);
         }
         match self.retire_non_speculative(ctx) {
-            NonSpecOutcome::Retired => {
-                self.must_retire_nonspec = false;
-                RetireOutcome::Retired
+            NonSpecOutcome::Done(outcome) => {
+                if outcome == RetireOutcome::Retired {
+                    self.kernel.retired_nonspec();
+                }
+                outcome
             }
-            NonSpecOutcome::Stall(reason) => RetireOutcome::Stall(reason),
             NonSpecOutcome::Speculate => {
-                if self.must_retire_nonspec {
+                if self.kernel.must_retire_nonspec() {
                     // Guarantee forward progress by resolving this stall
                     // conventionally before speculating again.
                     return RetireOutcome::Stall(StallReason::StoreBufferDrain);
@@ -211,11 +153,10 @@ impl OrderingEngine for InvisiSelectiveEngine {
         }
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) -> Vec<EngineAction> {
+    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {
         // Opportunistic, constant-time commit: as soon as the stores the
         // episode depends on have drained.
         while self.kernel.try_commit_oldest(mem, stats, false) {}
-        Vec::new()
     }
 
     fn on_external(
@@ -226,43 +167,7 @@ impl OrderingEngine for InvisiSelectiveEngine {
         kind: ExternalKind,
         now: Cycle,
     ) -> ExternalOutcome {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => ExternalOutcome::Ack,
-            Some(position) => {
-                if self.commit_on_violate {
-                    ExternalOutcome::Defer { until: now + self.cov_timeout }
-                } else {
-                    let resume_at = self.abort(position, mem, stats);
-                    ExternalOutcome::AckAfterRollback { resume_at }
-                }
-            }
-        }
-    }
-
-    fn resolve_deferred(
-        &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
-        block: BlockAddr,
-        kind: ExternalKind,
-        deadline: Cycle,
-        now: Cycle,
-    ) -> DeferResolution {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => {
-                stats.counters.cov_commits += 1;
-                DeferResolution::Ack
-            }
-            Some(position) => {
-                if now >= deadline {
-                    stats.counters.cov_timeouts += 1;
-                    let resume_at = self.abort(position, mem, stats);
-                    DeferResolution::AckAfterRollback { resume_at }
-                } else {
-                    DeferResolution::Wait
-                }
-            }
-        }
+        self.kernel.on_external(mem, stats, block, kind, now)
     }
 
     fn speculating(&self) -> bool {
@@ -270,7 +175,7 @@ impl OrderingEngine for InvisiSelectiveEngine {
     }
 
     fn rollback_floor(&self) -> Option<usize> {
-        self.kernel.oldest().map(|e| e.checkpoint)
+        self.kernel.rollback_floor()
     }
 
     fn can_drain(&self, epoch: Option<u8>) -> bool {
@@ -282,16 +187,8 @@ impl OrderingEngine for InvisiSelectiveEngine {
         mem: &mut CoreMem,
         stats: &mut CoreStats,
         _now: Cycle,
-    ) -> Vec<EngineAction> {
-        if !self.kernel.speculating() {
-            return Vec::new();
-        }
-        if self.kernel.commit_all(mem, stats) {
-            return Vec::new();
-        }
-        stats.counters.speculations_aborted_structural += 1;
-        let resume_at = self.abort(0, mem, stats);
-        vec![EngineAction::Rollback { resume_at }]
+    ) -> Option<usize> {
+        self.kernel.on_eviction_pressure(mem, stats)
     }
 
     fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
@@ -318,7 +215,7 @@ mod tests {
     use ifence_coherence::{Delivery, TxnId};
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
-    use ifence_types::{CoreId, EngineKind, Instruction, Program};
+    use ifence_types::{Addr, CoreId, EngineKind, Instruction, MachineConfig, Program};
 
     fn cfg(model: ConsistencyModel) -> MachineConfig {
         MachineConfig::small_test(EngineKind::InvisiSelective(model))
@@ -334,7 +231,7 @@ mod tests {
             CoreId(0),
             program,
             &machine,
-            Box::new(InvisiSelectiveEngine::new(model, &machine)),
+            Box::new(InvisiSelectiveEngine::new(model, 1, &machine.speculation)),
         )
     }
 
@@ -348,8 +245,10 @@ mod tests {
     /// `latency` cycles later (a single-core stand-in for the fabric).
     fn run_with_autofill(core: &mut Core, cycles: u64, latency: u64) {
         let mut pending: Vec<(u64, BlockAddr)> = Vec::new();
+        let mut requests = Vec::new();
         for now in 0..cycles {
-            for req in core.take_requests() {
+            core.drain_requests_into(&mut requests);
+            for req in requests.drain(..) {
                 if req.kind == ifence_coherence::CoherenceReqKind::GetS
                     || req.kind == ifence_coherence::CoherenceReqKind::GetM
                 {
@@ -376,20 +275,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn engine_names_match_paper_labels() {
-        let machine = cfg(ConsistencyModel::Sc);
-        assert_eq!(InvisiSelectiveEngine::new(ConsistencyModel::Sc, &machine).name(), "Invisi_sc");
-        assert_eq!(
-            InvisiSelectiveEngine::with_checkpoints(ConsistencyModel::Sc, 2).name(),
-            "Invisi_sc-2ckpt"
-        );
-        assert_eq!(
-            InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine).model(),
-            ConsistencyModel::Rmo
-        );
     }
 
     #[test]
@@ -523,48 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_recall_defers_under_commit_on_violate() {
-        // Under commit-on-violate the recall is deferred, exactly like a
-        // remote writer's invalidation, giving the episode a chance to
-        // commit before the line is surrendered.
-        let machine = {
-            let mut m = cfg(ConsistencyModel::Rmo);
-            m.speculation.commit_on_violate = true;
-            m.speculation.cov_timeout = 4000;
-            m
-        };
-        let mut program = Program::new();
-        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss
-        program.push(Instruction::fence());
-        program.push(Instruction::load(Addr::new(0x1000)));
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
-        prefill(&mut core, &[0x1000], LineState::Exclusive);
-        for now in 0..20 {
-            core.step(now);
-        }
-        assert!(core.speculating());
-        let reply = core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(12),
-                requester: CoreId(0),
-                recall: true,
-            },
-            20,
-        );
-        assert!(matches!(reply, Some(ifence_coherence::SnoopReply::Defer { .. })));
-        assert_eq!(core.stats().counters.cov_deferrals, 1);
-        assert_eq!(core.stats().counters.l2_recalls_received, 1);
-        assert!(core.speculating(), "the deferred recall leaves the episode alive");
-    }
-
-    #[test]
     fn external_request_without_conflict_does_not_abort() {
         let mut program = Program::new();
         program.push(Instruction::store(Addr::new(0x9000), 1));
@@ -591,118 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_on_violate_defers_and_commits_when_stores_complete() {
-        let machine = {
-            let mut m = cfg(ConsistencyModel::Rmo);
-            m.speculation.commit_on_violate = true;
-            m.speculation.cov_timeout = 4000;
-            m
-        };
-        let mut program = Program::new();
-        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss
-        program.push(Instruction::fence());
-        program.push(Instruction::load(Addr::new(0x1000)));
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
-        prefill(&mut core, &[0x1000], LineState::Exclusive);
-        for now in 0..20 {
-            core.step(now);
-        }
-        assert!(core.speculating());
-        // Conflicting external request is deferred rather than aborting.
-        let reply = core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(2),
-                requester: CoreId(1),
-                recall: false,
-            },
-            20,
-        );
-        assert!(matches!(reply, Some(ifence_coherence::SnoopReply::Defer { .. })));
-        assert_eq!(core.stats().counters.cov_deferrals, 1);
-        // Complete the store miss: the speculation commits and the deferred
-        // acknowledgement is released without any rollback.
-        core.handle_delivery(
-            Delivery::Fill {
-                core: CoreId(0),
-                block: blk(0x9000),
-                state: LineState::Exclusive,
-                data: BlockData::zeroed(),
-                txn: TxnId(0),
-            },
-            30,
-        );
-        let mut acked = false;
-        for now in 31..200 {
-            core.step(now);
-            for r in core.take_replies() {
-                if matches!(r, ifence_coherence::SnoopReply::Ack { .. }) {
-                    acked = true;
-                }
-            }
-            if acked {
-                break;
-            }
-        }
-        assert!(acked, "deferred request acknowledged after the commit");
-        assert_eq!(core.stats().counters.speculations_aborted, 0);
-        assert_eq!(core.stats().counters.cov_commits, 1);
-        assert!(core.stats().counters.speculations_committed >= 1);
-    }
-
-    #[test]
-    fn commit_on_violate_times_out_and_aborts() {
-        let machine = {
-            let mut m = cfg(ConsistencyModel::Rmo);
-            m.speculation.commit_on_violate = true;
-            m.speculation.cov_timeout = 50;
-            m
-        };
-        let mut program = Program::new();
-        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss never serviced
-        program.push(Instruction::fence());
-        program.push(Instruction::load(Addr::new(0x1000)));
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
-        prefill(&mut core, &[0x1000], LineState::Exclusive);
-        for now in 0..20 {
-            core.step(now);
-        }
-        core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(2),
-                requester: CoreId(1),
-                recall: false,
-            },
-            20,
-        );
-        let mut acked = false;
-        for now in 21..400 {
-            core.step(now);
-            for r in core.take_replies() {
-                if matches!(r, ifence_coherence::SnoopReply::Ack { .. }) {
-                    acked = true;
-                }
-            }
-        }
-        assert!(acked, "timeout forces the acknowledgement");
-        assert_eq!(core.stats().counters.cov_timeouts, 1);
-        assert_eq!(core.stats().counters.speculations_aborted, 1);
-    }
-
-    #[test]
     fn speculative_store_buffer_overflow_stalls_as_sb_full() {
         let mut machine = cfg(ConsistencyModel::Rmo);
         machine.store_buffer.entries = 2;
@@ -716,7 +447,7 @@ mod tests {
             CoreId(0),
             program,
             &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
+            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, 1, &machine.speculation)),
         );
         for now in 0..60 {
             core.step(now);
@@ -729,7 +460,6 @@ mod tests {
     fn two_checkpoint_engine_opens_second_episode() {
         let machine = {
             let mut m = cfg(ConsistencyModel::Sc);
-            m.speculation.checkpoints = 2;
             m.speculation.aso_checkpoint_interval = 4;
             m.store_buffer.entries = 32;
             m
@@ -743,7 +473,7 @@ mod tests {
             CoreId(0),
             program,
             &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Sc, &machine)),
+            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Sc, 2, &machine.speculation)),
         );
         prefill(&mut core, &[0x1000, 0x1040], LineState::Exclusive);
         for now in 0..40 {

@@ -1,8 +1,7 @@
 //! The trace-driven out-of-order core model.
 
 use crate::engine::{
-    DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 use crate::mem_side::CoreMem;
 use crate::rob::Rob;
@@ -42,7 +41,7 @@ struct DeferredSnoop {
 /// The core is driven externally: the machine model calls
 /// [`Core::handle_delivery`] for every coherence message addressed to it,
 /// [`Core::step`] once per cycle, and collects outgoing requests and snoop
-/// replies with [`Core::take_requests`] / [`Core::take_replies`].
+/// replies with [`Core::drain_requests_into`] / [`Core::drain_replies_into`].
 pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
@@ -204,26 +203,15 @@ impl Core {
         self.engine.speculating()
     }
 
-    /// Drains the coherence requests this core produced.
-    pub fn take_requests(&mut self) -> Vec<CoherenceRequest> {
-        self.mem.take_requests()
-    }
-
-    /// Drains snoop replies produced asynchronously (deferred acknowledgements
-    /// resolved during [`Core::step`]).
-    pub fn take_replies(&mut self) -> Vec<SnoopReply> {
-        std::mem::take(&mut self.pending_replies)
-    }
-
     /// Drains this core's coherence requests into `out`, preserving order.
-    /// The allocation-free sibling of [`Core::take_requests`]: both the
-    /// core's outbox and the caller's buffer keep their capacity.
+    /// Both the core's outbox and the caller's buffer keep their capacity.
     pub fn drain_requests_into(&mut self, out: &mut Vec<CoherenceRequest>) {
         out.extend(self.mem.drain_requests());
     }
 
-    /// Drains this core's pending snoop replies into `out`, preserving
-    /// order. The allocation-free sibling of [`Core::take_replies`].
+    /// Drains the snoop replies produced asynchronously (deferred
+    /// acknowledgements resolved during [`Core::step`]) into `out`,
+    /// preserving order.
     pub fn drain_replies_into(&mut self, out: &mut Vec<SnoopReply>) {
         out.append(&mut self.pending_replies);
     }
@@ -294,17 +282,6 @@ impl Core {
         self.issued_prefix = 0;
     }
 
-    fn apply_engine_actions(&mut self, actions: Vec<EngineAction>) {
-        if actions.is_empty() {
-            return;
-        }
-        for action in actions {
-            match action {
-                EngineAction::Rollback { resume_at } => self.rollback(resume_at),
-            }
-        }
-    }
-
     /// Handles one delivery from the coherence fabric, returning the snoop
     /// reply to send back (external requests only; fills need no reply).
     pub fn handle_delivery(&mut self, delivery: Delivery, now: Cycle) -> Option<SnoopReply> {
@@ -312,11 +289,13 @@ impl Core {
         match delivery {
             Delivery::Fill { block, state, data, .. } => {
                 if self.mem.l1.fill_would_evict_spec(block) {
-                    let actions = {
+                    let resume_at = {
                         let Core { mem, engine, stats, .. } = self;
                         engine.on_spec_eviction_pressure(mem, stats, now)
                     };
-                    self.apply_engine_actions(actions);
+                    if let Some(resume_at) = resume_at {
+                        self.rollback(resume_at);
+                    }
                 }
                 let result = self.mem.fill(block, state, data, now, &mut self.stats.counters);
                 for waiter in result.waiters {
@@ -417,8 +396,12 @@ impl Core {
         }
     }
 
+    /// The in-window ordering mechanism (load-queue snooping): a remote
+    /// write squashes the oldest load of `block` whose value is still
+    /// vulnerable (read before it reached the head) and everything younger. It runs under every engine, InvisiFence-Continuous
+    /// included (PAPER.md, "Modelling approximations", item 3).
     fn in_window_snoop(&mut self, block: BlockAddr, kind: ExternalKind) {
-        if self.engine.subsumes_in_window() || !kind.is_write() {
+        if !kind.is_write() {
             return;
         }
         if let Some(entry) = self.rob.oldest_vulnerable_read_of(block) {
@@ -698,15 +681,10 @@ impl Core {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();
 
-        // 1. Engine maintenance (opportunistic commit, chunk management, CoV).
-        let mut engine_acted = false;
+        // 1. Engine maintenance (opportunistic commit, chunk management).
         if self.engine.tick_live() {
-            let actions = {
-                let Core { mem, engine, stats, .. } = self;
-                engine.tick(mem, stats, now)
-            };
-            engine_acted = !actions.is_empty();
-            self.apply_engine_actions(actions);
+            let Core { mem, engine, stats, .. } = self;
+            engine.tick(mem, stats, now);
         }
 
         // 2. Resolve deferred external requests.
@@ -773,7 +751,6 @@ impl Core {
             || dispatched > 0
             || issued
             || drained > 0
-            || engine_acted
             || deferred_resolved
             || finalized
             || self.engine.speculating() != speculating_before;
@@ -840,6 +817,12 @@ mod tests {
         }
     }
 
+    fn drained_requests(core: &mut Core) -> Vec<CoherenceRequest> {
+        let mut out = Vec::new();
+        core.drain_requests_into(&mut out);
+        out
+    }
+
     fn run(core: &mut Core, cycles: Cycle) {
         for now in 0..cycles {
             core.step(now);
@@ -878,7 +861,7 @@ mod tests {
             core.step(now);
         }
         assert!(!core.finished());
-        let reqs = core.take_requests();
+        let reqs = drained_requests(&mut core);
         assert_eq!(reqs.len(), 1, "exactly one GetS issued");
         assert_eq!(core.stats().breakdown.get(CycleClass::Other), 20);
         // Deliver the fill; the load completes, reads the value, and retires.
@@ -1018,7 +1001,7 @@ mod tests {
         for now in 0..10 {
             core.step(now);
         }
-        let first: Vec<_> = core.take_requests().iter().map(|r| r.block).collect();
+        let first: Vec<_> = drained_requests(&mut core).iter().map(|r| r.block).collect();
         assert_eq!(first, vec![blk(b)], "A hits, B misses");
         // A remote writer invalidates A: the in-window snoop squashes both
         // loads while B's GetS is still outstanding.
@@ -1039,7 +1022,7 @@ mod tests {
         }
         assert_eq!(core.rob.len(), 3, "both loads re-dispatched");
         assert!(core.mem.mshrs.contains(blk(b)), "B's GetS still in flight");
-        let second: Vec<_> = core.take_requests().iter().map(|r| r.block).collect();
+        let second: Vec<_> = drained_requests(&mut core).iter().map(|r| r.block).collect();
         assert_eq!(second, vec![blk(a)], "A misses now; no second GetS for B");
         for (now, block, value) in [(20, b, 22), (21, a, 11)] {
             core.handle_delivery(
@@ -1062,7 +1045,7 @@ mod tests {
         assert!(core.finished());
         assert_eq!(core.retired_count(), 3);
         assert_eq!(core.load_results(), &[(1, 11), (2, 22)]);
-        assert!(core.take_requests().is_empty(), "no further requests");
+        assert!(drained_requests(&mut core).is_empty(), "no further requests");
     }
 
     #[test]
@@ -1136,33 +1119,30 @@ mod tests {
         assert!(core.mem.awaiting_fabric());
     }
 
-    /// An engine that begins "speculating" on the first retirement and rolls
-    /// back when told to, for exercising the rollback plumbing.
+    /// An engine that retires freely and answers the first external request
+    /// with a rollback to the start of the program, for exercising the
+    /// rollback plumbing.
     struct RollbackProbe {
         rolled_back: bool,
     }
 
     impl OrderingEngine for RollbackProbe {
-        fn name(&self) -> String {
-            "rollback-probe".to_string()
-        }
-        fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-            if let InstrKind::Store(addr, value) = ctx.entry.instr.kind {
-                let _ = ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats);
-            }
+        fn try_retire(&mut self, _ctx: &mut RetireCtx<'_>) -> RetireOutcome {
             RetireOutcome::Retired
         }
-        fn tick(
+        fn on_external(
             &mut self,
             _mem: &mut CoreMem,
             _stats: &mut CoreStats,
-            now: Cycle,
-        ) -> Vec<EngineAction> {
-            if now == 3 && !self.rolled_back {
-                self.rolled_back = true;
-                vec![EngineAction::Rollback { resume_at: 0 }]
+            _block: BlockAddr,
+            _kind: ExternalKind,
+            _now: Cycle,
+        ) -> ExternalOutcome {
+            if self.rolled_back {
+                ExternalOutcome::Ack
             } else {
-                Vec::new()
+                self.rolled_back = true;
+                ExternalOutcome::AckAfterRollback { resume_at: 0 }
             }
         }
     }
@@ -1179,6 +1159,16 @@ mod tests {
             Core::new(CoreId(0), program, &cfg, Box::new(RollbackProbe { rolled_back: false }));
         prefill(&mut core, &[0x6000, 0x6040], LineState::Exclusive);
         for now in 0..200 {
+            if now == 3 {
+                let invalidate = Delivery::Invalidate {
+                    core: CoreId(0),
+                    block: blk(0x7000),
+                    txn: TxnId(1),
+                    requester: CoreId(1),
+                    recall: false,
+                };
+                core.handle_delivery(invalidate, now);
+            }
             core.step(now);
             if core.finished() {
                 break;

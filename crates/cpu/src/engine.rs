@@ -12,7 +12,7 @@
 use crate::mem_side::CoreMem;
 use crate::rob::RobEntry;
 use ifence_stats::CoreStats;
-use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
+use ifence_types::{Addr, BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
 
 /// Result of asking the engine to retire the head instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,17 +77,6 @@ pub enum DeferResolution {
     },
 }
 
-/// An action the engine asks the core to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineAction {
-    /// Squash the pipeline and resume fetching at the given program index
-    /// (speculation abort).
-    Rollback {
-        /// Program index at which execution resumes.
-        resume_at: usize,
-    },
-}
-
 /// Context handed to [`OrderingEngine::try_retire`].
 pub struct RetireCtx<'a> {
     /// The core's memory side (L1, store buffer, MSHRs, request path).
@@ -106,6 +95,19 @@ impl RetireCtx<'_> {
     pub fn checkpoint_index(&self) -> usize {
         self.entry.program_index
     }
+
+    /// Retires a store outside any speculation: it writes the L1 when the
+    /// block is writable, otherwise enters the store buffer, and stalls with
+    /// [`StallReason::StoreBufferFull`] when the buffer has no room.
+    pub fn store_non_speculative(&mut self, addr: Addr, value: u64) -> RetireOutcome {
+        if self.mem.store_to_l1(addr, value, None, &mut self.stats.counters) {
+            return RetireOutcome::Retired;
+        }
+        match self.mem.store_to_sb(addr, value, None, self.now, self.stats) {
+            Ok(()) => RetireOutcome::Retired,
+            Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
+        }
+    }
 }
 
 /// A memory-consistency implementation plugged into a [`crate::Core`].
@@ -113,9 +115,6 @@ impl RetireCtx<'_> {
 /// Engines are plain timing state and must be [`Send`], so a machine built
 /// on one thread can run on another.
 pub trait OrderingEngine: Send {
-    /// Human-readable label (matches the paper's bar labels, e.g. "Invisi_rmo").
-    fn name(&self) -> String;
-
     /// Attempts to retire the head instruction, performing all side effects
     /// (store-buffer insertion, direct cache writes, speculative-bit marking,
     /// checkpoint creation). Returns whether it retired or why it stalled.
@@ -127,15 +126,8 @@ pub trait OrderingEngine: Send {
     fn on_load_issue(&mut self, _mem: &mut CoreMem, _block: BlockAddr) {}
 
     /// Per-cycle maintenance: opportunistic commit, chunk management, policy
-    /// timeouts. Returns actions (e.g. rollbacks) the core must perform.
-    fn tick(
-        &mut self,
-        _mem: &mut CoreMem,
-        _stats: &mut CoreStats,
-        _now: Cycle,
-    ) -> Vec<EngineAction> {
-        Vec::new()
-    }
+    /// timeouts.
+    fn tick(&mut self, _mem: &mut CoreMem, _stats: &mut CoreStats, _now: Cycle) {}
 
     /// Reacts to an external coherence request for `block` (violation
     /// detection). The core applies the invalidation/downgrade to the L1 and
@@ -177,16 +169,9 @@ pub trait OrderingEngine: Send {
     /// then the core's safe trace-release point. Engines holding live
     /// checkpoints must report the oldest one so a streaming
     /// [`ifence_types::InstructionSource`] keeps its replay window open far
-    /// enough for `AckAfterRollback`/[`EngineAction::Rollback`] replays.
+    /// enough for every rollback replay.
     fn rollback_floor(&self) -> Option<usize> {
         None
-    }
-
-    /// True if the engine subsumes the in-window ordering mechanism (load
-    /// queue snooping), as InvisiFence-Continuous does; the core then skips
-    /// in-window replays.
-    fn subsumes_in_window(&self) -> bool {
-        false
     }
 
     /// Whether a store-buffer entry of the given epoch may drain into the L1
@@ -197,14 +182,14 @@ pub trait OrderingEngine: Send {
 
     /// Called when an incoming fill would evict a speculatively-accessed
     /// block: the engine must commit (if possible) or abort before the line
-    /// escapes. Returns rollback actions if it aborted.
+    /// escapes. Returns the program index to resume at if it aborted.
     fn on_spec_eviction_pressure(
         &mut self,
         _mem: &mut CoreMem,
         _stats: &mut CoreStats,
         _now: Cycle,
-    ) -> Vec<EngineAction> {
-        Vec::new()
+    ) -> Option<usize> {
+        None
     }
 
     /// Records `cycles` elapsed cycles of the given class. Non-speculative
@@ -253,20 +238,10 @@ pub trait OrderingEngine: Send {
 pub struct FreeRetireEngine;
 
 impl OrderingEngine for FreeRetireEngine {
-    fn name(&self) -> String {
-        "free".to_string()
-    }
-
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         match ctx.entry.instr.kind {
             InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
+                ctx.store_non_speculative(addr, value)
             }
             _ => RetireOutcome::Retired,
         }
@@ -308,14 +283,13 @@ mod tests {
     fn default_hooks_are_permissive() {
         let mut engine = FreeRetireEngine;
         assert!(!engine.speculating());
-        assert!(!engine.subsumes_in_window());
         assert!(engine.can_drain(Some(1)));
         let mut stats = CoreStats::new();
         let cfg = ifence_types::MachineConfig::small_test(ifence_types::EngineKind::Conventional(
             ifence_types::ConsistencyModel::Rmo,
         ));
         let mut mem = CoreMem::new(ifence_types::CoreId(0), &cfg);
-        assert!(engine.tick(&mut mem, &mut stats, 0).is_empty());
+        assert_eq!(engine.on_spec_eviction_pressure(&mut mem, &mut stats, 0), None);
         let block = BlockAddr::containing(ifence_types::Addr::new(0x40), 64);
         assert_eq!(
             engine.on_external(&mut mem, &mut stats, block, ExternalKind::Invalidate, 0),

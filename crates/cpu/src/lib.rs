@@ -12,7 +12,9 @@
 //! `ifence-consistency`; the InvisiFence and ASO engines live in the
 //! `invisifence` crate. The engine owns all speculation state (checkpoints,
 //! speculative-bit management, commit/abort policy) and instructs the core to
-//! roll back by returning [`EngineAction::Rollback`].
+//! roll back by returning a resume index: [`ExternalOutcome::AckAfterRollback`]
+//! or [`DeferResolution::AckAfterRollback`] for a violation, or `Some` from
+//! [`OrderingEngine::on_spec_eviction_pressure`] for a structural abort.
 //!
 //! Per simulated cycle a core:
 //! 1. resolves deferred external requests and runs the engine's `tick`,
@@ -37,8 +39,7 @@ pub mod rob;
 
 pub use crate::core::{Core, CoreSleep};
 pub use engine::{
-    DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 pub use mem_side::CoreMem;
 pub use rob::{Rob, RobEntry, RobView};

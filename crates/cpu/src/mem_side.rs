@@ -95,16 +95,8 @@ impl CoreMem {
     }
 
     /// Drains the coherence requests produced since the last call (including
-    /// writebacks generated by L1 evictions).
-    pub fn take_requests(&mut self) -> Vec<CoherenceRequest> {
-        self.collect_writebacks();
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Like [`CoreMem::take_requests`], but drains in place so the outbox
-    /// keeps its allocation across stepped cycles (the hot kernels route
-    /// requests every cycle; `mem::take` would leave a zero-capacity vector
-    /// behind and re-allocate on the next emission).
+    /// writebacks generated by L1 evictions) in place, so the outbox keeps
+    /// its allocation across stepped cycles.
     pub fn drain_requests(&mut self) -> std::vec::Drain<'_, CoherenceRequest> {
         self.collect_writebacks();
         self.outbox.drain(..)
@@ -422,13 +414,13 @@ mod tests {
         let (mut m, mut c) = mem();
         assert!(m.ensure_read_miss(blk(0x1000), 7, 0, &mut c));
         assert!(m.miss_outstanding(blk(0x1000)));
-        let reqs = m.take_requests();
+        let reqs: Vec<_> = m.drain_requests().collect();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].kind, CoherenceReqKind::GetS);
         assert_eq!(c.coherence_requests, 1);
         // A second waiter merges without a new request.
         assert!(m.ensure_read_miss(blk(0x1000), 8, 0, &mut c));
-        assert!(m.take_requests().is_empty());
+        assert_eq!(m.drain_requests().count(), 0);
         assert_eq!(m.mshrs.get(blk(0x1000)).unwrap().waiters, vec![7, 8]);
     }
 
@@ -449,11 +441,11 @@ mod tests {
         m.ensure_read_miss(blk(0x2000), 3, 0, &mut c);
         // A store now also needs the block.
         m.ensure_write_miss(blk(0x2000), Some(4), false, 1, &mut c);
-        let _ = m.take_requests();
+        let _ = m.drain_requests();
         let res = m.fill(blk(0x2000), LineState::Shared, BlockData::zeroed(), 10, &mut c);
         assert!(res.upgrade_issued);
         assert!(res.waiters.contains(&3) && res.waiters.contains(&4));
-        let reqs = m.take_requests();
+        let reqs: Vec<_> = m.drain_requests().collect();
         assert!(reqs.iter().any(|r| r.kind == CoherenceReqKind::GetM));
     }
 
@@ -465,7 +457,7 @@ mod tests {
         assert_eq!(s.counters.sb_inserts, 1);
         assert_eq!(s.hists.sb_occupancy.count(), 1, "occupancy sampled per insert");
         assert!(!m.sb_empty());
-        let reqs = m.take_requests();
+        let reqs: Vec<_> = m.drain_requests().collect();
         assert!(reqs.iter().any(|r| r.kind == CoherenceReqKind::GetM));
     }
 
@@ -500,7 +492,7 @@ mod tests {
         assert!(m.store_to_l1(Addr::new(0x4000), 42, Some(0), &mut c));
         assert!(m.l1.is_spec_written(blk(0x4000), 0));
         // The cleaning writeback carries the pre-speculative value (1), not 42.
-        let reqs = m.take_requests();
+        let reqs: Vec<_> = m.drain_requests().collect();
         let wb = reqs
             .iter()
             .find_map(|r| match r.kind {
@@ -517,7 +509,7 @@ mod tests {
         let (mut m, mut c) = mem();
         m.fill(blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
         assert!(m.store_to_l1(Addr::new(0x4000), 42, None, &mut c));
-        assert!(m.take_requests().is_empty());
+        assert_eq!(m.drain_requests().count(), 0);
     }
 
     #[test]
@@ -531,8 +523,8 @@ mod tests {
         with.store_prefetch(blk(0x5000), 0, &mut c);
         without.store_prefetch(blk(0x5000), 0, &mut c);
         assert_eq!(c.store_prefetches, 1);
-        assert_eq!(with.take_requests().len(), 1);
-        assert!(without.take_requests().is_empty());
+        assert_eq!(with.drain_requests().count(), 1);
+        assert_eq!(without.drain_requests().count(), 0);
     }
 
     #[test]

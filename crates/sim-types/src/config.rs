@@ -206,16 +206,14 @@ impl InterconnectConfig {
 /// Policy parameters for post-retirement speculation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpeculationConfig {
-    /// Number of register checkpoints (1 for InvisiFence-Selective's default,
-    /// 2 for the two-checkpoint variant and for InvisiFence-Continuous).
-    pub checkpoints: usize,
     /// Minimum chunk size (retired instructions) before a continuous-mode
     /// chunk may close (the paper uses ~100 instructions).
     pub min_chunk_instructions: usize,
-    /// Commit-on-violate: defer an offending external request for up to
-    /// `cov_timeout` cycles, giving the speculation a chance to commit.
-    pub commit_on_violate: bool,
-    /// The CoV deferral timeout in cycles (the paper evaluates 4000).
+    /// The commit-on-violate deferral timeout in cycles (the paper evaluates
+    /// 4000): how long a CoV engine may hold an offending external request,
+    /// giving the speculation a chance to commit. Read only by
+    /// `Invisi_cont_CoV`; [`EngineKind::commit_on_violate`] says which
+    /// engine that is.
     pub cov_timeout: u64,
     /// ASO: number of instructions between intermediate checkpoints taken
     /// during a speculative episode (enables partial rollback).
@@ -229,9 +227,7 @@ pub struct SpeculationConfig {
 impl Default for SpeculationConfig {
     fn default() -> Self {
         SpeculationConfig {
-            checkpoints: 1,
             min_chunk_instructions: 100,
-            commit_on_violate: false,
             cov_timeout: 4000,
             aso_checkpoint_interval: 64,
             ssb_entries: 1024,
@@ -303,6 +299,26 @@ impl EngineKind {
     /// True for any engine that performs post-retirement speculation.
     pub fn is_speculative(self) -> bool {
         !matches!(self, EngineKind::Conventional(_))
+    }
+
+    /// Register checkpoints the engine holds in flight: none for the
+    /// conventional engines, one for InvisiFence-Selective, two for its
+    /// two-checkpoint variant and for InvisiFence-Continuous (which needs a
+    /// second to pipeline chunk commit). ASO counts its first checkpoint;
+    /// its intermediate ones are paced by
+    /// [`SpeculationConfig::aso_checkpoint_interval`].
+    pub fn checkpoints(self) -> usize {
+        match self {
+            EngineKind::Conventional(_) => 0,
+            EngineKind::InvisiSelective(_) | EngineKind::Aso(_) => 1,
+            EngineKind::InvisiSelectiveTwoCkpt(_) | EngineKind::InvisiContinuous { .. } => 2,
+        }
+    }
+
+    /// True for the one engine that defers a conflicting external request
+    /// instead of aborting (commit-on-violate, Section 6.6).
+    pub fn commit_on_violate(self) -> bool {
+        matches!(self, EngineKind::InvisiContinuous { commit_on_violate: true })
     }
 
     /// Label used in figure output (matches the paper's bar labels).
@@ -451,16 +467,6 @@ impl MachineConfig {
     /// A paper-baseline machine configured for the given ordering engine,
     /// with the store buffer Figure 6 pairs with that engine.
     pub fn with_engine(engine: EngineKind) -> Self {
-        let mut spec = SpeculationConfig::default();
-        match engine {
-            EngineKind::InvisiSelectiveTwoCkpt(_) | EngineKind::InvisiContinuous { .. } => {
-                spec.checkpoints = 2;
-            }
-            _ => {}
-        }
-        if let EngineKind::InvisiContinuous { commit_on_violate } = engine {
-            spec.commit_on_violate = commit_on_violate;
-        }
         MachineConfig {
             cores: 16,
             core: CoreConfig::paper_core(),
@@ -469,7 +475,7 @@ impl MachineConfig {
             dram: DramConfig::paper_dram(),
             store_buffer: engine.default_store_buffer(),
             interconnect: InterconnectConfig::paper_torus(),
-            speculation: spec,
+            speculation: SpeculationConfig::default(),
             engine,
             seed: 0x1f3c_e5ee_d00d,
             dense_kernel: false,
@@ -505,8 +511,7 @@ impl MachineConfig {
     /// # Errors
     /// Returns a [`ConfigError`] describing the first problem found (zero
     /// cores, non-power-of-two block size, core count not matching the torus,
-    /// zero-capacity structures, an engine/checkpoint mismatch, or a machine
-    /// thread count other than 1).
+    /// zero-capacity structures, or a machine thread count other than 1).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("core count must be non-zero"));
@@ -551,16 +556,6 @@ impl MachineConfig {
         if self.core.rob_size == 0 || self.core.width == 0 {
             return Err(ConfigError::new("core width and ROB size must be non-zero"));
         }
-        if self.speculation.checkpoints == 0 && self.engine.is_speculative() {
-            return Err(ConfigError::new("speculative engines need at least one checkpoint"));
-        }
-        if matches!(self.engine, EngineKind::InvisiContinuous { .. })
-            && self.speculation.checkpoints < 2
-        {
-            return Err(ConfigError::new(
-                "InvisiFence-Continuous requires two checkpoints to pipeline chunk commit",
-            ));
-        }
         Ok(())
     }
 
@@ -572,10 +567,10 @@ impl MachineConfig {
             return 0;
         }
         let blocks = self.l1.blocks();
-        let bits_per_block = 2 * self.speculation.checkpoints;
+        let bits_per_block = 2 * self.engine.checkpoints();
         let spec_bits_bytes = (blocks * bits_per_block).div_ceil(8);
         // A SPARC-style register checkpoint: 32 integer + 32 FP 8-byte registers.
-        let checkpoint_bytes = 64 * 8 * self.speculation.checkpoints;
+        let checkpoint_bytes = 64 * 8 * self.engine.checkpoints();
         spec_bits_bytes + checkpoint_bytes
     }
 
@@ -671,11 +666,12 @@ mod tests {
 
     #[test]
     fn continuous_config_gets_two_checkpoints() {
-        let cfg =
-            MachineConfig::with_engine(EngineKind::InvisiContinuous { commit_on_violate: true });
-        assert_eq!(cfg.speculation.checkpoints, 2);
-        assert!(cfg.speculation.commit_on_violate);
-        cfg.validate().unwrap();
+        for commit_on_violate in [false, true] {
+            let engine = EngineKind::InvisiContinuous { commit_on_violate };
+            assert_eq!(engine.checkpoints(), 2);
+            assert_eq!(engine.commit_on_violate(), commit_on_violate);
+            MachineConfig::with_engine(engine).validate().unwrap();
+        }
     }
 
     /// Applies `break_it` to a paper baseline and asserts validation fails
@@ -716,24 +712,19 @@ mod tests {
 
     #[test]
     fn speculative_engines_require_checkpoints() {
-        let mut cfg = MachineConfig::with_engine(EngineKind::InvisiSelective(ConsistencyModel::Sc));
-        cfg.speculation.checkpoints = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("at least one checkpoint"), "{err}");
-        // Conventional engines do not need checkpoints at all.
-        let mut conventional = MachineConfig::paper_baseline();
-        conventional.speculation.checkpoints = 0;
-        conventional.validate().expect("non-speculative engines ignore checkpoints");
-    }
-
-    #[test]
-    fn continuous_requires_two_checkpoints() {
-        for commit_on_violate in [false, true] {
-            let mut cfg =
-                MachineConfig::with_engine(EngineKind::InvisiContinuous { commit_on_violate });
-            cfg.speculation.checkpoints = 1;
-            let err = cfg.validate().unwrap_err();
-            assert!(err.to_string().contains("two checkpoints"), "{err}");
+        // The kind alone fixes the checkpoint count and the CoV policy: every
+        // speculative engine holds at least one checkpoint, only the
+        // two-checkpoint and continuous variants hold two, and only
+        // Invisi_cont_CoV commits on violation.
+        for engine in EngineKind::all() {
+            let expected = match engine.label().as_str() {
+                "sc" | "tso" | "rmo" => 0,
+                l if l.ends_with("-2ckpt") || l.starts_with("Invisi_cont") => 2,
+                _ => 1,
+            };
+            assert_eq!(engine.checkpoints(), expected, "{engine}");
+            assert_eq!(engine.is_speculative(), expected > 0, "{engine}");
+            assert_eq!(engine.commit_on_violate(), engine.label() == "Invisi_cont_CoV", "{engine}");
         }
     }
 

@@ -20,6 +20,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The store and the
+/// trace writer nest a handful of levels; the bound keeps a hostile or
+/// corrupt file from overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -66,7 +71,13 @@ impl Json {
                 // encode→parse→encode unchanged. Non-finite values have no
                 // JSON representation; the codec never produces them.
                 assert!(x.is_finite(), "cannot encode non-finite float {x} as JSON");
-                out.push_str(&x.to_string());
+                if *x == 0.0 {
+                    // Negative zero would print as "-0", which re-parses as
+                    // UInt(0) and re-encodes as "0": write that fixed point.
+                    out.push('0');
+                } else {
+                    out.push_str(&x.to_string());
+                }
             }
             Json::Str(s) => write_string(s, out),
             Json::Array(items) => {
@@ -98,9 +109,10 @@ impl Json {
     ///
     /// # Errors
     /// Returns a [`JsonError`] with a byte offset when the text is not a
-    /// single well-formed JSON document.
+    /// single well-formed JSON document or nests arrays and objects more
+    /// than 128 deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -188,6 +200,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -233,8 +247,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.error(format!("unexpected byte 0x{other:02x}"))),
             None => Err(self.error("unexpected end of input")),
@@ -418,6 +439,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifence_workloads::TraceRng;
 
     fn roundtrip(doc: &Json) {
         let text = doc.encode();
@@ -438,6 +460,7 @@ mod tests {
             Json::Float(0.125),
             Json::Float(-123.456),
             Json::Float(1.0e-7),
+            Json::Float(-0.0),
             Json::Str("plain".to_string()),
             Json::Str("quotes \" slashes \\ newline \n tab \t unicode ∞".to_string()),
         ] {
@@ -509,5 +532,88 @@ mod tests {
         assert_eq!(doc.field("a").and_then(Json::as_u64), Some(1));
         assert!(doc.field("missing").is_none());
         assert!(Json::Null.field("a").is_none());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        let err = Json::parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+    }
+
+    /// A random document of at most `depth` levels.
+    fn random_doc(rng: &mut TraceRng, depth: usize) -> Json {
+        let pick = rng.range_usize(0..if depth == 0 { 6 } else { 8 });
+        let text = |rng: &mut TraceRng| -> String {
+            let alphabet = ['a', 'Z', '"', '\\', '\n', '\u{1}', '∞', '😀', '/'];
+            (0..rng.range_usize(0..6))
+                .map(|_| alphabet[rng.range_usize(0..alphabet.len())])
+                .collect()
+        };
+        match pick {
+            0 => Json::Null,
+            1 => Json::Bool(rng.bool(0.5)),
+            2 => Json::UInt(rng.next_u64() >> rng.range_u64(0..64)),
+            3 => Json::Int(-((rng.next_u64() >> rng.range_u64(1..64)) as i64) - 1),
+            4 => Json::Float((rng.f64() - 0.5) * 10f64.powi(rng.range_usize(0..40) as i32 - 20)),
+            5 => Json::Str(text(rng)),
+            6 => Json::Array(
+                (0..rng.range_usize(0..4)).map(|_| random_doc(rng, depth - 1)).collect(),
+            ),
+            _ => Json::Object(
+                (0..rng.range_usize(0..4))
+                    .map(|_| (text(rng), random_doc(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Parsing never panics, and whatever parses re-encodes to text that
+    /// parses back to a document with the same encoding.
+    fn assert_parse_is_total(text: &str) {
+        if let Ok(doc) = Json::parse(text) {
+            let encoded = doc.encode();
+            let reparsed = Json::parse(&encoded)
+                .unwrap_or_else(|e| panic!("{text:?} re-encoded to unparseable {encoded:?}: {e}"));
+            assert_eq!(reparsed.encode(), encoded, "{text:?} is not stable under re-encoding");
+        }
+    }
+
+    #[test]
+    fn random_and_corrupted_input_never_panics() {
+        let mut rng = TraceRng::seed_from_u64(0x1f3c_0015);
+        let tokens = [
+            "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u", "d83d", "0", "-", "1", ".", "e", "+",
+            "9", "null", "true", "fals", " ", "\n", "∞", "\u{0}",
+        ];
+        for _ in 0..2000 {
+            // Random token soup.
+            let soup: String = (0..rng.range_usize(0..24))
+                .map(|_| tokens[rng.range_usize(0..tokens.len())])
+                .collect();
+            assert_parse_is_total(&soup);
+            // Random bytes, made valid UTF-8 the way a corrupt file would be read.
+            let bytes: Vec<u8> =
+                (0..rng.range_usize(0..24)).map(|_| rng.next_u32() as u8).collect();
+            assert_parse_is_total(&String::from_utf8_lossy(&bytes));
+            // A valid encoding, truncated and with one token spliced in.
+            let encoded = random_doc(&mut rng, 4).encode();
+            assert_parse_is_total(&encoded);
+            let chars: Vec<char> = encoded.chars().collect();
+            let cut = rng.range_usize(0..chars.len() + 1);
+            assert_parse_is_total(&chars[..cut].iter().collect::<String>());
+            let at = rng.range_usize(0..chars.len() + 1);
+            let token = tokens[rng.range_usize(0..tokens.len())];
+            let mutated: String = chars[..at]
+                .iter()
+                .copied()
+                .chain(token.chars())
+                .chain(chars[at..].iter().skip(1).copied())
+                .collect();
+            assert_parse_is_total(&mutated);
+        }
     }
 }

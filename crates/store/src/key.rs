@@ -52,7 +52,11 @@ use ifence_workloads::Workload;
 /// v8: `MachineConfig` no longer serializes `machine_threads` (serialized
 /// layout change: every machine runs on one host thread, so the count
 /// selects nothing).
-pub const SCHEMA_VERSION: u64 = 8;
+///
+/// v9: `SpeculationConfig` no longer serializes `checkpoints` or
+/// `commit_on_violate` (serialized layout change: the engine kind alone
+/// fixes both, so neither field selects anything).
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from

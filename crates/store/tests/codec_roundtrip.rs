@@ -124,9 +124,7 @@ fn rand_machine(rng: &mut TraceRng) -> MachineConfig {
         retry_interval: rng.range_u64(1..64),
     };
     cfg.speculation = SpeculationConfig {
-        checkpoints: rng.range_usize(1..4),
         min_chunk_instructions: rng.range_usize(1..1000),
-        commit_on_violate: rng.bool(0.5),
         cov_timeout: rng.range_u64(1..10_000),
         aso_checkpoint_interval: rng.range_usize(1..256),
         ssb_entries: rng.range_usize(1..4096),

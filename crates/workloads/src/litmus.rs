@@ -23,7 +23,7 @@
 //! each observing thread, making the forbidden outcome illegal under RMO as
 //! well.
 
-use ifence_types::{Addr, Instruction, Program};
+use ifence_types::{Addr, ConsistencyModel, Instruction, Program};
 
 const BLOCK: u64 = 64;
 /// Base address of the litmus data region (distinct from workload regions).
@@ -43,6 +43,24 @@ pub enum LitmusKind {
 }
 
 impl LitmusKind {
+    /// Every pattern, in report order.
+    pub const ALL: [LitmusKind; 4] = [
+        LitmusKind::MessagePassing,
+        LitmusKind::StoreBuffering,
+        LitmusKind::LoadBuffering,
+        LitmusKind::Iriw,
+    ];
+
+    /// The pattern's name in reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            LitmusKind::MessagePassing => "message-passing",
+            LitmusKind::StoreBuffering => "store-buffering",
+            LitmusKind::LoadBuffering => "load-buffering",
+            LitmusKind::Iriw => "iriw",
+        }
+    }
+
     /// True when the observed values form the outcome sequential consistency
     /// forbids for this pattern.
     fn forbidden(self, values: &[u64]) -> bool {
@@ -68,12 +86,24 @@ struct Observation {
 #[derive(Debug, Clone)]
 pub struct LitmusTest {
     kind: LitmusKind,
+    fenced: bool,
     iterations: usize,
     programs: Vec<Program>,
     observations: Vec<Observation>,
 }
 
 impl LitmusTest {
+    /// Builds the `kind` pattern with the given number of iterations,
+    /// fenced or not (see the per-pattern builders).
+    pub fn new(kind: LitmusKind, iterations: usize, fenced: bool) -> Self {
+        match kind {
+            LitmusKind::MessagePassing => Self::message_passing(iterations, fenced),
+            LitmusKind::StoreBuffering => Self::store_buffering(iterations, fenced),
+            LitmusKind::LoadBuffering => Self::load_buffering(iterations, fenced),
+            LitmusKind::Iriw => Self::iriw(iterations, fenced),
+        }
+    }
+
     /// Builds a message-passing test with the given number of iterations.
     /// When `fenced` is true a full fence separates the writer's two stores
     /// and the reader's two loads.
@@ -104,6 +134,7 @@ impl LitmusTest {
         }
         LitmusTest {
             kind: LitmusKind::MessagePassing,
+            fenced,
             iterations,
             programs: vec![writer, reader],
             observations,
@@ -141,6 +172,7 @@ impl LitmusTest {
         }
         LitmusTest {
             kind: LitmusKind::StoreBuffering,
+            fenced,
             iterations,
             programs: vec![core0, core1],
             observations,
@@ -181,6 +213,7 @@ impl LitmusTest {
         }
         LitmusTest {
             kind: LitmusKind::LoadBuffering,
+            fenced,
             iterations,
             programs: vec![core0, core1],
             observations,
@@ -234,6 +267,7 @@ impl LitmusTest {
         }
         LitmusTest {
             kind: LitmusKind::Iriw,
+            fenced,
             iterations,
             programs: vec![writer_x, writer_y, reader_xy, reader_yx],
             observations,
@@ -253,6 +287,24 @@ impl LitmusTest {
     /// The per-core programs (two cores, or four for IRIW).
     pub fn programs(&self) -> &[Program] {
         &self.programs
+    }
+
+    /// Whether an engine enforcing `model` must never show this test's
+    /// forbidden outcome: with fences every pattern is ordered under every
+    /// model, and load buffering is forbidden everywhere because no engine
+    /// speculates on load values. Unfenced, TSO keeps message passing's
+    /// store→store and load→load order but relaxes store→load (store
+    /// buffering), and RMO relaxes all three; IRIW's forbidden outcome is
+    /// guaranteed absent only under SC.
+    pub fn must_forbid(&self, model: ConsistencyModel) -> bool {
+        if self.fenced {
+            return true;
+        }
+        match self.kind {
+            LitmusKind::LoadBuffering => true,
+            LitmusKind::MessagePassing => model != ConsistencyModel::Rmo,
+            LitmusKind::StoreBuffering | LitmusKind::Iriw => model == ConsistencyModel::Sc,
+        }
     }
 
     /// Counts forbidden outcomes given each core's retired-load observations

@@ -35,8 +35,8 @@ use ifence_sim::sweep::{engine_configs, manifest_for_grid, ExperimentMatrix};
 use ifence_sim::{run_litmus, ExperimentParams, Machine};
 use ifence_stats::{ColumnTable, MachineTrace, PhaseProfile, TraceKind};
 use ifence_store::{diff_sweeps, trace_from_jsonl, trace_to_jsonl, ExperimentStore};
-use ifence_types::{ConsistencyModel, EngineKind};
-use ifence_workloads::{presets, LitmusTest, Workload};
+use ifence_types::EngineKind;
+use ifence_workloads::{presets, LitmusKind, LitmusTest, Workload};
 use std::path::PathBuf;
 
 fn main() {
@@ -297,20 +297,9 @@ fn cmd_figures(cli: &Cli) -> Result<i32, String> {
     Ok(0)
 }
 
-fn all_engines() -> Vec<EngineKind> {
-    use ConsistencyModel::*;
-    vec![
-        EngineKind::Conventional(Sc),
-        EngineKind::Conventional(Tso),
-        EngineKind::Conventional(Rmo),
-        EngineKind::InvisiSelective(Sc),
-        EngineKind::InvisiSelective(Tso),
-        EngineKind::InvisiSelective(Rmo),
-        EngineKind::InvisiSelectiveTwoCkpt(Sc),
-        EngineKind::InvisiContinuous { commit_on_violate: false },
-        EngineKind::InvisiContinuous { commit_on_violate: true },
-        EngineKind::Aso(Sc),
-    ]
+/// Every engine label, for "unknown engine" errors.
+fn engine_labels() -> String {
+    EngineKind::all().iter().map(|e| e.label()).collect::<Vec<_>>().join(", ")
 }
 
 fn cmd_sweep(cli: &Cli) -> Result<i32, String> {
@@ -325,17 +314,14 @@ fn cmd_sweep(cli: &Cli) -> Result<i32, String> {
         return Ok(0);
     }
     let engines: Vec<EngineKind> = match &cli.engines {
-        None => all_engines(),
+        None => EngineKind::all().to_vec(),
         Some(labels) => labels
             .split(',')
             .map(str::trim)
             .filter(|l| !l.is_empty())
             .map(|l| {
                 EngineKind::from_label(l).ok_or_else(|| {
-                    format!(
-                        "unknown engine label {l:?} (known: {})",
-                        all_engines().iter().map(|e| e.label()).collect::<Vec<_>>().join(", ")
-                    )
+                    format!("unknown engine label {l:?} (known: {})", engine_labels())
                 })
             })
             .collect::<Result<_, _>>()?,
@@ -413,27 +399,21 @@ fn cmd_litmus(cli: &Cli) -> Result<i32, String> {
     const MAX_CYCLES: u64 = 60_000_000;
     let mut table = ColumnTable::new(["pattern", "fenced", "engine", "forbidden", "verdict"]);
     let mut violations = 0usize;
-    for (pattern, build) in [
-        ("message-passing", LitmusTest::message_passing as fn(usize, bool) -> LitmusTest),
-        ("store-buffering", LitmusTest::store_buffering),
-        ("load-buffering", LitmusTest::load_buffering),
-        ("iriw", LitmusTest::iriw),
-    ] {
+    for kind in LitmusKind::ALL {
         for fenced in [false, true] {
-            let test = build(iterations, fenced);
-            for engine in all_engines() {
+            let test = LitmusTest::new(kind, iterations, fenced);
+            for engine in EngineKind::all() {
                 let forbidden = run_litmus(engine, &test, MAX_CYCLES);
-                let must_be_zero = must_forbid(pattern, fenced, engine.model());
                 let verdict = if forbidden == 0 {
                     "ok"
-                } else if must_be_zero {
+                } else if test.must_forbid(engine.model()) {
                     violations += 1;
                     "VIOLATION"
                 } else {
                     "relaxed (allowed)"
                 };
                 table.push_row([
-                    pattern.to_string(),
+                    kind.label().to_string(),
                     fenced.to_string(),
                     engine.label(),
                     forbidden.to_string(),
@@ -450,21 +430,6 @@ fn cmd_litmus(cli: &Cli) -> Result<i32, String> {
     println!("all engines enforce their consistency models ({iterations} iterations/pattern)");
     print_phase_profile();
     Ok(0)
-}
-
-/// Whether a pattern's forbidden outcome must be absent under the given
-/// model (with fences, every pattern is ordered under every model; load
-/// buffering is forbidden everywhere because no engine speculates on load
-/// values).
-fn must_forbid(pattern: &str, fenced: bool, model: ConsistencyModel) -> bool {
-    if fenced || pattern == "load-buffering" {
-        return true;
-    }
-    match pattern {
-        "message-passing" => model != ConsistencyModel::Rmo,
-        "store-buffering" | "iriw" => model == ConsistencyModel::Sc,
-        _ => true,
-    }
 }
 
 fn cmd_report(cli: &Cli) -> Result<i32, String> {
@@ -640,12 +605,8 @@ fn read_stream(path: &str) -> Result<MachineTrace, String> {
 
 fn trace_record(cli: &Cli) -> Result<i32, String> {
     let label = cli.engine.as_deref().unwrap_or("Invisi_sc");
-    let engine = EngineKind::from_label(label).ok_or_else(|| {
-        format!(
-            "unknown engine label {label:?} (known: {})",
-            all_engines().iter().map(|e| e.label()).collect::<Vec<_>>().join(", ")
-        )
-    })?;
+    let engine = EngineKind::from_label(label)
+        .ok_or_else(|| format!("unknown engine label {label:?} (known: {})", engine_labels()))?;
     let workloads = cli.workload_list()?;
     let workload = &workloads[0];
     if workloads.len() > 1 {
