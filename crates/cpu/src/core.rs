@@ -61,6 +61,9 @@ pub struct Core {
     deferred: Vec<DeferredSnoop>,
     pending_replies: Vec<SnoopReply>,
     load_results: Vec<(usize, u64)>,
+    /// The waiters of the fill being delivered (kept to reuse the
+    /// allocation).
+    fill_waiters: Vec<u64>,
     /// Leading issued prefix: ROB entries `[0, issued_prefix)` are all
     /// issued, so the issue stage starts its scan there instead of walking
     /// the whole buffer. Maintained by the issue stage and shifted by
@@ -111,6 +114,7 @@ impl Core {
             deferred: Vec::new(),
             pending_replies: Vec::new(),
             load_results: Vec::new(),
+            fill_waiters: Vec::new(),
             issued_prefix: 0,
         }
     }
@@ -288,7 +292,8 @@ impl Core {
         self.stats.trace.set_now(now);
         match delivery {
             Delivery::Fill { block, state, data, .. } => {
-                if self.mem.l1.fill_would_evict_spec(block) {
+                let mut slot = self.mem.l1.fill_slot(block);
+                if self.mem.l1.slot_evicts_spec(slot) {
                     let resume_at = {
                         let Core { mem, engine, stats, .. } = self;
                         engine.on_spec_eviction_pressure(mem, stats, now)
@@ -296,11 +301,15 @@ impl Core {
                     if let Some(resume_at) = resume_at {
                         self.rollback(resume_at);
                     }
+                    // The engine committed or aborted, so the victim may have moved.
+                    slot = self.mem.l1.fill_slot(block);
                 }
-                let result = self.mem.fill(block, state, data, now, &mut self.stats.counters);
-                for waiter in result.waiters {
+                let mut waiters = std::mem::take(&mut self.fill_waiters);
+                self.mem.fill(slot, state, data, now, &mut self.stats.counters, &mut waiters);
+                for &waiter in &waiters {
                     self.complete_waiter(waiter, block, now);
                 }
+                self.fill_waiters = waiters;
                 #[cfg(debug_assertions)]
                 self.assert_pending_entries_are_waiters();
                 None
@@ -676,7 +685,8 @@ impl Core {
     /// to do costs a length check: engine maintenance runs only while
     /// [`OrderingEngine::tick_live`] says it may act, deferred resolution
     /// only while snoops are deferred, the drain only while the store buffer
-    /// holds entries, and the issue scan starts past the issued prefix.
+    /// holds an unparked entry (one whose block is not waiting for its
+    /// fill), and the issue scan starts past the issued prefix.
     pub fn step(&mut self, now: Cycle) -> CoreActivity {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();

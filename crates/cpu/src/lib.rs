@@ -19,6 +19,8 @@
 //! Per simulated cycle a core:
 //! 1. resolves deferred external requests and runs the engine's `tick`,
 //! 2. drains the store buffer into the L1 (subject to the engine's gate),
+//!    only while the buffer holds an unparked entry — one whose block is
+//!    not waiting for its fill,
 //! 3. issues ready memory operations to the L1 / coherence fabric,
 //! 4. retires up to `width` instructions in order, consulting the engine,
 //! 5. dispatches new instructions from the trace into the reorder buffer,

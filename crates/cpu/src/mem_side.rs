@@ -2,19 +2,9 @@
 //! request path to the coherence fabric.
 
 use ifence_coherence::{CoherenceReqKind, CoherenceRequest};
-use ifence_mem::{EvictionAction, L1Cache, MshrError, SbError, StoreBuffer};
+use ifence_mem::{EvictionAction, FillSlot, L1Cache, LineState, MshrError, SbError, StoreBuffer};
 use ifence_stats::{CoreStats, SimCounters, TraceKind};
 use ifence_types::{Addr, BlockAddr, CoreId, Cycle, MachineConfig};
-
-/// Result of delivering a fill to the core's memory side.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FillResult {
-    /// Dispatch identifiers of instructions that were waiting on this block.
-    pub waiters: Vec<u64>,
-    /// True if the fill granted only read permission but a store needs write
-    /// permission, so an upgrade request was issued.
-    pub upgrade_issued: bool,
-}
 
 /// The L1 cache, store buffer, MSHRs and outgoing-request queue of one core.
 ///
@@ -104,7 +94,7 @@ impl CoreMem {
 
     fn collect_writebacks(&mut self) {
         let id = self.id;
-        for action in self.l1.take_writebacks() {
+        for action in self.l1.drain_writebacks() {
             let req = match action {
                 EvictionAction::WritebackDirty(block, data) => CoherenceRequest {
                     core: id,
@@ -280,6 +270,13 @@ impl CoreMem {
     /// drain (used by multi-checkpoint policies). Entries whose blocks are not
     /// yet writable get a write request issued. Returns the number of entries
     /// drained.
+    ///
+    /// An entry whose block is absent from the L1 and its victim cache while
+    /// the block's miss is outstanding is parked ([`L1Cache::park`]): a visit
+    /// would touch no LRU stamp, promote nothing and send no request, and
+    /// only the block's fill can change that. The drain skips parked entries,
+    /// and once every candidate is parked it returns at once until the store
+    /// buffer changes or a fill unparks a block.
     pub fn drain_store_buffer<F>(
         &mut self,
         max: usize,
@@ -290,8 +287,16 @@ impl CoreMem {
     where
         F: Fn(Option<u8>) -> bool,
     {
+        let unparked = self.l1.take_unparked();
+        let idle = self.sb.drain_stalled() && !unparked;
+        #[cfg(debug_assertions)]
+        self.assert_parked_entries_wait(idle);
+        if idle {
+            return 0;
+        }
         let mut drained = 0;
         let mut attempts = 0;
+        let mut stalled = false;
         let mut candidates = std::mem::take(&mut self.drain_scratch);
         while drained < max {
             attempts += 1;
@@ -303,72 +308,119 @@ impl CoreMem {
                 break;
             }
             let mut progressed = false;
+            let mut all_parked = true;
             for &(block, epoch) in &candidates {
-                if !can_drain(epoch) {
+                if self.l1.is_parked(block) {
                     continue;
                 }
-                if self.l1.lookup(block).writable() {
-                    if let Some(entry) = self.sb.drain_block(block) {
-                        // A speculative entry draining onto a dirty,
-                        // not-yet-speculative block forces a cleaning
-                        // writeback first so the pre-speculative value is
-                        // preserved in the L2.
-                        if entry.epoch.is_some()
-                            && !self.l1.is_spec_written(block, 0)
-                            && !self.l1.is_spec_written(block, 1)
-                            && self.l1.clean_writeback(block).is_some()
-                        {
-                            counters.writebacks += 1;
-                        }
-                        let ok = self.l1.merge_store(block, &entry.data, entry.word_mask);
-                        debug_assert!(ok, "writable block must accept the drained store");
-                        // Epochs 0 and 1 are the cache's physical speculative-bit
-                        // sets; larger tags are used by engines (ASO) that track
-                        // their speculative write sets outside the cache.
-                        if let Some(e) = entry.epoch {
-                            if (e as usize) < 2 {
-                                self.l1.mark_spec_written(block, e as usize);
-                            }
-                        }
-                        counters.sb_drains += 1;
-                        drained += 1;
-                        progressed = true;
-                        break;
+                if !can_drain(epoch) {
+                    all_parked = false;
+                    continue;
+                }
+                let state = self.l1.lookup(block);
+                if state.writable() {
+                    let entry = self.sb.drain_block(block).expect("a drain candidate has an entry");
+                    // A speculative entry draining onto a dirty,
+                    // not-yet-speculative block forces a cleaning writeback
+                    // first so the pre-speculative value is preserved in the
+                    // L2.
+                    if entry.epoch.is_some()
+                        && !self.l1.is_spec_written(block, 0)
+                        && !self.l1.is_spec_written(block, 1)
+                        && self.l1.clean_writeback(block).is_some()
+                    {
+                        counters.writebacks += 1;
                     }
-                } else if !self.mshrs.contains(block) && !self.mshrs.is_full() {
-                    let _ = self.ensure_write_miss(block, None, false, now, counters);
+                    let ok = self.l1.merge_store(block, &entry.data, entry.word_mask);
+                    debug_assert!(ok, "writable block must accept the drained store");
+                    // Epochs 0 and 1 are the cache's physical speculative-bit
+                    // sets; larger tags are used by engines (ASO) that track
+                    // their speculative write sets outside the cache.
+                    if let Some(e) = entry.epoch {
+                        if (e as usize) < 2 {
+                            self.l1.mark_spec_written(block, e as usize);
+                        }
+                    }
+                    counters.sb_drains += 1;
+                    drained += 1;
+                    progressed = true;
+                    break;
+                }
+                let outstanding = self.mshrs.contains(block)
+                    || (!self.mshrs.is_full()
+                        && self.ensure_write_miss(block, None, false, now, counters));
+                if outstanding && state == LineState::Invalid {
+                    self.l1.park(block);
+                } else {
+                    all_parked = false;
                 }
             }
             if !progressed {
+                stalled = all_parked;
                 break;
             }
         }
         self.drain_scratch = candidates;
+        self.sb.set_drain_stalled(stalled);
         drained
     }
 
-    /// Handles a data fill from the coherence fabric: installs the line,
-    /// completes the MSHR, and (if a buffered store needed write permission
-    /// but only read permission was granted) issues an upgrade.
+    /// Checks what makes skipping parked entries exact: a parked block is
+    /// absent from the L1 and its victim cache with its miss outstanding, and
+    /// an idle drain has only parked candidates.
+    #[cfg(debug_assertions)]
+    fn assert_parked_entries_wait(&mut self, idle: bool) {
+        for &block in self.l1.parked() {
+            assert_eq!(
+                self.l1.peek(block),
+                LineState::Invalid,
+                "core{}: parked {block} is present in the L1",
+                self.id.index()
+            );
+            assert!(
+                self.mshrs.contains(block),
+                "core{}: parked {block} has no miss outstanding",
+                self.id.index()
+            );
+        }
+        if idle {
+            let mut candidates = std::mem::take(&mut self.drain_scratch);
+            self.sb.drain_candidates_into(&mut candidates);
+            for &(block, _) in &candidates {
+                assert!(
+                    self.l1.is_parked(block),
+                    "core{}: the drain idles with {block} unparked",
+                    self.id.index()
+                );
+            }
+            self.drain_scratch = candidates;
+        }
+    }
+
+    /// Handles a data fill from the coherence fabric: installs the line at
+    /// `slot` (from [`L1Cache::fill_slot`]), completes the MSHR, and (if a buffered store needed write
+    /// permission but only read permission was granted) issues an upgrade.
+    /// The MSHR's waiters replace the contents of `waiters`. Returns true if
+    /// an upgrade was issued.
     pub fn fill(
         &mut self,
-        block: BlockAddr,
-        state: ifence_mem::LineState,
+        slot: FillSlot,
+        state: LineState,
         data: ifence_mem::BlockData,
         now: Cycle,
         counters: &mut SimCounters,
-    ) -> FillResult {
-        self.l1.fill(block, state, data);
-        let mut result = FillResult::default();
-        if let Some(entry) = self.mshrs.complete(block) {
-            result.waiters = entry.waiters;
-            if entry.for_write && !state.writable() {
-                // The in-flight request was a GetS but a store now needs
-                // ownership: upgrade.
-                result.upgrade_issued = self.ensure_write_miss(block, None, false, now, counters);
+        waiters: &mut Vec<u64>,
+    ) -> bool {
+        let block = slot.block();
+        self.l1.fill_at(slot, state, data);
+        match self.mshrs.complete(block, waiters) {
+            // The in-flight request was a GetS but a store now needs
+            // ownership: upgrade.
+            Some(true) if !state.writable() => {
+                self.ensure_write_miss(block, None, false, now, counters)
             }
+            _ => false,
         }
-        result
     }
 
     /// Applies an external invalidation to the L1, returning the dirty data if
@@ -401,8 +453,38 @@ mod tests {
     use ifence_types::{ConsistencyModel, EngineKind};
 
     fn mem() -> (CoreMem, SimCounters) {
-        let cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Rmo));
+        mem_for(ConsistencyModel::Rmo)
+    }
+
+    fn mem_for(model: ConsistencyModel) -> (CoreMem, SimCounters) {
+        let cfg = MachineConfig::small_test(EngineKind::Conventional(model));
         (CoreMem::new(CoreId(0), &cfg), SimCounters::new())
+    }
+
+    /// Delivers a fill, returning its waiters and whether it issued an upgrade.
+    fn fill(
+        m: &mut CoreMem,
+        block: BlockAddr,
+        state: LineState,
+        data: BlockData,
+        now: Cycle,
+        c: &mut SimCounters,
+    ) -> (Vec<u64>, bool) {
+        let mut waiters = vec![u64::MAX];
+        let upgrade = m.fill(m.l1.fill_slot(block), state, data, now, c, &mut waiters);
+        (waiters, upgrade)
+    }
+
+    /// Drains with an open gate, returning how many entries drained and how
+    /// many entries the drain asked the gate about (parked ones are skipped
+    /// before the gate).
+    fn drain_counting_visits(m: &mut CoreMem, c: &mut SimCounters) -> (usize, usize) {
+        let visits = std::cell::Cell::new(0);
+        let drained = m.drain_store_buffer(4, 1, c, |_| {
+            visits.set(visits.get() + 1);
+            true
+        });
+        (drained, visits.get())
     }
 
     fn blk(byte: u64) -> BlockAddr {
@@ -428,9 +510,10 @@ mod tests {
     fn fill_completes_waiters_and_installs_line() {
         let (mut m, mut c) = mem();
         m.ensure_read_miss(blk(0x2000), 3, 0, &mut c);
-        let res = m.fill(blk(0x2000), LineState::Shared, BlockData::from_words([5; 8]), 10, &mut c);
-        assert_eq!(res.waiters, vec![3]);
-        assert!(!res.upgrade_issued);
+        let (waiters, upgrade) =
+            fill(&mut m, blk(0x2000), LineState::Shared, BlockData::from_words([5; 8]), 10, &mut c);
+        assert_eq!(waiters, vec![3]);
+        assert!(!upgrade);
         assert!(m.readable(blk(0x2000)));
         assert_eq!(m.read_value(Addr::new(0x2000)), Some(5));
     }
@@ -442,9 +525,10 @@ mod tests {
         // A store now also needs the block.
         m.ensure_write_miss(blk(0x2000), Some(4), false, 1, &mut c);
         let _ = m.drain_requests();
-        let res = m.fill(blk(0x2000), LineState::Shared, BlockData::zeroed(), 10, &mut c);
-        assert!(res.upgrade_issued);
-        assert!(res.waiters.contains(&3) && res.waiters.contains(&4));
+        let (waiters, upgrade) =
+            fill(&mut m, blk(0x2000), LineState::Shared, BlockData::zeroed(), 10, &mut c);
+        assert!(upgrade);
+        assert_eq!(waiters, vec![3, 4]);
         let reqs: Vec<_> = m.drain_requests().collect();
         assert!(reqs.iter().any(|r| r.kind == CoherenceReqKind::GetM));
     }
@@ -467,7 +551,7 @@ mod tests {
         let mut s = CoreStats::new();
         m.store_to_sb(Addr::new(0x3000), 9, None, 0, &mut s).unwrap();
         assert_eq!(m.drain_store_buffer(4, 1, &mut c, |_| true), 0, "no permission yet");
-        m.fill(blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 5, &mut c);
+        fill(&mut m, blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 5, &mut c);
         assert_eq!(m.drain_store_buffer(4, 6, &mut c, |_| true), 1);
         assert!(m.sb_empty());
         assert_eq!(m.read_value(Addr::new(0x3000)), Some(9));
@@ -477,7 +561,7 @@ mod tests {
     #[test]
     fn drain_respects_epoch_gate() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 0, &mut c);
+        fill(&mut m, blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 0, &mut c);
         let mut s = CoreStats::new();
         m.store_to_sb(Addr::new(0x3000), 9, Some(1), 0, &mut s).unwrap();
         assert_eq!(m.drain_store_buffer(4, 1, &mut c, |e| e.is_none()), 0, "gate blocks epoch 1");
@@ -488,7 +572,7 @@ mod tests {
     #[test]
     fn speculative_store_to_dirty_block_cleans_first() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
+        fill(&mut m, blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
         assert!(m.store_to_l1(Addr::new(0x4000), 42, Some(0), &mut c));
         assert!(m.l1.is_spec_written(blk(0x4000), 0));
         // The cleaning writeback carries the pre-speculative value (1), not 42.
@@ -507,7 +591,7 @@ mod tests {
     #[test]
     fn non_speculative_store_hit_does_not_clean() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
+        fill(&mut m, blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
         assert!(m.store_to_l1(Addr::new(0x4000), 42, None, &mut c));
         assert_eq!(m.drain_requests().count(), 0);
     }
@@ -530,11 +614,116 @@ mod tests {
     #[test]
     fn forwarding_prefers_store_buffer() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x6000), LineState::Exclusive, BlockData::from_words([7; 8]), 0, &mut c);
+        fill(&mut m, blk(0x6000), LineState::Exclusive, BlockData::from_words([7; 8]), 0, &mut c);
         let mut s = CoreStats::new();
         m.store_to_sb(Addr::new(0x6000), 99, None, 0, &mut s).unwrap();
         assert_eq!(m.read_value(Addr::new(0x6000)), Some(99));
         assert_eq!(m.read_value(Addr::new(0x6008)), Some(7));
         assert_eq!(m.read_value(Addr::new(0x7000)), None);
+    }
+
+    #[test]
+    fn fill_without_a_miss_outstanding_has_no_waiters() {
+        let (mut m, mut c) = mem();
+        let (waiters, upgrade) =
+            fill(&mut m, blk(0x2000), LineState::Shared, BlockData::zeroed(), 0, &mut c);
+        assert!(waiters.is_empty() && !upgrade);
+    }
+
+    #[test]
+    fn parked_entry_is_skipped_until_its_own_fill() {
+        let (mut m, mut c) = mem();
+        let mut s = CoreStats::new();
+        m.store_to_sb(Addr::new(0x3000), 1, None, 0, &mut s).unwrap();
+        m.store_to_sb(Addr::new(0x3040), 2, None, 0, &mut s).unwrap();
+        let requests = m.drain_requests().count();
+        assert_eq!(requests, 2, "one GetM per block");
+        // The first drain visits both entries and parks them: absent, miss
+        // outstanding.
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 2));
+        assert!(m.l1.is_parked(blk(0x3000)) && m.l1.is_parked(blk(0x3040)));
+        assert!(m.sb.drain_stalled());
+        // From then on the drain visits nothing and sends nothing.
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 0));
+        assert_eq!(m.drain_requests().count(), 0);
+        // Another block's fill unparks nothing.
+        fill(&mut m, blk(0x5000), LineState::Exclusive, BlockData::zeroed(), 2, &mut c);
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 0));
+        assert!(m.l1.is_parked(blk(0x3000)) && m.l1.is_parked(blk(0x3040)));
+        // The first block's fill unparks exactly that block, which drains.
+        fill(&mut m, blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 3, &mut c);
+        assert!(!m.l1.is_parked(blk(0x3000)) && m.l1.is_parked(blk(0x3040)));
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (1, 1));
+        assert_eq!(m.read_value(Addr::new(0x3000)), Some(1));
+        assert_eq!(m.sb.len(), 1);
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 0), "the rest is parked");
+        // A fill straight into the L1, with the miss still outstanding, also
+        // unparks its block.
+        m.l1.fill(blk(0x3040), LineState::Exclusive, BlockData::zeroed());
+        assert!(m.l1.parked().is_empty());
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (1, 1));
+        assert!(m.sb_empty());
+    }
+
+    #[test]
+    fn shared_block_with_upgrade_in_flight_is_never_parked() {
+        let cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Rmo));
+        let (mut m, mut c) = mem();
+        let set_stride = (cfg.l1.sets() * cfg.l1.block_bytes) as u64;
+        let block_in_set = |way: u64| blk(0x10000 + way * set_stride);
+        // Fill one set, oldest first, so the shared block is its LRU way.
+        let shared = block_in_set(0);
+        for way in 0..cfg.l1.associativity as u64 {
+            fill(&mut m, block_in_set(way), LineState::Shared, BlockData::zeroed(), 0, &mut c);
+        }
+        let mut s = CoreStats::new();
+        m.store_to_sb(shared.byte_addr(), 1, None, 1, &mut s).unwrap();
+        assert!(m.miss_outstanding(shared), "an upgrade is in flight");
+        for _ in 0..3 {
+            assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 1), "visited every drain");
+            assert!(!m.l1.is_parked(shared) && !m.sb.drain_stalled());
+        }
+        // Each visit touched the block, so a new fill to the set displaces
+        // the next-oldest way instead.
+        let newcomer = block_in_set(cfg.l1.associativity as u64);
+        fill(&mut m, newcomer, LineState::Shared, BlockData::zeroed(), 2, &mut c);
+        assert!(m.l1.contains(shared), "the drain's LRU touch kept the block resident");
+        assert!(!m.l1.contains(block_in_set(1)));
+    }
+
+    #[test]
+    fn fifo_head_parks() {
+        let (mut m, mut c) = mem_for(ConsistencyModel::Sc);
+        assert_eq!(m.sb.kind(), ifence_types::StoreBufferKind::FifoWord);
+        let mut s = CoreStats::new();
+        m.store_to_sb(Addr::new(0x3000), 1, None, 0, &mut s).unwrap();
+        m.store_to_sb(Addr::new(0x3040), 2, None, 0, &mut s).unwrap();
+        // Only the head is a candidate: it parks, and the drain stalls.
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 1));
+        assert!(m.l1.is_parked(blk(0x3000)) && !m.l1.is_parked(blk(0x3040)));
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 0));
+        // Its fill drains the head; the new head parks behind its own miss.
+        fill(&mut m, blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 2, &mut c);
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (1, 2));
+        assert!(m.l1.is_parked(blk(0x3040)));
+        assert!(m.sb.drain_stalled());
+    }
+
+    #[test]
+    fn flash_invalidation_keeps_surviving_entries_parked() {
+        let (mut m, mut c) = mem();
+        let mut s = CoreStats::new();
+        m.store_to_sb(Addr::new(0x3000), 1, None, 0, &mut s).unwrap();
+        m.store_to_sb(Addr::new(0x3040), 2, Some(0), 0, &mut s).unwrap();
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 2));
+        assert_eq!(m.sb.flash_invalidate_speculative(0), 1);
+        assert!(!m.sb.drain_stalled(), "a change to the buffer clears the stall");
+        // The surviving entry is still parked, so the drain visits nothing.
+        assert!(m.l1.is_parked(blk(0x3000)));
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 0));
+        assert!(m.sb.drain_stalled());
+        fill(&mut m, blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 2, &mut c);
+        assert_eq!(drain_counting_visits(&mut m, &mut c), (1, 1));
+        assert!(m.sb_empty());
     }
 }

@@ -26,6 +26,24 @@ pub struct EvictedLine {
     pub spec_written: bool,
 }
 
+/// Where a fill of one block lands: the line already holding it, or the way
+/// it displaces. Chosen by [`SetAssocCache::fill_slot`] and valid until the
+/// cache next changes, so a caller that must inspect the victim before the
+/// fill (InvisiFence's speculative-eviction check) chooses it only once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillSlot {
+    block: BlockAddr,
+    line: usize,
+    present: bool,
+}
+
+impl FillSlot {
+    /// The block this slot would receive.
+    pub fn block(&self) -> BlockAddr {
+        self.block
+    }
+}
+
 /// The tag half of a line: block number and coherence state. Tags sit in
 /// their own array, apart from the 64-byte payloads, so a set probe strides
 /// over 16-byte entries.
@@ -274,21 +292,22 @@ impl SetAssocCache {
             })
     }
 
-    /// Returns the line that filling `block` would evict: `None` if the block
-    /// is already present or an invalid way is available, otherwise the victim
-    /// block and whether it is speculatively accessed. InvisiFence uses this
-    /// to force a commit before a speculatively-accessed block would escape
-    /// the cache.
-    pub fn would_evict(&self, block: BlockAddr) -> Option<(BlockAddr, bool)> {
-        if self.find(block).is_some() {
-            return None;
+    /// Chooses where filling `block` puts it: the line holding it if
+    /// present, otherwise the victim way.
+    pub fn fill_slot(&self, block: BlockAddr) -> FillSlot {
+        match self.find(block) {
+            Some(line) => FillSlot { block, line, present: true },
+            None => FillSlot { block, line: self.victim_way(self.set_base(block)), present: false },
         }
-        let victim = self.victim_way(self.set_base(block));
-        if self.tags[victim].state == LineState::Invalid {
-            return None;
-        }
-        let vblock = self.block_of_line(victim);
-        Some((vblock, self.line_is_spec(victim)))
+    }
+
+    /// Returns true if filling at `slot` displaces a speculatively-accessed
+    /// line: InvisiFence must commit or abort before such a line would
+    /// escape the cache.
+    pub fn slot_evicts_spec(&self, slot: FillSlot) -> bool {
+        !slot.present
+            && self.tags[slot.line].state != LineState::Invalid
+            && self.line_is_spec(slot.line)
     }
 
     fn line_is_spec(&self, idx: usize) -> bool {
@@ -322,20 +341,32 @@ impl SetAssocCache {
         state: LineState,
         data: BlockData,
     ) -> Option<EvictedLine> {
-        if let Some(i) = self.find(block) {
-            self.tags[i].state = state;
-            self.data[i] = data;
-            self.touch_line(i);
+        self.fill_at(self.fill_slot(block), state, data)
+    }
+
+    /// [`SetAssocCache::fill`] into a slot chosen by
+    /// [`SetAssocCache::fill_slot`] since the cache last changed.
+    pub fn fill_at(
+        &mut self,
+        slot: FillSlot,
+        state: LineState,
+        data: BlockData,
+    ) -> Option<EvictedLine> {
+        debug_assert_eq!(slot, self.fill_slot(slot.block), "fill slot is stale");
+        let idx = slot.line;
+        if slot.present {
+            self.tags[idx].state = state;
+            self.data[idx] = data;
+            self.touch_line(idx);
             return None;
         }
-        let idx = self.victim_way(self.set_base(block));
         let evicted = if self.tags[idx].state != LineState::Invalid {
             Some(self.evicted_line(idx, self.block_of_line(idx)))
         } else {
             None
         };
         self.clear_line_spec(idx);
-        self.tags[idx] = Tag { block: block.number(), state };
+        self.tags[idx] = Tag { block: slot.block.number(), state };
         self.data[idx] = data;
         self.touch_line(idx);
         evicted
@@ -510,27 +541,34 @@ mod tests {
 
     #[test]
     fn would_evict_reports_spec_victims() {
+        // The line a fill of `block` displaces, and whether its slot reports
+        // a speculative victim.
+        let victim = |c: &SetAssocCache, block: BlockAddr| {
+            let slot = c.fill_slot(block);
+            let spec = c.slot_evicts_spec(slot);
+            let evicted = c.clone().fill_at(slot, LineState::Shared, BlockData::zeroed());
+            if let Some(e) = evicted {
+                assert_eq!(spec, e.spec_read || e.spec_written);
+            }
+            evicted.map(|e| (e.block, spec))
+        };
         let mut c = small_cache();
         let a = blk(0x000);
         let b = blk(0x100);
         let d = blk(0x200);
         c.fill(a, LineState::Modified, BlockData::zeroed());
-        assert!(c.would_evict(b).is_none(), "invalid way available");
+        assert!(victim(&c, b).is_none(), "invalid way available");
         c.fill(b, LineState::Shared, BlockData::zeroed());
         c.mark_spec_written(a, 0);
         c.state_touch(b);
         // Replacement avoids speculative lines: even though `a` is LRU, the
         // non-speculative `b` is chosen as the victim.
-        let (victim, spec) = c.would_evict(d).unwrap();
-        assert_eq!(victim, b);
-        assert!(!spec);
+        assert_eq!(victim(&c, d), Some((b, false)));
         // Only when every way is speculative does a speculative line become
         // the victim, and the caller is told so.
         c.mark_spec_read(b, 0);
-        let (victim, spec) = c.would_evict(d).unwrap();
-        assert_eq!(victim, a, "falls back to plain LRU");
-        assert!(spec);
-        assert!(c.would_evict(a).is_none(), "present blocks need no eviction");
+        assert_eq!(victim(&c, d), Some((a, true)), "falls back to plain LRU");
+        assert!(victim(&c, a).is_none(), "present blocks need no eviction");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The L1 data cache as seen by one core: set-associative array plus victim
 //! cache, with the speculative-access bits InvisiFence adds.
 
-use crate::cache::{EvictedLine, SetAssocCache};
+use crate::cache::{EvictedLine, FillSlot, SetAssocCache};
 use crate::line::{BlockData, LineState};
 use crate::victim::VictimCache;
 use ifence_types::{BlockAddr, CacheConfig};
@@ -43,12 +43,20 @@ impl EvictionAction {
 ///
 /// Mutating operations that displace lines queue the resulting
 /// [`EvictionAction`]s internally; the core collects them each cycle with
-/// [`L1Cache::take_writebacks`] and turns them into coherence traffic.
+/// [`L1Cache::drain_writebacks`] and turns them into coherence traffic.
+///
+/// The L1 also keeps the blocks the core's store-buffer drain has parked
+/// ([`L1Cache::park`]): absent from the array and the victim cache while a
+/// fill is outstanding. Only installing such a block can change that, so
+/// every install unparks its block.
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     cache: SetAssocCache,
     victim: VictimCache,
     pending: Vec<EvictionAction>,
+    parked: Vec<BlockAddr>,
+    /// Set when an install unparks a block; see [`L1Cache::take_unparked`].
+    unparked: bool,
 }
 
 impl L1Cache {
@@ -58,6 +66,8 @@ impl L1Cache {
             cache: SetAssocCache::new(config),
             victim: VictimCache::new(config.victim_entries),
             pending: Vec::new(),
+            parked: Vec::new(),
+            unparked: false,
         }
     }
 
@@ -74,7 +84,7 @@ impl L1Cache {
             return state;
         }
         if let Some((vstate, vdata)) = self.victim.take(block) {
-            self.install(block, vstate, vdata);
+            self.fill(block, vstate, vdata);
             return vstate;
         }
         LineState::Invalid
@@ -89,7 +99,7 @@ impl L1Cache {
             return Some(value);
         }
         let (vstate, vdata) = self.victim.take(block)?;
-        self.install(block, vstate, vdata);
+        self.fill(block, vstate, vdata);
         Some(vdata.word(word_index))
     }
 
@@ -113,8 +123,34 @@ impl L1Cache {
         self.cache.contains(block)
     }
 
-    fn install(&mut self, block: BlockAddr, state: LineState, data: BlockData) {
-        if let Some(evicted) = self.cache.fill(block, state, data) {
+    /// Fills `block` with the given state and data (a coherence response or a
+    /// victim promotion).
+    pub fn fill(&mut self, block: BlockAddr, state: LineState, data: BlockData) {
+        self.fill_at(self.cache.fill_slot(block), state, data);
+    }
+
+    /// Chooses where a fill of `block` lands in the main array; valid until
+    /// the L1 next changes.
+    pub fn fill_slot(&self, block: BlockAddr) -> FillSlot {
+        self.cache.fill_slot(block)
+    }
+
+    /// Returns true if filling at `slot` would evict a speculatively-accessed
+    /// line — the condition under which InvisiFence must force a commit (or
+    /// abort) before the fill proceeds.
+    pub fn slot_evicts_spec(&self, slot: FillSlot) -> bool {
+        self.cache.slot_evicts_spec(slot)
+    }
+
+    /// [`L1Cache::fill`] into a slot chosen by [`L1Cache::fill_slot`] since
+    /// the L1 last changed. Every line enters the main array here, so this is
+    /// where a parked block is unparked.
+    pub fn fill_at(&mut self, slot: FillSlot, state: LineState, data: BlockData) {
+        if let Some(i) = self.parked.iter().position(|&b| b == slot.block()) {
+            self.parked.swap_remove(i);
+            self.unparked = true;
+        }
+        if let Some(evicted) = self.cache.fill_at(slot, state, data) {
             // Fills delivered by the coherence fabric consult the ordering
             // engine first (which commits or aborts), so an evicted line is
             // normally not speculative. The one remaining corner is a
@@ -138,22 +174,35 @@ impl L1Cache {
         }
     }
 
-    /// Fills `block` with the given state and data (a coherence response or a
-    /// victim promotion).
-    pub fn fill(&mut self, block: BlockAddr, state: LineState, data: BlockData) {
-        self.install(block, state, data);
+    /// Parks `block` for the store-buffer drain. The caller guarantees the
+    /// block is absent from the array and the victim cache and has a fill
+    /// outstanding; it stays parked until that fill installs it.
+    pub fn park(&mut self, block: BlockAddr) {
+        debug_assert!(!self.is_parked(block), "{block} parked twice");
+        debug_assert_eq!(self.peek(block), LineState::Invalid, "parked {block} is present");
+        self.parked.push(block);
     }
 
-    /// Returns true if filling `block` would evict a speculatively-accessed
-    /// line — the condition under which InvisiFence must force a commit (or
-    /// abort) before the fill proceeds.
-    pub fn fill_would_evict_spec(&self, block: BlockAddr) -> bool {
-        matches!(self.cache.would_evict(block), Some((_, true)))
+    /// Returns true if `block` is parked.
+    pub fn is_parked(&self, block: BlockAddr) -> bool {
+        self.parked.contains(&block)
     }
 
-    /// Drains the eviction/writeback actions produced since the last call.
-    pub fn take_writebacks(&mut self) -> Vec<EvictionAction> {
-        std::mem::take(&mut self.pending)
+    /// The parked blocks, in no particular order.
+    pub fn parked(&self) -> &[BlockAddr] {
+        &self.parked
+    }
+
+    /// Returns whether an install has unparked a block since the last call,
+    /// and clears that record.
+    pub fn take_unparked(&mut self) -> bool {
+        std::mem::replace(&mut self.unparked, false)
+    }
+
+    /// Drains the eviction/writeback actions produced since the last call in
+    /// place, so the queue keeps its allocation.
+    pub fn drain_writebacks(&mut self) -> std::vec::Drain<'_, EvictionAction> {
+        self.pending.drain(..)
     }
 
     /// Reads the word at `word_index` of `block` (main array only).
@@ -330,13 +379,13 @@ mod tests {
         l1.fill(blk(0x100), LineState::Modified, BlockData::zeroed());
         l1.fill(blk(0x200), LineState::Shared, BlockData::zeroed());
         l1.fill(blk(0x300), LineState::Shared, BlockData::zeroed());
-        let wbs = l1.take_writebacks();
+        let wbs: Vec<_> = l1.drain_writebacks().collect();
         assert!(
             wbs.iter()
                 .any(|w| matches!(w, EvictionAction::WritebackDirty(b, d) if *b == blk(0x000) && d.word(0) == 7)),
             "dirty line displaced from the victim cache must be written back, got {wbs:?}"
         );
-        assert!(l1.take_writebacks().is_empty(), "take_writebacks drains");
+        assert_eq!(l1.drain_writebacks().count(), 0, "draining empties the queue");
     }
 
     #[test]
@@ -396,8 +445,7 @@ mod tests {
         assert_eq!(wb.word(0), 9);
         assert_eq!(l1.peek(blk(0x40)), LineState::Exclusive);
         assert_eq!(l1.read_word(blk(0x40), 0), Some(9), "data stays resident");
-        let wbs = l1.take_writebacks();
-        assert_eq!(wbs.len(), 1);
+        assert_eq!(l1.drain_writebacks().count(), 1);
         assert!(l1.clean_writeback(blk(0x40)).is_none(), "already clean");
         assert!(l1.clean_writeback(blk(0x80)).is_none(), "absent block");
     }
@@ -425,7 +473,16 @@ mod tests {
         l1.fill(blk(0x100), LineState::Exclusive, BlockData::zeroed());
         l1.mark_spec_written(blk(0x000), 0);
         l1.mark_spec_read(blk(0x100), 0);
-        assert!(l1.fill_would_evict_spec(blk(0x200)));
-        assert!(!l1.fill_would_evict_spec(blk(0x000)), "already-present block evicts nothing");
+        assert!(l1.slot_evicts_spec(l1.fill_slot(blk(0x200))));
+        assert!(
+            !l1.slot_evicts_spec(l1.fill_slot(blk(0x000))),
+            "already-present block evicts nothing"
+        );
+        // A commit clears the marks, so the same fill is no longer a conflict.
+        l1.flash_clear_epoch(0);
+        let slot = l1.fill_slot(blk(0x200));
+        assert!(!l1.slot_evicts_spec(slot));
+        l1.fill_at(slot, LineState::Shared, BlockData::zeroed());
+        assert!(l1.contains(blk(0x200)));
     }
 }

@@ -49,7 +49,7 @@ pub mod spec_bits;
 pub mod store_buffer;
 pub mod victim;
 
-pub use cache::{EvictedLine, SetAssocCache};
+pub use cache::{EvictedLine, FillSlot, SetAssocCache};
 pub use l1::{EvictionAction, L1Cache};
 pub use l2::{BankedL2, L2Evicted, L2FillOutcome, L2Line};
 pub use line::{BlockData, LineState, WORDS_PER_BLOCK};

@@ -43,61 +43,80 @@ impl std::error::Error for MshrError {}
 /// A file of miss-status holding registers. At most one entry exists per
 /// block; secondary misses to the same block merge into the existing entry.
 ///
+/// The blocks of the outstanding misses sit in their own dense array, so a
+/// probe never strides over entries. A completed register is kept, with its
+/// waiter list's allocation, for the next miss: a steady stream of misses
+/// allocates nothing.
+///
 /// # Example
 /// ```
 /// use ifence_mem::MshrFile;
 /// use ifence_types::{Addr, BlockAddr};
 /// let mut mshrs = MshrFile::new(2);
 /// let b = BlockAddr::containing(Addr::new(0x100), 64);
-/// mshrs.allocate(b, false, false, 0).unwrap();
+/// mshrs.allocate(b, true, false, 0).unwrap().waiters.push(7);
 /// assert!(mshrs.contains(b));
-/// let entry = mshrs.complete(b).unwrap();
-/// assert_eq!(entry.block, b);
+/// let mut waiters = Vec::new();
+/// assert_eq!(mshrs.complete(b, &mut waiters), Some(true), "write permission was requested");
+/// assert_eq!(waiters, vec![7]);
 /// assert!(mshrs.is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MshrFile {
     capacity: usize,
+    /// Block of each outstanding miss, oldest first: the dense array every
+    /// probe scans.
+    blocks: Vec<BlockAddr>,
+    /// The outstanding entries in lockstep with `blocks`, followed by
+    /// completed ones kept for reuse.
     entries: Vec<MshrEntry>,
 }
 
 impl MshrFile {
     /// Creates an MSHR file with `capacity` registers.
     pub fn new(capacity: usize) -> Self {
-        MshrFile { capacity, entries: Vec::with_capacity(capacity) }
+        MshrFile {
+            capacity,
+            blocks: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
+        }
     }
 
     /// Number of outstanding misses.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.blocks.len()
     }
 
     /// Returns true if there are no outstanding misses.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Returns true if every register is in use.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.blocks.len() >= self.capacity
+    }
+
+    fn position(&self, block: BlockAddr) -> Option<usize> {
+        self.blocks.iter().position(|&b| b == block)
     }
 
     /// Returns true if an entry for `block` exists.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.entries.iter().any(|e| e.block == block)
+        self.blocks.contains(&block)
     }
 
     /// Returns a reference to the entry for `block`.
     pub fn get(&self, block: BlockAddr) -> Option<&MshrEntry> {
-        self.entries.iter().find(|e| e.block == block)
+        self.position(block).map(|i| &self.entries[i])
     }
 
     /// Returns a mutable reference to the entry for `block`.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut MshrEntry> {
-        self.entries.iter_mut().find(|e| e.block == block)
+        self.position(block).map(|i| &mut self.entries[i])
     }
 
-    /// Allocates a new entry.
+    /// Allocates a new entry with no waiters.
     ///
     /// # Errors
     /// Returns [`MshrError::AlreadyPresent`] if an entry exists (merge with
@@ -116,14 +135,25 @@ impl MshrFile {
         if self.is_full() {
             return Err(MshrError::Full);
         }
-        self.entries.push(MshrEntry {
-            block,
-            for_write,
-            prefetch,
-            waiters: Vec::new(),
-            issued_at: now,
-        });
-        Ok(self.entries.last_mut().expect("just pushed"))
+        let slot = self.blocks.len();
+        self.blocks.push(block);
+        if slot == self.entries.len() {
+            self.entries.push(MshrEntry {
+                block,
+                for_write,
+                prefetch,
+                waiters: Vec::new(),
+                issued_at: now,
+            });
+        } else {
+            let e = &mut self.entries[slot];
+            e.block = block;
+            e.for_write = for_write;
+            e.prefetch = prefetch;
+            e.waiters.clear();
+            e.issued_at = now;
+        }
+        Ok(&mut self.entries[slot])
     }
 
     /// Adds a waiting instruction to an existing entry, upgrading it from a
@@ -143,22 +173,34 @@ impl MshrFile {
         }
     }
 
-    /// Removes and returns the entry for `block` when its fill arrives.
-    pub fn complete(&mut self, block: BlockAddr) -> Option<MshrEntry> {
-        let pos = self.entries.iter().position(|e| e.block == block)?;
-        Some(self.entries.remove(pos))
+    /// Removes the entry for `block` when its fill arrives and returns
+    /// whether it requested write permission (`None` if no entry exists).
+    /// The entry's waiters replace the contents of `waiters` (left empty if
+    /// no entry exists); the freed register keeps the old allocation of
+    /// `waiters` for its next miss.
+    pub fn complete(&mut self, block: BlockAddr, waiters: &mut Vec<u64>) -> Option<bool> {
+        waiters.clear();
+        let pos = self.position(block)?;
+        let live = self.blocks.len();
+        self.blocks.remove(pos);
+        // Keep the outstanding entries in issue order; the completed one
+        // becomes the first free register.
+        self.entries[pos..live].rotate_left(1);
+        let done = &mut self.entries[live - 1];
+        std::mem::swap(waiters, &mut done.waiters);
+        Some(done.for_write)
     }
 
     /// Cycle at which the oldest still-outstanding miss was issued, if any —
     /// used by the event-driven kernel's deadlock diagnostics to show how
     /// long a core has been waiting on the fabric.
     pub fn oldest_issue(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.issued_at).min()
+        self.iter().map(|e| e.issued_at).min()
     }
 
-    /// Iterates over outstanding entries.
+    /// Iterates over outstanding entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &MshrEntry> {
-        self.entries.iter()
+        self.entries[..self.blocks.len()].iter()
     }
 }
 
@@ -188,7 +230,7 @@ mod tests {
         m.allocate(blk(0x00), false, false, 30).unwrap();
         m.allocate(blk(0x40), true, false, 10).unwrap();
         assert_eq!(m.oldest_issue(), Some(10));
-        m.complete(blk(0x40));
+        m.complete(blk(0x40), &mut Vec::new());
         assert_eq!(m.oldest_issue(), Some(30));
     }
 
@@ -211,11 +253,30 @@ mod tests {
     #[test]
     fn complete_removes_entry() {
         let mut m = MshrFile::new(2);
-        m.allocate(blk(0x00), false, false, 3).unwrap();
-        let e = m.complete(blk(0x00)).unwrap();
-        assert_eq!(e.issued_at, 3);
+        m.allocate(blk(0x00), false, false, 3).unwrap().waiters.push(5);
+        let mut waiters = vec![99];
+        assert_eq!(m.complete(blk(0x00), &mut waiters), Some(false));
+        assert_eq!(waiters, vec![5], "the waiters replace the buffer's contents");
         assert!(m.is_empty());
-        assert!(m.complete(blk(0x00)).is_none());
+        assert!(m.complete(blk(0x00), &mut waiters).is_none());
+        assert!(waiters.is_empty());
+        // The freed register is reused, starting with no waiters.
+        let e = m.allocate(blk(0x40), true, false, 8).unwrap();
+        assert!(e.waiters.is_empty());
+        assert_eq!((e.block, e.issued_at), (blk(0x40), 8));
+    }
+
+    #[test]
+    fn completion_keeps_the_others_in_issue_order() {
+        let mut m = MshrFile::new(4);
+        for (i, b) in [0x00, 0x40, 0x80].into_iter().enumerate() {
+            m.allocate(blk(b), false, false, i as u64).unwrap().waiters.push(i as u64);
+        }
+        m.complete(blk(0x00), &mut Vec::new());
+        m.allocate(blk(0xc0), false, false, 3).unwrap();
+        let order: Vec<_> = m.iter().map(|e| (e.block, e.waiters.clone())).collect();
+        assert_eq!(order, vec![(blk(0x40), vec![1]), (blk(0x80), vec![2]), (blk(0xc0), vec![])]);
+        assert_eq!(m.get(blk(0x80)).unwrap().issued_at, 2);
     }
 
     #[test]

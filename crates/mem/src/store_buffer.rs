@@ -81,6 +81,10 @@ pub struct StoreBuffer {
     capacity: usize,
     block_bytes: usize,
     high_water: usize,
+    /// Set by the drain when no entry could make progress until a fill
+    /// arrives ([`StoreBuffer::set_drain_stalled`]); every change to the
+    /// contents clears it.
+    drain_stalled: bool,
     organization: Organization,
 }
 
@@ -101,6 +105,7 @@ impl StoreBuffer {
             capacity,
             block_bytes,
             high_water: 0,
+            drain_stalled: false,
             organization: Organization::Fifo(Ring::with_capacity(capacity)),
         }
     }
@@ -112,6 +117,7 @@ impl StoreBuffer {
             capacity,
             block_bytes,
             high_water: 0,
+            drain_stalled: false,
             organization: Organization::Coalescing(Vec::new()),
         }
     }
@@ -123,6 +129,7 @@ impl StoreBuffer {
             capacity,
             block_bytes,
             high_water: 0,
+            drain_stalled: false,
             organization: Organization::Scalable(Ring::with_capacity(capacity)),
         }
     }
@@ -163,6 +170,18 @@ impl StoreBuffer {
         self.high_water
     }
 
+    /// True while the drain has recorded that every drain candidate waits
+    /// on a fill and the contents have not changed since.
+    pub fn drain_stalled(&self) -> bool {
+        self.drain_stalled
+    }
+
+    /// Records whether every current drain candidate waits on a fill. Any
+    /// later insert, drain, invalidation or epoch shift clears the record.
+    pub fn set_drain_stalled(&mut self, stalled: bool) {
+        self.drain_stalled = stalled;
+    }
+
     fn block_of(&self, addr: Addr) -> BlockAddr {
         BlockAddr::containing(addr, self.block_bytes)
     }
@@ -186,6 +205,7 @@ impl StoreBuffer {
     /// Returns [`SbError::Full`] if no entry is free (and, for the coalescing
     /// buffer, no entry with the same block and epoch exists to merge into).
     pub fn push(&mut self, addr: Addr, value: u64, epoch: Option<u8>) -> Result<(), SbError> {
+        self.drain_stalled = false;
         let block = self.block_of(addr);
         let word = addr.word_in_block(self.block_bytes).index();
         let capacity = self.capacity;
@@ -276,6 +296,7 @@ impl StoreBuffer {
     /// For the coalescing buffer the entry with the *lowest* epoch for that
     /// block is drained (non-speculative before speculative).
     pub fn drain_block(&mut self, block: BlockAddr) -> Option<SbEntry> {
+        self.drain_stalled = false;
         match &mut self.organization {
             Organization::Fifo(q) | Organization::Scalable(q) => {
                 let head = *q.front()?;
@@ -319,6 +340,7 @@ impl StoreBuffer {
             None => true,
             Some(e) => e < min_epoch,
         };
+        self.drain_stalled = false;
         match &mut self.organization {
             Organization::Fifo(q) | Organization::Scalable(q) => q.retain(|s| keep(s.epoch)),
             Organization::Coalescing(v) => {
@@ -338,6 +360,7 @@ impl StoreBuffer {
                 Some(n) => Some(n - 1),
             };
         };
+        self.drain_stalled = false;
         match &mut self.organization {
             Organization::Fifo(q) | Organization::Scalable(q) => {
                 for s in q.iter_mut() {
@@ -368,6 +391,7 @@ impl StoreBuffer {
     /// of entries discarded.
     pub fn flash_invalidate_exact(&mut self, epoch: u8) -> usize {
         let keep = |e: Option<u8>| e != Some(epoch);
+        self.drain_stalled = false;
         match &mut self.organization {
             Organization::Fifo(q) | Organization::Scalable(q) => q.retain(|s| keep(s.epoch)),
             Organization::Coalescing(v) => {
@@ -561,6 +585,26 @@ mod tests {
         assert_eq!(drained.epoch, None);
         let drained = sb.drain_block(blk(0x100)).unwrap();
         assert_eq!(drained.epoch, Some(0));
+    }
+
+    #[test]
+    fn every_change_to_the_contents_clears_the_drain_stall() {
+        let changes: [fn(&mut StoreBuffer); 5] = [
+            |sb| sb.push(Addr::new(0x100), 2, None).unwrap(),
+            |sb| assert!(sb.drain_block(blk(0x100)).is_some()),
+            |sb| assert_eq!(sb.flash_invalidate_speculative(0), 1),
+            |sb| assert_eq!(sb.flash_invalidate_exact(0), 1),
+            |sb| sb.shift_epochs_down(),
+        ];
+        for change in changes {
+            let mut sb = StoreBuffer::new_fifo(4, 64);
+            sb.push(Addr::new(0x100), 1, None).unwrap();
+            sb.push(Addr::new(0x200), 1, Some(0)).unwrap();
+            sb.set_drain_stalled(true);
+            assert!(sb.drain_stalled());
+            change(&mut sb);
+            assert!(!sb.drain_stalled());
+        }
     }
 
     #[test]

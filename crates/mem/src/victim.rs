@@ -3,7 +3,6 @@
 use crate::cache::EvictedLine;
 use crate::line::{BlockData, LineState};
 use ifence_types::BlockAddr;
-use std::collections::VecDeque;
 
 /// A fully-associative FIFO victim cache holding lines recently evicted from
 /// the L1. A subsequent L1 miss that hits in the victim cache is serviced at
@@ -12,7 +11,8 @@ use std::collections::VecDeque;
 /// Speculatively-accessed lines are never placed in the victim cache — the
 /// engine must commit or abort before such a line escapes the L1 — so the
 /// victim cache stores only plain (block, state, data) triples. Blocks sit
-/// in their own dense array, so a probe never strides over line payloads.
+/// in their own contiguous array, so a probe is one scan of at most
+/// `capacity` block numbers and never strides over line payloads.
 ///
 /// # Example
 /// ```
@@ -28,9 +28,9 @@ use std::collections::VecDeque;
 pub struct VictimCache {
     capacity: usize,
     /// Resident blocks, oldest first: the dense array every probe scans.
-    keys: VecDeque<BlockAddr>,
+    keys: Vec<BlockAddr>,
     /// `(state, data)` of each resident block, in lockstep with `keys`.
-    lines: VecDeque<(LineState, BlockData)>,
+    lines: Vec<(LineState, BlockData)>,
 }
 
 impl VictimCache {
@@ -38,8 +38,8 @@ impl VictimCache {
     pub fn new(capacity: usize) -> Self {
         VictimCache {
             capacity,
-            keys: VecDeque::with_capacity(capacity),
-            lines: VecDeque::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            lines: Vec::with_capacity(capacity),
         }
     }
 
@@ -58,14 +58,14 @@ impl VictimCache {
     }
 
     fn remove(&mut self, pos: usize) -> (BlockAddr, LineState, BlockData) {
-        let block = self.keys.remove(pos).expect("position below len");
-        let (state, data) = self.lines.remove(pos).expect("keys and lines in lockstep");
+        let block = self.keys.remove(pos);
+        let (state, data) = self.lines.remove(pos);
         (block, state, data)
     }
 
     /// Returns true if `block` is resident.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.position(block).is_some()
+        self.keys.contains(&block)
     }
 
     /// Inserts an evicted line. If the victim cache is full the oldest entry
@@ -85,8 +85,8 @@ impl VictimCache {
             self.remove(pos);
         }
         let displaced = if self.keys.len() >= self.capacity { Some(self.remove(0)) } else { None };
-        self.keys.push_back(block);
-        self.lines.push_back((state, data));
+        self.keys.push(block);
+        self.lines.push((state, data));
         displaced
     }
 

@@ -8,8 +8,8 @@
 use ifence_coherence::EventQueue;
 use ifence_cpu::Rob;
 use ifence_mem::{
-    BankedL2, BlockData, L2FillOutcome, LineState, Ring, SetAssocCache, SpecBitArray, StoreBuffer,
-    VictimCache,
+    BankedL2, BlockData, L2FillOutcome, LineState, MshrError, MshrFile, Ring, SetAssocCache,
+    SpecBitArray, StoreBuffer, VictimCache,
 };
 use ifence_types::{Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config};
 use ifence_workloads::TraceRng;
@@ -625,6 +625,143 @@ fn victim_cache_matches_a_deque_model() {
             for n in 0..12 {
                 let present = model.iter().any(|(mb, _, _)| *mb == block(n * 64));
                 assert_eq!(vc.contains(block(n * 64)), present, "case {case} step {step}");
+            }
+        }
+    }
+}
+
+/// One outstanding miss of the MSHR reference model.
+#[derive(Debug, Clone, PartialEq)]
+struct ModelMshr {
+    block: BlockAddr,
+    for_write: bool,
+    prefetch: bool,
+    waiters: Vec<u64>,
+    issued_at: u64,
+}
+
+/// The dense-key miss-path structures behave exactly like plain `Vec`s
+/// searched by linear scan: the `MshrFile` (blocks in their own array,
+/// registers reused after completion) under random allocations, merges and
+/// completions, and the `VictimCache` (blocks in one contiguous array) under
+/// random inserts, takes, invalidations and downgrades.
+#[test]
+fn dense_miss_path_keys_match_vec_scan_references() {
+    let states = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+    for case in 0..CASES {
+        let mut rng = TraceRng::seed_from_u64(0xd000 + case);
+        let capacity = rng.range_usize(1..6);
+        let mut mshrs = MshrFile::new(capacity);
+        let mut mshr_model: Vec<ModelMshr> = Vec::new();
+        let mut vc = VictimCache::new(capacity);
+        let mut vc_model: Vec<(BlockAddr, LineState, BlockData)> = Vec::new();
+        let mut waiters = Vec::new();
+        for step in 0..400u64 {
+            let b = block(rng.range_u64(0..10) * 64);
+            let at = format!("case {case} step {step}");
+            match rng.range_u64(0..8) {
+                0 | 1 => {
+                    let (for_write, prefetch) = (rng.bool(0.5), rng.bool(0.3));
+                    let expected = if mshr_model.iter().any(|m| m.block == b) {
+                        Err(MshrError::AlreadyPresent)
+                    } else if mshr_model.len() >= capacity {
+                        Err(MshrError::Full)
+                    } else {
+                        Ok(())
+                    };
+                    match mshrs.allocate(b, for_write, prefetch, step) {
+                        Ok(e) => {
+                            assert_eq!(expected, Ok(()), "{at}: allocate");
+                            assert!(e.waiters.is_empty(), "{at}: a reused register starts empty");
+                            e.waiters.push(step);
+                            mshr_model.push(ModelMshr {
+                                block: b,
+                                for_write,
+                                prefetch,
+                                waiters: vec![step],
+                                issued_at: step,
+                            });
+                        }
+                        Err(err) => assert_eq!(expected, Err(err), "{at}: allocate"),
+                    }
+                }
+                2 => {
+                    let (waiter, for_write) = (rng.range_u64(0..4), rng.bool(0.5));
+                    let expected = mshr_model.iter_mut().find(|m| m.block == b).map(|m| {
+                        m.prefetch = false;
+                        m.for_write |= for_write;
+                        if !m.waiters.contains(&waiter) {
+                            m.waiters.push(waiter);
+                        }
+                    });
+                    let merged = mshrs.merge_waiter(b, waiter, for_write);
+                    assert_eq!(merged, expected.is_some(), "{at}: merge_waiter");
+                }
+                3 | 4 => {
+                    waiters.clear();
+                    waiters.push(u64::MAX);
+                    let expected =
+                        mshr_model.iter().position(|m| m.block == b).map(|i| mshr_model.remove(i));
+                    let done = mshrs.complete(b, &mut waiters);
+                    assert_eq!(done, expected.as_ref().map(|m| m.for_write), "{at}: complete");
+                    let expected_waiters = expected.map(|m| m.waiters).unwrap_or_default();
+                    assert_eq!(waiters, expected_waiters, "{at}: completed waiters");
+                }
+                5 => {
+                    let state = states[rng.range_usize(0..3)];
+                    let data = BlockData::from_words([rng.next_u64(); 8]);
+                    vc_model.retain(|(mb, _, _)| *mb != b);
+                    let displaced =
+                        if vc_model.len() >= capacity { Some(vc_model.remove(0)) } else { None };
+                    vc_model.push((b, state, data));
+                    assert_eq!(vc.insert(b, state, data), displaced, "{at}: insert");
+                }
+                6 => {
+                    let expected = vc_model
+                        .iter()
+                        .position(|(mb, _, _)| *mb == b)
+                        .map(|i| vc_model.remove(i))
+                        .map(|(_, s, d)| (s, d));
+                    if rng.bool(0.5) {
+                        assert_eq!(vc.take(b), expected, "{at}: take");
+                    } else {
+                        let dirty =
+                            expected.and_then(|(s, d)| (s == LineState::Modified).then_some(d));
+                        assert_eq!(vc.invalidate(b), dirty, "{at}: invalidate");
+                    }
+                }
+                _ => {
+                    let expected = vc_model.iter_mut().find(|(mb, _, _)| *mb == b).and_then(|e| {
+                        let dirty = (e.1 == LineState::Modified).then_some(e.2);
+                        e.1 = LineState::Shared;
+                        dirty
+                    });
+                    assert_eq!(vc.downgrade(b), expected, "{at}: downgrade");
+                }
+            }
+            let outstanding: Vec<ModelMshr> = mshrs
+                .iter()
+                .map(|e| ModelMshr {
+                    block: e.block,
+                    for_write: e.for_write,
+                    prefetch: e.prefetch,
+                    waiters: e.waiters.clone(),
+                    issued_at: e.issued_at,
+                })
+                .collect();
+            assert_eq!(outstanding, mshr_model, "{at}: outstanding misses, oldest first");
+            assert_eq!(mshrs.len(), mshr_model.len(), "{at}");
+            assert_eq!(mshrs.is_full(), mshr_model.len() >= capacity, "{at}");
+            let oldest = mshr_model.iter().map(|m| m.issued_at).min();
+            assert_eq!(mshrs.oldest_issue(), oldest, "{at}");
+            assert_eq!(vc.len(), vc_model.len(), "{at}");
+            for n in 0..10 {
+                let nb = block(n * 64);
+                let m = mshr_model.iter().find(|m| m.block == nb);
+                assert_eq!(mshrs.contains(nb), m.is_some(), "{at}: contains {nb}");
+                assert_eq!(mshrs.get(nb).map(|e| e.issued_at), m.map(|m| m.issued_at), "{at}");
+                let resident = vc_model.iter().any(|(mb, _, _)| *mb == nb);
+                assert_eq!(vc.contains(nb), resident, "{at}: victim contains {nb}");
             }
         }
     }
