@@ -63,11 +63,6 @@ impl DirectoryEntry {
         self.state = DirectoryState::Owned(core);
     }
 
-    /// Records that no cache holds the block.
-    pub fn set_uncached(&mut self) {
-        self.state = DirectoryState::Uncached;
-    }
-
     /// Removes `core` from the sharer list / ownership (silent eviction or
     /// writeback). Leaves other sharers intact.
     pub fn remove_holder(&mut self, core: CoreId) {
@@ -201,8 +196,7 @@ mod tests {
         // A second owner replaces the first (invalidation already happened).
         e.set_owner(CoreId(1));
         assert_eq!(e.owner(), Some(CoreId(1)));
-        e.set_uncached();
-        assert!(e.is_uncached());
+        assert!(!e.is_uncached());
     }
 
     #[test]

@@ -649,7 +649,7 @@ mod tests {
             nodes: 4,
             routing: interconnect.routing_table(),
             interconnect,
-            l2: L2Config { size_bytes: 0, associativity: 0, hit_latency: 5, mshrs: 8 },
+            l2: L2Config { size_bytes: 0, associativity: 0, hit_latency: 5 },
             dram_latency: 20,
             directory_latency: 2,
             block_bytes: 64,
@@ -659,7 +659,7 @@ mod tests {
     /// A tiny finite L2: 4 banks × 1 set × 2 ways = 8 blocks total.
     fn tiny_l2_config() -> FabricConfig {
         let mut cfg = config();
-        cfg.l2 = L2Config { size_bytes: 4 * 2 * 64, associativity: 2, hit_latency: 5, mshrs: 8 };
+        cfg.l2 = L2Config { size_bytes: 4 * 2 * 64, associativity: 2, hit_latency: 5 };
         cfg
     }
 

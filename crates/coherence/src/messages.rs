@@ -30,13 +30,6 @@ pub enum CoherenceReqKind {
     WritebackClean,
 }
 
-impl CoherenceReqKind {
-    /// Returns true for requests that expect a data fill in response.
-    pub fn expects_fill(&self) -> bool {
-        matches!(self, CoherenceReqKind::GetS | CoherenceReqKind::GetM)
-    }
-}
-
 /// A request issued by a core's L1 miss handling or writeback path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoherenceRequest {
@@ -115,12 +108,6 @@ impl Delivery {
             | Delivery::Downgrade { block, .. } => *block,
         }
     }
-
-    /// Returns true for external requests (invalidations and downgrades), the
-    /// messages InvisiFence snoops for violation detection.
-    pub fn is_external_request(&self) -> bool {
-        matches!(self, Delivery::Invalidate { .. } | Delivery::Downgrade { .. })
-    }
 }
 
 /// A core's reply to an [`Delivery::Invalidate`] or [`Delivery::Downgrade`].
@@ -176,7 +163,6 @@ mod tests {
         };
         assert_eq!(d.core(), CoreId(2));
         assert_eq!(d.block(), blk(0x40));
-        assert!(d.is_external_request());
 
         let f = Delivery::Fill {
             core: CoreId(0),
@@ -185,16 +171,8 @@ mod tests {
             data: BlockData::zeroed(),
             txn: TxnId(1),
         };
-        assert!(!f.is_external_request());
         assert_eq!(f.core(), CoreId(0));
-    }
-
-    #[test]
-    fn request_kinds() {
-        assert!(CoherenceReqKind::GetS.expects_fill());
-        assert!(CoherenceReqKind::GetM.expects_fill());
-        assert!(!CoherenceReqKind::WritebackClean.expects_fill());
-        assert!(!CoherenceReqKind::WritebackDirty(BlockData::zeroed()).expects_fill());
+        assert_eq!(f.block(), blk(0x80));
     }
 
     #[test]

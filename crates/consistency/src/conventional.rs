@@ -1,14 +1,15 @@
 //! The conventional SC / TSO / RMO retirement engines.
 
+use crate::reference::{head_wait, request_write_permission, retire_in_order, RetireWait};
 use ifence_cpu::{OrderingEngine, RetireCtx, RetireOutcome};
-use ifence_types::{Addr, ConsistencyModel, InstrKind, StallReason};
+use ifence_types::{ConsistencyModel, StallReason};
 
 /// A conventional, non-speculative implementation of one consistency model
 /// (Section 2.1 of the paper).
 ///
-/// The engine never speculates: every memory-ordering requirement of the
-/// model turns into a retirement stall, which is exactly the cost Figure 1
-/// quantifies and InvisiFence removes.
+/// The engine never speculates: every wait Figure 2's rule
+/// ([`crate::retire_wait`]) imposes turns into a retirement stall, which is
+/// exactly the cost Figure 1 quantifies and InvisiFence removes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConventionalEngine {
     model: ConsistencyModel,
@@ -24,66 +25,16 @@ impl ConventionalEngine {
     pub fn model(&self) -> ConsistencyModel {
         self.model
     }
-
-    /// Retires a store according to the model's store-buffer policy.
-    fn retire_store(&self, ctx: &mut RetireCtx<'_>, addr: Addr, value: u64) -> RetireOutcome {
-        match self.model {
-            // SC and TSO push every store through the age-ordered FIFO buffer.
-            ConsistencyModel::Sc | ConsistencyModel::Tso => {
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
-            }
-            // RMO: store hits retire directly into the data cache; misses go
-            // to the coalescing buffer.
-            ConsistencyModel::Rmo => ctx.store_non_speculative(addr, value),
-        }
-    }
-
-    /// Retires an atomic read-modify-write: every model requires the store
-    /// buffer to have drained (SC/TSO) and write permission to be held so the
-    /// read-modify-write is atomic.
-    fn retire_atomic(&self, ctx: &mut RetireCtx<'_>, addr: Addr, value: u64) -> RetireOutcome {
-        let needs_empty_sb = matches!(self.model, ConsistencyModel::Sc | ConsistencyModel::Tso);
-        if needs_empty_sb && !ctx.mem.sb_empty() {
-            return RetireOutcome::Stall(StallReason::StoreBufferDrain);
-        }
-        let block = ctx.mem.block_of(addr);
-        if !ctx.mem.writable(block) {
-            // Keep (or make) the ownership request outstanding and stall until
-            // write permission arrives.
-            let _ = ctx.mem.ensure_write_miss(block, None, false, ctx.now, &mut ctx.stats.counters);
-            return RetireOutcome::Stall(StallReason::StoreBufferDrain);
-        }
-        let ok = ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters);
-        debug_assert!(ok, "writable block must accept the atomic's store");
-        RetireOutcome::Retired
-    }
 }
 
 impl OrderingEngine for ConventionalEngine {
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        match ctx.entry.instr.kind {
-            InstrKind::Op(_) => RetireOutcome::Retired,
-            InstrKind::Load(_) => {
-                // SC: a load may not retire past outstanding stores.
-                if self.model == ConsistencyModel::Sc && !ctx.mem.sb_empty() {
-                    RetireOutcome::Stall(StallReason::StoreBufferDrain)
-                } else {
-                    RetireOutcome::Retired
-                }
-            }
-            InstrKind::Store(addr, value) => self.retire_store(ctx, addr, value),
-            InstrKind::Atomic(addr, value) => self.retire_atomic(ctx, addr, value),
-            InstrKind::Fence(_) => {
-                // SC needs no fences (ordering is already total); TSO and RMO
-                // must drain the store buffer.
-                if self.model != ConsistencyModel::Sc && !ctx.mem.sb_empty() {
-                    RetireOutcome::Stall(StallReason::StoreBufferDrain)
-                } else {
-                    RetireOutcome::Retired
-                }
+        match head_wait(self.model, ctx) {
+            RetireWait::Nothing => retire_in_order(ctx),
+            RetireWait::StoreBufferDrain => RetireOutcome::Stall(StallReason::StoreBufferDrain),
+            RetireWait::WritePermission(addr) => {
+                request_write_permission(ctx, addr);
+                RetireOutcome::Stall(StallReason::StoreBufferDrain)
             }
         }
     }
@@ -101,7 +52,7 @@ mod tests {
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
     use ifence_types::{
-        BlockAddr, CoreId, CycleClass, EngineKind, Instruction, MachineConfig, Program,
+        Addr, BlockAddr, CoreId, CycleClass, EngineKind, Instruction, MachineConfig, Program,
     };
 
     fn cfg_for(model: ConsistencyModel) -> MachineConfig {

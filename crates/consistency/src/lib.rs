@@ -1,18 +1,13 @@
 //! Conventional (non-speculative) implementations of SC, TSO, and RMO.
 //!
 //! These are the baseline memory-consistency implementations of Section 2.1 /
-//! Figure 2 of the paper. They are expressed as
-//! [`OrderingEngine`](ifence_cpu::OrderingEngine)s whose retirement rules are:
-//!
-//! | Model | Load | Store | Atomic | Fence |
-//! |-------|------|-------|--------|-------|
-//! | SC    | store buffer must be empty | FIFO buffer (stall if full) | drain buffer + write permission | n/a |
-//! | TSO   | —    | FIFO buffer (stall if full) | drain buffer + write permission | drain buffer |
-//! | RMO   | —    | to cache on hit, else coalescing buffer | write permission | drain buffer |
-//!
-//! The "—" entries retire without memory-ordering constraints. "Drain buffer"
-//! stalls are attributed to the paper's "SB drain" bucket, full-buffer stalls
-//! to "SB full".
+//! Figure 2 of the paper, expressed as
+//! [`OrderingEngine`](ifence_cpu::OrderingEngine)s. What each instruction
+//! waits for at retirement is [`retire_wait`], the one rule the
+//! conventional, InvisiFence-Selective and ASO engines share: a conventional
+//! engine turns each wait into a stall ("drain buffer" and write-permission
+//! waits count as the paper's "SB drain" bucket, a full buffer as "SB
+//! full").
 //!
 //! # Example
 //!
@@ -33,4 +28,7 @@ pub mod conventional;
 pub mod reference;
 
 pub use conventional::ConventionalEngine;
-pub use reference::{figure2_rows, Figure2Row};
+pub use reference::{
+    figure2_rows, head_wait, request_write_permission, retire_in_order, retire_wait, Figure2Row,
+    RetireWait,
+};

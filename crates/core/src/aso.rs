@@ -20,6 +20,7 @@
 //! are not needed because this simulator tracks data at word granularity
 //! already.
 
+use ifence_consistency::{head_wait, retire_in_order, RetireWait};
 use ifence_cpu::{
     CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
     RetireOutcome,
@@ -84,32 +85,6 @@ impl AsoEngine {
 
     fn speculating_now(&self) -> bool {
         !self.checkpoints.is_empty()
-    }
-
-    fn should_speculate(&self, ctx: &mut RetireCtx<'_>) -> bool {
-        let sb_empty = ctx.mem.sb_empty();
-        match ctx.entry.instr.kind {
-            InstrKind::Op(_) => false,
-            InstrKind::Load(_) => self.model == ConsistencyModel::Sc && !sb_empty,
-            InstrKind::Fence(_) => self.model != ConsistencyModel::Sc && !sb_empty,
-            InstrKind::Store(..) => self.model != ConsistencyModel::Rmo && !sb_empty,
-            InstrKind::Atomic(addr, _) => {
-                if self.model != ConsistencyModel::Rmo && !sb_empty {
-                    return true;
-                }
-                let block = ctx.mem.block_of(addr);
-                !ctx.mem.writable(block)
-            }
-        }
-    }
-
-    fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        match ctx.entry.instr.kind {
-            InstrKind::Op(_) | InstrKind::Load(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
-            InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                ctx.store_non_speculative(addr, value)
-            }
-        }
     }
 
     fn spec_store(&mut self, ctx: &mut RetireCtx<'_>, addr: Addr, value: u64) -> RetireOutcome {
@@ -233,7 +208,9 @@ impl OrderingEngine for AsoEngine {
         if self.speculating_now() {
             return self.retire_speculative(ctx);
         }
-        if self.should_speculate(ctx) {
+        // ASO speculates wherever Figure 2's rule would wait, and (unlike
+        // InvisiFence-Selective) issues no ownership request for an atomic.
+        if head_wait(self.model, ctx) != RetireWait::Nothing {
             if self.must_retire_nonspec {
                 return RetireOutcome::Stall(StallReason::StoreBufferDrain);
             }
@@ -243,7 +220,7 @@ impl OrderingEngine for AsoEngine {
                 .push(AsoCheckpoint { resume_at: ctx.checkpoint_index(), ..Default::default() });
             return self.retire_speculative(ctx);
         }
-        let outcome = self.retire_non_speculative(ctx);
+        let outcome = retire_in_order(ctx);
         if outcome == RetireOutcome::Retired {
             self.must_retire_nonspec = false;
         }

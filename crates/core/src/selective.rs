@@ -2,30 +2,22 @@
 //! otherwise stall for a memory-ordering constraint.
 
 use crate::kernel::SpeculationKernel;
+use ifence_consistency::{head_wait, request_write_permission, retire_in_order, RetireWait};
 use ifence_cpu::{
     CoreMem, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 use ifence_stats::CoreStats;
 use ifence_types::{
-    BlockAddr, ConsistencyModel, Cycle, CycleClass, InstrKind, SpeculationConfig, StallReason,
+    BlockAddr, ConsistencyModel, Cycle, CycleClass, SpeculationConfig, StallReason,
 };
-
-/// Outcome of attempting to retire an instruction non-speculatively under the
-/// target consistency model.
-enum NonSpecOutcome {
-    /// Retired without speculation, or a structural stall (store buffer
-    /// full) that speculation would not help.
-    Done(RetireOutcome),
-    /// The model imposes an ordering stall here — the trigger to speculate.
-    Speculate,
-}
 
 /// InvisiFence-Selective: post-retirement speculation initiated only on
 /// ordering-induced retirement stalls, with constant-time opportunistic commit
 /// as soon as the store buffer drains.
 ///
-/// The engine enforces SC, TSO, or RMO depending on `model`; the speculation
-/// triggers per model follow Figure 4:
+/// The engine enforces SC, TSO, or RMO depending on `model`. It speculates
+/// wherever Figure 2's rule ([`ifence_consistency::retire_wait`]) would make
+/// a conventional engine wait, which gives Figure 4's triggers:
 ///
 /// * **SC** — a load (or store, or atomic) is ready to retire while the store
 ///   buffer is not empty, or an atomic lacks write permission.
@@ -59,63 +51,6 @@ impl InvisiSelectiveEngine {
             second_checkpoint_after: speculation.aso_checkpoint_interval.max(1),
         }
     }
-
-    fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> NonSpecOutcome {
-        let sb_empty = ctx.mem.sb_empty();
-        let retired = NonSpecOutcome::Done(RetireOutcome::Retired);
-        match ctx.entry.instr.kind {
-            InstrKind::Op(_) => retired,
-            InstrKind::Load(_) => {
-                if self.model == ConsistencyModel::Sc && !sb_empty {
-                    NonSpecOutcome::Speculate
-                } else {
-                    retired
-                }
-            }
-            InstrKind::Fence(_) => {
-                if self.model != ConsistencyModel::Sc && !sb_empty {
-                    NonSpecOutcome::Speculate
-                } else {
-                    retired
-                }
-            }
-            InstrKind::Store(addr, value) => match self.model {
-                // RMO never orders plain stores: hit into the cache, miss into
-                // the unordered buffer.
-                ConsistencyModel::Rmo => {
-                    NonSpecOutcome::Done(ctx.store_non_speculative(addr, value))
-                }
-                // SC/TSO must preserve store-store order, which the unordered
-                // coalescing buffer cannot: a store behind other pending
-                // stores triggers speculation.
-                ConsistencyModel::Sc | ConsistencyModel::Tso => {
-                    if !sb_empty {
-                        NonSpecOutcome::Speculate
-                    } else {
-                        NonSpecOutcome::Done(ctx.store_non_speculative(addr, value))
-                    }
-                }
-            },
-            InstrKind::Atomic(addr, value) => {
-                let needs_empty_sb = self.model != ConsistencyModel::Rmo;
-                if needs_empty_sb && !sb_empty {
-                    return NonSpecOutcome::Speculate;
-                }
-                let block = ctx.mem.block_of(addr);
-                if !ctx.mem.writable(block) {
-                    let _ = ctx.mem.ensure_write_miss(
-                        block,
-                        None,
-                        false,
-                        ctx.now,
-                        &mut ctx.stats.counters,
-                    );
-                    return NonSpecOutcome::Speculate;
-                }
-                NonSpecOutcome::Done(ctx.store_non_speculative(addr, value))
-            }
-        }
-    }
 }
 
 impl OrderingEngine for InvisiSelectiveEngine {
@@ -132,25 +67,26 @@ impl OrderingEngine for InvisiSelectiveEngine {
             }
             return self.kernel.retire_speculative(ctx);
         }
-        match self.retire_non_speculative(ctx) {
-            NonSpecOutcome::Done(outcome) => {
+        match head_wait(self.model, ctx) {
+            RetireWait::Nothing => {
+                let outcome = retire_in_order(ctx);
                 if outcome == RetireOutcome::Retired {
                     self.kernel.retired_nonspec();
                 }
-                outcome
+                return outcome;
             }
-            NonSpecOutcome::Speculate => {
-                if self.kernel.must_retire_nonspec() {
-                    // Guarantee forward progress by resolving this stall
-                    // conventionally before speculating again.
-                    return RetireOutcome::Stall(StallReason::StoreBufferDrain);
-                }
-                self.kernel
-                    .begin(ctx.checkpoint_index(), ctx.stats)
-                    .expect("a checkpoint is free when not speculating");
-                self.kernel.retire_speculative(ctx)
-            }
+            RetireWait::StoreBufferDrain => {}
+            RetireWait::WritePermission(addr) => request_write_permission(ctx, addr),
         }
+        if self.kernel.must_retire_nonspec() {
+            // Guarantee forward progress by resolving this stall
+            // conventionally before speculating again.
+            return RetireOutcome::Stall(StallReason::StoreBufferDrain);
+        }
+        self.kernel
+            .begin(ctx.checkpoint_index(), ctx.stats)
+            .expect("a checkpoint is free when not speculating");
+        self.kernel.retire_speculative(ctx)
     }
 
     fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {

@@ -18,7 +18,7 @@ pub struct CoreMem {
     pub id: CoreId,
     /// Private L1 data cache (with victim cache and speculative bits).
     pub l1: L1Cache,
-    /// Store buffer (organization depends on the configuration).
+    /// Store buffer (the engine kind fixes its organization).
     pub sb: StoreBuffer,
     /// Miss-status holding registers.
     pub mshrs: ifence_mem::MshrFile,
@@ -36,7 +36,11 @@ impl CoreMem {
         CoreMem {
             id,
             l1: L1Cache::new(&cfg.l1),
-            sb: StoreBuffer::from_config(&cfg.store_buffer, cfg.l1.block_bytes),
+            sb: StoreBuffer::new(
+                cfg.engine.store_buffer_kind(),
+                cfg.store_buffer.entries,
+                cfg.l1.block_bytes,
+            ),
             mshrs: ifence_mem::MshrFile::new(cfg.l1.mshrs),
             block_bytes: cfg.l1.block_bytes,
             store_prefetch: cfg.core.store_prefetch,
@@ -716,7 +720,8 @@ mod tests {
         m.store_to_sb(Addr::new(0x3000), 1, None, 0, &mut s).unwrap();
         m.store_to_sb(Addr::new(0x3040), 2, Some(0), 0, &mut s).unwrap();
         assert_eq!(drain_counting_visits(&mut m, &mut c), (0, 2));
-        assert_eq!(m.sb.flash_invalidate_speculative(0), 1);
+        assert_eq!(m.sb.flash_invalidate_exact(0), 1);
+        assert_eq!(m.sb.epoch_len(None), 1);
         assert!(!m.sb.drain_stalled(), "a change to the buffer clears the stall");
         // The surviving entry is still parked, so the drain visits nothing.
         assert!(m.l1.is_parked(blk(0x3000)));

@@ -264,12 +264,6 @@ impl Rob {
         old_len - kept
     }
 
-    /// Finds the oldest entry that has performed a read of `block` (used by
-    /// load-queue snooping on external invalidations).
-    pub fn oldest_read_of(&self, block: BlockAddr) -> Option<&RobEntry> {
-        self.entries.iter().find(|e| e.performed_read && e.block == Some(block))
-    }
-
     /// Finds the oldest entry whose read of `block` is still vulnerable to an
     /// external invalidation (performed, but not bound while it was the oldest
     /// in-flight instruction). This is the entry from which an in-window
@@ -353,12 +347,16 @@ mod tests {
         let block = BlockAddr::containing(Addr::new(0x100), 64);
         rob.push(0, 0, Instruction::load(Addr::new(0x100)));
         rob.push(1, 1, Instruction::load(Addr::new(0x100)));
-        assert!(rob.oldest_read_of(block).is_none(), "not performed yet");
+        assert!(rob.oldest_vulnerable_read_of(block).is_none(), "not performed yet");
         for e in rob.iter_mut() {
             e.block = Some(block);
             e.performed_read = true;
         }
-        assert_eq!(rob.oldest_read_of(block).unwrap().program_index, 0);
+        assert_eq!(rob.oldest_vulnerable_read_of(block).unwrap().program_index, 0);
+        // A read bound while it was the oldest in flight is no longer
+        // vulnerable to an invalidation.
+        rob.get_mut(0).unwrap().bound_at_head = true;
+        assert_eq!(rob.oldest_vulnerable_read_of(block).unwrap().program_index, 1);
     }
 
     #[test]

@@ -503,7 +503,6 @@ mod tests {
             associativity: 2,
             block_bytes: 64,
             hit_latency: 2,
-            ports: 3,
             mshrs: 8,
             victim_entries: 0,
         };

@@ -301,7 +301,7 @@ mod tests {
     use super::*;
 
     fn cfg(size: usize, ways: usize) -> L2Config {
-        L2Config { size_bytes: size, associativity: ways, hit_latency: 5, mshrs: 8 }
+        L2Config { size_bytes: size, associativity: ways, hit_latency: 5 }
     }
 
     /// Payload: number of simulated L1 holders.

@@ -10,13 +10,13 @@
 //! * [`VictimCache`] — the 16-entry fully-associative victim cache of the
 //!   paper's L1 configuration.
 //! * [`MshrFile`] — miss-status holding registers tracking outstanding misses.
-//! * [`StoreBuffer`] — the three store-buffer organizations of Figure 2 /
-//!   Figure 5: the word-granularity FIFO used by conventional SC/TSO, the
-//!   block-granularity coalescing buffer used by conventional RMO and
-//!   InvisiFence, and ASO's Scalable Store Buffer.
+//! * [`StoreBuffer`] — the two store-buffer organizations of Figure 2 /
+//!   Figure 5: the word-granularity FIFO used by conventional SC/TSO and the
+//!   block-granularity coalescing buffer used by conventional RMO and every
+//!   speculative engine.
 //! * [`Ring`] — the flat fixed-capacity ring buffer (head index + length
 //!   over a never-reallocated `Vec`) backing the per-core hot structures:
-//!   the reorder buffer and the FIFO/scalable store buffers.
+//!   the reorder buffer and the FIFO store buffer.
 //! * [`L1Cache`] — the combination of cache + victim cache used by a core.
 //! * [`BankedL2`] — the shared, banked, address-interleaved L2 whose lines
 //!   embed a caller-supplied directory payload (the coherence fabric embeds

@@ -1,5 +1,5 @@
 //! A flat, fixed-capacity ring buffer used as the backing store for the
-//! per-core hot structures (reorder buffer, FIFO/scalable store buffers).
+//! per-core hot structures (reorder buffer, FIFO store buffer).
 //!
 //! Unlike `VecDeque`, the backing `Vec` never reallocates after reaching the
 //! configured capacity and is never rotated: the occupied region is addressed
@@ -116,11 +116,6 @@ impl<T> Ring<T> {
     /// The oldest element.
     pub fn front(&self) -> Option<&T> {
         self.get(0)
-    }
-
-    /// Mutable access to the oldest element.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.get_mut(0)
     }
 
     /// Removes every element.

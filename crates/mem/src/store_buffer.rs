@@ -1,17 +1,16 @@
-//! The three store-buffer organizations of the paper (Figure 2 / Figure 5).
+//! The two store-buffer organizations of the paper (Figure 2 / Figure 5).
 //!
 //! * **FIFO, word granularity** — conventional SC and TSO. Age-ordered; only
 //!   the oldest entry may drain; searched for store→load forwarding.
-//! * **Coalescing, block granularity** — conventional RMO and InvisiFence.
-//!   Unordered; any entry with write permission may drain; entries coalesce
-//!   per block, but never across the speculative / non-speculative boundary
-//!   (Section 3.1), and speculative entries can be flash-invalidated on abort.
-//! * **Scalable (SSB)** — ASO's per-store FIFO that does not forward to loads
-//!   and drains into the L2 at commit.
+//! * **Coalescing, block granularity** — conventional RMO and every
+//!   speculative engine. Unordered; any entry with write permission may
+//!   drain; entries coalesce per block, but never across the speculative /
+//!   non-speculative boundary (Section 3.1), and speculative entries can be
+//!   flash-invalidated on abort.
 
 use crate::line::{BlockData, WORDS_PER_BLOCK};
 use crate::ring::Ring;
-use ifence_types::{Addr, BlockAddr, StoreBufferConfig, StoreBufferKind};
+use ifence_types::{Addr, BlockAddr, StoreBufferKind};
 use std::fmt;
 
 /// Error returned when a store cannot be inserted.
@@ -51,25 +50,22 @@ struct WordStore {
     epoch: Option<u8>,
 }
 
-// The age-ordered organizations sit on the flat [`Ring`] (the hot path of
-// conventional SC/TSO drains and forwards through them every cycle); the
-// coalescing buffer is a small unordered set, for which a plain `Vec` is
-// already flat.
+// The FIFO sits on the flat [`Ring`] (the hot path of conventional SC/TSO
+// drains and forwards through it every cycle); the coalescing buffer is a
+// small unordered set, for which a plain `Vec` is already flat.
 #[derive(Debug, Clone)]
 enum Organization {
     Fifo(Ring<WordStore>),
     Coalescing(Vec<SbEntry>),
-    Scalable(Ring<WordStore>),
 }
 
-/// A store buffer in one of the three organizations used by the paper.
+/// A store buffer in one of the two organizations used by the paper.
 ///
 /// # Example
 /// ```
 /// use ifence_mem::StoreBuffer;
-/// use ifence_types::{Addr, StoreBufferConfig, StoreBufferKind};
-/// let cfg = StoreBufferConfig { kind: StoreBufferKind::CoalescingBlock, entries: 8 };
-/// let mut sb = StoreBuffer::from_config(&cfg, 64);
+/// use ifence_types::{Addr, StoreBufferKind};
+/// let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, 8, 64);
 /// sb.push(Addr::new(0x100), 7, None).unwrap();
 /// sb.push(Addr::new(0x108), 9, None).unwrap();
 /// assert_eq!(sb.len(), 1, "stores to one block coalesce into one entry");
@@ -77,7 +73,6 @@ enum Organization {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StoreBuffer {
-    kind: StoreBufferKind,
     capacity: usize,
     block_bytes: usize,
     high_water: usize,
@@ -89,54 +84,21 @@ pub struct StoreBuffer {
 }
 
 impl StoreBuffer {
-    /// Creates a store buffer from a configuration.
-    pub fn from_config(config: &StoreBufferConfig, block_bytes: usize) -> Self {
-        match config.kind {
-            StoreBufferKind::FifoWord => Self::new_fifo(config.entries, block_bytes),
-            StoreBufferKind::CoalescingBlock => Self::new_coalescing(config.entries, block_bytes),
-            StoreBufferKind::Scalable => Self::new_scalable(config.entries, block_bytes),
-        }
-    }
-
-    /// Creates a word-granularity FIFO store buffer.
-    pub fn new_fifo(capacity: usize, block_bytes: usize) -> Self {
-        StoreBuffer {
-            kind: StoreBufferKind::FifoWord,
-            capacity,
-            block_bytes,
-            high_water: 0,
-            drain_stalled: false,
-            organization: Organization::Fifo(Ring::with_capacity(capacity)),
-        }
-    }
-
-    /// Creates a block-granularity coalescing store buffer.
-    pub fn new_coalescing(capacity: usize, block_bytes: usize) -> Self {
-        StoreBuffer {
-            kind: StoreBufferKind::CoalescingBlock,
-            capacity,
-            block_bytes,
-            high_water: 0,
-            drain_stalled: false,
-            organization: Organization::Coalescing(Vec::new()),
-        }
-    }
-
-    /// Creates an ASO-style scalable store buffer (per-store, no forwarding).
-    pub fn new_scalable(capacity: usize, block_bytes: usize) -> Self {
-        StoreBuffer {
-            kind: StoreBufferKind::Scalable,
-            capacity,
-            block_bytes,
-            high_water: 0,
-            drain_stalled: false,
-            organization: Organization::Scalable(Ring::with_capacity(capacity)),
-        }
+    /// Creates a store buffer of the given organization and capacity.
+    pub fn new(kind: StoreBufferKind, capacity: usize, block_bytes: usize) -> Self {
+        let organization = match kind {
+            StoreBufferKind::FifoWord => Organization::Fifo(Ring::with_capacity(capacity)),
+            StoreBufferKind::CoalescingBlock => Organization::Coalescing(Vec::new()),
+        };
+        StoreBuffer { capacity, block_bytes, high_water: 0, drain_stalled: false, organization }
     }
 
     /// The organization of this buffer.
     pub fn kind(&self) -> StoreBufferKind {
-        self.kind
+        match self.organization {
+            Organization::Fifo(_) => StoreBufferKind::FifoWord,
+            Organization::Coalescing(_) => StoreBufferKind::CoalescingBlock,
+        }
     }
 
     /// Maximum number of entries.
@@ -144,11 +106,11 @@ impl StoreBuffer {
         self.capacity
     }
 
-    /// Current number of entries (word entries for FIFO/SSB, block entries
+    /// Current number of entries (word entries for the FIFO, block entries
     /// for the coalescing buffer).
     pub fn len(&self) -> usize {
         match &self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => q.len(),
+            Organization::Fifo(q) => q.len(),
             Organization::Coalescing(v) => v.len(),
         }
     }
@@ -177,26 +139,13 @@ impl StoreBuffer {
     }
 
     /// Records whether every current drain candidate waits on a fill. Any
-    /// later insert, drain, invalidation or epoch shift clears the record.
+    /// later insert, drain or invalidation clears the record.
     pub fn set_drain_stalled(&mut self, stalled: bool) {
         self.drain_stalled = stalled;
     }
 
     fn block_of(&self, addr: Addr) -> BlockAddr {
         BlockAddr::containing(addr, self.block_bytes)
-    }
-
-    /// Would a store to `addr` in `epoch` fit without a new entry or with a
-    /// free entry? Used by retirement logic to detect "SB full" stalls before
-    /// mutating anything.
-    pub fn can_accept(&self, addr: Addr, epoch: Option<u8>) -> bool {
-        match &self.organization {
-            Organization::Fifo(_) | Organization::Scalable(_) => !self.is_full(),
-            Organization::Coalescing(v) => {
-                let block = self.block_of(addr);
-                v.iter().any(|e| e.block == block && e.epoch == epoch) || !self.is_full()
-            }
-        }
     }
 
     /// Inserts a retired store.
@@ -210,7 +159,7 @@ impl StoreBuffer {
         let word = addr.word_in_block(self.block_bytes).index();
         let capacity = self.capacity;
         match &mut self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
+            Organization::Fifo(q) => {
                 if q.len() >= capacity {
                     return Err(SbError::Full);
                 }
@@ -235,7 +184,7 @@ impl StoreBuffer {
     }
 
     /// Returns the youngest buffered value for the word at `addr`, if any
-    /// (store→load forwarding). The scalable buffer never forwards.
+    /// (store→load forwarding).
     pub fn forward(&self, addr: Addr) -> Option<u64> {
         let block = self.block_of(addr);
         let word = addr.word_in_block(self.block_bytes).index();
@@ -243,7 +192,6 @@ impl StoreBuffer {
             Organization::Fifo(q) => {
                 q.iter().rev().find(|s| s.block == block && s.word == word).map(|s| s.value)
             }
-            Organization::Scalable(_) => None,
             Organization::Coalescing(v) => {
                 // A speculative entry for a block is always younger than the
                 // non-speculative entry for the same block (speculation begins
@@ -257,24 +205,6 @@ impl StoreBuffer {
         }
     }
 
-    /// Returns true if any entry targets `block`.
-    pub fn contains_block(&self, block: BlockAddr) -> bool {
-        match &self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => q.iter().any(|s| s.block == block),
-            Organization::Coalescing(v) => v.iter().any(|e| e.block == block),
-        }
-    }
-
-    /// Returns true if any entry belongs to a speculation epoch.
-    pub fn has_speculative(&self) -> bool {
-        match &self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
-                q.iter().any(|s| s.epoch.is_some())
-            }
-            Organization::Coalescing(v) => v.iter().any(|e| e.epoch.is_some()),
-        }
-    }
-
     /// Replaces the contents of `out` with the blocks that currently could be
     /// drained, oldest-first. For FIFO organizations only the head entry's
     /// block is a candidate; for the coalescing buffer every entry is. The
@@ -282,7 +212,7 @@ impl StoreBuffer {
     pub fn drain_candidates_into(&self, out: &mut Vec<(BlockAddr, Option<u8>)>) {
         out.clear();
         match &self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
+            Organization::Fifo(q) => {
                 out.extend(q.front().map(|s| (s.block, s.epoch)));
             }
             Organization::Coalescing(v) => out.extend(v.iter().map(|e| (e.block, e.epoch))),
@@ -298,7 +228,7 @@ impl StoreBuffer {
     pub fn drain_block(&mut self, block: BlockAddr) -> Option<SbEntry> {
         self.drain_stalled = false;
         match &mut self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
+            Organization::Fifo(q) => {
                 let head = *q.front()?;
                 if head.block != block {
                     return None;
@@ -333,55 +263,11 @@ impl StoreBuffer {
         }
     }
 
-    /// Removes every entry belonging to epoch `min_epoch` or a younger epoch
-    /// (speculation abort). Returns the number of entries discarded.
-    pub fn flash_invalidate_speculative(&mut self, min_epoch: u8) -> usize {
-        let keep = |epoch: Option<u8>| match epoch {
-            None => true,
-            Some(e) => e < min_epoch,
-        };
-        self.drain_stalled = false;
-        match &mut self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => q.retain(|s| keep(s.epoch)),
-            Organization::Coalescing(v) => {
-                let before = v.len();
-                v.retain(|e| keep(e.epoch));
-                before - v.len()
-            }
-        }
-    }
-
-    /// Renumbers epochs after the oldest checkpoint commits: entries of epoch
-    /// `n` become epoch `n-1`; entries of epoch 0 become non-speculative.
-    pub fn shift_epochs_down(&mut self) {
-        let shift = |epoch: &mut Option<u8>| {
-            *epoch = match *epoch {
-                Some(0) | None => None,
-                Some(n) => Some(n - 1),
-            };
-        };
-        self.drain_stalled = false;
-        match &mut self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
-                for s in q.iter_mut() {
-                    shift(&mut s.epoch);
-                }
-            }
-            Organization::Coalescing(v) => {
-                for e in v.iter_mut() {
-                    shift(&mut e.epoch);
-                }
-            }
-        }
-    }
-
     /// Number of entries tagged with exactly the given epoch (`None` counts
     /// the non-speculative entries).
     pub fn epoch_len(&self, epoch: Option<u8>) -> usize {
         match &self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
-                q.iter().filter(|s| s.epoch == epoch).count()
-            }
+            Organization::Fifo(q) => q.iter().filter(|s| s.epoch == epoch).count(),
             Organization::Coalescing(v) => v.iter().filter(|e| e.epoch == epoch).count(),
         }
     }
@@ -393,40 +279,13 @@ impl StoreBuffer {
         let keep = |e: Option<u8>| e != Some(epoch);
         self.drain_stalled = false;
         match &mut self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => q.retain(|s| keep(s.epoch)),
+            Organization::Fifo(q) => q.retain(|s| keep(s.epoch)),
             Organization::Coalescing(v) => {
                 let before = v.len();
                 v.retain(|e| keep(e.epoch));
                 before - v.len()
             }
         }
-    }
-
-    /// Number of entries belonging to any speculation epoch.
-    pub fn speculative_len(&self) -> usize {
-        match &self.organization {
-            Organization::Fifo(q) | Organization::Scalable(q) => {
-                q.iter().filter(|s| s.epoch.is_some()).count()
-            }
-            Organization::Coalescing(v) => v.iter().filter(|e| e.epoch.is_some()).count(),
-        }
-    }
-
-    /// Removes every entry unconditionally (used by ASO's commit drain, which
-    /// transfers the stores into the L2 wholesale). Returns the drained entries
-    /// oldest-first, merged per block for FIFO organizations.
-    pub fn drain_all(&mut self) -> Vec<SbEntry> {
-        let mut out = Vec::new();
-        let mut candidates = Vec::new();
-        loop {
-            self.drain_candidates_into(&mut candidates);
-            let Some(&(block, _)) = candidates.first() else { break };
-            match self.drain_block(block) {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -440,7 +299,7 @@ mod tests {
 
     #[test]
     fn fifo_is_age_ordered_and_word_granular() {
-        let mut sb = StoreBuffer::new_fifo(4, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::FifoWord, 4, 64);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         sb.push(Addr::new(0x200), 2, None).unwrap();
         sb.push(Addr::new(0x108), 3, None).unwrap();
@@ -460,17 +319,16 @@ mod tests {
 
     #[test]
     fn fifo_fills_up_and_rejects() {
-        let mut sb = StoreBuffer::new_fifo(2, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::FifoWord, 2, 64);
         sb.push(Addr::new(0x0), 1, None).unwrap();
         sb.push(Addr::new(0x8), 2, None).unwrap();
         assert!(sb.is_full());
         assert_eq!(sb.push(Addr::new(0x10), 3, None), Err(SbError::Full));
-        assert!(!sb.can_accept(Addr::new(0x10), None));
     }
 
     #[test]
     fn fifo_forwarding_returns_youngest_value() {
-        let mut sb = StoreBuffer::new_fifo(8, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::FifoWord, 8, 64);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         sb.push(Addr::new(0x100), 2, None).unwrap();
         assert_eq!(sb.forward(Addr::new(0x100)), Some(2));
@@ -479,7 +337,7 @@ mod tests {
 
     #[test]
     fn coalescing_merges_same_block_same_epoch() {
-        let mut sb = StoreBuffer::new_coalescing(2, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, 2, 64);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         sb.push(Addr::new(0x108), 2, None).unwrap();
         sb.push(Addr::new(0x110), 3, None).unwrap();
@@ -491,7 +349,7 @@ mod tests {
 
     #[test]
     fn high_water_tracks_peak_occupancy_not_merges() {
-        let mut sb = StoreBuffer::new_fifo(4, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::FifoWord, 4, 64);
         assert_eq!(sb.high_water(), 0);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         sb.push(Addr::new(0x200), 2, None).unwrap();
@@ -505,7 +363,7 @@ mod tests {
 
         // A coalescing merge does not change occupancy, so it cannot move the
         // mark either.
-        let mut sb = StoreBuffer::new_coalescing(2, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, 2, 64);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         assert_eq!(sb.high_water(), 1);
         sb.push(Addr::new(0x108), 2, None).unwrap();
@@ -515,7 +373,7 @@ mod tests {
 
     #[test]
     fn coalescing_never_merges_across_speculation_boundary() {
-        let mut sb = StoreBuffer::new_coalescing(4, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, 4, 64);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         sb.push(Addr::new(0x108), 2, Some(0)).unwrap();
         assert_eq!(sb.len(), 2, "speculative and non-speculative entries stay separate");
@@ -532,35 +390,34 @@ mod tests {
 
     #[test]
     fn coalescing_accepts_merge_even_when_full() {
-        let mut sb = StoreBuffer::new_coalescing(1, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, 1, 64);
         sb.push(Addr::new(0x100), 1, None).unwrap();
         assert!(sb.is_full());
-        assert!(sb.can_accept(Addr::new(0x118), None), "same block coalesces");
-        sb.push(Addr::new(0x118), 4, None).unwrap();
-        assert!(!sb.can_accept(Addr::new(0x200), None));
+        sb.push(Addr::new(0x118), 4, None).expect("same block coalesces");
+        assert_eq!(sb.len(), 1);
         assert_eq!(sb.push(Addr::new(0x200), 9, None), Err(SbError::Full));
     }
 
     #[test]
     fn flash_invalidate_discards_speculative_only() {
-        let mut sb = StoreBuffer::new_coalescing(8, 64);
-        sb.push(Addr::new(0x000), 1, None).unwrap();
-        sb.push(Addr::new(0x100), 2, Some(0)).unwrap();
-        sb.push(Addr::new(0x200), 3, Some(1)).unwrap();
-        assert!(sb.has_speculative());
-        assert_eq!(sb.speculative_len(), 2);
-        // Abort only the younger epoch.
-        assert_eq!(sb.flash_invalidate_speculative(1), 1);
-        assert_eq!(sb.len(), 2);
-        // Abort everything speculative.
-        assert_eq!(sb.flash_invalidate_speculative(0), 1);
-        assert_eq!(sb.len(), 1);
-        assert!(!sb.has_speculative());
+        for kind in [StoreBufferKind::FifoWord, StoreBufferKind::CoalescingBlock] {
+            let mut sb = StoreBuffer::new(kind, 8, 64);
+            sb.push(Addr::new(0x000), 1, None).unwrap();
+            sb.push(Addr::new(0x100), 2, Some(0)).unwrap();
+            sb.push(Addr::new(0x200), 3, Some(1)).unwrap();
+            // Abort the younger epoch, then the older one.
+            assert_eq!(sb.flash_invalidate_exact(1), 1);
+            assert_eq!(sb.len(), 2);
+            assert_eq!(sb.flash_invalidate_exact(0), 1);
+            assert_eq!(sb.len(), 1);
+            assert_eq!(sb.epoch_len(None), 1, "{kind}: the non-speculative store survives");
+            assert_eq!(sb.forward(Addr::new(0x000)), Some(1));
+        }
     }
 
     #[test]
     fn epoch_len_and_exact_invalidate() {
-        let mut sb = StoreBuffer::new_coalescing(8, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, 8, 64);
         sb.push(Addr::new(0x000), 1, None).unwrap();
         sb.push(Addr::new(0x100), 2, Some(0)).unwrap();
         sb.push(Addr::new(0x200), 3, Some(0)).unwrap();
@@ -575,29 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn shift_epochs_down_renumbers() {
-        let mut sb = StoreBuffer::new_coalescing(8, 64);
-        sb.push(Addr::new(0x000), 1, Some(0)).unwrap();
-        sb.push(Addr::new(0x100), 2, Some(1)).unwrap();
-        sb.shift_epochs_down();
-        assert_eq!(sb.speculative_len(), 1);
-        let drained = sb.drain_block(blk(0x000)).unwrap();
-        assert_eq!(drained.epoch, None);
-        let drained = sb.drain_block(blk(0x100)).unwrap();
-        assert_eq!(drained.epoch, Some(0));
-    }
-
-    #[test]
     fn every_change_to_the_contents_clears_the_drain_stall() {
-        let changes: [fn(&mut StoreBuffer); 5] = [
+        let changes: [fn(&mut StoreBuffer); 3] = [
             |sb| sb.push(Addr::new(0x100), 2, None).unwrap(),
             |sb| assert!(sb.drain_block(blk(0x100)).is_some()),
-            |sb| assert_eq!(sb.flash_invalidate_speculative(0), 1),
             |sb| assert_eq!(sb.flash_invalidate_exact(0), 1),
-            |sb| sb.shift_epochs_down(),
         ];
         for change in changes {
-            let mut sb = StoreBuffer::new_fifo(4, 64);
+            let mut sb = StoreBuffer::new(StoreBufferKind::FifoWord, 4, 64);
             sb.push(Addr::new(0x100), 1, None).unwrap();
             sb.push(Addr::new(0x200), 1, Some(0)).unwrap();
             sb.set_drain_stalled(true);
@@ -608,33 +450,9 @@ mod tests {
     }
 
     #[test]
-    fn scalable_buffer_does_not_forward() {
-        let mut sb = StoreBuffer::new_scalable(16, 64);
-        sb.push(Addr::new(0x100), 5, Some(0)).unwrap();
-        assert_eq!(sb.forward(Addr::new(0x100)), None);
-        assert_eq!(sb.kind(), StoreBufferKind::Scalable);
-        assert!(sb.contains_block(blk(0x100)));
-    }
-
-    #[test]
-    fn drain_all_empties_the_buffer_oldest_first() {
-        let mut sb = StoreBuffer::new_fifo(8, 64);
-        sb.push(Addr::new(0x100), 1, None).unwrap();
-        sb.push(Addr::new(0x200), 2, None).unwrap();
-        sb.push(Addr::new(0x100), 3, None).unwrap();
-        let drained = sb.drain_all();
-        assert!(sb.is_empty());
-        assert_eq!(drained.len(), 3, "non-contiguous same-block runs drain separately");
-        assert_eq!(drained[0].block, blk(0x100));
-        assert_eq!(drained[1].block, blk(0x200));
-    }
-
-    #[test]
     fn from_config_matches_kind() {
-        for kind in
-            [StoreBufferKind::FifoWord, StoreBufferKind::CoalescingBlock, StoreBufferKind::Scalable]
-        {
-            let sb = StoreBuffer::from_config(&StoreBufferConfig { kind, entries: 4 }, 64);
+        for kind in [StoreBufferKind::FifoWord, StoreBufferKind::CoalescingBlock] {
+            let sb = StoreBuffer::new(kind, 4, 64);
             assert_eq!(sb.kind(), kind);
             assert_eq!(sb.capacity(), 4);
             assert!(sb.is_empty());

@@ -19,8 +19,6 @@ pub struct CacheConfig {
     pub block_bytes: usize,
     /// Access latency in cycles (load-to-use for the L1).
     pub hit_latency: u64,
-    /// Number of access ports per cycle.
-    pub ports: usize,
     /// Number of miss-status holding registers (outstanding misses).
     pub mshrs: usize,
     /// Fully-associative victim-cache entries (0 disables the victim cache).
@@ -39,14 +37,14 @@ impl CacheConfig {
     }
 
     /// The paper's L1 data cache: split I/D 64 KB, 2-way, 64-byte blocks,
-    /// 2-cycle load-to-use, 3 ports, 32 MSHRs, 16-entry victim cache.
+    /// 2-cycle load-to-use, 32 MSHRs, 16-entry victim cache (its 3 ports
+    /// are [`CoreConfig::mem_issue_ports`]).
     pub fn paper_l1d() -> Self {
         CacheConfig {
             size_bytes: 64 * 1024,
             associativity: 2,
             block_bytes: 64,
             hit_latency: 2,
-            ports: 3,
             mshrs: 32,
             victim_entries: 16,
         }
@@ -66,16 +64,15 @@ pub struct L2Config {
     pub size_bytes: usize,
     /// Associativity.
     pub associativity: usize,
-    /// L2 hit latency in cycles.
+    /// L2 hit latency in cycles. Outstanding L2 misses are unbounded (see
+    /// PAPER.md, "Modelling approximations").
     pub hit_latency: u64,
-    /// Outstanding L2 misses.
-    pub mshrs: usize,
 }
 
 impl L2Config {
     /// The paper's unified 8 MB 8-way L2 with 25-cycle hits.
     pub fn paper_l2() -> Self {
-        L2Config { size_bytes: 8 * 1024 * 1024, associativity: 8, hit_latency: 25, mshrs: 32 }
+        L2Config { size_bytes: 8 * 1024 * 1024, associativity: 8, hit_latency: 25 }
     }
 
     /// True when this L2 never evicts (the `size_bytes == 0` sentinel).
@@ -108,19 +105,12 @@ impl DramConfig {
     }
 }
 
-/// Store-buffer organization and capacity.
+/// Store-buffer capacity; the engine kind fixes the organization
+/// ([`EngineKind::store_buffer_kind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreBufferConfig {
-    /// Organization (FIFO word / coalescing block / scalable).
-    pub kind: StoreBufferKind,
     /// Number of entries.
     pub entries: usize,
-}
-
-impl fmt::Display for StoreBufferConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-entry {}", self.entries, self.kind)
-    }
 }
 
 /// Out-of-order core parameters.
@@ -358,27 +348,32 @@ impl EngineKind {
         label.strip_prefix("ASO").and_then(model).map(EngineKind::Aso)
     }
 
-    /// The store-buffer configuration Figure 6 pairs with this engine:
-    /// conventional SC/TSO use a 64-entry word-granularity FIFO, conventional
-    /// RMO and single-checkpoint InvisiFence use an 8-entry coalescing buffer,
-    /// and two-checkpoint / continuous InvisiFence use a 32-entry coalescing
-    /// buffer.
-    pub fn default_store_buffer(self) -> StoreBufferConfig {
+    /// The store-buffer organization this engine runs (Figure 2): the
+    /// age-ordered word FIFO for conventional SC and TSO, the unordered
+    /// block-coalescing buffer for conventional RMO and every speculative
+    /// engine.
+    pub fn store_buffer_kind(self) -> StoreBufferKind {
         match self {
-            EngineKind::Conventional(ConsistencyModel::Sc)
-            | EngineKind::Conventional(ConsistencyModel::Tso) => {
-                StoreBufferConfig { kind: StoreBufferKind::FifoWord, entries: 64 }
+            EngineKind::Conventional(ConsistencyModel::Sc | ConsistencyModel::Tso) => {
+                StoreBufferKind::FifoWord
             }
-            EngineKind::Conventional(ConsistencyModel::Rmo) | EngineKind::InvisiSelective(_) => {
-                StoreBufferConfig { kind: StoreBufferKind::CoalescingBlock, entries: 8 }
-            }
-            EngineKind::InvisiSelectiveTwoCkpt(_) | EngineKind::InvisiContinuous { .. } => {
-                StoreBufferConfig { kind: StoreBufferKind::CoalescingBlock, entries: 32 }
-            }
-            EngineKind::Aso(_) => {
-                StoreBufferConfig { kind: StoreBufferKind::CoalescingBlock, entries: 8 }
-            }
+            _ => StoreBufferKind::CoalescingBlock,
         }
+    }
+
+    /// The store-buffer size Figure 6 pairs with this engine: 64 FIFO
+    /// entries for conventional SC/TSO, 8 coalescing entries for
+    /// conventional RMO, single-checkpoint InvisiFence and ASO, and 32 for
+    /// two-checkpoint / continuous InvisiFence.
+    pub fn default_store_buffer(self) -> StoreBufferConfig {
+        let entries = match self {
+            EngineKind::Conventional(ConsistencyModel::Sc | ConsistencyModel::Tso) => 64,
+            EngineKind::InvisiSelectiveTwoCkpt(_) | EngineKind::InvisiContinuous { .. } => 32,
+            EngineKind::Conventional(ConsistencyModel::Rmo)
+            | EngineKind::InvisiSelective(_)
+            | EngineKind::Aso(_) => 8,
+        };
+        StoreBufferConfig { entries }
     }
 }
 
@@ -584,7 +579,10 @@ impl MachineConfig {
                     self.cores, self.core.width, self.core.rob_size
                 ),
             ),
-            ("Store Buffer".to_string(), self.store_buffer.to_string()),
+            (
+                "Store Buffer".to_string(),
+                format!("{}-entry {}", self.store_buffer.entries, self.engine.store_buffer_kind()),
+            ),
             (
                 "L1 Caches".to_string(),
                 format!(
@@ -592,7 +590,7 @@ impl MachineConfig {
                     self.l1.size_bytes / 1024,
                     self.l1.associativity,
                     self.l1.hit_latency,
-                    self.l1.ports,
+                    self.core.mem_issue_ports,
                     self.l1.mshrs,
                     self.l1.victim_entries
                 ),
@@ -603,11 +601,10 @@ impl MachineConfig {
                     format!("Unified, unbounded, {}-cycle hit latency", self.l2.hit_latency)
                 } else {
                     format!(
-                        "Unified, {} MB {}-way, {}-cycle hit latency, {} MSHRs",
+                        "Unified, {} MB {}-way, {}-cycle hit latency",
                         self.l2.size_bytes / (1024 * 1024),
                         self.l2.associativity,
-                        self.l2.hit_latency,
-                        self.l2.mshrs
+                        self.l2.hit_latency
                     )
                 },
             ),
@@ -646,14 +643,14 @@ mod tests {
     fn engine_default_store_buffers_match_figure_6() {
         use ConsistencyModel::*;
         assert_eq!(EngineKind::Conventional(Sc).default_store_buffer().entries, 64);
-        assert_eq!(
-            EngineKind::Conventional(Tso).default_store_buffer().kind,
-            StoreBufferKind::FifoWord
-        );
+        assert_eq!(EngineKind::Conventional(Tso).store_buffer_kind(), StoreBufferKind::FifoWord);
         assert_eq!(
             EngineKind::Conventional(Rmo).default_store_buffer(),
-            StoreBufferConfig { kind: StoreBufferKind::CoalescingBlock, entries: 8 }
+            StoreBufferConfig { entries: 8 }
         );
+        for engine in EngineKind::all().into_iter().filter(|e| e.is_speculative()) {
+            assert_eq!(engine.store_buffer_kind(), StoreBufferKind::CoalescingBlock, "{engine}");
+        }
         assert_eq!(EngineKind::InvisiSelective(Sc).default_store_buffer().entries, 8);
         assert_eq!(
             EngineKind::InvisiContinuous { commit_on_violate: false }

@@ -15,7 +15,6 @@ use std::str::FromStr;
 /// # Example
 /// ```
 /// use ifence_types::ConsistencyModel;
-/// assert!(ConsistencyModel::Sc.is_stronger_than(ConsistencyModel::Tso));
 /// assert_eq!("tso".parse::<ConsistencyModel>().unwrap(), ConsistencyModel::Tso);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,11 +32,6 @@ impl ConsistencyModel {
     pub const ALL: [ConsistencyModel; 3] =
         [ConsistencyModel::Sc, ConsistencyModel::Tso, ConsistencyModel::Rmo];
 
-    /// Returns true if `self` imposes strictly more ordering than `other`.
-    pub fn is_stronger_than(self, other: ConsistencyModel) -> bool {
-        (self as u8) < (other as u8)
-    }
-
     /// The orderings this model relaxes, as human-readable text (Figure 2,
     /// "Memory Ordering Relaxations" column).
     pub fn relaxations(self) -> &'static str {
@@ -45,15 +39,6 @@ impl ConsistencyModel {
             ConsistencyModel::Sc => "None",
             ConsistencyModel::Tso => "Store-to-load",
             ConsistencyModel::Rmo => "All",
-        }
-    }
-
-    /// The store-buffer organization a conventional implementation of this
-    /// model uses (Figure 2, "Store Buffer Organization" column).
-    pub fn conventional_store_buffer(self) -> StoreBufferKind {
-        match self {
-            ConsistencyModel::Sc | ConsistencyModel::Tso => StoreBufferKind::FifoWord,
-            ConsistencyModel::Rmo => StoreBufferKind::CoalescingBlock,
         }
     }
 
@@ -98,7 +83,9 @@ impl FromStr for ConsistencyModel {
     }
 }
 
-/// Store-buffer organizations used by the implementations in the paper.
+/// The two store-buffer organizations of the paper's implementations; the
+/// engine kind fixes which one a core uses
+/// (`EngineKind::store_buffer_kind`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreBufferKind {
     /// Age-ordered FIFO at 8-byte word granularity, fully-associatively
@@ -107,20 +94,6 @@ pub enum StoreBufferKind {
     /// Unordered coalescing buffer at 64-byte block granularity, sized to the
     /// number of outstanding store misses (conventional RMO and InvisiFence).
     CoalescingBlock,
-    /// ASO's Scalable Store Buffer: per-store FIFO that does not forward to
-    /// loads and drains into the L2 at commit.
-    Scalable,
-}
-
-impl StoreBufferKind {
-    /// Granularity of one entry in bytes (8 for word FIFO buffers, 64 for
-    /// block-granularity buffers).
-    pub fn entry_granularity_bytes(self) -> usize {
-        match self {
-            StoreBufferKind::FifoWord | StoreBufferKind::Scalable => 8,
-            StoreBufferKind::CoalescingBlock => 64,
-        }
-    }
 }
 
 impl fmt::Display for StoreBufferKind {
@@ -128,7 +101,6 @@ impl fmt::Display for StoreBufferKind {
         let s = match self {
             StoreBufferKind::FifoWord => "FIFO (word)",
             StoreBufferKind::CoalescingBlock => "coalescing (block)",
-            StoreBufferKind::Scalable => "scalable (SSB)",
         };
         f.write_str(s)
     }
@@ -137,15 +109,6 @@ impl fmt::Display for StoreBufferKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strength_ordering() {
-        assert!(ConsistencyModel::Sc.is_stronger_than(ConsistencyModel::Tso));
-        assert!(ConsistencyModel::Tso.is_stronger_than(ConsistencyModel::Rmo));
-        assert!(ConsistencyModel::Sc.is_stronger_than(ConsistencyModel::Rmo));
-        assert!(!ConsistencyModel::Rmo.is_stronger_than(ConsistencyModel::Sc));
-        assert!(!ConsistencyModel::Sc.is_stronger_than(ConsistencyModel::Sc));
-    }
 
     #[test]
     fn parse_round_trips() {
@@ -159,18 +122,18 @@ mod tests {
 
     #[test]
     fn conventional_store_buffers_match_figure_2() {
-        assert_eq!(ConsistencyModel::Sc.conventional_store_buffer(), StoreBufferKind::FifoWord);
-        assert_eq!(ConsistencyModel::Tso.conventional_store_buffer(), StoreBufferKind::FifoWord);
+        use crate::EngineKind::Conventional;
         assert_eq!(
-            ConsistencyModel::Rmo.conventional_store_buffer(),
+            Conventional(ConsistencyModel::Sc).store_buffer_kind(),
+            StoreBufferKind::FifoWord
+        );
+        assert_eq!(
+            Conventional(ConsistencyModel::Tso).store_buffer_kind(),
+            StoreBufferKind::FifoWord
+        );
+        assert_eq!(
+            Conventional(ConsistencyModel::Rmo).store_buffer_kind(),
             StoreBufferKind::CoalescingBlock
         );
-    }
-
-    #[test]
-    fn granularities() {
-        assert_eq!(StoreBufferKind::FifoWord.entry_granularity_bytes(), 8);
-        assert_eq!(StoreBufferKind::CoalescingBlock.entry_granularity_bytes(), 64);
-        assert_eq!(StoreBufferKind::Scalable.entry_granularity_bytes(), 8);
     }
 }

@@ -68,20 +68,6 @@ impl CycleBreakdown {
         out
     }
 
-    /// Returns each bucket as a percentage of a *baseline* run's total cycles
-    /// — how Figures 9, 11 and 12 normalize each bar to the left-most
-    /// configuration.
-    pub fn normalized_to(&self, baseline_total: Cycle) -> [f64; 5] {
-        let mut out = [0.0; 5];
-        if baseline_total == 0 {
-            return out;
-        }
-        for (i, c) in CycleClass::ALL.iter().enumerate() {
-            out[i] = 100.0 * self.get(*c) as f64 / baseline_total as f64;
-        }
-        out
-    }
-
     /// Iterates over `(class, cycles)` pairs in figure order.
     pub fn iter(&self) -> impl Iterator<Item = (CycleClass, Cycle)> + '_ {
         CycleClass::ALL.iter().map(move |c| (*c, self.get(*c)))
@@ -178,15 +164,6 @@ mod tests {
         b.add(CycleClass::Violation, 15);
         let sum: f64 = b.fractions().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalization_uses_baseline_total() {
-        let mut b = CycleBreakdown::new();
-        b.add(CycleClass::Busy, 50);
-        let norm = b.normalized_to(200);
-        assert!((norm[CycleClass::Busy.index()] - 25.0).abs() < 1e-12);
-        assert_eq!(b.normalized_to(0), [0.0; 5]);
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl SimCounters {
             self.speculations_aborted as f64 / total as f64
         }
     }
-
-    /// Memory operations retired (loads + stores + atomics).
-    pub fn memory_ops_retired(&self) -> u64 {
-        self.loads_retired + self.stores_retired + self.atomics_retired
-    }
 }
 
 #[cfg(test)]
@@ -165,15 +160,5 @@ mod tests {
         c.speculations_aborted = 1;
         assert!((c.l1_miss_ratio() - 0.1).abs() < 1e-12);
         assert!((c.abort_ratio() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn memory_ops_are_summed() {
-        let mut c = SimCounters::new();
-        c.loads_retired = 4;
-        c.stores_retired = 3;
-        c.atomics_retired = 2;
-        c.fences_retired = 9;
-        assert_eq!(c.memory_ops_retired(), 9);
     }
 }

@@ -130,25 +130,6 @@ impl Log2Hist {
         }
         Some(hist)
     }
-
-    /// The lowest bucket whose cumulative count reaches fraction `p` of the
-    /// total (`None` when empty). `p` is clamped to `[0, 1]`; the returned
-    /// bucket's [`Log2Hist::bucket_range`] brackets the approximate
-    /// percentile.
-    pub fn percentile_bucket(&self, p: f64) -> Option<usize> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(i);
-            }
-        }
-        Some(LOG2_BUCKETS - 1)
-    }
 }
 
 /// The per-core histograms gathered during one run, carried inside
@@ -370,22 +351,6 @@ mod tests {
         let back = Log2Hist::from_sparse(&pairs, h.count(), h.sum()).unwrap();
         assert_eq!(back, h);
         assert_eq!(Log2Hist::from_sparse(&[(65, 1)], 1, 1), None, "out-of-range index rejected");
-    }
-
-    #[test]
-    fn percentile_bucket_walks_the_cumulative_counts() {
-        let mut h = Log2Hist::new();
-        assert_eq!(h.percentile_bucket(0.5), None);
-        for _ in 0..90 {
-            h.record(1); // bucket 1
-        }
-        for _ in 0..10 {
-            h.record(1000); // bucket 10
-        }
-        assert_eq!(h.percentile_bucket(0.5), Some(1));
-        assert_eq!(h.percentile_bucket(0.9), Some(1));
-        assert_eq!(h.percentile_bucket(0.95), Some(10));
-        assert_eq!(h.percentile_bucket(1.0), Some(10));
     }
 
     #[test]

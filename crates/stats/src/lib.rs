@@ -3,7 +3,7 @@
 //! The paper reports three kinds of quantity, all produced by this crate:
 //!
 //! * **Runtime breakdowns** (Figures 9, 11, 12): every simulated cycle is
-//!   attributed to exactly one [`CycleClass`] bucket via [`CycleBreakdown`].
+//!   attributed to exactly one [`CycleClass`](ifence_types::CycleClass) bucket via [`CycleBreakdown`].
 //!   Speculative cycles are accounted provisionally and re-attributed to the
 //!   `Violation` bucket if the speculation aborts
 //!   ([`breakdown::ProvisionalBreakdown`]).
@@ -52,8 +52,6 @@ pub use hist::{CoreHists, Log2Hist, RunHistograms, LOG2_BUCKETS};
 pub use profile::{Phase, PhaseProfile, PhaseTimer, ProfileSnapshot};
 pub use report::{confidence_interval_95, mean, ColumnTable, RunSummary};
 pub use trace::{MachineTrace, TraceEvent, TraceKind, TraceSink, DEFAULT_TRACE_CAPACITY};
-
-use ifence_types::CycleClass;
 
 /// Per-core statistics gathered during one simulation run.
 ///
@@ -107,26 +105,12 @@ impl CoreStats {
         }
         self.counters.cycles_speculating as f64 / total as f64
     }
-
-    /// Fraction of cycles lost to memory-ordering penalties
-    /// (SB full + SB drain + Violation) — the quantity plotted in Figure 1.
-    pub fn ordering_penalty_fraction(&self) -> f64 {
-        let total = self.breakdown.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let penalty: u64 = CycleClass::ALL
-            .iter()
-            .filter(|c| c.is_ordering_penalty())
-            .map(|c| self.breakdown.get(*c))
-            .sum();
-        penalty as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifence_types::CycleClass;
 
     #[test]
     fn core_stats_merge_adds_both_parts() {
@@ -142,20 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn penalty_fraction_counts_only_ordering_buckets() {
-        let mut s = CoreStats::new();
-        s.breakdown.add(CycleClass::Busy, 50);
-        s.breakdown.add(CycleClass::Other, 25);
-        s.breakdown.add(CycleClass::SbDrain, 15);
-        s.breakdown.add(CycleClass::Violation, 10);
-        assert!((s.ordering_penalty_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_stats_have_zero_fractions() {
         let s = CoreStats::new();
         assert_eq!(s.speculation_fraction(), 0.0);
-        assert_eq!(s.ordering_penalty_fraction(), 0.0);
     }
 
     #[test]

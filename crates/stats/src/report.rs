@@ -28,18 +28,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Builds a summary from per-core statistics and the run's wall-clock
-    /// cycles (fabric counters zeroed; prefer [`RunSummary::from_parts`] when
-    /// they are available).
-    pub fn from_cores(
-        config: impl Into<String>,
-        workload: impl Into<String>,
-        cycles: Cycle,
-        cores: &[CoreStats],
-    ) -> Self {
-        Self::from_parts(config, workload, cycles, cores, FabricStats::default())
-    }
-
     /// Builds a summary from per-core statistics, the run's wall-clock cycles
     /// and the fabric's memory-hierarchy counters.
     pub fn from_parts(
@@ -247,7 +235,7 @@ mod tests {
         let mut c2 = CoreStats::new();
         c2.breakdown.add(CycleClass::Other, 5);
         c2.counters.instructions_retired = 50;
-        let s = RunSummary::from_cores("cfg", "wl", 10, &[c1, c2]);
+        let s = RunSummary::from_parts("cfg", "wl", 10, &[c1, c2], FabricStats::default());
         assert_eq!(s.breakdown.total(), 15);
         assert_eq!(s.counters.instructions_retired, 150);
         assert_eq!(s.config, "cfg");

@@ -58,7 +58,7 @@ fn breakdown_buckets_sum_to_executed_cycles_for_every_engine_and_workload() {
 
 #[test]
 fn aggregated_summary_preserves_the_per_core_bucket_sums() {
-    // RunSummary::from_cores must be a pure sum: the machine-wide breakdown
+    // RunSummary::from_parts must be a pure sum: the machine-wide breakdown
     // total equals the sum of the per-core totals, and likewise per bucket.
     let engine = EngineKind::InvisiSelective(ConsistencyModel::Tso);
     let cfg = {

@@ -17,7 +17,6 @@ use ifence_stats::{
 use ifence_types::{
     CacheConfig, ConsistencyModel, CoreConfig, CycleClass, DramConfig, EngineKind,
     InterconnectConfig, L2Config, MachineConfig, SpeculationConfig, StoreBufferConfig,
-    StoreBufferKind,
 };
 use ifence_workloads::{PhasedWorkload, Workload, WorkloadPhase, WorkloadSpec};
 use std::fmt;
@@ -141,32 +140,6 @@ impl JsonCodec for ConsistencyModel {
     }
 }
 
-impl JsonCodec for StoreBufferKind {
-    fn to_json(&self) -> Json {
-        let name = match self {
-            StoreBufferKind::FifoWord => "fifo_word",
-            StoreBufferKind::CoalescingBlock => "coalescing_block",
-            StoreBufferKind::Scalable => "scalable",
-        };
-        Json::Str(name.to_string())
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        match doc {
-            Json::Str(s) => match s.as_str() {
-                "fifo_word" => Ok(StoreBufferKind::FifoWord),
-                "coalescing_block" => Ok(StoreBufferKind::CoalescingBlock),
-                "scalable" => Ok(StoreBufferKind::Scalable),
-                other => Err(CodecError::new(
-                    "StoreBufferKind",
-                    format!("unknown store-buffer kind {other:?}"),
-                )),
-            },
-            _ => Err(CodecError::new("StoreBufferKind", "expected a string")),
-        }
-    }
-}
-
 impl JsonCodec for EngineKind {
     fn to_json(&self) -> Json {
         // The figure label is a bijection over engine kinds
@@ -191,7 +164,6 @@ impl JsonCodec for CacheConfig {
             ("associativity", us(self.associativity)),
             ("block_bytes", us(self.block_bytes)),
             ("hit_latency", uint(self.hit_latency)),
-            ("ports", us(self.ports)),
             ("mshrs", us(self.mshrs)),
             ("victim_entries", us(self.victim_entries)),
         ])
@@ -204,7 +176,6 @@ impl JsonCodec for CacheConfig {
             associativity: f.usize("associativity")?,
             block_bytes: f.usize("block_bytes")?,
             hit_latency: f.u64("hit_latency")?,
-            ports: f.usize("ports")?,
             mshrs: f.usize("mshrs")?,
             victim_entries: f.usize("victim_entries")?,
         })
@@ -217,7 +188,6 @@ impl JsonCodec for L2Config {
             ("size_bytes", us(self.size_bytes)),
             ("associativity", us(self.associativity)),
             ("hit_latency", uint(self.hit_latency)),
-            ("mshrs", us(self.mshrs)),
         ])
     }
 
@@ -227,7 +197,6 @@ impl JsonCodec for L2Config {
             size_bytes: f.usize("size_bytes")?,
             associativity: f.usize("associativity")?,
             hit_latency: f.u64("hit_latency")?,
-            mshrs: f.usize("mshrs")?,
         })
     }
 }
@@ -245,12 +214,12 @@ impl JsonCodec for DramConfig {
 
 impl JsonCodec for StoreBufferConfig {
     fn to_json(&self) -> Json {
-        obj(vec![("kind", self.kind.to_json()), ("entries", us(self.entries))])
+        obj(vec![("entries", us(self.entries))])
     }
 
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "StoreBufferConfig")?;
-        Ok(StoreBufferConfig { kind: f.decode("kind")?, entries: f.usize("entries")? })
+        Ok(StoreBufferConfig { entries: f.usize("entries")? })
     }
 }
 

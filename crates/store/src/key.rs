@@ -56,7 +56,12 @@ use ifence_workloads::Workload;
 /// v9: `SpeculationConfig` no longer serializes `checkpoints` or
 /// `commit_on_violate` (serialized layout change: the engine kind alone
 /// fixes both, so neither field selects anything).
-pub const SCHEMA_VERSION: u64 = 9;
+///
+/// v10: `StoreBufferConfig` no longer serializes `kind`, `CacheConfig` no
+/// longer serializes `ports` and `L2Config` no longer serializes `mshrs`
+/// (serialized layout change: the engine kind alone fixes the store-buffer
+/// organization, and the model never read the other two).
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from

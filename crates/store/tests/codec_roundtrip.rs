@@ -16,7 +16,6 @@ use ifence_store::{Json, JsonCodec};
 use ifence_types::{
     CacheConfig, ConsistencyModel, CoreConfig, CycleClass, DramConfig, EngineKind,
     InterconnectConfig, L2Config, MachineConfig, SpeculationConfig, StoreBufferConfig,
-    StoreBufferKind,
 };
 use ifence_workloads::{PhasedWorkload, TraceRng, Workload, WorkloadPhase, WorkloadSpec};
 
@@ -84,7 +83,6 @@ fn rand_cache(rng: &mut TraceRng) -> CacheConfig {
         associativity: rng.range_usize(1..17),
         block_bytes: 1 << rng.range_usize(4..8),
         hit_latency: rng.range_u64(1..10),
-        ports: rng.range_usize(1..5),
         mshrs: rng.range_usize(1..65),
         victim_entries: rng.range_usize(0..33),
     }
@@ -105,17 +103,9 @@ fn rand_machine(rng: &mut TraceRng) -> MachineConfig {
         size_bytes: 1 << rng.range_usize(18..25),
         associativity: rng.range_usize(1..17),
         hit_latency: rng.range_u64(5..60),
-        mshrs: rng.range_usize(1..65),
     };
     cfg.dram = DramConfig { latency: rng.range_u64(40..400) };
-    cfg.store_buffer = StoreBufferConfig {
-        kind: [
-            StoreBufferKind::FifoWord,
-            StoreBufferKind::CoalescingBlock,
-            StoreBufferKind::Scalable,
-        ][rng.range_usize(0..3)],
-        entries: rng.range_usize(1..129),
-    };
+    cfg.store_buffer = StoreBufferConfig { entries: rng.range_usize(1..129) };
     cfg.interconnect = InterconnectConfig {
         mesh_width: rng.range_usize(1..9),
         mesh_height: rng.range_usize(1..9),

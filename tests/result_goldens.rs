@@ -13,10 +13,16 @@
 //! L2, 4×4 torus) on the three cells the repository benchmark measures, at a
 //! short trace length, so the full-size path is covered in tier-1 too.
 //!
+//! A third table pins, per engine, the digest of the quick Apache trace
+//! stream (the JSONL `ifence trace record --quick --engine L --workloads
+//! Apache` writes), so a refactor that moves a single speculation or
+//! store-buffer event fails here with the engine named.
+//!
 //! A deliberate model change re-captures the tables: run this test with
 //! `IFENCE_GOLDEN_PRINT=1` and paste the printed rows.
 
 use ifence_sim::MachineResult;
+use ifence_store::trace_to_jsonl;
 use ifence_types::fnv1a;
 use invisifence_repro::prelude::*;
 use invisifence_repro::workloads::presets;
@@ -146,6 +152,25 @@ const PAPER_MACHINE_DIGESTS: [(&str, &str, u64); 3] = [
     ("Invisi_cont_CoV", "Barnes", 0xe725055970ac3704),
 ];
 
+/// `(engine label, digest)` of the quick Apache trace stream for every
+/// `EngineKind::all()` label.
+const TRACE_DIGESTS: [(&str, u64); 14] = [
+    ("sc", 0x625abf487fa32280),
+    ("tso", 0x249e4c58b6fce439),
+    ("rmo", 0x622d5080693deeb7),
+    ("Invisi_sc", 0x6d480f8e7658493c),
+    ("Invisi_tso", 0x601fa3a8c2e6b3a7),
+    ("Invisi_rmo", 0x9795b01d9d40566f),
+    ("Invisi_sc-2ckpt", 0x381078e9171619bd),
+    ("Invisi_tso-2ckpt", 0xe336ef2b2cd9f198),
+    ("Invisi_rmo-2ckpt", 0xb702d9054ad9477a),
+    ("Invisi_cont", 0x2da6d66827fa74b0),
+    ("Invisi_cont_CoV", 0x438c47b486bd3c69),
+    ("ASOsc", 0xbe3e55f644a452ff),
+    ("ASOtso", 0xc1c960bfd137a820),
+    ("ASOrmo", 0x3346749516a4549c),
+];
+
 /// The paper's 16-core machine at seed 1, with a trace short enough for
 /// tier-1.
 fn paper_machine_params() -> ExperimentParams {
@@ -220,4 +245,39 @@ fn paper_machine_results_match_the_recorded_digests() {
         }
     }
     assert!(mismatches.is_empty(), "results diverge from the goldens:\n{}", mismatches.join("\n"));
+}
+
+#[test]
+fn quick_apache_trace_streams_match_the_recorded_digests() {
+    let params = ExperimentParams::quick_test();
+    let apache = presets::all_workloads()
+        .into_iter()
+        .find(|w| w.name() == "Apache")
+        .expect("Apache is a preset");
+    let print = std::env::var("IFENCE_GOLDEN_PRINT").is_ok();
+    let mut mismatches = Vec::new();
+    for engine in EngineKind::all() {
+        let mut cfg = params.config_for(engine);
+        cfg.trace = true;
+        let sources = apache.sources(cfg.cores, params.instructions_per_core, params.seed);
+        let (result, trace) = Machine::from_sources(cfg, sources)
+            .expect("valid config")
+            .into_result_with_trace(params.max_cycles);
+        let label = engine.label();
+        assert!(result.finished, "{label}/Apache: run must finish");
+        assert_eq!(trace.dropped, 0, "{label}/Apache: the quick run must trace losslessly");
+        let digest = fnv1a(trace_to_jsonl(&trace).as_bytes());
+        if print {
+            println!("    (\"{label}\", {digest:#018x}),");
+        }
+        let golden = TRACE_DIGESTS.iter().find(|(e, _)| *e == label).map(|row| row.1);
+        if golden != Some(digest) {
+            mismatches.push(format!("{label}: digest {digest:#018x}, recorded {golden:?}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "trace streams diverge from the goldens:\n{}",
+        mismatches.join("\n")
+    );
 }

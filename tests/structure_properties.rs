@@ -11,7 +11,9 @@ use ifence_mem::{
     BankedL2, BlockData, L2FillOutcome, LineState, MshrError, MshrFile, Ring, SetAssocCache,
     SpecBitArray, StoreBuffer, VictimCache,
 };
-use ifence_types::{Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config};
+use ifence_types::{
+    Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config, StoreBufferKind,
+};
 use ifence_workloads::TraceRng;
 use std::collections::{HashMap, VecDeque};
 
@@ -78,7 +80,7 @@ fn coalescing_store_buffer_invariants() {
         let mut rng = TraceRng::seed_from_u64(0x2000 + case);
         let n = rng.range_usize(1..64);
         let capacity = 8;
-        let mut sb = StoreBuffer::new_coalescing(capacity, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::CoalescingBlock, capacity, 64);
         // Forwarding is defined to prefer the highest-epoch entry for a word
         // (speculative entries are younger than non-speculative ones in real
         // executions); model exactly that rule here.
@@ -101,10 +103,10 @@ fn coalescing_store_buffer_invariants() {
             }
         }
         // Epoch-exact invalidation removes exactly the tagged entries.
-        let spec_before = sb.speculative_len();
+        let (nonspec, spec) = (sb.epoch_len(None), sb.epoch_len(Some(0)) + sb.epoch_len(Some(1)));
         let removed = sb.flash_invalidate_exact(0) + sb.flash_invalidate_exact(1);
-        assert_eq!(removed, spec_before, "case {case}");
-        assert!(!sb.has_speculative(), "case {case}");
+        assert_eq!(removed, spec, "case {case}");
+        assert_eq!(sb.len(), nonspec, "case {case}: only the non-speculative entries remain");
     }
 }
 
@@ -115,7 +117,7 @@ fn fifo_store_buffer_preserves_order() {
         let mut rng = TraceRng::seed_from_u64(0x3000 + case);
         let len = rng.range_usize(1..32);
         let blocks: Vec<u64> = (0..len).map(|_| rng.range_u64(0..16)).collect();
-        let mut sb = StoreBuffer::new_fifo(64, 64);
+        let mut sb = StoreBuffer::new(StoreBufferKind::FifoWord, 64, 64);
         for (i, b) in blocks.iter().enumerate() {
             sb.push(Addr::new(b * 64), i as u64, None).unwrap();
         }
@@ -155,7 +157,6 @@ fn cache_uniqueness_and_capacity() {
             associativity: 2,
             block_bytes: 64,
             hit_latency: 2,
-            ports: 1,
             mshrs: 4,
             victim_entries: 0,
         };
@@ -399,7 +400,6 @@ fn cache_abort_invalidates_only_written_lines() {
             associativity: 4,
             block_bytes: 64,
             hit_latency: 2,
-            ports: 1,
             mshrs: 4,
             victim_entries: 0,
         };
@@ -464,7 +464,6 @@ fn banked_l2_matches_a_naive_lru_model() {
             size_bytes: banks * sets_per_bank * ways * 64,
             associativity: ways,
             hit_latency: 5,
-            mshrs: 8,
         };
         let mut l2: BankedL2<usize> = BankedL2::new(&cfg, banks, 64);
         assert!(!l2.unbounded(), "case {case}");
@@ -792,7 +791,6 @@ fn three_set_cache_matches_a_naive_lru_model() {
             associativity: ways,
             block_bytes: 64,
             hit_latency: 2,
-            ports: 1,
             mshrs: 4,
             victim_entries: 0,
         };
