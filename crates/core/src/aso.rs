@@ -172,6 +172,7 @@ impl AsoEngine {
                 // value was cleaned into the L2 and will be refetched.
                 let _ = mem.l1.external_invalidate(block);
             }
+            clear_l1_slot(mem, position + offset);
             mem.sb.flash_invalidate_exact((position + offset) as u8);
             cp.prov.abort_into(&mut stats.breakdown);
             stats.counters.speculations_aborted += 1;
@@ -186,13 +187,14 @@ impl AsoEngine {
         resume_at
     }
 
-    fn commit_all(&mut self, stats: &mut CoreStats, now: Cycle) {
+    fn commit_all(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) {
         let drained_stores = self.ssb_occupancy as u64;
         self.committing_until = Some(now + drained_stores * self.ssb_cycles_per_store);
         // ASO commits the whole atomic sequence as one speculation; its
         // episode length is the sum over the sequence's checkpoints.
         let mut retired = 0u64;
-        for mut cp in self.checkpoints.drain(..) {
+        for (slot, mut cp) in self.checkpoints.drain(..).enumerate() {
+            clear_l1_slot(mem, slot);
             cp.prov.commit_into(&mut stats.breakdown);
             retired += cp.retired as u64;
         }
@@ -200,6 +202,17 @@ impl AsoEngine {
         stats.hists.episode_len.record(retired);
         stats.trace.emit(ifence_stats::TraceKind::SpecCommit, retired);
         self.ssb_occupancy = 0;
+    }
+}
+
+/// Clears the L1's speculative bits of checkpoint `slot` when it retires
+/// (commits or aborts). The store-buffer drain marks entries of epochs 0 and
+/// 1 speculatively written in the L1's two physical bit sets; ASO's own read
+/// and write sets are the source of its conflict checks, so stale bits would
+/// only mislead the eviction path into treating a clean line as speculative.
+fn clear_l1_slot(mem: &mut CoreMem, slot: usize) {
+    if slot < 2 {
+        mem.l1.flash_clear_epoch(slot);
     }
 }
 
@@ -237,7 +250,7 @@ impl OrderingEngine for AsoEngine {
         // completed; the drain of the SSB into the L2 then takes time
         // proportional to the number of stores.
         if self.speculating_now() && mem.sb_empty() {
-            self.commit_all(stats, now);
+            self.commit_all(mem, stats, now);
         }
     }
 
@@ -306,7 +319,7 @@ impl OrderingEngine for AsoEngine {
             return None;
         }
         if mem.sb_empty() {
-            self.commit_all(stats, now);
+            self.commit_all(mem, stats, now);
             return None;
         }
         stats.counters.speculations_aborted_structural += 1;
@@ -334,14 +347,15 @@ impl OrderingEngine for AsoEngine {
         !self.checkpoints.is_empty() || self.committing_until.is_some()
     }
 
-    fn finalize(&mut self, _mem: &mut CoreMem, stats: &mut CoreStats) {
+    fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
         if !self.checkpoints.is_empty() {
             stats.counters.speculations_committed += 1;
             let retired: u64 = self.checkpoints.iter().map(|cp| cp.retired as u64).sum();
             stats.hists.episode_len.record(retired);
             stats.trace.emit(ifence_stats::TraceKind::SpecCommit, retired);
         }
-        for mut cp in self.checkpoints.drain(..) {
+        for (slot, mut cp) in self.checkpoints.drain(..).enumerate() {
+            clear_l1_slot(mem, slot);
             cp.prov.commit_into(&mut stats.breakdown);
         }
         self.ssb_occupancy = 0;
@@ -426,6 +440,38 @@ mod tests {
     }
 
     #[test]
+    fn commit_clears_the_l1_bits_of_drained_speculative_stores() {
+        let mut program = Program::new();
+        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss -> trigger
+        program.push(Instruction::load(Addr::new(0x1000)));
+        program.push(Instruction::store(Addr::new(0xa000), 2)); // speculative miss
+        let mut core = core_with(program);
+        prefill(&mut core, &[0x1000]);
+        // Every request is answered with an exclusive fill 50 cycles later.
+        let (mut requests, mut pending) = (Vec::new(), Vec::new());
+        for now in 0..400 {
+            core.drain_requests_into(&mut requests);
+            pending.extend(requests.drain(..).map(|req| (now + 50, req.block)));
+            while let Some(i) = pending.iter().position(|&(at, _)| at == now) {
+                let (_, block) = pending.swap_remove(i);
+                let (state, data) = (LineState::Exclusive, BlockData::zeroed());
+                core.handle_delivery(
+                    Delivery::Fill { core: CoreId(0), block, state, data, txn: TxnId(0) },
+                    now,
+                );
+            }
+            core.step(now);
+            if core.finished() {
+                break;
+            }
+        }
+        assert!(core.finished());
+        assert_eq!(core.stats().counters.speculations_committed, 1);
+        assert_eq!(core.mem.read_value(Addr::new(0xa000)), Some(2));
+        assert!(!core.mem.l1.has_spec_lines(), "the commit leaves no speculative line behind");
+    }
+
+    #[test]
     fn commit_drain_defers_external_requests() {
         let machine = cfg();
         let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
@@ -434,7 +480,7 @@ mod tests {
         // Force a commit with a non-trivial SSB occupancy.
         engine.checkpoints.push(AsoCheckpoint::default());
         engine.ssb_occupancy = 100;
-        engine.commit_all(&mut stats, 1000);
+        engine.commit_all(&mut mem, &mut stats, 1000);
         assert!(engine.committing());
         // During the drain window external requests are deferred...
         let outcome =

@@ -61,7 +61,11 @@ use ifence_workloads::Workload;
 /// longer serializes `ports` and `L2Config` no longer serializes `mshrs`
 /// (serialized layout change: the engine kind alone fixes the store-buffer
 /// organization, and the model never read the other two).
-pub const SCHEMA_VERSION: u64 = 10;
+///
+/// v11: ASO results change (model change): every ASO commit and abort
+/// clears the L1 speculative bits its drained store-buffer entries set, so
+/// stale bits no longer force structural aborts.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from

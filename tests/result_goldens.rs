@@ -41,9 +41,9 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "Apache", 0xf19242017318a69d),
     ("Invisi_cont", "Apache", 0x1f56772f55707590),
     ("Invisi_cont_CoV", "Apache", 0x29640999806577b8),
-    ("ASOsc", "Apache", 0x2e7e052c73fbefd6),
-    ("ASOtso", "Apache", 0x0202af09c09264d8),
-    ("ASOrmo", "Apache", 0xf44f6cc5f6507416),
+    ("ASOsc", "Apache", 0xd4edfe8de6e7c8fc),
+    ("ASOtso", "Apache", 0x9c37a12b177c52bb),
+    ("ASOrmo", "Apache", 0xe0fdef1bb65e5251),
     ("sc", "Zeus", 0xbd2dd5e277a2fa42),
     ("tso", "Zeus", 0xa287ca0658af0432),
     ("rmo", "Zeus", 0x95d97c2465492cf7),
@@ -55,9 +55,9 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "Zeus", 0x831628986bbf6002),
     ("Invisi_cont", "Zeus", 0x295b63e08559320d),
     ("Invisi_cont_CoV", "Zeus", 0x41027b510ee25ac1),
-    ("ASOsc", "Zeus", 0x3c30bdd1db5fc122),
-    ("ASOtso", "Zeus", 0x71e0e03c25282c74),
-    ("ASOrmo", "Zeus", 0x44b2ed65732eeaf6),
+    ("ASOsc", "Zeus", 0xf90448fc5bad828e),
+    ("ASOtso", "Zeus", 0x05b857516bd4bac4),
+    ("ASOrmo", "Zeus", 0xbf739ea90cbfffb4),
     ("sc", "OLTP-Oracle", 0xdebdc85f0b0a777a),
     ("tso", "OLTP-Oracle", 0xdbe2d02347ce9ac6),
     ("rmo", "OLTP-Oracle", 0xd26fab5172439a2d),
@@ -69,9 +69,9 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "OLTP-Oracle", 0x586d5f68b76b0f54),
     ("Invisi_cont", "OLTP-Oracle", 0x6507cc397b4abb52),
     ("Invisi_cont_CoV", "OLTP-Oracle", 0xbb1a90a671d5bb6b),
-    ("ASOsc", "OLTP-Oracle", 0x5c99bb271d59ddfa),
-    ("ASOtso", "OLTP-Oracle", 0x4e4ac91c3651856f),
-    ("ASOrmo", "OLTP-Oracle", 0xdbdcf5e541d66795),
+    ("ASOsc", "OLTP-Oracle", 0xd6dc3b66629d4ef2),
+    ("ASOtso", "OLTP-Oracle", 0xb13e5ca01fefb811),
+    ("ASOrmo", "OLTP-Oracle", 0xb4a912f82f5afbff),
     ("sc", "OLTP-DB2", 0x4819eb89614e47b4),
     ("tso", "OLTP-DB2", 0x22aadb716afa79fa),
     ("rmo", "OLTP-DB2", 0xe5567d25b8944e1f),
@@ -83,9 +83,9 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "OLTP-DB2", 0xdf555d23933252e9),
     ("Invisi_cont", "OLTP-DB2", 0xcd70c3eb5655bd99),
     ("Invisi_cont_CoV", "OLTP-DB2", 0x646d913afd87b533),
-    ("ASOsc", "OLTP-DB2", 0xd0f6f9ed3ddf6109),
-    ("ASOtso", "OLTP-DB2", 0xf32315ff672843f3),
-    ("ASOrmo", "OLTP-DB2", 0x28c89e419155f730),
+    ("ASOsc", "OLTP-DB2", 0x8393ce3958fadf60),
+    ("ASOtso", "OLTP-DB2", 0xfc7e7bef642612aa),
+    ("ASOrmo", "OLTP-DB2", 0xe993c76a9c3458e7),
     ("sc", "DSS-DB2", 0x9c1e7adeb858b925),
     ("tso", "DSS-DB2", 0x41402d2b54bc8054),
     ("rmo", "DSS-DB2", 0x31009a59b332f0ee),
@@ -97,9 +97,9 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "DSS-DB2", 0xa8e0f5b9b17faf04),
     ("Invisi_cont", "DSS-DB2", 0xf2e7b78fa88ca9e2),
     ("Invisi_cont_CoV", "DSS-DB2", 0x9fef5a3fa4f3ab11),
-    ("ASOsc", "DSS-DB2", 0x993fd8464456e499),
-    ("ASOtso", "DSS-DB2", 0x7f35bae429d8aff9),
-    ("ASOrmo", "DSS-DB2", 0x45c6d8309d378099),
+    ("ASOsc", "DSS-DB2", 0xd14e873a9f53d57e),
+    ("ASOtso", "DSS-DB2", 0x03e4906ca7e0774c),
+    ("ASOrmo", "DSS-DB2", 0x540f6a06c3ee8bf1),
     ("sc", "Barnes", 0x31e5ae8751860c92),
     ("tso", "Barnes", 0x2a4ffa92b8f922f4),
     ("rmo", "Barnes", 0xbec595ed67b90cf8),
@@ -111,8 +111,8 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "Barnes", 0x58176c3407d36331),
     ("Invisi_cont", "Barnes", 0x1dca456ffeb6fe2d),
     ("Invisi_cont_CoV", "Barnes", 0x1de12b9586aa30c7),
-    ("ASOsc", "Barnes", 0x4cac994e2674282f),
-    ("ASOtso", "Barnes", 0x637f3442a33d91af),
+    ("ASOsc", "Barnes", 0xdd70043dc8c2976d),
+    ("ASOtso", "Barnes", 0x02d1997c81009b14),
     ("ASOrmo", "Barnes", 0xca03fc42c8bee158),
     ("sc", "Ocean", 0x78d315a513ff0166),
     ("tso", "Ocean", 0xf48a70d4d64b9c23),
@@ -125,8 +125,8 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "Ocean", 0xaa489d999ac33de7),
     ("Invisi_cont", "Ocean", 0xa6275a1e86699508),
     ("Invisi_cont_CoV", "Ocean", 0x7fb9f793361dd86f),
-    ("ASOsc", "Ocean", 0x8874c18d939650f1),
-    ("ASOtso", "Ocean", 0xb69e4fe6573bb66b),
+    ("ASOsc", "Ocean", 0x9083d0fc389aada1),
+    ("ASOtso", "Ocean", 0x188c9c7157b29fd3),
     ("ASOrmo", "Ocean", 0x9048d2a1c9fd56b4),
     ("sc", "ServerSwings", 0x4e97d954608fe52c),
     ("tso", "ServerSwings", 0xe494109913ea3a49),
@@ -139,9 +139,9 @@ const GOLDEN_DIGESTS: [(&str, &str, u64); 112] = [
     ("Invisi_rmo-2ckpt", "ServerSwings", 0xb457650896b08a8a),
     ("Invisi_cont", "ServerSwings", 0xa53f45e6761c525e),
     ("Invisi_cont_CoV", "ServerSwings", 0x524de877c070810c),
-    ("ASOsc", "ServerSwings", 0x7251eeb9bd26f73e),
-    ("ASOtso", "ServerSwings", 0x197e9de1a7848e1f),
-    ("ASOrmo", "ServerSwings", 0xb194d8e74f5eb313),
+    ("ASOsc", "ServerSwings", 0x115405a7fec57b6d),
+    ("ASOtso", "ServerSwings", 0x04982624dbeef038),
+    ("ASOrmo", "ServerSwings", 0xa4df4f018031c134),
 ];
 
 /// `(engine label, workload name, digest)` for the paper-machine cells of
@@ -166,9 +166,9 @@ const TRACE_DIGESTS: [(&str, u64); 14] = [
     ("Invisi_rmo-2ckpt", 0xb702d9054ad9477a),
     ("Invisi_cont", 0x2da6d66827fa74b0),
     ("Invisi_cont_CoV", 0x438c47b486bd3c69),
-    ("ASOsc", 0xbe3e55f644a452ff),
-    ("ASOtso", 0xc1c960bfd137a820),
-    ("ASOrmo", 0x3346749516a4549c),
+    ("ASOsc", 0xb09703d4e8f012f9),
+    ("ASOtso", 0x4db862f34a8cf93b),
+    ("ASOrmo", 0x14b6e0f56db56f37),
 ];
 
 /// The paper's 16-core machine at seed 1, with a trace short enough for
