@@ -1,7 +1,7 @@
 //! The conventional SC / TSO / RMO retirement engines.
 
 use crate::reference::{head_wait, request_write_permission, retire_in_order, RetireWait};
-use ifence_cpu::{OrderingEngine, RetireCtx, RetireOutcome};
+use ifence_cpu::{CheckpointLedger, OrderingEngine, RetireCtx, RetireOutcome};
 use ifence_types::{ConsistencyModel, StallReason};
 
 /// A conventional, non-speculative implementation of one consistency model
@@ -39,7 +39,7 @@ impl OrderingEngine for ConventionalEngine {
         }
     }
 
-    fn tick_live(&self) -> bool {
+    fn tick_live(&self, _ledger: &CheckpointLedger) -> bool {
         // Conventional engines never speculate, keep no timers and have a
         // no-op tick, so their maintenance stage is dead on every cycle.
         false

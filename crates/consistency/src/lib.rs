@@ -4,7 +4,8 @@
 //! Figure 2 of the paper, expressed as
 //! [`OrderingEngine`](ifence_cpu::OrderingEngine)s. What each instruction
 //! waits for at retirement is [`retire_wait`], the one rule the
-//! conventional, InvisiFence-Selective and ASO engines share: a conventional
+//! conventional, InvisiFence-Selective and ASO engines share (and the
+//! Continuous engine's forward-progress retirement): a conventional
 //! engine turns each wait into a stall ("drain buffer" and write-permission
 //! waits count as the paper's "SB drain" bucket, a full buffer as "SB
 //! full").
@@ -13,12 +14,12 @@
 //!
 //! ```
 //! use ifence_consistency::ConventionalEngine;
-//! use ifence_cpu::OrderingEngine;
+//! use ifence_cpu::{CheckpointLedger, OrderingEngine};
 //! use ifence_types::ConsistencyModel;
 //!
 //! let engine = ConventionalEngine::new(ConsistencyModel::Tso);
 //! assert_eq!(engine.model(), ConsistencyModel::Tso);
-//! assert!(!engine.speculating());
+//! assert!(!engine.tick_live(&CheckpointLedger::default()), "nothing to maintain");
 //! ```
 
 #![forbid(unsafe_code)]

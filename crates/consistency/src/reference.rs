@@ -2,7 +2,9 @@
 //! rows the figure prints ([`figure2_rows`]) and as the retirement rule the
 //! conventional, InvisiFence-Selective and ASO engines all follow
 //! ([`retire_wait`]). Where the rule says wait, a conventional engine stalls
-//! and a speculative one speculates.
+//! and a speculative one speculates. InvisiFence-Continuous retires its
+//! forward-progress instruction, the one outside any chunk, conventionally
+//! under SC.
 
 use ifence_cpu::{RetireCtx, RetireOutcome};
 use ifence_types::{Addr, ConsistencyModel, InstrKind, StallReason, StoreBufferKind};

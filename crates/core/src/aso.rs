@@ -12,48 +12,54 @@
 //!   processors' requests;
 //! * multiple intermediate checkpoints are taken during an episode so a
 //!   violation discards only the work after the checkpoint that first touched
-//!   the conflicting block.
+//!   the conflicting block; the whole atomic sequence still commits as one
+//!   speculation.
 //!
 //! The timing-relevant behaviour (commit latency proportional to the number of
 //! speculative stores, partial rollback, external-request stalling during
 //! commit) is modelled faithfully; the per-word valid bits ASO adds to the L1
 //! are not needed because this simulator tracks data at word granularity
 //! already.
+//!
+//! The checkpoints live in the core's [`CheckpointLedger`], like
+//! InvisiFence's; a checkpoint's slot is its position in the sequence. The
+//! engine keeps what ASO adds: each slot's read and write sets (its conflict
+//! checks), the SSB occupancy and the commit-drain timer. Speculative store
+//! misses wait in the store buffer tagged with their slot, and those of
+//! slots 0 and 1 mark the L1's speculative bits when they drain; the ledger
+//! clears those bits when the checkpoint commits or aborts.
 
 use ifence_consistency::{head_wait, retire_in_order, RetireWait};
 use ifence_cpu::{
-    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    CheckpointLedger, DeferResolution, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine,
+    RetireCtx, RetireOutcome,
 };
-use ifence_stats::{CoreStats, ProvisionalBreakdown};
 use ifence_types::{
-    Addr, BlockAddr, ConsistencyModel, Cycle, CycleClass, InstrKind, MachineConfig, StallReason,
+    Addr, BlockAddr, ConsistencyModel, Cycle, InstrKind, MachineConfig, StallReason,
 };
 use std::collections::HashSet;
 
 /// Maximum intermediate checkpoints per speculative episode.
 const MAX_ASO_CHECKPOINTS: usize = 8;
 
+/// The blocks one checkpoint has read and written speculatively.
 #[derive(Debug, Clone, Default)]
-struct AsoCheckpoint {
-    resume_at: usize,
-    retired: usize,
+struct AccessSets {
     read_set: HashSet<u64>,
     write_set: HashSet<u64>,
-    prov: ProvisionalBreakdown,
 }
 
 /// The ASO ordering engine (see the module documentation).
 #[derive(Debug)]
 pub struct AsoEngine {
     model: ConsistencyModel,
-    checkpoints: Vec<AsoCheckpoint>,
+    /// One entry per live checkpoint, indexed by its slot.
+    sets: Vec<AccessSets>,
     checkpoint_interval: usize,
     ssb_capacity: usize,
     ssb_occupancy: usize,
     ssb_cycles_per_store: u64,
     committing_until: Option<Cycle>,
-    must_retire_nonspec: bool,
 }
 
 impl AsoEngine {
@@ -61,20 +67,13 @@ impl AsoEngine {
     pub fn new(model: ConsistencyModel, cfg: &MachineConfig) -> Self {
         AsoEngine {
             model,
-            checkpoints: Vec::new(),
+            sets: Vec::new(),
             checkpoint_interval: cfg.speculation.aso_checkpoint_interval.max(1),
             ssb_capacity: cfg.speculation.ssb_entries.max(1),
             ssb_occupancy: 0,
             ssb_cycles_per_store: cfg.speculation.ssb_drain_per_cycle.max(1) as u64,
             committing_until: None,
-            must_retire_nonspec: false,
         }
-    }
-
-    /// Current Scalable Store Buffer occupancy (speculative stores awaiting
-    /// commit).
-    pub fn ssb_occupancy(&self) -> usize {
-        self.ssb_occupancy
     }
 
     /// True while the commit drain is in progress (external requests are
@@ -83,254 +82,186 @@ impl AsoEngine {
         self.committing_until.is_some()
     }
 
-    fn speculating_now(&self) -> bool {
-        !self.checkpoints.is_empty()
-    }
-
     fn spec_store(&mut self, ctx: &mut RetireCtx<'_>, addr: Addr, value: u64) -> RetireOutcome {
         if self.ssb_occupancy >= self.ssb_capacity {
             return RetireOutcome::Stall(StallReason::StoreBufferFull);
         }
         let block = ctx.mem.block_of(addr);
-        let epoch = (self.checkpoints.len() - 1) as u8;
+        let slot = self.sets.len() - 1;
         let stored = if ctx.mem.writable(block) {
             // Clean dirty pre-speculative data exactly once per block so an
             // abort can recover it from the L2.
-            let already_written =
-                self.checkpoints.iter().any(|c| c.write_set.contains(&block.number()));
+            let already_written = self.sets.iter().any(|s| s.write_set.contains(&block.number()));
             if !already_written && ctx.mem.l1.clean_writeback(block).is_some() {
                 ctx.stats.counters.writebacks += 1;
             }
             let word = addr.word_in_block(ctx.mem.block_bytes()).index();
             ctx.mem.l1.write_word(block, word, value)
         } else {
-            ctx.mem.store_to_sb(addr, value, Some(epoch), ctx.now, ctx.stats).is_ok()
+            ctx.mem.store_to_sb(addr, value, Some(slot as u8), ctx.now, ctx.stats).is_ok()
         };
         if !stored {
             return RetireOutcome::Stall(StallReason::StoreBufferFull);
         }
         self.ssb_occupancy += 1;
-        let cp = self.checkpoints.last_mut().expect("speculating");
-        cp.write_set.insert(block.number());
+        self.sets[slot].write_set.insert(block.number());
         RetireOutcome::Retired
     }
 
     fn retire_speculative(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         // Take an intermediate checkpoint periodically so violations discard
         // less work.
-        let take_new =
-            self.checkpoints.last().map(|c| c.retired >= self.checkpoint_interval).unwrap_or(false)
-                && self.checkpoints.len() < MAX_ASO_CHECKPOINTS;
-        if take_new {
-            self.checkpoints
-                .push(AsoCheckpoint { resume_at: ctx.checkpoint_index(), ..Default::default() });
+        let live = ctx.ledger.live();
+        if live.last().is_some_and(|c| c.retired >= self.checkpoint_interval)
+            && live.len() < MAX_ASO_CHECKPOINTS
+        {
+            ctx.ledger.add_intermediate(ctx.checkpoint_index());
+            self.sets.push(AccessSets::default());
         }
-        let outcome = match ctx.entry.instr.kind {
+        match ctx.entry.instr.kind {
             InstrKind::Op(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
             InstrKind::Load(addr) => {
                 let block = ctx.mem.block_of(addr);
-                self.checkpoints.last_mut().expect("speculating").read_set.insert(block.number());
+                self.sets.last_mut().expect("speculating").read_set.insert(block.number());
                 RetireOutcome::Retired
             }
             InstrKind::Store(addr, value) => self.spec_store(ctx, addr, value),
             InstrKind::Atomic(addr, value) => {
                 let block = ctx.mem.block_of(addr);
-                self.checkpoints.last_mut().expect("speculating").read_set.insert(block.number());
+                self.sets.last_mut().expect("speculating").read_set.insert(block.number());
                 self.spec_store(ctx, addr, value)
             }
-        };
-        if outcome == RetireOutcome::Retired {
-            if let Some(c) = self.checkpoints.last_mut() {
-                c.retired += 1;
-            }
         }
-        outcome
     }
 
     fn conflict_position(&self, block: BlockAddr, is_write: bool) -> Option<usize> {
-        self.checkpoints.iter().position(|c| {
-            c.write_set.contains(&block.number())
-                || (is_write && c.read_set.contains(&block.number()))
+        self.sets.iter().position(|s| {
+            s.write_set.contains(&block.number())
+                || (is_write && s.read_set.contains(&block.number()))
         })
     }
 
-    fn abort_from(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
-        let resume_at = self.checkpoints[position].resume_at;
-        let discarded: Vec<AsoCheckpoint> = self.checkpoints.drain(position..).collect();
+    fn abort_from(&mut self, ctx: &mut EngineCtx<'_>, position: usize) -> usize {
         let kept_writes: HashSet<u64> =
-            self.checkpoints.iter().flat_map(|c| c.write_set.iter().copied()).collect();
-        for (offset, mut cp) in discarded.into_iter().enumerate() {
-            for block_number in cp.write_set.iter() {
+            self.sets[..position].iter().flat_map(|s| s.write_set.iter().copied()).collect();
+        let (sets, occupancy) = (&self.sets, &mut self.ssb_occupancy);
+        let resume_at = ctx.ledger.abort_from(position, ctx.mem, ctx.stats, |mem, slot| {
+            let write_set = &sets[slot].write_set;
+            for block_number in write_set.iter() {
                 if kept_writes.contains(block_number) {
                     continue;
                 }
                 let block = BlockAddr::containing(
-                    ifence_types::Addr::new(block_number * mem.block_bytes() as u64),
+                    Addr::new(block_number * mem.block_bytes() as u64),
                     mem.block_bytes(),
                 );
                 // Discard the speculatively-written data; the pre-speculative
                 // value was cleaned into the L2 and will be refetched.
                 let _ = mem.l1.external_invalidate(block);
             }
-            clear_l1_slot(mem, position + offset);
-            mem.sb.flash_invalidate_exact((position + offset) as u8);
-            cp.prov.abort_into(&mut stats.breakdown);
-            stats.counters.speculations_aborted += 1;
-            stats.hists.episode_len.record(cp.retired as u64);
-            stats.trace.emit(ifence_stats::TraceKind::SpecAbort, cp.retired as u64);
-            self.ssb_occupancy = self.ssb_occupancy.saturating_sub(cp.write_set.len());
-        }
-        if self.checkpoints.is_empty() {
+            *occupancy = occupancy.saturating_sub(write_set.len());
+        });
+        self.sets.truncate(position);
+        if self.sets.is_empty() {
             self.ssb_occupancy = 0;
-            self.must_retire_nonspec = true;
         }
         resume_at
     }
 
-    fn commit_all(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) {
+    /// Commits the whole atomic sequence as one speculation and starts the
+    /// SSB's drain into the L2.
+    fn commit_all(&mut self, ctx: &mut EngineCtx<'_>) {
         let drained_stores = self.ssb_occupancy as u64;
-        self.committing_until = Some(now + drained_stores * self.ssb_cycles_per_store);
-        // ASO commits the whole atomic sequence as one speculation; its
-        // episode length is the sum over the sequence's checkpoints.
-        let mut retired = 0u64;
-        for (slot, mut cp) in self.checkpoints.drain(..).enumerate() {
-            clear_l1_slot(mem, slot);
-            cp.prov.commit_into(&mut stats.breakdown);
-            retired += cp.retired as u64;
-        }
-        stats.counters.speculations_committed += 1;
-        stats.hists.episode_len.record(retired);
-        stats.trace.emit(ifence_stats::TraceKind::SpecCommit, retired);
+        self.committing_until = Some(ctx.now + drained_stores * self.ssb_cycles_per_store);
+        ctx.ledger.commit(self.sets.len(), ctx.mem, ctx.stats);
+        self.sets.clear();
         self.ssb_occupancy = 0;
-    }
-}
-
-/// Clears the L1's speculative bits of checkpoint `slot` when it retires
-/// (commits or aborts). The store-buffer drain marks entries of epochs 0 and
-/// 1 speculatively written in the L1's two physical bit sets; ASO's own read
-/// and write sets are the source of its conflict checks, so stale bits would
-/// only mislead the eviction path into treating a clean line as speculative.
-fn clear_l1_slot(mem: &mut CoreMem, slot: usize) {
-    if slot < 2 {
-        mem.l1.flash_clear_epoch(slot);
     }
 }
 
 impl OrderingEngine for AsoEngine {
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        if self.speculating_now() {
+        if ctx.ledger.speculating() {
             return self.retire_speculative(ctx);
         }
         // ASO speculates wherever Figure 2's rule would wait, and (unlike
         // InvisiFence-Selective) issues no ownership request for an atomic.
-        if head_wait(self.model, ctx) != RetireWait::Nothing {
-            if self.must_retire_nonspec {
-                return RetireOutcome::Stall(StallReason::StoreBufferDrain);
-            }
-            ctx.stats.counters.speculations_started += 1;
-            ctx.stats.trace.emit(ifence_stats::TraceKind::SpecBegin, 1);
-            self.checkpoints
-                .push(AsoCheckpoint { resume_at: ctx.checkpoint_index(), ..Default::default() });
-            return self.retire_speculative(ctx);
+        if head_wait(self.model, ctx) == RetireWait::Nothing {
+            return retire_in_order(ctx);
         }
-        let outcome = retire_in_order(ctx);
-        if outcome == RetireOutcome::Retired {
-            self.must_retire_nonspec = false;
+        if ctx.ledger.owes_nonspec() {
+            return RetireOutcome::Stall(StallReason::StoreBufferDrain);
         }
-        outcome
+        ctx.ledger.begin(ctx.checkpoint_index(), ctx.stats);
+        self.sets.push(AccessSets::default());
+        self.retire_speculative(ctx)
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) {
+    fn tick(&mut self, ctx: &mut EngineCtx<'_>) {
         if let Some(until) = self.committing_until {
-            if now >= until {
+            if ctx.now >= until {
                 self.committing_until = None;
             }
         }
         // ASO commits an atomic sequence once all of its store misses have
         // completed; the drain of the SSB into the L2 then takes time
         // proportional to the number of stores.
-        if self.speculating_now() && mem.sb_empty() {
-            self.commit_all(mem, stats, now);
+        if ctx.ledger.speculating() && ctx.mem.sb_empty() {
+            self.commit_all(ctx);
         }
     }
 
     fn on_external(
         &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
+        ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
-        now: Cycle,
     ) -> ExternalOutcome {
         // While the SSB drains into the L2 the external interface is disabled:
         // incoming requests wait until the drain finishes.
         if let Some(until) = self.committing_until {
-            if now < until {
+            if ctx.now < until {
                 return ExternalOutcome::Defer { until };
             }
         }
         match self.conflict_position(block, kind.is_write()) {
             None => ExternalOutcome::Ack,
             Some(position) => {
-                let resume_at = self.abort_from(position, mem, stats);
-                ExternalOutcome::AckAfterRollback { resume_at }
+                ExternalOutcome::AckAfterRollback { resume_at: self.abort_from(ctx, position) }
             }
         }
     }
 
     fn resolve_deferred(
         &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
+        ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
         _deadline: Cycle,
-        now: Cycle,
     ) -> DeferResolution {
         if let Some(until) = self.committing_until {
-            if now < until {
+            if ctx.now < until {
                 return DeferResolution::Wait;
             }
         }
         match self.conflict_position(block, kind.is_write()) {
             None => DeferResolution::Ack,
             Some(position) => {
-                let resume_at = self.abort_from(position, mem, stats);
-                DeferResolution::AckAfterRollback { resume_at }
+                DeferResolution::AckAfterRollback { resume_at: self.abort_from(ctx, position) }
             }
         }
     }
 
-    fn speculating(&self) -> bool {
-        self.speculating_now()
-    }
-
-    fn rollback_floor(&self) -> Option<usize> {
-        self.checkpoints.first().map(|c| c.resume_at)
-    }
-
-    fn on_spec_eviction_pressure(
-        &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
-        now: Cycle,
-    ) -> Option<usize> {
-        if !self.speculating_now() {
+    fn on_spec_eviction_pressure(&mut self, ctx: &mut EngineCtx<'_>) -> Option<usize> {
+        if !ctx.ledger.speculating() {
             return None;
         }
-        if mem.sb_empty() {
-            self.commit_all(mem, stats, now);
+        if ctx.mem.sb_empty() {
+            self.commit_all(ctx);
             return None;
         }
-        stats.counters.speculations_aborted_structural += 1;
-        Some(self.abort_from(0, mem, stats))
-    }
-
-    fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
-        match self.checkpoints.last_mut() {
-            Some(cp) => cp.prov.add(class, cycles),
-            None => stats.breakdown.add(class, cycles),
-        }
+        ctx.stats.counters.speculations_aborted_structural += 1;
+        Some(self.abort_from(ctx, 0))
     }
 
     fn next_wake(&self, now: Cycle) -> Option<Cycle> {
@@ -339,25 +270,17 @@ impl OrderingEngine for AsoEngine {
         self.committing_until.filter(|&until| until > now)
     }
 
-    fn tick_live(&self) -> bool {
+    fn tick_live(&self, ledger: &CheckpointLedger) -> bool {
         // With no atomic sequence in flight and no commit drain pending,
         // `tick` is a no-op and no timer is set. A retirement that opens a
         // checkpoint runs through `try_retire` and re-arms the stage for the
         // following cycle.
-        !self.checkpoints.is_empty() || self.committing_until.is_some()
+        ledger.speculating() || self.committing_until.is_some()
     }
 
-    fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
-        if !self.checkpoints.is_empty() {
-            stats.counters.speculations_committed += 1;
-            let retired: u64 = self.checkpoints.iter().map(|cp| cp.retired as u64).sum();
-            stats.hists.episode_len.record(retired);
-            stats.trace.emit(ifence_stats::TraceKind::SpecCommit, retired);
-        }
-        for (slot, mut cp) in self.checkpoints.drain(..).enumerate() {
-            clear_l1_slot(mem, slot);
-            cp.prov.commit_into(&mut stats.breakdown);
-        }
+    fn finalize(&mut self, ctx: &mut EngineCtx<'_>) {
+        ctx.ledger.commit(self.sets.len(), ctx.mem, ctx.stats);
+        self.sets.clear();
         self.ssb_occupancy = 0;
         self.committing_until = None;
     }
@@ -367,9 +290,10 @@ impl OrderingEngine for AsoEngine {
 mod tests {
     use super::*;
     use ifence_coherence::{Delivery, SnoopReply, TxnId};
-    use ifence_cpu::Core;
+    use ifence_cpu::{Core, CoreMem};
     use ifence_mem::{BlockData, LineState};
-    use ifence_types::{CoreId, EngineKind, Instruction, Program};
+    use ifence_stats::CoreStats;
+    use ifence_types::{CoreId, CycleClass, EngineKind, Instruction, Program};
 
     fn cfg() -> MachineConfig {
         let mut m = MachineConfig::small_test(EngineKind::Aso(ConsistencyModel::Sc));
@@ -476,25 +400,23 @@ mod tests {
         let machine = cfg();
         let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
         let mut mem = CoreMem::new(CoreId(0), &machine);
-        let mut stats = CoreStats::new();
+        let (mut stats, mut ledger) = (CoreStats::new(), CheckpointLedger::default());
+        let mut ctx =
+            EngineCtx { mem: &mut mem, stats: &mut stats, ledger: &mut ledger, now: 1000 };
         // Force a commit with a non-trivial SSB occupancy.
-        engine.checkpoints.push(AsoCheckpoint::default());
+        ctx.ledger.begin(0, ctx.stats);
+        engine.sets.push(AccessSets::default());
         engine.ssb_occupancy = 100;
-        engine.commit_all(&mut mem, &mut stats, 1000);
+        engine.commit_all(&mut ctx);
         assert!(engine.committing());
         // During the drain window external requests are deferred...
-        let outcome =
-            engine.on_external(&mut mem, &mut stats, blk(0x1000), ExternalKind::Invalidate, 1010);
+        let inv = ExternalKind::Invalidate;
+        ctx.now = 1010;
+        let outcome = engine.on_external(&mut ctx, blk(0x1000), inv);
         assert!(matches!(outcome, ExternalOutcome::Defer { until } if until >= 1100));
         // ...and acknowledged once it finishes.
-        let res = engine.resolve_deferred(
-            &mut mem,
-            &mut stats,
-            blk(0x1000),
-            ExternalKind::Invalidate,
-            1100,
-            1200,
-        );
+        ctx.now = 1200;
+        let res = engine.resolve_deferred(&mut ctx, blk(0x1000), inv, 1100);
         assert_eq!(res, DeferResolution::Ack);
     }
 

@@ -2,12 +2,12 @@
 //! speculative chunks.
 
 use crate::kernel::SpeculationKernel;
+use ifence_consistency::ConventionalEngine;
 use ifence_cpu::{
-    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    CheckpointLedger, CoreMem, DeferResolution, EngineCtx, ExternalKind, ExternalOutcome,
+    OrderingEngine, RetireCtx, RetireOutcome,
 };
-use ifence_stats::CoreStats;
-use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, SpeculationConfig, StallReason};
+use ifence_types::{BlockAddr, ConsistencyModel, Cycle, SpeculationConfig};
 
 /// InvisiFence-Continuous: all memory operations execute speculatively as part
 /// of a chunk of at least `min_chunk` instructions. Loads mark their
@@ -48,60 +48,46 @@ impl InvisiContinuousEngine {
             pending_reads: Vec::new(),
         }
     }
-
-    fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        // The forward-progress instruction retires outside any chunk, so it
-        // must satisfy SC ordering conventionally: memory operations wait for
-        // the store buffer to drain first (fences and plain ops are free).
-        match ctx.entry.instr.kind {
-            InstrKind::Op(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
-            _ if !ctx.mem.sb_empty() => RetireOutcome::Stall(StallReason::StoreBufferDrain),
-            InstrKind::Load(_) => RetireOutcome::Retired,
-            InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                ctx.store_non_speculative(addr, value)
-            }
-        }
-    }
 }
 
 impl OrderingEngine for InvisiContinuousEngine {
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        if self.kernel.must_retire_nonspec() {
-            let outcome = self.retire_non_speculative(ctx);
-            if outcome == RetireOutcome::Retired {
-                self.kernel.retired_nonspec();
-            }
-            return outcome;
+        if ctx.ledger.owes_nonspec() {
+            // The forward-progress instruction retires outside any chunk, so
+            // it must satisfy SC conventionally: Figure 2's rule, stalling on
+            // every wait.
+            return ConventionalEngine::new(ConsistencyModel::Sc).try_retire(ctx);
         }
-        if !self.kernel.speculating() {
-            let slot = self
-                .kernel
-                .begin(ctx.checkpoint_index(), ctx.stats)
-                .expect("a checkpoint is free when no chunk is open");
-            // Loads that already executed become part of this chunk.
-            for block in self.pending_reads.drain(..) {
-                if ctx.mem.l1.contains(block) {
-                    ctx.mem.l1.mark_spec_read(block, slot);
+        match ctx.ledger.live().last() {
+            None => {
+                let slot =
+                    self.kernel.begin(ctx).expect("a checkpoint is free when no chunk is open");
+                // Loads that already executed become part of this chunk.
+                for block in self.pending_reads.drain(..) {
+                    if ctx.mem.l1.contains(block) {
+                        ctx.mem.l1.mark_spec_read(block, slot);
+                    }
                 }
             }
-        } else if self.kernel.youngest().map(|e| e.retired).unwrap_or(0) >= self.min_chunk
-            && self.kernel.has_free_slot()
-        {
-            // Close the current chunk and open its successor; the closed chunk
-            // commits in the background once its stores complete.
-            self.kernel.begin(ctx.checkpoint_index(), ctx.stats);
+            // Close the current chunk and open its successor if a checkpoint
+            // is free; the closed chunk commits in the background once its
+            // stores complete.
+            Some(chunk) if chunk.retired >= self.min_chunk => {
+                self.kernel.begin(ctx);
+            }
+            Some(_) => {}
         }
         self.kernel.retire_speculative(ctx)
     }
 
-    fn on_load_issue(&mut self, mem: &mut CoreMem, block: BlockAddr) {
+    fn on_load_issue(&mut self, mem: &mut CoreMem, ledger: &CheckpointLedger, block: BlockAddr) {
         // Continuous speculation marks reads at execute time (Section 4.2), so
         // in-window reorderings are covered by the same violation-detection
         // mechanism as post-retirement ones.
-        match self.kernel.current_slot() {
-            Some(slot) => {
+        match ledger.live().last() {
+            Some(chunk) => {
                 if mem.l1.contains(block) {
-                    mem.l1.mark_spec_read(block, slot);
+                    mem.l1.mark_spec_read(block, chunk.slot);
                 }
             }
             // Before the first chunk opens, remember the read; it is marked
@@ -111,69 +97,44 @@ impl OrderingEngine for InvisiContinuousEngine {
         }
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {
+    fn tick(&mut self, ctx: &mut EngineCtx<'_>) {
         // Pipelined chunk commit: a closed chunk commits once its stores have
         // drained.
-        while self.kernel.try_commit_oldest(mem, stats, true) {}
+        while self.kernel.try_commit_oldest(ctx, true) {}
         // If only one (large enough) chunk is open and everything has drained,
         // commit it too so chunks do not grow without bound.
-        if self.kernel.episode_count() == 1
-            && self.kernel.youngest().map(|e| e.retired).unwrap_or(0) >= self.min_chunk
-        {
-            self.kernel.try_commit_oldest(mem, stats, false);
+        if let [chunk] = ctx.ledger.live() {
+            if chunk.retired >= self.min_chunk {
+                self.kernel.try_commit_oldest(ctx, false);
+            }
         }
     }
 
     fn on_external(
         &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
+        ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
-        now: Cycle,
     ) -> ExternalOutcome {
-        self.kernel.on_external(mem, stats, block, kind, now)
+        self.kernel.on_external(ctx, block, kind)
     }
 
     fn resolve_deferred(
         &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
+        ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
         deadline: Cycle,
-        now: Cycle,
     ) -> DeferResolution {
-        self.kernel.resolve_deferred(mem, stats, block, kind, deadline, now)
+        self.kernel.resolve_deferred(ctx, block, kind, deadline)
     }
 
-    fn speculating(&self) -> bool {
-        self.kernel.speculating()
+    fn can_drain(&self, ledger: &CheckpointLedger, epoch: Option<u8>) -> bool {
+        self.kernel.can_drain(ledger, epoch)
     }
 
-    fn rollback_floor(&self) -> Option<usize> {
-        self.kernel.rollback_floor()
-    }
-
-    fn can_drain(&self, epoch: Option<u8>) -> bool {
-        self.kernel.can_drain(epoch)
-    }
-
-    fn on_spec_eviction_pressure(
-        &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
-        _now: Cycle,
-    ) -> Option<usize> {
-        self.kernel.on_eviction_pressure(mem, stats)
-    }
-
-    fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
-        self.kernel.record_cycles(class, cycles, stats);
-    }
-
-    fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
-        self.kernel.finalize(mem, stats);
+    fn on_spec_eviction_pressure(&mut self, ctx: &mut EngineCtx<'_>) -> Option<usize> {
+        self.kernel.on_eviction_pressure(ctx)
     }
 }
 
@@ -184,7 +145,7 @@ mod tests {
     use ifence_coherence::{Delivery, TxnId};
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
-    use ifence_types::{Addr, CoreId, EngineKind, Instruction, MachineConfig, Program};
+    use ifence_types::{Addr, CoreId, CycleClass, EngineKind, Instruction, MachineConfig, Program};
 
     fn cfg(cov: bool) -> MachineConfig {
         let mut m =
@@ -345,6 +306,58 @@ mod tests {
         assert!(finished);
         assert_eq!(core.retired_count(), 18);
         assert_eq!(core.mem.read_value(Addr::new(0x2000)), Some(15));
+    }
+
+    #[test]
+    fn forward_progress_atomic_waits_for_write_permission() {
+        let mut program = Program::new();
+        program.push(Instruction::atomic(Addr::new(0x3000), 5));
+        program.push(Instruction::op(1));
+        program.push(Instruction::op(100)); // keeps the chunk open
+        let mut core = core_with_chunk(false, 1000, program);
+        prefill(&mut core, &[0x3000]);
+        for now in 0..10 {
+            core.step(now);
+        }
+        assert_eq!(core.retired_count(), 2, "the first two retired inside the open chunk");
+        // A remote writer takes the speculatively-written block: the chunk
+        // aborts, and the replayed atomic owes forward progress.
+        core.handle_delivery(invalidate(0x3000, 1, false), 10);
+        assert_eq!(core.stats().counters.speculations_aborted, 1);
+        assert!(!core.speculating());
+        let mut requests = Vec::new();
+        for now in 11..20 {
+            core.step(now);
+        }
+        core.drain_requests_into(&mut requests);
+        assert!(requests.iter().any(|r| r.block == blk(0x3000)), "the replay refetches the block");
+        // The fill completes the atomic, but a second remote writer takes
+        // the block again before it reaches retirement.
+        let fill = |txn| Delivery::Fill {
+            core: CoreId(0),
+            block: blk(0x3000),
+            state: LineState::Exclusive,
+            data: BlockData::zeroed(),
+            txn: TxnId(txn),
+        };
+        core.handle_delivery(fill(2), 20);
+        core.handle_delivery(invalidate(0x3000, 3, false), 20);
+        requests.clear();
+        for now in 20..40 {
+            core.step(now);
+        }
+        assert_eq!(core.retired_count(), 0, "the atomic waits for write permission");
+        core.drain_requests_into(&mut requests);
+        assert!(requests.iter().any(|r| r.block == blk(0x3000)), "and asks for it");
+        core.handle_delivery(fill(4), 40);
+        for now in 40..400 {
+            core.step(now);
+            if core.finished() {
+                break;
+            }
+        }
+        assert!(core.finished());
+        assert_eq!(core.mem.read_value(Addr::new(0x3000)), Some(5));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use ifence_types::{EngineKind, MachineConfig};
 /// use ifence_types::{ConsistencyModel, EngineKind, MachineConfig};
 ///
 /// let cfg = MachineConfig::with_engine(EngineKind::Conventional(ConsistencyModel::Tso));
-/// assert!(!build_engine(cfg.engine, &cfg).speculating());
+/// assert_eq!(build_engine(cfg.engine, &cfg).next_wake(0), None);
 /// ```
 pub fn build_engine(kind: EngineKind, cfg: &MachineConfig) -> Box<dyn OrderingEngine> {
     let spec = &cfg.speculation;

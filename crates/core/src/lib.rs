@@ -21,12 +21,16 @@
 //!   commit by draining into the L2 while stalling external requests, and
 //!   periodic intermediate checkpoints for partial rollback.
 //!
-//! Both InvisiFence engines share the mechanism layer in [`kernel`]: register
-//! checkpoints, per-block speculatively-read/written bits in the L1
-//! (flash-clear commit, conditional flash-invalidate abort), a coalescing
-//! store buffer with per-epoch flash invalidation, violation detection driven
-//! by external coherence requests, and the one violation policy (abort or
-//! commit-on-violate deferral). ASO keeps its own per-store state and policy.
+//! All three keep their checkpoints in the core's
+//! [`ifence_cpu::CheckpointLedger`], which does the begin/commit/abort
+//! accounting for every engine. Both InvisiFence engines share the mechanism
+//! layer in [`kernel`]: the checkpoint budget, per-block
+//! speculatively-read/written bits in the L1 (flash-clear commit,
+//! conditional flash-invalidate abort), a coalescing store buffer with
+//! per-epoch flash invalidation, violation detection driven by external
+//! coherence requests, and the one violation policy (abort or
+//! commit-on-violate deferral). ASO keeps its own per-store read and write
+//! sets and its own policy.
 //!
 //! # Example
 //!
@@ -38,7 +42,7 @@
 //! assert_eq!((kind.label(), kind.checkpoints()), ("Invisi_sc".to_string(), 1));
 //! let cfg = MachineConfig::with_engine(kind);
 //! let engine = build_engine(cfg.engine, &cfg);
-//! assert!(!engine.speculating());
+//! assert_eq!(engine.next_wake(0), None, "no engine timer is pending");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,12 +4,10 @@
 use crate::kernel::SpeculationKernel;
 use ifence_consistency::{head_wait, request_write_permission, retire_in_order, RetireWait};
 use ifence_cpu::{
-    CoreMem, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
+    CheckpointLedger, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
-use ifence_stats::CoreStats;
-use ifence_types::{
-    BlockAddr, ConsistencyModel, Cycle, CycleClass, SpeculationConfig, StallReason,
-};
+use ifence_types::{BlockAddr, ConsistencyModel, SpeculationConfig, StallReason};
 
 /// InvisiFence-Selective: post-retirement speculation initiated only on
 /// ordering-induced retirement stalls, with constant-time opportunistic commit
@@ -55,93 +53,59 @@ impl InvisiSelectiveEngine {
 
 impl OrderingEngine for InvisiSelectiveEngine {
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        if self.kernel.speculating() {
-            // Optionally open the second in-flight checkpoint so a late
-            // violation discards less work (Section 6.4).
-            if self.kernel.max_episodes() >= 2
-                && self.kernel.episode_count() == 1
-                && self.kernel.youngest().map(|e| e.retired).unwrap_or(0)
-                    >= self.second_checkpoint_after
-            {
-                self.kernel.begin(ctx.checkpoint_index(), ctx.stats);
+        if let Some(youngest) = ctx.ledger.live().last() {
+            // With a second checkpoint in the budget, open it once the first
+            // has retired enough that a late violation would discard much
+            // work (Section 6.4).
+            if youngest.retired >= self.second_checkpoint_after {
+                self.kernel.begin(ctx);
             }
             return self.kernel.retire_speculative(ctx);
         }
         match head_wait(self.model, ctx) {
-            RetireWait::Nothing => {
-                let outcome = retire_in_order(ctx);
-                if outcome == RetireOutcome::Retired {
-                    self.kernel.retired_nonspec();
-                }
-                return outcome;
-            }
+            RetireWait::Nothing => return retire_in_order(ctx),
             RetireWait::StoreBufferDrain => {}
             RetireWait::WritePermission(addr) => request_write_permission(ctx, addr),
         }
-        if self.kernel.must_retire_nonspec() {
+        if ctx.ledger.owes_nonspec() {
             // Guarantee forward progress by resolving this stall
             // conventionally before speculating again.
             return RetireOutcome::Stall(StallReason::StoreBufferDrain);
         }
-        self.kernel
-            .begin(ctx.checkpoint_index(), ctx.stats)
-            .expect("a checkpoint is free when not speculating");
+        self.kernel.begin(ctx).expect("a checkpoint is free when not speculating");
         self.kernel.retire_speculative(ctx)
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {
+    fn tick(&mut self, ctx: &mut EngineCtx<'_>) {
         // Opportunistic, constant-time commit: as soon as the stores the
         // episode depends on have drained.
-        while self.kernel.try_commit_oldest(mem, stats, false) {}
+        while self.kernel.try_commit_oldest(ctx, false) {}
     }
 
     fn on_external(
         &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
+        ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
-        now: Cycle,
     ) -> ExternalOutcome {
-        self.kernel.on_external(mem, stats, block, kind, now)
+        self.kernel.on_external(ctx, block, kind)
     }
 
-    fn speculating(&self) -> bool {
-        self.kernel.speculating()
+    fn can_drain(&self, ledger: &CheckpointLedger, epoch: Option<u8>) -> bool {
+        self.kernel.can_drain(ledger, epoch)
     }
 
-    fn rollback_floor(&self) -> Option<usize> {
-        self.kernel.rollback_floor()
+    fn on_spec_eviction_pressure(&mut self, ctx: &mut EngineCtx<'_>) -> Option<usize> {
+        self.kernel.on_eviction_pressure(ctx)
     }
 
-    fn can_drain(&self, epoch: Option<u8>) -> bool {
-        self.kernel.can_drain(epoch)
-    }
-
-    fn on_spec_eviction_pressure(
-        &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
-        _now: Cycle,
-    ) -> Option<usize> {
-        self.kernel.on_eviction_pressure(mem, stats)
-    }
-
-    fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
-        self.kernel.record_cycles(class, cycles, stats);
-    }
-
-    fn tick_live(&self) -> bool {
+    fn tick_live(&self, ledger: &CheckpointLedger) -> bool {
         // Without an episode `tick` is a no-op (try_commit_oldest bails
         // immediately) and there are no timers. Retirements — including a
         // fence or load that *starts* an episode — run through `try_retire`
         // every cycle, so they need no term here; the moment an episode
         // opens, the stage goes live again.
-        self.kernel.speculating()
-    }
-
-    fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
-        self.kernel.finalize(mem, stats);
+        ledger.speculating()
     }
 }
 
@@ -151,6 +115,7 @@ mod tests {
     use ifence_coherence::{Delivery, TxnId};
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
+    use ifence_types::CycleClass;
     use ifence_types::{Addr, CoreId, EngineKind, Instruction, MachineConfig, Program};
 
     fn cfg(model: ConsistencyModel) -> MachineConfig {

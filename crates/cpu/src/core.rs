@@ -1,7 +1,9 @@
 //! The trace-driven out-of-order core model.
 
+use crate::checkpoint::CheckpointLedger;
 use crate::engine::{
-    DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
+    DeferResolution, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use crate::mem_side::CoreMem;
 use crate::rob::Rob;
@@ -57,6 +59,7 @@ pub struct Core {
     /// The core's memory side (public so tests and engines can inspect it).
     pub mem: CoreMem,
     engine: Box<dyn OrderingEngine>,
+    ledger: CheckpointLedger,
     stats: CoreStats,
     deferred: Vec<DeferredSnoop>,
     pending_replies: Vec<SnoopReply>,
@@ -89,8 +92,8 @@ impl Core {
     /// construction path. The source must honour the
     /// [`ifence_types::InstructionSource`] replay-window contract; the core
     /// in turn releases indices only once they are behind both the
-    /// retirement frontier and the engine's oldest live checkpoint
-    /// ([`OrderingEngine::rollback_floor`]), so every possible rollback
+    /// retirement frontier and the oldest live checkpoint
+    /// ([`CheckpointLedger::rollback_floor`]), so every possible rollback
     /// target stays fetchable.
     pub fn from_source(
         id: CoreId,
@@ -110,6 +113,7 @@ impl Core {
             rob: Rob::new(cfg.core.rob_size),
             mem: CoreMem::new(id, cfg),
             engine,
+            ledger: CheckpointLedger::default(),
             stats: CoreStats::new(),
             deferred: Vec::new(),
             pending_replies: Vec::new(),
@@ -199,12 +203,12 @@ impl Core {
         self.trace_done()
             && self.rob.is_empty()
             && self.mem.sb_empty()
-            && !self.engine.speculating()
+            && !self.ledger.speculating()
     }
 
-    /// True while the engine is in a post-retirement speculative episode.
+    /// True while a post-retirement speculative episode is in flight.
     pub fn speculating(&self) -> bool {
-        self.engine.speculating()
+        self.ledger.speculating()
     }
 
     /// Drains this core's coherence requests into `out`, preserving order.
@@ -221,9 +225,11 @@ impl Core {
     }
 
     /// Folds any still-open speculative episode into the statistics (called
-    /// once when the simulation ends).
+    /// once when the simulation ends, at the cycle last stamped).
     pub fn finalize(&mut self) {
-        self.engine.finalize(&mut self.mem, &mut self.stats);
+        let now = self.stats.trace.now();
+        let Core { mem, engine, stats, ledger, .. } = self;
+        engine.finalize(&mut EngineCtx { mem, stats, ledger, now });
     }
 
     /// A one-line description of the core's pipeline state, for diagnosing
@@ -267,7 +273,7 @@ impl Core {
             trace_len,
             self.rob.len(),
             self.mem.sb.len(),
-            self.engine.speculating(),
+            self.ledger.speculating(),
             self.deferred.len(),
             head,
             mshrs.join(", ")
@@ -295,8 +301,8 @@ impl Core {
                 let mut slot = self.mem.l1.fill_slot(block);
                 if self.mem.l1.slot_evicts_spec(slot) {
                     let resume_at = {
-                        let Core { mem, engine, stats, .. } = self;
-                        engine.on_spec_eviction_pressure(mem, stats, now)
+                        let Core { mem, engine, stats, ledger, .. } = self;
+                        engine.on_spec_eviction_pressure(&mut EngineCtx { mem, stats, ledger, now })
                     };
                     if let Some(resume_at) = resume_at {
                         self.rollback(resume_at);
@@ -369,8 +375,8 @@ impl Core {
             entry.loaded_value = Some(value);
             entry.performed_read = true;
             entry.bound_at_head = at_head;
-            let Core { mem, engine, .. } = self;
-            engine.on_load_issue(mem, block);
+            let Core { mem, engine, ledger, .. } = self;
+            engine.on_load_issue(mem, ledger, block);
         }
     }
 
@@ -382,8 +388,8 @@ impl Core {
         now: Cycle,
     ) -> SnoopReply {
         let outcome = {
-            let Core { mem, engine, stats, .. } = self;
-            engine.on_external(mem, stats, block, kind, now)
+            let Core { mem, engine, stats, ledger, .. } = self;
+            engine.on_external(&mut EngineCtx { mem, stats, ledger, now }, block, kind)
         };
         match outcome {
             ExternalOutcome::Ack => {
@@ -445,8 +451,9 @@ impl Core {
         for i in 0..before {
             let d = deferred[i];
             let resolution = {
-                let Core { mem, engine, stats, .. } = self;
-                engine.resolve_deferred(mem, stats, d.block, d.kind, d.deadline, now)
+                let Core { mem, engine, stats, ledger, .. } = self;
+                let mut ctx = EngineCtx { mem, stats, ledger, now };
+                engine.resolve_deferred(&mut ctx, d.block, d.kind, d.deadline)
             };
             match resolution {
                 DeferResolution::Wait => {
@@ -486,7 +493,7 @@ impl Core {
         let hit_latency = self.l1_hit_latency;
         // Borrow pieces separately so issuing can touch the memory side while
         // iterating the reorder buffer.
-        let Core { rob, mem, engine, stats, .. } = self;
+        let Core { rob, mem, engine, stats, ledger, .. } = self;
         let sb_empty_now = mem.sb_empty();
         let rob_len = rob.len();
         for position in start..rob_len {
@@ -528,7 +535,7 @@ impl Core {
                         view.set_issued();
                         stats.counters.sb_forwards += 1;
                         if mem.l1.peek(block).readable() {
-                            engine.on_load_issue(mem, block);
+                            engine.on_load_issue(mem, ledger, block);
                         }
                     } else if let Some(value) =
                         mem.l1.load_word(block, addr.word_in_block(mem.block_bytes()).index())
@@ -539,7 +546,7 @@ impl Core {
                         view.set_complete_at(now + hit_latency);
                         view.set_issued();
                         stats.counters.l1_hits += 1;
-                        engine.on_load_issue(mem, block);
+                        engine.on_load_issue(mem, ledger, block);
                     } else if mem.ensure_read_miss(
                         block,
                         view.entry.dispatch_id,
@@ -578,7 +585,7 @@ impl Core {
                         view.set_complete_at(now + hit_latency);
                         view.set_issued();
                         stats.counters.l1_hits += 1;
-                        engine.on_load_issue(mem, block);
+                        engine.on_load_issue(mem, ledger, block);
                     } else if mem.ensure_write_miss(
                         block,
                         Some(view.entry.dispatch_id),
@@ -624,12 +631,12 @@ impl Core {
                 break;
             }
             let outcome = {
-                let Core { mem, engine, stats, .. } = self;
-                let mut ctx = RetireCtx { mem, stats, now, entry: &head };
-                engine.try_retire(&mut ctx)
+                let Core { mem, engine, stats, ledger, .. } = self;
+                engine.try_retire(&mut RetireCtx { mem, stats, ledger, now, entry: &head })
             };
             match outcome {
                 RetireOutcome::Retired => {
+                    self.ledger.note_retirement();
                     self.rob.pop_head();
                     self.retired = head.program_index + 1;
                     retired_this_cycle += 1;
@@ -689,12 +696,12 @@ impl Core {
     /// fill), and the issue scan starts past the issued prefix.
     pub fn step(&mut self, now: Cycle) -> CoreActivity {
         self.stats.trace.set_now(now);
-        let speculating_before = self.engine.speculating();
+        let speculating_before = self.ledger.speculating();
 
         // 1. Engine maintenance (opportunistic commit, chunk management).
-        if self.engine.tick_live() {
-            let Core { mem, engine, stats, .. } = self;
-            engine.tick(mem, stats, now);
+        if self.engine.tick_live(&self.ledger) {
+            let Core { mem, engine, stats, ledger, .. } = self;
+            engine.tick(&mut EngineCtx { mem, stats, ledger, now });
         }
 
         // 2. Resolve deferred external requests.
@@ -704,10 +711,10 @@ impl Core {
         let drained = if self.mem.sb_empty() {
             0
         } else {
-            let Core { mem, engine, stats, .. } = self;
+            let Core { mem, engine, stats, ledger, .. } = self;
             let drain_limit = self.cfg.sb_drain_per_cycle;
             mem.drain_store_buffer(drain_limit, now, &mut stats.counters, |epoch| {
-                engine.can_drain(epoch)
+                engine.can_drain(ledger, epoch)
             })
         };
 
@@ -721,9 +728,9 @@ impl Core {
         let dispatched = self.dispatch_stage();
 
         // Release trace indices that no rollback can ever revisit: everything
-        // behind both the retirement frontier and the engine's oldest live
+        // behind both the retirement frontier and the oldest live
         // checkpoint. A streaming source discards its window up to here.
-        let frontier = self.engine.rollback_floor().unwrap_or(self.retired).min(self.retired);
+        let frontier = self.ledger.rollback_floor().unwrap_or(self.retired).min(self.retired);
         self.source.release(frontier);
 
         // End of program: once everything has retired and drained, fold any
@@ -731,13 +738,13 @@ impl Core {
         // requirements are trivially satisfied because the store buffer is
         // empty).
         let mut finalized = false;
-        if self.engine.speculating()
+        if self.ledger.speculating()
             && self.rob.is_empty()
             && self.mem.sb_empty()
             && self.trace_done()
         {
-            let Core { mem, engine, stats, .. } = self;
-            engine.finalize(mem, stats);
+            let Core { mem, engine, stats, ledger, .. } = self;
+            engine.finalize(&mut EngineCtx { mem, stats, ledger, now });
             finalized = true;
         }
 
@@ -750,11 +757,7 @@ impl Core {
             Some(stall.map(|s| s.cycle_class()).unwrap_or(CycleClass::Other))
         };
         if let Some(class) = class {
-            let Core { engine, stats, .. } = self;
-            engine.record_cycles(class, 1, stats);
-            if engine.speculating() {
-                stats.counters.cycles_speculating += 1;
-            }
+            self.ledger.record_cycles(class, 1, &mut self.stats);
         }
 
         let progressed = retired > 0
@@ -763,7 +766,7 @@ impl Core {
             || drained > 0
             || deferred_resolved
             || finalized
-            || self.engine.speculating() != speculating_before;
+            || self.ledger.speculating() != speculating_before;
         if progressed {
             CoreActivity::progressed(retired, class)
         } else {
@@ -792,11 +795,7 @@ impl Core {
         if cycles == 0 {
             return;
         }
-        let Core { engine, stats, .. } = self;
-        engine.record_cycles(class, cycles, stats);
-        if engine.speculating() {
-            stats.counters.cycles_speculating += cycles;
-        }
+        self.ledger.record_cycles(class, cycles, &mut self.stats);
     }
 
     /// Consumes the core, yielding its statistics and retired-load results
@@ -1142,11 +1141,9 @@ mod tests {
         }
         fn on_external(
             &mut self,
-            _mem: &mut CoreMem,
-            _stats: &mut CoreStats,
+            _ctx: &mut EngineCtx<'_>,
             _block: BlockAddr,
             _kind: ExternalKind,
-            _now: Cycle,
         ) -> ExternalOutcome {
             if self.rolled_back {
                 ExternalOutcome::Ack

@@ -4,15 +4,18 @@
 //! An [`OrderingEngine`] decides, each time the core wants to retire the
 //! instruction at the head of the reorder buffer, whether the memory
 //! consistency model allows it — and performs the retirement mechanics
-//! (writing stores to the buffer or the cache, marking speculative bits,
-//! taking checkpoints). Speculative engines additionally react to external
-//! coherence requests (violation detection), manage commit/abort, and decide
-//! how each cycle is attributed to the paper's runtime-breakdown buckets.
+//! (writing stores to the buffer or the cache, marking speculative bits).
+//! Speculative engines additionally decide when an episode begins, commits
+//! or aborts, and react to external coherence requests (violation
+//! detection). The checkpoints themselves — their slots, resume points,
+//! provisional cycles and accounting — live in the core's
+//! [`CheckpointLedger`], which every hook that may change them receives.
 
+use crate::checkpoint::CheckpointLedger;
 use crate::mem_side::CoreMem;
 use crate::rob::RobEntry;
 use ifence_stats::CoreStats;
-use ifence_types::{Addr, BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
+use ifence_types::{Addr, BlockAddr, Cycle, InstrKind, StallReason};
 
 /// Result of asking the engine to retire the head instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +84,10 @@ pub enum DeferResolution {
 pub struct RetireCtx<'a> {
     /// The core's memory side (L1, store buffer, MSHRs, request path).
     pub mem: &'a mut CoreMem,
-    /// The core's statistics (engines update speculation counters directly).
+    /// The core's statistics.
     pub stats: &'a mut CoreStats,
+    /// The core's live checkpoints.
+    pub ledger: &'a mut CheckpointLedger,
     /// Current cycle.
     pub now: Cycle,
     /// The (completed) head-of-ROB entry being retired.
@@ -110,6 +115,19 @@ impl RetireCtx<'_> {
     }
 }
 
+/// Context handed to the engine hooks that may begin, commit or abort a
+/// checkpoint outside retirement.
+pub struct EngineCtx<'a> {
+    /// The core's memory side.
+    pub mem: &'a mut CoreMem,
+    /// The core's statistics.
+    pub stats: &'a mut CoreStats,
+    /// The core's live checkpoints.
+    pub ledger: &'a mut CheckpointLedger,
+    /// Current cycle.
+    pub now: Cycle,
+}
+
 /// A memory-consistency implementation plugged into a [`crate::Core`].
 ///
 /// Engines are plain timing state and must be [`Send`], so a machine built
@@ -123,83 +141,48 @@ pub trait OrderingEngine: Send {
     /// Hook invoked when a load (or the read half of an atomic) performs its
     /// read at execute time; continuous-mode engines mark the
     /// speculatively-read bit here.
-    fn on_load_issue(&mut self, _mem: &mut CoreMem, _block: BlockAddr) {}
+    fn on_load_issue(&mut self, _mem: &mut CoreMem, _ledger: &CheckpointLedger, _block: BlockAddr) {
+    }
 
     /// Per-cycle maintenance: opportunistic commit, chunk management, policy
     /// timeouts.
-    fn tick(&mut self, _mem: &mut CoreMem, _stats: &mut CoreStats, _now: Cycle) {}
+    fn tick(&mut self, _ctx: &mut EngineCtx<'_>) {}
 
     /// Reacts to an external coherence request for `block` (violation
     /// detection). The core applies the invalidation/downgrade to the L1 and
     /// replies according to the returned outcome.
     fn on_external(
         &mut self,
-        _mem: &mut CoreMem,
-        _stats: &mut CoreStats,
+        _ctx: &mut EngineCtx<'_>,
         _block: BlockAddr,
         _kind: ExternalKind,
-        _now: Cycle,
     ) -> ExternalOutcome {
         ExternalOutcome::Ack
     }
 
     /// Polled every cycle for each request previously deferred with
-    /// [`ExternalOutcome::Defer`].
+    /// [`ExternalOutcome::Defer`] until `deadline`.
     fn resolve_deferred(
         &mut self,
-        _mem: &mut CoreMem,
-        _stats: &mut CoreStats,
+        _ctx: &mut EngineCtx<'_>,
         _block: BlockAddr,
         _kind: ExternalKind,
         _deadline: Cycle,
-        _now: Cycle,
     ) -> DeferResolution {
         DeferResolution::Ack
     }
 
-    /// True while a post-retirement speculative episode is in flight (drives
-    /// the Figure 10 metric and provisional cycle accounting).
-    fn speculating(&self) -> bool {
-        false
-    }
-
-    /// The oldest program index any future rollback of this engine could
-    /// resume at — the oldest live checkpoint. `None` means the engine can
-    /// never roll execution back behind the retirement frontier, which is
-    /// then the core's safe trace-release point. Engines holding live
-    /// checkpoints must report the oldest one so a streaming
-    /// [`ifence_types::InstructionSource`] keeps its replay window open far
-    /// enough for every rollback replay.
-    fn rollback_floor(&self) -> Option<usize> {
-        None
-    }
-
     /// Whether a store-buffer entry of the given epoch may drain into the L1
     /// this cycle (multi-checkpoint policies hold back younger epochs).
-    fn can_drain(&self, _epoch: Option<u8>) -> bool {
+    fn can_drain(&self, _ledger: &CheckpointLedger, _epoch: Option<u8>) -> bool {
         true
     }
 
     /// Called when an incoming fill would evict a speculatively-accessed
     /// block: the engine must commit (if possible) or abort before the line
     /// escapes. Returns the program index to resume at if it aborted.
-    fn on_spec_eviction_pressure(
-        &mut self,
-        _mem: &mut CoreMem,
-        _stats: &mut CoreStats,
-        _now: Cycle,
-    ) -> Option<usize> {
+    fn on_spec_eviction_pressure(&mut self, _ctx: &mut EngineCtx<'_>) -> Option<usize> {
         None
-    }
-
-    /// Records `cycles` elapsed cycles of the given class. Non-speculative
-    /// engines add them to the global breakdown directly; speculative engines
-    /// buffer them provisionally and re-attribute them to `Violation` on
-    /// abort. Called with `cycles == 1` from the core's per-cycle loop and
-    /// with larger counts when the event-driven kernel bulk-attributes a
-    /// skipped quiescent stretch.
-    fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
-        stats.breakdown.add(class, cycles);
     }
 
     /// The earliest future cycle at which the engine's own timers could
@@ -221,13 +204,16 @@ pub trait OrderingEngine: Send {
     ///
     /// The conservative default (`true`) ticks every cycle; engines must
     /// override it only with a proof that the window is dead.
-    fn tick_live(&self) -> bool {
+    fn tick_live(&self, _ledger: &CheckpointLedger) -> bool {
         true
     }
 
-    /// Called once when the simulation ends so any still-provisional state
-    /// (an open speculative episode) is folded into the final statistics.
-    fn finalize(&mut self, _mem: &mut CoreMem, _stats: &mut CoreStats) {}
+    /// Called once the program has drained, and when the simulation ends, so
+    /// any still-live checkpoint is folded into the final statistics. The
+    /// default commits each live checkpoint as its own speculation.
+    fn finalize(&mut self, ctx: &mut EngineCtx<'_>) {
+        ctx.ledger.commit_each(ctx.mem, ctx.stats);
+    }
 }
 
 /// A minimal engine that retires everything as soon as it completes, with no
@@ -247,7 +233,7 @@ impl OrderingEngine for FreeRetireEngine {
         }
     }
 
-    fn tick_live(&self) -> bool {
+    fn tick_live(&self, _ledger: &CheckpointLedger) -> bool {
         // No ordering constraints, no timers, no speculation: nothing to
         // maintain, ever.
         false
@@ -265,16 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn default_record_cycles_goes_straight_to_breakdown() {
-        let mut engine = FreeRetireEngine;
-        let mut stats = CoreStats::new();
-        engine.record_cycles(CycleClass::Busy, 1, &mut stats);
-        engine.record_cycles(CycleClass::SbDrain, 5, &mut stats);
-        assert_eq!(stats.breakdown.get(CycleClass::Busy), 1);
-        assert_eq!(stats.breakdown.get(CycleClass::SbDrain), 5);
-    }
-
-    #[test]
     fn default_next_wake_is_none() {
         assert_eq!(FreeRetireEngine.next_wake(17), None);
     }
@@ -282,22 +258,17 @@ mod tests {
     #[test]
     fn default_hooks_are_permissive() {
         let mut engine = FreeRetireEngine;
-        assert!(!engine.speculating());
-        assert!(engine.can_drain(Some(1)));
-        let mut stats = CoreStats::new();
         let cfg = ifence_types::MachineConfig::small_test(ifence_types::EngineKind::Conventional(
             ifence_types::ConsistencyModel::Rmo,
         ));
+        let (mut stats, mut ledger) = (CoreStats::new(), CheckpointLedger::default());
         let mut mem = CoreMem::new(ifence_types::CoreId(0), &cfg);
-        assert_eq!(engine.on_spec_eviction_pressure(&mut mem, &mut stats, 0), None);
+        let mut ctx = EngineCtx { mem: &mut mem, stats: &mut stats, ledger: &mut ledger, now: 0 };
+        assert!(engine.can_drain(ctx.ledger, Some(1)));
+        assert_eq!(engine.on_spec_eviction_pressure(&mut ctx), None);
         let block = BlockAddr::containing(ifence_types::Addr::new(0x40), 64);
-        assert_eq!(
-            engine.on_external(&mut mem, &mut stats, block, ExternalKind::Invalidate, 0),
-            ExternalOutcome::Ack
-        );
-        assert_eq!(
-            engine.resolve_deferred(&mut mem, &mut stats, block, ExternalKind::Invalidate, 10, 0),
-            DeferResolution::Ack
-        );
+        let inv = ExternalKind::Invalidate;
+        assert_eq!(engine.on_external(&mut ctx, block, inv), ExternalOutcome::Ack);
+        assert_eq!(engine.resolve_deferred(&mut ctx, block, inv, 10), DeferResolution::Ack);
     }
 }

@@ -10,10 +10,15 @@
 //! respect to the memory consistency model*: that is delegated to an
 //! [`OrderingEngine`]. Conventional SC/TSO/RMO engines live in
 //! `ifence-consistency`; the InvisiFence and ASO engines live in the
-//! `invisifence` crate. The engine owns all speculation state (checkpoints,
-//! speculative-bit management, commit/abort policy) and instructs the core to
-//! roll back by returning a resume index: [`ExternalOutcome::AckAfterRollback`]
-//! or [`DeferResolution::AckAfterRollback`] for a violation, or `Some` from
+//! `invisifence` crate. The core owns the [`CheckpointLedger`] — the live
+//! checkpoints, their provisional cycles and all begin/commit/abort
+//! accounting — and reads it to know whether it is speculating, how far back
+//! its trace must stay fetchable and where each cycle goes. The engine
+//! decides when checkpoints begin, commit or abort, manages its own
+//! speculative state (speculative bits, ASO's read and write sets) and
+//! instructs the core to roll back by returning a resume index:
+//! [`ExternalOutcome::AckAfterRollback`] or
+//! [`DeferResolution::AckAfterRollback`] for a violation, or `Some` from
 //! [`OrderingEngine::on_spec_eviction_pressure`] for a structural abort.
 //!
 //! Per simulated cycle a core:
@@ -34,14 +39,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checkpoint;
 pub mod core;
 pub mod engine;
 pub mod mem_side;
 pub mod rob;
 
 pub use crate::core::{Core, CoreSleep};
+pub use checkpoint::{Checkpoint, CheckpointLedger};
 pub use engine::{
-    DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
+    DeferResolution, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 pub use mem_side::CoreMem;
 pub use rob::{Rob, RobEntry, RobView};

@@ -338,8 +338,10 @@ impl CoreMem {
                     let ok = self.l1.merge_store(block, &entry.data, entry.word_mask);
                     debug_assert!(ok, "writable block must accept the drained store");
                     // Epochs 0 and 1 are the cache's physical speculative-bit
-                    // sets; larger tags are used by engines (ASO) that track
-                    // their speculative write sets outside the cache.
+                    // sets, used by every speculative engine (ASO's first two
+                    // checkpoints included); the checkpoint ledger clears a
+                    // slot's bits when it commits or aborts. ASO's larger
+                    // slots have no bits: its read and write sets track them.
                     if let Some(e) = entry.epoch {
                         if (e as usize) < 2 {
                             self.l1.mark_spec_written(block, e as usize);

@@ -100,12 +100,6 @@ impl CycleClass {
             CycleClass::Violation => 4,
         }
     }
-
-    /// Returns true if this class represents a memory-ordering penalty
-    /// ("SB full", "SB drain" or "Violation").
-    pub fn is_ordering_penalty(self) -> bool {
-        matches!(self, CycleClass::SbFull | CycleClass::SbDrain | CycleClass::Violation)
-    }
 }
 
 impl fmt::Display for CycleClass {
@@ -132,15 +126,6 @@ mod tests {
         for (i, c) in CycleClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn ordering_penalty_classification() {
-        assert!(!CycleClass::Busy.is_ordering_penalty());
-        assert!(!CycleClass::Other.is_ordering_penalty());
-        assert!(CycleClass::SbFull.is_ordering_penalty());
-        assert!(CycleClass::SbDrain.is_ordering_penalty());
-        assert!(CycleClass::Violation.is_ordering_penalty());
     }
 
     #[test]

@@ -164,6 +164,11 @@ impl TraceSink {
         self.now = now;
     }
 
+    /// The cycle last stamped with [`TraceSink::set_now`].
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
     /// Emits an event at the stamped cycle. No-op (one branch) when
     /// disabled.
     #[inline]
