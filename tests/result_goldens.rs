@@ -18,6 +18,9 @@
 //! Apache` writes), so a refactor that moves a single speculation or
 //! store-buffer event fails here with the engine named.
 //!
+//! A fourth table pins Apache on the small machine with a 16 KB L2, where
+//! thousands of L2 evictions and inclusion recalls happen per run.
+//!
 //! A deliberate model change re-captures the tables: run this test with
 //! `IFENCE_GOLDEN_PRINT=1` and paste the printed rows.
 
@@ -280,4 +283,56 @@ fn quick_apache_trace_streams_match_the_recorded_digests() {
         "trace streams diverge from the goldens:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// `(engine label, digest)` of the capacity-pressure cells of
+/// [`capacity_pressure_params`]: Apache on the small machine with a 16 KB
+/// L2, so L2 evictions and inclusion recalls happen by the hundred. The
+/// other tables barely reach that path (the quick cells see a handful of
+/// evictions, the paper-machine cells none). The digests were captured
+/// before the L2 lines became stable `(set, way)` handles.
+const CAPACITY_PRESSURE_DIGESTS: [(&str, u64); 4] = [
+    ("sc", 0xdd391f4f6e74d63a),              // 4694 evictions, 4162 recalls
+    ("Invisi_sc", 0x5fcba02eec396a8e),       // 6009 evictions, 5531 recalls
+    ("Invisi_cont_CoV", 0x4b68219a9d001e01), // 12140 evictions, 11322 recalls
+    ("ASOsc", 0xbaeb5b8a0866b258),           // 6246 evictions, 5768 recalls
+];
+
+/// The quick parameters at 2,000 instructions per core.
+fn capacity_pressure_params() -> ExperimentParams {
+    ExperimentParams { instructions_per_core: 2_000, ..ExperimentParams::quick_test() }
+}
+
+#[test]
+fn capacity_pressure_results_match_the_recorded_digests() {
+    let params = capacity_pressure_params();
+    let apache = presets::all_workloads()
+        .into_iter()
+        .find(|w| w.name() == "Apache")
+        .expect("Apache is a preset");
+    let print = std::env::var("IFENCE_GOLDEN_PRINT").is_ok();
+    let mut mismatches = Vec::new();
+    for (label, golden) in CAPACITY_PRESSURE_DIGESTS {
+        let engine = EngineKind::all().into_iter().find(|e| e.label() == label).expect("engine");
+        let mut cfg = params.config_for(engine);
+        cfg.l2.size_bytes = 16 * 1024;
+        let sources = apache.sources(cfg.cores, params.instructions_per_core, params.seed);
+        let result = Machine::from_sources(cfg, sources)
+            .expect("valid config")
+            .into_result(params.max_cycles);
+        assert!(result.finished, "{label}/Apache: run must finish");
+        assert!(result.fabric.l2_evictions > 0, "{label}: the 16 KB L2 must evict");
+        assert!(result.fabric.l2_recalls > 0, "{label}: the 16 KB L2 must recall");
+        let digest = fnv1a(result.to_json().encode().as_bytes());
+        if print {
+            println!(
+                "    (\"{label}\", {digest:#018x}), // {} evictions, {} recalls",
+                result.fabric.l2_evictions, result.fabric.l2_recalls
+            );
+        }
+        if digest != golden {
+            mismatches.push(format!("{label}: digest {digest:#018x}, recorded {golden:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "results diverge from the goldens:\n{}", mismatches.join("\n"));
 }
