@@ -22,9 +22,6 @@ pub enum StallReason {
     /// The reorder buffer is empty (front-end starvation; rare in this
     /// trace-driven model, it appears only at the end of the program).
     RobEmpty,
-    /// Retirement is blocked waiting for a free speculation checkpoint
-    /// (continuous-mode chunk pipelining back-pressure).
-    CheckpointWait,
 }
 
 impl StallReason {
@@ -32,7 +29,7 @@ impl StallReason {
     pub fn cycle_class(self) -> CycleClass {
         match self {
             StallReason::StoreBufferFull => CycleClass::SbFull,
-            StallReason::StoreBufferDrain | StallReason::CheckpointWait => CycleClass::SbDrain,
+            StallReason::StoreBufferDrain => CycleClass::SbDrain,
             StallReason::IncompleteHead | StallReason::RobEmpty => CycleClass::Other,
         }
     }
@@ -45,7 +42,6 @@ impl fmt::Display for StallReason {
             StallReason::StoreBufferDrain => "store buffer drain",
             StallReason::IncompleteHead => "incomplete head instruction",
             StallReason::RobEmpty => "reorder buffer empty",
-            StallReason::CheckpointWait => "waiting for a free checkpoint",
         };
         f.write_str(s)
     }
@@ -116,7 +112,6 @@ mod tests {
     fn stall_reasons_map_to_paper_buckets() {
         assert_eq!(StallReason::StoreBufferFull.cycle_class(), CycleClass::SbFull);
         assert_eq!(StallReason::StoreBufferDrain.cycle_class(), CycleClass::SbDrain);
-        assert_eq!(StallReason::CheckpointWait.cycle_class(), CycleClass::SbDrain);
         assert_eq!(StallReason::IncompleteHead.cycle_class(), CycleClass::Other);
         assert_eq!(StallReason::RobEmpty.cycle_class(), CycleClass::Other);
     }
