@@ -9,23 +9,31 @@
 //! the MESI protocol needs; the fabric drives it and serialises transactions
 //! per block with the L2 line's busy bit.
 
-use ifence_types::{BlockAddr, CoreId};
+use ifence_types::{BlockAddr, CoreId, MAX_CORES};
+
+/// The sharer-mask bit of `core`.
+fn bit(core: CoreId) -> u64 {
+    debug_assert!(core.index() < MAX_CORES, "{core:?} exceeds the sharer mask");
+    1 << core.index()
+}
 
 /// Stable sharing state of one block as recorded at its home directory.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectoryState {
     /// No cache holds the block.
     #[default]
     Uncached,
-    /// One or more caches hold the block read-only.
-    Shared(Vec<CoreId>),
+    /// One or more caches hold the block read-only: bit `i` of the mask is
+    /// set when core `i` is a sharer (so a machine has at most
+    /// [`MAX_CORES`] cores).
+    Shared(u64),
     /// Exactly one cache holds the block with write permission.
     Owned(CoreId),
 }
 
 /// Directory entry for one block: the sharing state machine embedded in the
 /// block's L2 line.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectoryEntry {
     /// Current sharing state.
     pub state: DirectoryState,
@@ -38,24 +46,10 @@ impl DirectoryEntry {
     }
 
     /// Records that `core` now holds the block read-only (added to sharers).
+    /// An owner being added as a sharer means a downgrade happened: it stays
+    /// on as a sharer.
     pub fn add_sharer(&mut self, core: CoreId) {
-        self.state = match std::mem::take(&mut self.state) {
-            DirectoryState::Uncached => DirectoryState::Shared(vec![core]),
-            DirectoryState::Shared(mut s) => {
-                if !s.contains(&core) {
-                    s.push(core);
-                }
-                DirectoryState::Shared(s)
-            }
-            DirectoryState::Owned(owner) => {
-                // An owner being added as a sharer means a downgrade happened.
-                let mut s = vec![owner];
-                if !s.contains(&core) {
-                    s.push(core);
-                }
-                DirectoryState::Shared(s)
-            }
-        };
+        self.state = DirectoryState::Shared(self.holder_mask() | bit(core));
     }
 
     /// Records that `core` now exclusively owns the block.
@@ -66,48 +60,41 @@ impl DirectoryEntry {
     /// Removes `core` from the sharer list / ownership (silent eviction or
     /// writeback). Leaves other sharers intact.
     pub fn remove_holder(&mut self, core: CoreId) {
-        self.state = match std::mem::take(&mut self.state) {
-            DirectoryState::Uncached => DirectoryState::Uncached,
+        self.state = match self.state {
             DirectoryState::Owned(owner) if owner == core => DirectoryState::Uncached,
-            DirectoryState::Owned(owner) => DirectoryState::Owned(owner),
-            DirectoryState::Shared(mut s) => {
-                s.retain(|c| *c != core);
-                if s.is_empty() {
-                    DirectoryState::Uncached
-                } else {
-                    DirectoryState::Shared(s)
-                }
-            }
+            DirectoryState::Shared(mask) if mask & !bit(core) == 0 => DirectoryState::Uncached,
+            DirectoryState::Shared(mask) => DirectoryState::Shared(mask & !bit(core)),
+            state => state,
         };
     }
 
-    /// Clears `out` and fills it with the caches (other than `except`) that
-    /// must be invalidated to grant `except` write permission. Takes a buffer
-    /// so the fabric's request path can reuse one scratch vector across
-    /// transactions.
-    pub fn holders_except_into(&self, except: CoreId, out: &mut Vec<CoreId>) {
-        out.clear();
-        match &self.state {
-            DirectoryState::Uncached => {}
-            DirectoryState::Owned(owner) => {
-                if *owner != except {
-                    out.push(*owner);
-                }
-            }
-            DirectoryState::Shared(s) => out.extend(s.iter().copied().filter(|c| *c != except)),
+    /// Every cache recorded as holding the block, as a sharer mask.
+    fn holder_mask(&self) -> u64 {
+        match self.state {
+            DirectoryState::Uncached => 0,
+            DirectoryState::Shared(mask) => mask,
+            DirectoryState::Owned(owner) => bit(owner),
         }
     }
 
-    /// Clears `out` and fills it with every cache currently recorded as
-    /// holding the block (the recall targets when this entry's L2 line is
-    /// evicted).
+    /// Returns true if `core` is recorded as holding the block.
+    pub(crate) fn holds(&self, core: CoreId) -> bool {
+        self.holder_mask() & bit(core) != 0
+    }
+
+    /// Clears `out` and fills it, in ascending core order, with the caches
+    /// (other than `except`) that must be invalidated to grant `except`
+    /// write permission. Takes a buffer so the fabric's request path can
+    /// reuse one scratch vector across transactions.
+    pub fn holders_except_into(&self, except: CoreId, out: &mut Vec<CoreId>) {
+        push_cores(self.holder_mask() & !bit(except), out);
+    }
+
+    /// Clears `out` and fills it, in ascending core order, with every cache
+    /// currently recorded as holding the block (the recall targets when
+    /// this entry's L2 line is evicted).
     pub fn holders_into(&self, out: &mut Vec<CoreId>) {
-        out.clear();
-        match &self.state {
-            DirectoryState::Uncached => {}
-            DirectoryState::Owned(owner) => out.push(*owner),
-            DirectoryState::Shared(s) => out.extend_from_slice(s),
-        }
+        push_cores(self.holder_mask(), out);
     }
 
     /// True when no L1 holds the block — the condition under which its L2
@@ -118,10 +105,19 @@ impl DirectoryEntry {
 
     /// The current exclusive owner, if any.
     pub fn owner(&self) -> Option<CoreId> {
-        match &self.state {
-            DirectoryState::Owned(o) => Some(*o),
+        match self.state {
+            DirectoryState::Owned(o) => Some(o),
             _ => None,
         }
+    }
+}
+
+/// Clears `out` and fills it with the cores of `mask`, lowest first.
+fn push_cores(mut mask: u64, out: &mut Vec<CoreId>) {
+    out.clear();
+    while mask != 0 {
+        out.push(CoreId(mask.trailing_zeros() as usize));
+        mask &= mask - 1;
     }
 }
 
@@ -157,7 +153,8 @@ mod tests {
         e.add_sharer(CoreId(1));
         e.add_sharer(CoreId(2));
         e.add_sharer(CoreId(2));
-        assert_eq!(e.state, DirectoryState::Shared(vec![CoreId(1), CoreId(2)]));
+        assert_eq!(e.state, DirectoryState::Shared(0b110));
+        assert!(e.holds(CoreId(1)) && !e.holds(CoreId(0)));
         let mut out = Vec::new();
         e.holders_except_into(CoreId(2), &mut out);
         assert_eq!(out, [CoreId(1)]);
@@ -182,7 +179,9 @@ mod tests {
         assert_eq!(out, [CoreId(3)]);
         // A downgrade adds the old owner and the new reader as sharers.
         e.add_sharer(CoreId(0));
-        assert_eq!(e.state, DirectoryState::Shared(vec![CoreId(3), CoreId(0)]));
+        assert_eq!(e.state, DirectoryState::Shared(0b1001));
+        e.holders_into(&mut out);
+        assert_eq!(out, [CoreId(0), CoreId(3)], "holders come in ascending core order");
         assert_eq!(e.owner(), None);
     }
 
@@ -210,13 +209,26 @@ mod tests {
     }
 
     #[test]
+    fn the_mask_covers_sixty_four_cores() {
+        let mut e = DirectoryEntry::new();
+        for c in [63, 0, 31] {
+            e.add_sharer(CoreId(c));
+        }
+        let mut out = Vec::new();
+        e.holders_except_into(CoreId(31), &mut out);
+        assert_eq!(out, [CoreId(0), CoreId(63)]);
+        e.remove_holder(CoreId(63));
+        assert!(!e.holds(CoreId(63)) && e.holds(CoreId(0)));
+    }
+
+    #[test]
     fn shared_survives_partial_removal() {
         let mut e = DirectoryEntry::new();
         for c in [0, 1, 2] {
             e.add_sharer(CoreId(c));
         }
         e.remove_holder(CoreId(1));
-        assert_eq!(e.state, DirectoryState::Shared(vec![CoreId(0), CoreId(2)]));
+        assert_eq!(e.state, DirectoryState::Shared(0b101));
         assert!(!e.is_uncached());
     }
 }

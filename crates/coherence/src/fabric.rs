@@ -10,10 +10,17 @@
 //! or deferred by speculative state exactly like a remote writer's
 //! invalidation.
 //!
-//! A directory access probes its L2 line once
-//! ([`BankedL2::touch_unpinned`]): a line pinned by another transaction is
-//! retried without touching its LRU position, a resident one is a hit, and
-//! an absent one is fetched from DRAM. Events in the timing wheel are a few
+//! One probe per transaction; the transaction holds its line. A directory
+//! access probes the block's L2 set once ([`BankedL2::touch_unpinned`]): a
+//! line pinned by another transaction is retried without touching its LRU
+//! position, a resident one is a hit, and an absent one is fetched from
+//! DRAM. The hit or the fill yields the line's [`L2Handle`], which the
+//! transaction keeps (a recall keeps its victim's) and which stays valid
+//! because the transaction pins the line and resident L2 lines never move:
+//! scheduling the fill, merging a holder's dirty data, completing the fill
+//! and dropping a recalled line all reach the line through it, without
+//! another probe. Debug builds check at every use that a fresh probe finds
+//! the line at the held handle. Events in the timing wheel are a few
 //! words each: a fill's granted state and block data are captured into the
 //! transaction's slab slot when the fill is scheduled, and the
 //! [`Delivery::Fill`] is built from that slot when the event pops and the
@@ -23,7 +30,7 @@ use crate::directory::{home_of, DirectoryEntry, DirectoryState};
 use crate::event_queue::EventQueue;
 use crate::messages::{CoherenceReqKind, CoherenceRequest, Delivery, SnoopReply, TxnId};
 use crate::slab::Slab;
-use ifence_mem::{BankedL2, BlockData, L2FillOutcome, LineState};
+use ifence_mem::{BankedL2, BlockData, L2FillOutcome, L2Handle, LineState};
 use ifence_stats::{FabricStats, Log2Hist, TraceEvent, TraceKind, TraceSink};
 use ifence_types::{
     Addr, BlockAddr, CoreId, Cycle, FnvMap, InterconnectConfig, L2Config, MachineConfig,
@@ -111,6 +118,20 @@ struct Txn {
     /// scheduled and delivered when its [`EventKind::Fill`] pops. `Some`
     /// also marks the fill as scheduled.
     fill: Option<(LineState, BlockData)>,
+    /// The block's L2 line, pinned by this transaction: set by the
+    /// directory access (or, for a recall, when it starts) and held until
+    /// the transaction ends.
+    line: Option<L2Handle>,
+}
+
+impl Txn {
+    /// The L2 line this transaction holds. Debug builds check that the
+    /// line is still where the transaction found it.
+    fn line(&self, l2: &BankedL2<DirectoryEntry>) -> L2Handle {
+        let line = self.line.expect("the transaction's directory access found its line");
+        debug_assert_eq!(l2.probe(self.block.number()), Some(line), "{} moved", self.block);
+        line
+    }
 }
 
 /// The directory-MESI coherence fabric (see the crate-level documentation).
@@ -218,14 +239,19 @@ impl CoherenceFabric {
         self.l2.resident_lines()
     }
 
+    /// The directory entry of `block` (Uncached when not L2-resident).
+    fn directory_entry(&self, block: BlockAddr) -> DirectoryEntry {
+        self.l2.probe(block.number()).map(|line| self.l2.line(line).dir).unwrap_or_default()
+    }
+
     /// The directory state of `block` (Uncached when not L2-resident).
     pub fn directory_state(&self, block: BlockAddr) -> DirectoryState {
-        self.l2.get(block.number()).map(|l| l.dir.state.clone()).unwrap_or_default()
+        self.directory_entry(block).state
     }
 
     /// The current exclusive owner of `block`, if any.
     pub fn owner(&self, block: BlockAddr) -> Option<CoreId> {
-        self.l2.get(block.number()).and_then(|l| l.dir.owner())
+        self.directory_entry(block).owner()
     }
 
     /// Returns true if any event or transaction is still pending.
@@ -270,8 +296,8 @@ impl CoherenceFabric {
     pub fn read_memory_word(&self, addr: Addr) -> u64 {
         let block = BlockAddr::containing(addr, self.cfg.block_bytes);
         let word = addr.word_in_block(self.cfg.block_bytes).index();
-        match self.l2.get(block.number()) {
-            Some(line) => line.data.word(word),
+        match self.l2.probe(block.number()) {
+            Some(line) => self.l2.line(line).data.word(word),
             None => self.dram_block(block.number()).word(word),
         }
     }
@@ -285,8 +311,8 @@ impl CoherenceFabric {
         let mut data = self.dram_block(block.number());
         data.set_word(word, value);
         self.dram.insert(block.number(), data);
-        if let Some(line) = self.l2.get_mut(block.number()) {
-            line.data.set_word(word, value);
+        if let Some(line) = self.l2.probe(block.number()) {
+            self.l2.line_mut(line).data.set_word(word, value);
         }
     }
 
@@ -308,6 +334,7 @@ impl CoherenceFabric {
                     data_ready_at: now,
                     grant_exclusive: false,
                     fill: None,
+                    line: None,
                 });
                 let home = self.home(req.block);
                 let arrive = now + self.latency(req.core, home) + self.cfg.directory_latency;
@@ -320,8 +347,9 @@ impl CoherenceFabric {
                 // (every fabric-filled block is, by inclusion, unless the L2
                 // evicted it); a non-resident block's data goes straight to
                 // DRAM without allocating.
-                match self.l2.get_mut(req.block.number()) {
+                match self.l2.probe(req.block.number()) {
                     Some(line) => {
+                        let line = self.l2.line_mut(line);
                         line.data = data;
                         line.dirty = true;
                         line.dir.remove_holder(req.core);
@@ -333,22 +361,22 @@ impl CoherenceFabric {
                 }
             }
             CoherenceReqKind::WritebackClean => {
-                if let Some(line) = self.l2.get_mut(req.block.number()) {
-                    line.dir.remove_holder(req.core);
+                if let Some(line) = self.l2.probe(req.block.number()) {
+                    self.l2.line_mut(line).dir.remove_holder(req.core);
                 }
             }
         }
     }
 
-    /// Fetches the absent `block` from DRAM into the L2, returning the DRAM
-    /// latency of this access. `None` means the fill cannot proceed yet — a
-    /// victim's L1 holders are being recalled, or every way of the target
-    /// set is pinned — and the caller must retry.
-    fn install_from_dram(&mut self, block: BlockAddr, now: Cycle) -> Option<u64> {
+    /// Fetches the absent `block` from DRAM into the L2, returning its new
+    /// line and the DRAM latency of this access. `None` means the fill
+    /// cannot proceed yet — a victim's L1 holders are being recalled, or
+    /// every way of the target set is pinned — and the caller must retry.
+    fn install_from_dram(&mut self, block: BlockAddr, now: Cycle) -> Option<(L2Handle, u64)> {
         let number = block.number();
         let data = self.dram_block(number);
         match self.l2.fill(number, data, DirectoryEntry::new(), DirectoryEntry::is_uncached) {
-            L2FillOutcome::Installed { evicted } => {
+            L2FillOutcome::Installed { line, evicted } => {
                 if let Some(ev) = evicted {
                     self.stats.l2_evictions += 1;
                     let ev_home = self.home(self.block_addr(ev.block));
@@ -369,26 +397,26 @@ impl CoherenceFabric {
                 self.l2_miss_latency.record(latency);
                 let home = self.home(block);
                 self.trace.emit_for(home.index() as u32, now, TraceKind::DramFetch, latency);
-                Some(latency)
+                Some((line, latency))
             }
-            L2FillOutcome::NeedsRecall { victim } => {
-                self.start_recall(victim, now);
+            L2FillOutcome::NeedsRecall { victim, line } => {
+                self.start_recall(victim, line, now);
                 None
             }
             L2FillOutcome::Blocked => None,
         }
     }
 
-    /// Starts an inclusion recall of `victim`: pins its line, and sends an
-    /// invalidation to every L1 holder recorded in the embedded directory
-    /// entry. When the last acknowledgement arrives the line is dropped and
-    /// its (possibly dirtied) data written back to DRAM.
-    fn start_recall(&mut self, victim: u64, now: Cycle) {
+    /// Starts an inclusion recall of `victim`, resident at `line`: pins the
+    /// line, and sends an invalidation to every L1 holder recorded in the
+    /// embedded directory entry. When the last acknowledgement arrives the
+    /// line is dropped and its (possibly dirtied) data written back to DRAM.
+    fn start_recall(&mut self, victim: u64, line: L2Handle, now: Cycle) {
         let block = self.block_addr(victim);
         let home = self.home(block);
         let mut holders = std::mem::take(&mut self.holder_scratch);
         {
-            let line = self.l2.get_mut(victim).expect("recall victim is resident");
+            let line = self.l2.line_mut(line);
             line.busy = true;
             line.dir.holders_into(&mut holders);
         }
@@ -401,6 +429,7 @@ impl CoherenceFabric {
             data_ready_at: now,
             grant_exclusive: false,
             fill: None,
+            line: Some(line),
         });
         self.stats.l2_recalls += 1;
         self.trace.emit_for(home.index() as u32, now, TraceKind::L2Recall, holders.len() as u64);
@@ -427,15 +456,15 @@ impl CoherenceFabric {
         };
         // One probe answers both "is the line pinned by another transaction"
         // and "is it resident"; a pinned line keeps its LRU position.
-        let data_lat = match self.l2.touch_unpinned(block.number()) {
-            Some(true) => {
+        let found = match self.l2.touch_unpinned(block.number()) {
+            Some(Ok(line)) => {
                 self.stats.l2_hits += 1;
-                Some(self.cfg.l2.hit_latency)
+                Some((line, self.cfg.l2.hit_latency))
             }
-            Some(false) => None,
+            Some(Err(_pinned)) => None,
             None => self.install_from_dram(block, now),
         };
-        let Some(data_lat) = data_lat else {
+        let Some((line, data_lat)) = found else {
             // The line is pinned, a recall is draining a victim's holders, or
             // every way of the set is pinned: retry later.
             self.stats.busy_retries += 1;
@@ -443,23 +472,19 @@ impl CoherenceFabric {
             return;
         };
         let home = self.home(block);
+        self.txns.get_mut(id).expect("checked above").line = Some(line);
         // One borrow of the pinned line extracts everything the dispatch
         // below needs — owner, uncached-ness, upgrade-ness and the
         // invalidation fan-out (into the persistent scratch buffer) — so the
-        // hot path neither clones the directory entry nor allocates.
+        // hot path allocates nothing.
         let mut holders = std::mem::take(&mut self.holder_scratch);
         let (owner, uncached, already_shared) = {
-            let line = self.l2.get_mut(block.number()).expect("resident after the probe or fill");
+            let line = self.l2.line_mut(line);
             line.busy = true;
             if matches!(kind, TxnKind::GetM) {
                 line.dir.holders_except_into(requester, &mut holders);
             }
-            let already_shared = match &line.dir.state {
-                DirectoryState::Shared(s) => s.contains(&requester),
-                DirectoryState::Owned(o) => *o == requester,
-                DirectoryState::Uncached => false,
-            };
-            (line.dir.owner(), line.dir.is_uncached(), already_shared)
+            (line.dir.owner(), line.dir.is_uncached(), line.dir.holds(requester))
         };
 
         match kind {
@@ -533,7 +558,7 @@ impl CoherenceFabric {
         let fill_at = t.data_ready_at.max(now) + self.latency(home, requester);
         // The pinned line is the single authoritative copy: respond() merged
         // any holder's dirty data into it before the last ack landed here.
-        let data = self.l2.get(block.number()).expect("txn line stays pinned").data;
+        let data = self.l2.line(t.line(&self.l2)).data;
         self.txns.get_mut(id).expect("checked above").fill = Some((state, data));
         self.schedule(fill_at, EventKind::Fill(id));
     }
@@ -544,7 +569,7 @@ impl CoherenceFabric {
     fn finalize_fill(&mut self, id: u64) -> Option<Delivery> {
         let t = self.txns.remove(id)?;
         let (state, data) = t.fill.expect("a fill event follows schedule_fill");
-        let line = self.l2.get_mut(t.block.number()).expect("txn line stays pinned");
+        let line = self.l2.line_mut(t.line(&self.l2));
         match t.kind {
             TxnKind::GetM => line.dir.set_owner(t.requester),
             TxnKind::GetS => {
@@ -566,14 +591,13 @@ impl CoherenceFabric {
     fn finalize_recall(&mut self, id: u64, now: Cycle) {
         let Some(t) = self.txns.remove(id) else { return };
         debug_assert_eq!(t.kind, TxnKind::Recall);
-        if let Some(ev) = self.l2.remove(t.block.number()) {
-            self.stats.l2_evictions += 1;
-            let home = self.home(t.block);
-            self.trace.emit_for(home.index() as u32, now, TraceKind::L2Eviction, ev.dirty as u64);
-            if ev.dirty {
-                self.dram.insert(ev.block, ev.data);
-                self.stats.dram_writebacks += 1;
-            }
+        let ev = self.l2.remove(t.line(&self.l2));
+        self.stats.l2_evictions += 1;
+        let home = self.home(t.block);
+        self.trace.emit_for(home.index() as u32, now, TraceKind::L2Eviction, ev.dirty as u64);
+        if ev.dirty {
+            self.dram.insert(ev.block, ev.data);
+            self.stats.dram_writebacks += 1;
         }
     }
 
@@ -585,13 +609,13 @@ impl CoherenceFabric {
             }
             SnoopReply::Ack { core, txn, dirty_data } => {
                 let id = txn.0;
-                let (block, kind) = match self.txns.get(id) {
-                    Some(t) => (t.block, t.kind),
+                let (block, kind, line) = match self.txns.get(id) {
+                    Some(t) => (t.block, t.kind, t.line(&self.l2)),
                     None => return,
                 };
                 let home = self.home(block);
                 if let Some(d) = dirty_data {
-                    let line = self.l2.get_mut(block.number()).expect("txn line stays pinned");
+                    let line = self.l2.line_mut(line);
                     line.data = d;
                     line.dirty = true;
                 }
@@ -752,10 +776,7 @@ mod tests {
         assert_eq!(core, CoreId(2));
         assert_eq!(state, LineState::Shared);
         assert_eq!(data.word(0), 0xAB, "fill carries the owner's dirty data");
-        assert_eq!(
-            fabric.directory_state(blk(0x40)),
-            DirectoryState::Shared(vec![CoreId(1), CoreId(2)])
-        );
+        assert_eq!(fabric.directory_state(blk(0x40)), DirectoryState::Shared(0b110));
     }
 
     #[test]

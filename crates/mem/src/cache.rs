@@ -1,7 +1,7 @@
 //! Set-associative cache with per-line speculative access bits.
 
 use crate::line::{BlockData, LineState};
-use crate::spec_bits::SpecBitArray;
+use crate::spec_bits::{Mark, MarkLogs, Marks};
 use ifence_types::{Addr, BlockAddr, CacheConfig};
 
 /// Maximum number of in-flight speculation epochs (checkpoints) whose access
@@ -44,13 +44,17 @@ impl FillSlot {
     }
 }
 
-/// The tag half of a line: block number and coherence state. Tags sit in
-/// their own array, apart from the 64-byte payloads, so a set probe strides
-/// over 16-byte entries.
+/// The tag half of a line: everything a probe, a victim choice or a
+/// speculative check reads — block number, LRU stamp, coherence state and
+/// the speculative marks — in 16 bytes. Tags sit in their own array, apart
+/// from the 64-byte payloads, so a 2-way set is 32 bytes and a probe touches
+/// one host cache line.
 #[derive(Debug, Clone, Copy, Default)]
-struct Tag {
+pub(crate) struct Tag {
     block: u64,
+    lru: u32,
     state: LineState,
+    pub(crate) marks: Marks,
 }
 
 /// A divisor fixed at construction: a mask and a shift when it is a power of
@@ -116,10 +120,9 @@ pub struct SetAssocCache {
     block_bytes: usize,
     tags: Vec<Tag>,
     data: Vec<BlockData>,
-    lru_stamp: Vec<u64>,
-    stamp: u64,
-    spec_read: [SpecBitArray; MAX_EPOCHS],
-    spec_written: [SpecBitArray; MAX_EPOCHS],
+    /// The last LRU stamp handed out; see [`SetAssocCache::touch_line`].
+    stamp: u32,
+    logs: MarkLogs,
 }
 
 impl SetAssocCache {
@@ -138,10 +141,8 @@ impl SetAssocCache {
             block_bytes: config.block_bytes,
             tags: vec![Tag::default(); total],
             data: vec![BlockData::default(); total],
-            lru_stamp: vec![0; total],
             stamp: 0,
-            spec_read: [SpecBitArray::new(total), SpecBitArray::new(total)],
-            spec_written: [SpecBitArray::new(total), SpecBitArray::new(total)],
+            logs: MarkLogs::default(),
         }
     }
 
@@ -176,9 +177,39 @@ impl SetAssocCache {
         self.find(block).filter(|&i| self.tags[i].state.writable())
     }
 
+    /// Marks line `idx` most-recently-used. Stamps only order the ways of
+    /// one set, so when the 32-bit counter would wrap, every set's stamps
+    /// are renumbered by rank (order within each set kept) and counting
+    /// goes on above them.
     fn touch_line(&mut self, idx: usize) {
+        if self.stamp == u32::MAX {
+            self.renumber_stamps();
+        }
         self.stamp += 1;
-        self.lru_stamp[idx] = self.stamp;
+        self.tags[idx].lru = self.stamp;
+    }
+
+    #[cold]
+    fn renumber_stamps(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
+        for set in self.tags.chunks_mut(self.assoc) {
+            order.clear();
+            order.extend(0..set.len());
+            order.sort_by_key(|&k| set[k].lru);
+            for (rank, &k) in order.iter().enumerate() {
+                set[k].lru = rank as u32 + 1;
+            }
+        }
+        self.stamp = self.assoc as u32;
+    }
+
+    /// Starts the LRU counter at `stamp`, so tests reach the renumbering
+    /// without four billion touches. Only raising it keeps the stamps in
+    /// order.
+    #[cfg(test)]
+    fn start_stamps_at(&mut self, stamp: u32) {
+        assert!(stamp >= self.stamp, "the LRU counter only moves forward");
+        self.stamp = stamp;
     }
 
     /// Returns the coherence state of `block` (Invalid if absent).
@@ -272,24 +303,21 @@ impl SetAssocCache {
     }
 
     fn victim_way(&self, base: usize) -> usize {
-        let range = base..base + self.assoc;
+        let set = &self.tags[base..base + self.assoc];
         // Prefer an invalid way; otherwise the least-recently-used way that
         // carries no speculative marks (speculatively-accessed blocks must not
         // escape the cache); only if every way is speculative fall back to
         // plain LRU (the ordering engine is then responsible for committing or
         // aborting before the fill).
-        for i in range.clone() {
-            if self.tags[i].state == LineState::Invalid {
-                return i;
-            }
+        if let Some(way) = set.iter().position(|t| t.state == LineState::Invalid) {
+            return base + way;
         }
-        range
-            .clone()
-            .filter(|&i| !self.line_is_spec(i))
-            .min_by_key(|&i| self.lru_stamp[i])
-            .unwrap_or_else(|| {
-                range.min_by_key(|&i| self.lru_stamp[i]).expect("set has at least one way")
-            })
+        let lru = |plain_only: bool| {
+            (0..set.len())
+                .filter(|&k| !plain_only || !set[k].marks.any())
+                .min_by_key(|&k| set[k].lru)
+        };
+        base + lru(true).or_else(|| lru(false)).expect("set has at least one way")
     }
 
     /// Chooses where filling `block` puts it: the line holding it if
@@ -305,30 +333,19 @@ impl SetAssocCache {
     /// line: InvisiFence must commit or abort before such a line would
     /// escape the cache.
     pub fn slot_evicts_spec(&self, slot: FillSlot) -> bool {
-        !slot.present
-            && self.tags[slot.line].state != LineState::Invalid
-            && self.line_is_spec(slot.line)
-    }
-
-    fn line_is_spec(&self, idx: usize) -> bool {
-        (0..MAX_EPOCHS).any(|e| self.spec_read[e].get(idx) || self.spec_written[e].get(idx))
-    }
-
-    fn clear_line_spec(&mut self, idx: usize) {
-        for e in 0..MAX_EPOCHS {
-            self.spec_read[e].clear(idx);
-            self.spec_written[e].clear(idx);
-        }
+        let tag = self.tags[slot.line];
+        !slot.present && tag.state != LineState::Invalid && tag.marks.any()
     }
 
     /// The line at `idx` as it leaves the cache.
     fn evicted_line(&self, idx: usize, block: BlockAddr) -> EvictedLine {
+        let tag = self.tags[idx];
         EvictedLine {
             block,
-            state: self.tags[idx].state,
+            state: tag.state,
             data: self.data[idx],
-            spec_read: (0..MAX_EPOCHS).any(|e| self.spec_read[e].get(idx)),
-            spec_written: (0..MAX_EPOCHS).any(|e| self.spec_written[e].get(idx)),
+            spec_read: tag.marks.any_read(),
+            spec_written: tag.marks.any_written(),
         }
     }
 
@@ -365,8 +382,9 @@ impl SetAssocCache {
         } else {
             None
         };
-        self.clear_line_spec(idx);
-        self.tags[idx] = Tag { block: slot.block.number(), state };
+        let tag = &mut self.tags[idx];
+        tag.marks.clear();
+        (tag.block, tag.state) = (slot.block.number(), state);
         self.data[idx] = data;
         self.touch_line(idx);
         evicted
@@ -379,7 +397,7 @@ impl SetAssocCache {
         let idx = self.find(block)?;
         let evicted = self.evicted_line(idx, block);
         self.tags[idx].state = LineState::Invalid;
-        self.clear_line_spec(idx);
+        self.tags[idx].marks.clear();
         Some(evicted)
     }
 
@@ -401,55 +419,60 @@ impl SetAssocCache {
 
     // ---- speculative access bits (Section 3.1) ------------------------------------------
 
-    /// Marks `block` speculatively read in `epoch`. Returns false if absent.
-    pub fn mark_spec_read(&mut self, block: BlockAddr, epoch: usize) -> bool {
+    /// Sets `mark` on a present `block`. Returns false if absent.
+    fn mark(&mut self, block: BlockAddr, mark: Mark) -> bool {
         match self.find(block) {
             Some(i) => {
-                self.spec_read[epoch].set(i);
+                self.logs.set(mark, &mut self.tags, i);
                 true
             }
             None => false,
         }
+    }
+
+    /// Returns true if `block` is present with `mark` set.
+    fn is_marked(&self, block: BlockAddr, mark: Mark) -> bool {
+        self.find(block).is_some_and(|i| self.tags[i].marks.get(mark))
+    }
+
+    /// Marks `block` speculatively read in `epoch`. Returns false if absent.
+    pub fn mark_spec_read(&mut self, block: BlockAddr, epoch: usize) -> bool {
+        self.mark(block, Mark::read(epoch))
     }
 
     /// Marks `block` speculatively written in `epoch`. Returns false if absent.
     pub fn mark_spec_written(&mut self, block: BlockAddr, epoch: usize) -> bool {
-        match self.find(block) {
-            Some(i) => {
-                self.spec_written[epoch].set(i);
-                true
-            }
-            None => false,
-        }
+        self.mark(block, Mark::written(epoch))
     }
 
     /// Returns true if `block` is marked speculatively read in `epoch`.
     pub fn is_spec_read(&self, block: BlockAddr, epoch: usize) -> bool {
-        self.find(block).map(|i| self.spec_read[epoch].get(i)).unwrap_or(false)
+        self.is_marked(block, Mark::read(epoch))
     }
 
     /// Returns true if `block` is marked speculatively written in `epoch`.
     pub fn is_spec_written(&self, block: BlockAddr, epoch: usize) -> bool {
-        self.find(block).map(|i| self.spec_written[epoch].get(i)).unwrap_or(false)
+        self.is_marked(block, Mark::written(epoch))
     }
 
     /// Returns true if `block` carries any speculative mark in any epoch.
     pub fn is_spec_any(&self, block: BlockAddr) -> bool {
-        self.find(block).map(|i| self.line_is_spec(i)).unwrap_or(false)
+        self.find(block).is_some_and(|i| self.tags[i].marks.any())
     }
 
     /// Flash-clears both the read and written bits of `epoch` (the
     /// single-cycle commit operation).
     pub fn flash_clear_epoch(&mut self, epoch: usize) {
-        self.spec_read[epoch].flash_clear();
-        self.spec_written[epoch].flash_clear();
+        self.logs.flash_clear(Mark::read(epoch), &mut self.tags);
+        self.logs.flash_clear(Mark::written(epoch), &mut self.tags);
     }
 
     /// Conditionally flash-invalidates every line whose speculatively-written
     /// bit is set in `epoch` (the single-cycle abort operation), returning the
-    /// invalidated blocks. The epoch's read/written bits are also cleared.
+    /// invalidated blocks in the order they were first marked. The epoch's
+    /// read/written bits are also cleared.
     pub fn flash_invalidate_written(&mut self, epoch: usize) -> Vec<BlockAddr> {
-        let written: Vec<usize> = self.spec_written[epoch].iter_set().collect();
+        let written: Vec<usize> = self.logs.iter_set(Mark::written(epoch), &self.tags).collect();
         let mut out = Vec::with_capacity(written.len());
         for idx in written {
             if self.tags[idx].state != LineState::Invalid {
@@ -465,14 +488,19 @@ impl SetAssocCache {
     /// the read and written logs, counted without allocating (each log lists
     /// a line at most once).
     pub fn spec_line_count(&self, epoch: usize) -> usize {
-        let read = &self.spec_read[epoch];
-        let written_only = self.spec_written[epoch].iter_set().filter(|&i| !read.get(i)).count();
-        read.count_set() + written_only
+        let (read, written) = (Mark::read(epoch), Mark::written(epoch));
+        let read_count = self.logs.iter_set(read, &self.tags).count();
+        let written_only =
+            self.logs.iter_set(written, &self.tags).filter(|&i| !self.tags[i].marks.get(read));
+        read_count + written_only.count()
     }
 
     /// Returns true if any line carries a speculative mark in any epoch.
     pub fn has_spec_lines(&self) -> bool {
-        (0..MAX_EPOCHS).any(|e| !self.spec_read[e].none_set() || !self.spec_written[e].none_set())
+        (0..MAX_EPOCHS).any(|e| {
+            self.logs.iter_set(Mark::read(e), &self.tags).next().is_some()
+                || self.logs.iter_set(Mark::written(e), &self.tags).next().is_some()
+        })
     }
 
     /// Iterates over all valid blocks and their states (diagnostics/tests).
@@ -668,6 +696,57 @@ mod tests {
         assert_eq!(c.state(b), LineState::Invalid);
         assert!(c.invalidate(b).is_none());
         assert!(!c.has_spec_lines());
+    }
+
+    /// A probe, a victim choice and a speculative check read one tag; it
+    /// must stay a quarter of a host cache line.
+    #[test]
+    fn tags_fit_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Tag>(), 16);
+    }
+
+    /// Renumbering the 32-bit LRU stamps when the counter would wrap keeps
+    /// every victim choice: a cache whose counter is pushed to the limit
+    /// again and again evicts exactly what a 64-bit-stamp reference does.
+    #[test]
+    fn lru_renumbering_keeps_the_victim_sequence() {
+        let mut c = small_cache();
+        // The reference: per resident block, its set and a 64-bit stamp.
+        let mut model: Vec<(BlockAddr, u64)> = Vec::new();
+        let mut stamp = 0u64;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut renumbered = 0;
+        for step in 0..4_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            if step % 97 == 0 {
+                c.start_stamps_at(u32::MAX - (rng % 5) as u32);
+                renumbered += 1;
+            }
+            let b = blk((rng % 16) * 64);
+            stamp += 1;
+            if rng % 3 == 0 {
+                let hit = c.state_touch(b) != LineState::Invalid;
+                assert_eq!(hit, model.iter().any(|m| m.0 == b), "step {step}");
+                if let Some(m) = model.iter_mut().find(|m| m.0 == b) {
+                    m.1 = stamp;
+                }
+                continue;
+            }
+            let evicted = c.fill(b, LineState::Shared, BlockData::zeroed()).map(|e| e.block);
+            let set = |x: BlockAddr| x.number() % 4;
+            let expected = if model.iter().any(|m| m.0 == b) {
+                None
+            } else {
+                let ways: Vec<_> = model.iter().filter(|m| set(m.0) == set(b)).collect();
+                (ways.len() == 2).then(|| ways.iter().min_by_key(|m| m.1).unwrap().0)
+            };
+            assert_eq!(evicted, expected, "step {step}");
+            model.retain(|m| Some(m.0) != evicted && m.0 != b);
+            model.push((b, stamp));
+        }
+        assert!(renumbered > 40, "the counter wrapped {renumbered} times");
     }
 
     #[test]

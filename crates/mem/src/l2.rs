@@ -16,6 +16,12 @@
 //! (pinned): they are never chosen as victims, so directory state cannot
 //! vanish mid-transaction.
 //!
+//! A resident line never moves: a fill takes an empty way or replaces its
+//! victim in place, and a removal leaves an empty way. So the [`L2Handle`] a
+//! probe or fill returns stays valid until the line leaves, and a coherence
+//! transaction probes the tags once and reaches its line through the handle
+//! from then on.
+//!
 //! A capacity of 0 is the *unbounded* sentinel: every fill succeeds and
 //! nothing is ever evicted. This reproduces the pre-capacity fabric exactly
 //! and serves as the "infinite" endpoint of capacity sweeps.
@@ -25,7 +31,7 @@ use crate::line::BlockData;
 use ifence_types::{FnvMap, L2Config};
 
 /// One resident L2 line: data plus the embedded directory payload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct L2Line<D> {
     /// Block contents as last written to the L2.
     pub data: BlockData,
@@ -55,12 +61,23 @@ pub struct L2Evicted<D> {
     pub dir: D,
 }
 
+/// Where a resident line sits: returned by [`BankedL2::probe`] and
+/// [`BankedL2::fill`], and valid until the line leaves the L2 (lines never
+/// move while resident). In the unbounded store it is the block number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct L2Handle {
+    set: usize,
+    way: usize,
+}
+
 /// The outcome of attempting to install a block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum L2FillOutcome<D> {
     /// The line was installed; if a victim had to be displaced it is
     /// returned (its payload reported no L1 holders).
     Installed {
+        /// Where the new line sits.
+        line: L2Handle,
         /// The displaced line, if any (dirty data goes to DRAM).
         evicted: Option<L2Evicted<D>>,
     },
@@ -69,22 +86,35 @@ pub enum L2FillOutcome<D> {
     NeedsRecall {
         /// Block number of the victim whose holders must be recalled.
         victim: u64,
+        /// Where the victim sits.
+        line: L2Handle,
     },
     /// Every way of the target set is pinned by an in-flight transaction;
     /// retry later.
     Blocked,
 }
 
+/// The tag of an empty way. Tags hold the block number plus one, so the
+/// tag array starts out as zeroed memory.
+const EMPTY: u64 = 0;
+
+fn tag_of(block: u64) -> u64 {
+    block + 1
+}
+
 /// The finite store: per-set line vectors plus one flat tag array.
 ///
-/// `tags[slot * ways + k]` holds the block number of `lines[slot][k]`; only
-/// the first `lines[slot].len()` tags of a slot are meaningful. Probes scan
-/// the 8-byte tags and touch a line payload only on a hit.
+/// `tags[slot * ways + k]` is the tag of way `k` of `slot`, [`EMPTY`] when
+/// the way holds no line; `lines[slot][k]` is the way's line, meaningful
+/// only while its tag is not empty. A line keeps its way for as long as it
+/// is resident. Probes scan one row of 8-byte tags and touch a line only on
+/// a hit.
 ///
-/// Nothing is allocated per line up front. The payload vectors grow as lines
-/// are filled: a paper-sized L2's payloads would take over 14 MB, most of it
-/// never touched by a short run. The tag array (about 1 MB) is allocated on
-/// the first fill, so building a machine does not pay for zeroing it.
+/// Nothing is allocated per line up front. The line vectors grow as ways
+/// are first used: a paper-sized L2's lines would take over 12 MB, most of it
+/// never touched by a short run. The tag array (about 1 MB) is allocated
+/// zeroed on the first fill, so building a machine does not pay for it and
+/// a run maps only the pages it touches.
 #[derive(Debug)]
 struct Finite<D> {
     tags: Vec<u64>,
@@ -101,21 +131,16 @@ impl<D> Finite<D> {
         bank * self.sets_per_bank.value() + set
     }
 
-    /// The way of `slot` holding `block`, if resident.
-    fn way(&self, slot: usize, block: u64) -> Option<usize> {
+    /// The tag row of `slot` (empty before the first fill).
+    fn row(&self, slot: usize) -> &[u64] {
         let base = slot * self.ways;
-        // Before the first fill `tags` is empty and every slot holds no line.
-        let tags = self.tags.get(base..base + self.lines[slot].len())?;
-        tags.iter().position(|&tag| tag == block)
+        self.tags.get(base..base + self.ways).unwrap_or(&[])
     }
 
-    /// Removes way `k` of `slot`, moving the last way into its place (the
-    /// tag array mirrors the line vector's `swap_remove`).
-    fn swap_remove(&mut self, slot: usize, k: usize) -> L2Line<D> {
-        let base = slot * self.ways;
-        let last = self.lines[slot].len() - 1;
-        self.tags[base + k] = self.tags[base + last];
-        self.lines[slot].swap_remove(k)
+    /// The way of `slot` holding `block`, if resident.
+    fn way(&self, slot: usize, block: u64) -> Option<usize> {
+        let tag = tag_of(block);
+        self.row(slot).iter().position(|&t| t == tag)
     }
 }
 
@@ -144,7 +169,7 @@ pub struct BankedL2<D> {
     stamp: u64,
 }
 
-impl<D> BankedL2<D> {
+impl<D: Copy> BankedL2<D> {
     /// Builds the L2 for a machine with `banks` nodes and the given block
     /// size.
     ///
@@ -173,41 +198,62 @@ impl<D> BankedL2<D> {
         self.banks.rem(block)
     }
 
-    /// The resident line for `block`, if any.
-    pub fn get(&self, block: u64) -> Option<&L2Line<D>> {
+    /// Where `block` sits, if resident: one scan of its set's tags.
+    pub fn probe(&self, block: u64) -> Option<L2Handle> {
         match &self.store {
             Store::Finite(f) => {
-                let slot = f.slot(self.banks, block);
-                f.way(slot, block).map(|k| &f.lines[slot][k])
+                let set = f.slot(self.banks, block);
+                f.way(set, block).map(|way| L2Handle { set, way })
             }
-            Store::Unbounded(banks) => banks[self.bank_of(block)].get(&block),
+            Store::Unbounded(banks) => banks[self.bank_of(block)]
+                .contains_key(&block)
+                .then_some(L2Handle { set: block as usize, way: 0 }),
         }
     }
 
-    /// Mutable access to the resident line for `block`, if any.
-    pub fn get_mut(&mut self, block: u64) -> Option<&mut L2Line<D>> {
+    /// The resident line at `line`.
+    ///
+    /// # Panics
+    /// Panics if `line` is not a handle of a resident line.
+    pub fn line(&self, line: L2Handle) -> &L2Line<D> {
+        match &self.store {
+            Store::Finite(f) => &f.lines[line.set][line.way],
+            Store::Unbounded(banks) => {
+                let block = line.set as u64;
+                banks[self.bank_of(block)].get(&block).expect("handle of a resident line")
+            }
+        }
+    }
+
+    /// Mutable access to the resident line at `line`.
+    ///
+    /// # Panics
+    /// Panics if `line` is not a handle of a resident line.
+    pub fn line_mut(&mut self, line: L2Handle) -> &mut L2Line<D> {
         match &mut self.store {
-            Store::Finite(f) => {
-                let slot = f.slot(self.banks, block);
-                f.way(slot, block).map(|k| &mut f.lines[slot][k])
+            Store::Finite(f) => &mut f.lines[line.set][line.way],
+            Store::Unbounded(banks) => {
+                let block = line.set as u64;
+                banks[self.banks.rem(block)].get_mut(&block).expect("handle of a resident line")
             }
-            Store::Unbounded(banks) => banks[self.banks.rem(block)].get_mut(&block),
         }
     }
 
-    /// Marks `block` most-recently-used unless an in-flight transaction pins
-    /// it: `Some(true)` when it was resident and is now MRU, `Some(false)`
-    /// when it is pinned (and left untouched), `None` when it is absent. The
-    /// directory's busy check and its hit check in one probe.
-    pub fn touch_unpinned(&mut self, block: u64) -> Option<bool> {
+    /// Marks the resident `block` most-recently-used unless an in-flight
+    /// transaction pins it: `Some(Ok(handle))` when it is resident and now
+    /// MRU, `Some(Err(handle))` when it is pinned (and left untouched),
+    /// `None` when it is absent. The directory's busy check and its hit
+    /// check in one probe.
+    pub fn touch_unpinned(&mut self, block: u64) -> Option<Result<L2Handle, L2Handle>> {
+        let handle = self.probe(block)?;
         let stamp = self.stamp + 1;
-        let line = self.get_mut(block)?;
+        let line = self.line_mut(handle);
         if line.busy {
-            return Some(false);
+            return Some(Err(handle));
         }
         line.lru = stamp;
         self.stamp = stamp;
-        Some(true)
+        Some(Ok(handle))
     }
 
     /// Installs `block` (not currently resident) with the given data and
@@ -222,42 +268,52 @@ impl<D> BankedL2<D> {
         dir: D,
         can_drop: impl Fn(&D) -> bool,
     ) -> L2FillOutcome<D> {
-        debug_assert!(self.get(block).is_none(), "fill requires the block to be absent");
+        debug_assert!(self.probe(block).is_none(), "fill requires the block to be absent");
         self.stamp += 1;
         let line = L2Line { data, dirty: false, busy: false, dir, lru: self.stamp };
         match &mut self.store {
             Store::Unbounded(banks) => {
                 banks[self.banks.rem(block)].insert(block, line);
-                L2FillOutcome::Installed { evicted: None }
+                let line = L2Handle { set: block as usize, way: 0 };
+                L2FillOutcome::Installed { line, evicted: None }
             }
             Store::Finite(f) => {
                 if f.tags.is_empty() {
-                    f.tags = vec![0; f.lines.len() * f.ways];
+                    f.tags = vec![EMPTY; f.lines.len() * f.ways];
                 }
                 let slot = f.slot(self.banks, block);
-                let len = f.lines[slot].len();
-                if len < f.ways {
-                    f.tags[slot * f.ways + len] = block;
-                    f.lines[slot].push(line);
-                    return L2FillOutcome::Installed { evicted: None };
+                let base = slot * f.ways;
+                let handle = |way| L2Handle { set: slot, way };
+                if let Some(way) = f.row(slot).iter().position(|&t| t == EMPTY) {
+                    // Ways are first used in order, so an empty way is either
+                    // a hole a removal left or the next one never used.
+                    f.tags[base + way] = tag_of(block);
+                    let set = &mut f.lines[slot];
+                    if way < set.len() {
+                        set[way] = line;
+                    } else {
+                        set.push(line);
+                    }
+                    return L2FillOutcome::Installed { line: handle(way), evicted: None };
                 }
-                // Victim: the least-recently-used way, strictly. A busy LRU
-                // way blocks the fill instead of falling through to the next
-                // way — recalling way after way while the first recall is
-                // still draining would cascade-evict the whole set.
-                let set = &f.lines[slot];
-                let victim = (0..len).min_by_key(|&k| set[k].lru).expect("full set has a way");
+                // Victim: the least-recently-used way, strictly (stamps are
+                // unique, so the choice does not depend on way order). A busy
+                // LRU way blocks the fill instead of falling through to the
+                // next way — recalling way after way while the first recall
+                // is still draining would cascade-evict the whole set.
+                let set = &mut f.lines[slot];
+                let victim = (0..set.len()).min_by_key(|&k| set[k].lru).expect("full set");
                 if set[victim].busy {
                     return L2FillOutcome::Blocked;
                 }
+                let vblock = f.tags[base + victim] - 1;
                 if !can_drop(&set[victim].dir) {
-                    return L2FillOutcome::NeedsRecall { victim: f.tags[slot * f.ways + victim] };
+                    return L2FillOutcome::NeedsRecall { victim: vblock, line: handle(victim) };
                 }
-                let vblock = f.tags[slot * f.ways + victim];
-                let vline = f.swap_remove(slot, victim);
-                f.tags[slot * f.ways + len - 1] = block;
-                f.lines[slot].push(line);
+                let vline = std::mem::replace(&mut set[victim], line);
+                f.tags[base + victim] = tag_of(block);
                 L2FillOutcome::Installed {
+                    line: handle(victim),
                     evicted: Some(L2Evicted {
                         block: vblock,
                         data: vline.data,
@@ -269,23 +325,32 @@ impl<D> BankedL2<D> {
         }
     }
 
-    /// Removes `block` from the L2 (recall completion), returning the line.
-    pub fn remove(&mut self, block: u64) -> Option<L2Evicted<D>> {
-        let line = match &mut self.store {
+    /// Removes the resident line at `line` (recall completion), returning
+    /// it; its way is left empty.
+    ///
+    /// # Panics
+    /// Panics if `line` is not a handle of a resident line.
+    pub fn remove(&mut self, line: L2Handle) -> L2Evicted<D> {
+        let (block, removed) = match &mut self.store {
             Store::Finite(f) => {
-                let slot = f.slot(self.banks, block);
-                let k = f.way(slot, block)?;
-                f.swap_remove(slot, k)
+                let tag = &mut f.tags[line.set * f.ways + line.way];
+                assert_ne!(*tag, EMPTY, "handle of a resident line");
+                let block = std::mem::replace(tag, EMPTY) - 1;
+                (block, f.lines[line.set][line.way])
             }
-            Store::Unbounded(banks) => banks[self.banks.rem(block)].remove(&block)?,
+            Store::Unbounded(banks) => {
+                let block = line.set as u64;
+                let removed = banks[self.banks.rem(block)].remove(&block);
+                (block, removed.expect("handle of a resident line"))
+            }
         };
-        Some(L2Evicted { block, data: line.data, dirty: line.dirty, dir: line.dir })
+        L2Evicted { block, data: removed.data, dirty: removed.dirty, dir: removed.dir }
     }
 
     /// Number of resident lines across all banks.
     pub fn resident_lines(&self) -> usize {
         match &self.store {
-            Store::Finite(f) => f.lines.iter().map(Vec::len).sum(),
+            Store::Finite(f) => f.tags.iter().filter(|&&t| t != EMPTY).count(),
             Store::Unbounded(banks) => banks.iter().map(FnvMap::len).sum(),
         }
     }
@@ -310,93 +375,101 @@ mod tests {
         BankedL2::new(&cfg(size, ways), 4, 64)
     }
 
+    /// Fills a block that has room, returning its handle.
+    fn install(l2: &mut BankedL2<usize>, block: u64, holders: usize) -> L2Handle {
+        match l2.fill(block, BlockData::zeroed(), holders, |_| true) {
+            L2FillOutcome::Installed { line, evicted: None } => line,
+            other => panic!("expected a free way for {block}, got {other:?}"),
+        }
+    }
+
+    /// The block a fill of `block` evicts.
+    fn evicted_by(l2: &mut BankedL2<usize>, block: u64) -> u64 {
+        match l2.fill(block, BlockData::zeroed(), 0, |_| true) {
+            L2FillOutcome::Installed { evicted: Some(ev), .. } => ev.block,
+            other => panic!("expected an eviction, got {other:?}"),
+        }
+    }
+
     #[test]
     fn fill_get_touch_remove_roundtrip() {
         let mut l2 = l2(4 * 4 * 2 * 64, 2); // 4 banks × 4 sets × 2 ways
-        assert!(l2.get(100).is_none());
-        assert!(matches!(
-            l2.fill(100, BlockData::from_words([9; 8]), 0, |_| true),
-            L2FillOutcome::Installed { evicted: None }
-        ));
-        assert_eq!(l2.get(100).unwrap().data.word(0), 9);
-        assert!(!l2.get(100).unwrap().dirty);
-        l2.get_mut(100).unwrap().dirty = true;
-        let gone = l2.remove(100).unwrap();
+        assert!(l2.probe(100).is_none());
+        let line = match l2.fill(100, BlockData::from_words([9; 8]), 0, |_| true) {
+            L2FillOutcome::Installed { line, evicted: None } => line,
+            other => panic!("expected a free way, got {other:?}"),
+        };
+        assert_eq!(l2.probe(100), Some(line));
+        assert_eq!(l2.line(line).data.word(0), 9);
+        assert!(!l2.line(line).dirty);
+        assert_eq!(l2.touch_unpinned(100), Some(Ok(line)));
+        l2.line_mut(line).dirty = true;
+        let gone = l2.remove(line);
         assert!(gone.dirty);
         assert_eq!(gone.block, 100);
-        assert!(l2.get(100).is_none());
+        assert!(l2.probe(100).is_none());
         assert_eq!(l2.resident_lines(), 0);
     }
 
     #[test]
     fn lru_eviction_prefers_least_recently_used_droppable_way() {
-        // One set per bank, 2 ways: blocks 0, 16, 32 share bank 0 / set 0
-        // (bank = block % 4, set = (block/4) % 4 with 4 sets... use 1 set).
+        // One set per bank, 2 ways: blocks 0, 4 and 8 share bank 0's set.
         let mut l2 = l2(4 * 2 * 64, 2); // 4 banks × 1 set × 2 ways
         assert!(!l2.unbounded());
-        l2.fill(0, BlockData::zeroed(), 0, |_| true);
-        l2.fill(4, BlockData::zeroed(), 0, |_| true);
+        let zero = install(&mut l2, 0, 0);
+        let four = install(&mut l2, 4, 0);
         l2.touch_unpinned(0); // 4 is now LRU
-        match l2.fill(8, BlockData::zeroed(), 0, |_| true) {
-            L2FillOutcome::Installed { evicted: Some(ev) } => assert_eq!(ev.block, 4),
-            other => panic!("expected eviction of block 4, got {other:?}"),
-        }
-        assert!(l2.get(0).is_some() && l2.get(8).is_some() && l2.get(4).is_none());
+        assert_eq!(evicted_by(&mut l2, 8), 4);
+        assert!(l2.probe(4).is_none());
+        // The survivor stays where it was; the newcomer takes the victim's way.
+        assert_eq!((l2.probe(0), l2.probe(8)), (Some(zero), Some(four)));
     }
 
     #[test]
     fn victims_with_holders_force_a_recall() {
         let mut l2 = l2(4 * 2 * 64, 2);
-        l2.fill(0, BlockData::zeroed(), 1, |_| true); // one L1 holder
-        l2.fill(4, BlockData::zeroed(), 1, |_| true);
+        let zero = install(&mut l2, 0, 1); // one L1 holder
+        install(&mut l2, 4, 1);
         l2.touch_unpinned(4); // 0 is LRU
         match l2.fill(8, BlockData::zeroed(), 0, |holders| *holders == 0) {
-            L2FillOutcome::NeedsRecall { victim } => assert_eq!(victim, 0),
+            L2FillOutcome::NeedsRecall { victim, line } => assert_eq!((victim, line), (0, zero)),
             other => panic!("expected NeedsRecall for block 0, got {other:?}"),
         }
         // After the caller recalls the holders and removes the line, the
-        // retried fill succeeds.
-        l2.remove(0).unwrap();
+        // retried fill succeeds into the way the removal left empty.
+        l2.remove(zero);
         assert!(matches!(
             l2.fill(8, BlockData::zeroed(), 0, |holders| *holders == 0),
-            L2FillOutcome::Installed { evicted: None }
+            L2FillOutcome::Installed { line, evicted: None } if line == zero
         ));
     }
 
     #[test]
     fn busy_lru_way_blocks_the_fill() {
         let mut l2 = l2(4 * 2 * 64, 2);
-        l2.fill(0, BlockData::zeroed(), 0, |_| true);
-        l2.fill(4, BlockData::zeroed(), 0, |_| true);
+        let zero = install(&mut l2, 0, 0);
+        install(&mut l2, 4, 0);
         // Block 0 is LRU; while it is pinned the fill must wait — even
         // though the younger way (4) is droppable, falling through to it
         // would cascade-evict the set during a recall.
-        l2.get_mut(0).unwrap().busy = true;
+        l2.line_mut(zero).busy = true;
         assert!(matches!(l2.fill(8, BlockData::zeroed(), 0, |_| true), L2FillOutcome::Blocked));
-        l2.get_mut(0).unwrap().busy = false;
-        match l2.fill(8, BlockData::zeroed(), 0, |_| true) {
-            L2FillOutcome::Installed { evicted: Some(ev) } => {
-                assert_eq!(ev.block, 0, "strict LRU once unpinned")
-            }
-            other => panic!("unpinned LRU way must be evictable, got {other:?}"),
-        }
+        l2.line_mut(zero).busy = false;
+        assert_eq!(evicted_by(&mut l2, 8), 0, "strict LRU once unpinned");
     }
 
     #[test]
     fn touch_unpinned_leaves_pinned_lines_in_lru_order() {
         let mut l2 = l2(4 * 2 * 64, 2);
         assert_eq!(l2.touch_unpinned(0), None, "absent");
-        l2.fill(0, BlockData::zeroed(), 0, |_| true);
-        l2.fill(4, BlockData::zeroed(), 0, |_| true);
-        l2.get_mut(0).unwrap().busy = true;
-        assert_eq!(l2.touch_unpinned(0), Some(false), "pinned");
-        l2.get_mut(0).unwrap().busy = false;
+        let zero = install(&mut l2, 0, 0);
+        let four = install(&mut l2, 4, 0);
+        l2.line_mut(zero).busy = true;
+        assert_eq!(l2.touch_unpinned(0), Some(Err(zero)), "pinned");
+        l2.line_mut(zero).busy = false;
         // The pinned touch did not refresh block 0: it is still the LRU way.
-        match l2.fill(8, BlockData::zeroed(), 0, |_| true) {
-            L2FillOutcome::Installed { evicted: Some(ev) } => assert_eq!(ev.block, 0),
-            other => panic!("expected eviction of block 0, got {other:?}"),
-        }
-        assert_eq!(l2.touch_unpinned(4), Some(true), "resident and unpinned");
+        assert_eq!(evicted_by(&mut l2, 8), 0);
+        assert_eq!(l2.touch_unpinned(4), Some(Ok(four)), "resident and unpinned");
     }
 
     #[test]
@@ -406,11 +479,14 @@ mod tests {
         for block in 0..10_000u64 {
             assert!(matches!(
                 l2.fill(block, BlockData::zeroed(), 0usize, |_| false),
-                L2FillOutcome::Installed { evicted: None }
+                L2FillOutcome::Installed { evicted: None, .. }
             ));
         }
         assert_eq!(l2.resident_lines(), 10_000);
-        assert!(l2.get(9_999).is_some());
+        let line = l2.probe(9_999).expect("resident");
+        l2.line_mut(line).dirty = true;
+        assert_eq!(l2.remove(line).block, 9_999);
+        assert!(l2.probe(9_999).is_none());
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!
 //! * [`SetAssocCache`] — a set-associative L1 data cache whose tags carry the
 //!   speculatively-read / speculatively-written bits InvisiFence adds
-//!   (Section 3.1), supporting the two single-cycle flash operations of
-//!   Figure 3 via [`SpecBitArray`].
+//!   (Section 3.1): Figure 3's marks sit in the tag itself, one byte beside
+//!   the block number, LRU stamp and coherence state, so a probe, a victim
+//!   choice and a speculative check read one 16-byte tag. Per-mark logs of
+//!   the marked lines give the two single-cycle flash operations (clear and
+//!   conditional invalidate) a cost proportional to the lines marked.
 //! * [`VictimCache`] — the 16-entry fully-associative victim cache of the
 //!   paper's L1 configuration.
 //! * [`MshrFile`] — miss-status holding registers tracking outstanding misses.
@@ -45,16 +48,15 @@ pub mod l2;
 pub mod line;
 pub mod mshr;
 pub mod ring;
-pub mod spec_bits;
+mod spec_bits;
 pub mod store_buffer;
 pub mod victim;
 
 pub use cache::{EvictedLine, FillSlot, SetAssocCache};
 pub use l1::{EvictionAction, L1Cache};
-pub use l2::{BankedL2, L2Evicted, L2FillOutcome, L2Line};
+pub use l2::{BankedL2, L2Evicted, L2FillOutcome, L2Handle, L2Line};
 pub use line::{BlockData, LineState, WORDS_PER_BLOCK};
 pub use mshr::{MshrEntry, MshrError, MshrFile};
 pub use ring::Ring;
-pub use spec_bits::SpecBitArray;
 pub use store_buffer::{SbEntry, SbError, StoreBuffer};
 pub use victim::VictimCache;

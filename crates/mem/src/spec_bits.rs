@@ -1,195 +1,258 @@
-//! Flash-clearable speculative-access bits (the functional contract of
-//! Figure 3's augmented SRAM cells).
+//! The speculative marks of an L1 tag (the functional contract of Figure 3's
+//! augmented SRAM cells).
 //!
 //! InvisiFence adds a speculatively-read and a speculatively-written bit to
-//! every L1 tag and requires two single-cycle operations: a flash clear of
-//! all bits, and a conditional flash-invalidate of every line whose written
-//! bit is set. [`SpecBitArray`] provides the software equivalent: clearing is
-//! O(1) (a generation bump), and enumerating the set bits is proportional to
-//! the number of bits that were actually set since the last clear — not to
-//! the size of the cache — mirroring the hardware's one-shot behaviour.
+//! every L1 tag, one pair per checkpoint epoch, and requires two
+//! single-cycle operations: a flash clear of an epoch's bits, and a
+//! conditional flash-invalidate of every line whose written bit is set. The
+//! bits live in one [`Marks`] byte of each tag, next to the block number the
+//! probe loads anyway. Each of the four marks also keeps a log of the lines
+//! it was set on ([`MarkLogs`]), so the software flash operations cost a
+//! walk over the lines actually marked since the last clear — not over the
+//! whole cache — mirroring the hardware's one-shot behaviour.
 
-/// A fixed-size array of single-bit flags with O(1) flash clear.
-///
-/// # Example
-/// ```
-/// use ifence_mem::SpecBitArray;
-/// let mut bits = SpecBitArray::new(1024);
-/// bits.set(7);
-/// bits.set(900);
-/// assert!(bits.get(7));
-/// assert_eq!(bits.count_set(), 2);
-/// bits.flash_clear();
-/// assert!(!bits.get(7));
-/// assert_eq!(bits.count_set(), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SpecBitArray {
-    /// Always even. A stamp equal to it means "set"; one less means "cleared
-    /// individually, but already in the log"; anything else means clear.
-    generation: u64,
-    stamps: Vec<u64>,
-    /// Indices set since the last flash clear (no duplicates).
-    set_log: Vec<u32>,
+use crate::cache::{Tag, MAX_EPOCHS};
+
+/// One of the four marks of a tag: read or written, in epoch 0 or 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Mark(u8);
+
+impl Mark {
+    /// The speculatively-read mark of `epoch`.
+    pub(crate) fn read(epoch: usize) -> Self {
+        debug_assert!(epoch < MAX_EPOCHS, "epoch {epoch} out of range");
+        Mark(epoch as u8)
+    }
+
+    /// The speculatively-written mark of `epoch`.
+    pub(crate) fn written(epoch: usize) -> Self {
+        debug_assert!(epoch < MAX_EPOCHS, "epoch {epoch} out of range");
+        Mark((MAX_EPOCHS + epoch) as u8)
+    }
+
+    fn set_bit(self) -> u8 {
+        1 << self.0
+    }
+
+    fn logged_bit(self) -> u8 {
+        1 << (4 + self.0)
+    }
 }
 
-impl SpecBitArray {
-    /// Creates an array of `len` bits, all clear.
-    pub fn new(len: usize) -> Self {
-        SpecBitArray { generation: 2, stamps: vec![0; len], set_log: Vec::new() }
+/// The mark byte of one tag: bits 0–3 say whether read-0, read-1,
+/// written-0 and written-1 are set; bits 4–7 whether the line is already in
+/// that mark's log. A line cleared individually (evicted or invalidated)
+/// keeps its logged bits, so setting the mark again does not log it twice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Marks(u8);
+
+const SET_BITS: u8 = 0x0f;
+const READ_BITS: u8 = 0x03;
+const WRITTEN_BITS: u8 = 0x0c;
+
+impl Marks {
+    /// Returns true if `mark` is set.
+    pub(crate) fn get(self, mark: Mark) -> bool {
+        self.0 & mark.set_bit() != 0
     }
 
-    /// Number of bits in the array.
-    pub fn len(&self) -> usize {
-        self.stamps.len()
+    /// Sets `mark`, returning true when the line must be appended to the
+    /// mark's log (it is not in it yet).
+    pub(crate) fn set(&mut self, mark: Mark) -> bool {
+        let first = self.0 & mark.logged_bit() == 0;
+        self.0 |= mark.set_bit() | mark.logged_bit();
+        first
     }
 
-    /// Returns true if the array has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+    /// True if any mark of any epoch is set.
+    pub(crate) fn any(self) -> bool {
+        self.0 & SET_BITS != 0
     }
 
-    /// Sets bit `index`.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of bounds.
-    pub fn set(&mut self, index: usize) {
-        let stamp = self.stamps[index];
-        if stamp != self.generation {
-            if stamp != self.generation - 1 {
-                self.set_log.push(index as u32);
-            }
-            self.stamps[index] = self.generation;
+    /// True if a read mark of either epoch is set.
+    pub(crate) fn any_read(self) -> bool {
+        self.0 & READ_BITS != 0
+    }
+
+    /// True if a written mark of either epoch is set.
+    pub(crate) fn any_written(self) -> bool {
+        self.0 & WRITTEN_BITS != 0
+    }
+
+    /// Clears every mark of the line, keeping its log records.
+    pub(crate) fn clear(&mut self) {
+        self.0 &= !SET_BITS;
+    }
+
+    /// Clears `mark` and its log record (the mark's log is being emptied).
+    fn flash_clear(&mut self, mark: Mark) {
+        self.0 &= !(mark.set_bit() | mark.logged_bit());
+    }
+}
+
+/// The lines each of the four marks was set on since its last flash clear,
+/// in first-set order and without duplicates. A logged line whose mark has
+/// since been cleared individually stays in the log; readers re-check the
+/// tag.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MarkLogs {
+    logs: [Vec<u32>; 2 * MAX_EPOCHS],
+}
+
+impl MarkLogs {
+    /// Sets `mark` on line `index` of `tags`.
+    pub(crate) fn set(&mut self, mark: Mark, tags: &mut [Tag], index: usize) {
+        if tags[index].marks.set(mark) {
+            self.logs[mark.0 as usize].push(index as u32);
         }
     }
 
-    /// Returns the value of bit `index`.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> bool {
-        self.stamps[index] == self.generation
+    /// The lines of `tags` that `mark` is currently set on, in the order it
+    /// was first set on them.
+    pub(crate) fn iter_set<'a>(
+        &'a self,
+        mark: Mark,
+        tags: &'a [Tag],
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.logs[mark.0 as usize]
+            .iter()
+            .map(|&i| i as usize)
+            .filter(move |&i| tags[i].marks.get(mark))
     }
 
-    /// Clears bit `index` only (used when a single line's speculative state is
-    /// discarded, e.g. on an individual eviction after a forced commit).
-    pub fn clear(&mut self, index: usize) {
-        if self.stamps[index] == self.generation {
-            // Leave the log entry in place (`iter_set` re-checks `get`) and
-            // remember it, so setting the bit again does not log it twice.
-            self.stamps[index] = self.generation - 1;
+    /// Clears `mark` on every line of `tags` it was logged for and empties
+    /// its log: the cost is the number of lines marked since the last clear.
+    pub(crate) fn flash_clear(&mut self, mark: Mark, tags: &mut [Tag]) {
+        let log = &mut self.logs[mark.0 as usize];
+        for &i in log.iter() {
+            tags[i as usize].marks.flash_clear(mark);
         }
-    }
-
-    /// Clears every bit in constant time (the paper's single-cycle flash clear).
-    pub fn flash_clear(&mut self) {
-        self.generation += 2;
-        self.set_log.clear();
-    }
-
-    /// Number of bits currently set.
-    pub fn count_set(&self) -> usize {
-        self.iter_set().count()
-    }
-
-    /// Returns true if no bit is set.
-    pub fn none_set(&self) -> bool {
-        self.iter_set().next().is_none()
-    }
-
-    /// Iterates over the indices of set bits, in the order they were first set.
-    ///
-    /// The cost is proportional to the number of bits set since the last
-    /// flash clear, matching the hardware's conditional flash-invalidate
-    /// which touches only lines whose written bit is set.
-    pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
-        self.set_log.iter().map(|&i| i as usize).filter(|&i| self.get(i))
+        log.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The flash-clear contract, driven through the L1 tag array's public
+    //! mark API.
+
+    use crate::{BlockData, LineState, SetAssocCache};
+    use ifence_types::{Addr, BlockAddr, CacheConfig};
+
+    /// `sets` sets of 2 ways.
+    fn cache(sets: usize) -> SetAssocCache {
+        SetAssocCache::new(&CacheConfig {
+            size_bytes: sets * 2 * 64,
+            associativity: 2,
+            block_bytes: 64,
+            hit_latency: 2,
+            mshrs: 4,
+            victim_entries: 0,
+        })
+    }
+
+    /// A cache with `n` resident blocks, one per set, in block order.
+    fn filled(n: u64) -> (SetAssocCache, Vec<BlockAddr>) {
+        let mut c = cache(n as usize);
+        let blocks: Vec<_> = (0..n).map(|i| BlockAddr::containing(Addr::new(i * 64), 64)).collect();
+        for &b in &blocks {
+            c.fill(b, LineState::Exclusive, BlockData::zeroed());
+        }
+        (c, blocks)
+    }
 
     #[test]
     fn set_get_clear_roundtrip() {
-        let mut b = SpecBitArray::new(16);
-        assert!(!b.get(3));
-        b.set(3);
-        assert!(b.get(3));
-        b.clear(3);
-        assert!(!b.get(3));
-        assert_eq!(b.count_set(), 0);
+        let (mut c, b) = filled(16);
+        assert!(!c.is_spec_read(b[3], 0));
+        c.mark_spec_read(b[3], 0);
+        assert!(c.is_spec_read(b[3], 0));
+        // An individual clear: the line leaves the cache.
+        c.invalidate(b[3]);
+        c.fill(b[3], LineState::Shared, BlockData::zeroed());
+        assert!(!c.is_spec_read(b[3], 0));
+        assert_eq!(c.spec_line_count(0), 0);
     }
 
     #[test]
     fn flash_clear_resets_everything() {
-        let mut b = SpecBitArray::new(64);
+        let (mut c, b) = filled(64);
         for i in (0..64).step_by(3) {
-            b.set(i);
+            c.mark_spec_read(b[i], 0);
+            c.mark_spec_written(b[i], 0);
         }
-        assert!(b.count_set() > 0);
-        b.flash_clear();
-        assert!(b.none_set());
-        for i in 0..64 {
-            assert!(!b.get(i));
-        }
-        // Bits can be set again after a flash clear.
-        b.set(5);
-        assert!(b.get(5));
-        assert_eq!(b.count_set(), 1);
+        assert!(c.spec_line_count(0) > 0);
+        c.flash_clear_epoch(0);
+        assert!(!c.has_spec_lines());
+        assert!(b.iter().all(|&x| !c.is_spec_any(x)));
+        // Marks can be set again after a flash clear.
+        c.mark_spec_read(b[5], 0);
+        assert!(c.is_spec_read(b[5], 0));
+        assert_eq!(c.spec_line_count(0), 1);
     }
 
     #[test]
     fn duplicate_sets_do_not_duplicate_log_entries() {
-        let mut b = SpecBitArray::new(8);
+        let (mut c, b) = filled(8);
         for _ in 0..10 {
-            b.set(2);
+            c.mark_spec_written(b[2], 0);
         }
-        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(c.spec_line_count(0), 1);
+        assert_eq!(c.flash_invalidate_written(0), vec![b[2]]);
     }
 
     #[test]
     fn iter_set_skips_individually_cleared_bits() {
-        let mut b = SpecBitArray::new(8);
-        b.set(1);
-        b.set(2);
-        b.set(3);
-        b.clear(2);
-        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![1, 3]);
+        let (mut c, b) = filled(8);
+        for i in 1..4 {
+            c.mark_spec_written(b[i], 0);
+        }
+        c.invalidate(b[2]);
+        assert_eq!(c.spec_line_count(0), 2);
+        assert_eq!(c.flash_invalidate_written(0), vec![b[1], b[3]]);
     }
 
     #[test]
     fn clear_then_set_logs_the_bit_once() {
-        let mut b = SpecBitArray::new(8);
-        b.set(4);
-        b.clear(4);
-        b.set(4);
-        b.set(6);
-        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![4, 6]);
-        assert_eq!(b.count_set(), 2);
-        b.flash_clear();
-        b.clear(4);
-        assert!(!b.get(4), "a clear after a flash clear leaves the bit clear");
-        b.set(4);
-        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![4]);
+        let (mut c, b) = filled(8);
+        c.mark_spec_written(b[4], 0);
+        c.invalidate(b[4]);
+        c.fill(b[4], LineState::Exclusive, BlockData::zeroed());
+        c.mark_spec_written(b[4], 0);
+        c.mark_spec_written(b[6], 0);
+        assert_eq!(c.spec_line_count(0), 2);
+        // The refilled line keeps its first-set position in the log.
+        assert_eq!(c.clone().flash_invalidate_written(0), vec![b[4], b[6]]);
+        c.flash_clear_epoch(0);
+        c.invalidate(b[4]);
+        c.fill(b[4], LineState::Exclusive, BlockData::zeroed());
+        assert!(!c.is_spec_written(b[4], 0), "a clear after a flash clear leaves the mark clear");
+        c.mark_spec_written(b[4], 0);
+        assert_eq!(c.flash_invalidate_written(0), vec![b[4]]);
     }
 
     #[test]
     fn many_generations_remain_correct() {
-        let mut b = SpecBitArray::new(4);
+        let (mut c, b) = filled(4);
         for round in 0..100 {
-            b.set(round % 4);
-            assert!(b.get(round % 4));
-            b.flash_clear();
-            assert!(b.none_set());
+            c.mark_spec_read(b[round % 4], round % 2);
+            assert!(c.is_spec_read(b[round % 4], round % 2));
+            c.flash_clear_epoch(round % 2);
+            assert!(!c.has_spec_lines());
         }
     }
 
     #[test]
     fn len_and_is_empty() {
-        assert_eq!(SpecBitArray::new(10).len(), 10);
-        assert!(!SpecBitArray::new(10).is_empty());
-        assert!(SpecBitArray::new(0).is_empty());
+        // Each mark of each epoch is its own log: the four counts are
+        // independent, and an empty cache has none.
+        assert!(!cache(4).has_spec_lines());
+        let (mut c, b) = filled(10);
+        c.mark_spec_read(b[0], 0);
+        c.mark_spec_written(b[1], 0);
+        c.mark_spec_written(b[2], 1);
+        assert_eq!((c.spec_line_count(0), c.spec_line_count(1)), (2, 1));
+        c.flash_clear_epoch(0);
+        assert_eq!((c.spec_line_count(0), c.spec_line_count(1)), (0, 1));
     }
 }

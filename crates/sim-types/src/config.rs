@@ -404,6 +404,10 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The most cores a machine may have: each home directory records a block's
+/// sharers in a 64-bit mask.
+pub const MAX_CORES: usize = 64;
+
 /// Complete configuration of the simulated multiprocessor (Figure 6).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
@@ -505,11 +509,18 @@ impl MachineConfig {
     ///
     /// # Errors
     /// Returns a [`ConfigError`] describing the first problem found (zero
-    /// cores, non-power-of-two block size, core count not matching the torus,
+    /// or more than [`MAX_CORES`] cores, non-power-of-two block size, core count not matching the torus,
     /// zero-capacity structures, or a machine thread count other than 1).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("core count must be non-zero"));
+        }
+        if self.cores > MAX_CORES {
+            return Err(ConfigError::new(format!(
+                "{} cores exceed the limit of {MAX_CORES}: the directory's sharer mask has \
+                 {MAX_CORES} bits",
+                self.cores
+            )));
         }
         if !self.l1.block_bytes.is_power_of_two() {
             return Err(ConfigError::new("L1 block size must be a power of two"));
@@ -689,6 +700,11 @@ mod tests {
     #[test]
     fn every_validation_path_rejects_its_failure_mode() {
         assert_rejected("core count must be non-zero", |cfg| cfg.cores = 0);
+        assert_rejected("exceed the limit of 64", |cfg| {
+            cfg.cores = 65;
+            cfg.interconnect.mesh_width = 13;
+            cfg.interconnect.mesh_height = 5;
+        });
         assert_rejected("power of two", |cfg| cfg.l1.block_bytes = 48);
         assert_rejected("zero sets or ways", |cfg| cfg.l1.associativity = 0);
         assert_rejected("zero sets or ways", |cfg| {
@@ -705,6 +721,20 @@ mod tests {
         assert_rejected("ROB size must be non-zero", |cfg| cfg.core.rob_size = 0);
         assert_rejected("ROB size must be non-zero", |cfg| cfg.core.width = 0);
         assert_rejected("IFENCE_JOBS", |cfg| cfg.machine_threads = 2);
+    }
+
+    #[test]
+    fn validate_accepts_sixty_four_cores_and_rejects_sixty_five() {
+        let mut cfg = MachineConfig::paper_baseline();
+        cfg.cores = 64;
+        cfg.interconnect.mesh_width = 8;
+        cfg.interconnect.mesh_height = 8;
+        cfg.validate().expect("64 cores fit the sharer mask");
+        cfg.cores = 65;
+        cfg.interconnect.mesh_width = 13;
+        cfg.interconnect.mesh_height = 5;
+        let err = cfg.validate().expect_err("65 cores exceed the sharer mask");
+        assert!(err.to_string().contains("65 cores exceed the limit of 64"), "{err}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use activity::{earliest_wake, CoreActivity};
 pub use addr::{Addr, BlockAddr, CoreId, Cycle, WordOffset};
 pub use config::{
     CacheConfig, CoreConfig, DramConfig, EngineKind, InterconnectConfig, L2Config, MachineConfig,
-    SpeculationConfig, StoreBufferConfig,
+    SpeculationConfig, StoreBufferConfig, MAX_CORES,
 };
 pub use flag::parse_flag;
 pub use fnv::{fnv1a, FnvBuildHasher, FnvMap, FnvSet};

@@ -8,8 +8,8 @@
 use ifence_coherence::EventQueue;
 use ifence_cpu::Rob;
 use ifence_mem::{
-    BankedL2, BlockData, L2FillOutcome, LineState, MshrError, MshrFile, Ring, SetAssocCache,
-    SpecBitArray, StoreBuffer, VictimCache,
+    BankedL2, BlockData, L2FillOutcome, L2Handle, LineState, MshrError, MshrFile, Ring,
+    SetAssocCache, StoreBuffer, VictimCache,
 };
 use ifence_types::{
     Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config, StoreBufferKind,
@@ -28,46 +28,100 @@ fn random_vec(rng: &mut TraceRng, max_len: usize, bound: u64) -> Vec<u64> {
     (0..len).map(|_| rng.range_u64(0..bound)).collect()
 }
 
-/// Flash clear always leaves every bit clear, no matter the set/clear history.
+/// An L1 of `lines` lines (2 ways per set) holding blocks `0..lines`, so
+/// that line `i` of a mark test is block `i`.
+fn marked_cache(lines: u64) -> SetAssocCache {
+    let mut cache = SetAssocCache::new(&CacheConfig {
+        size_bytes: lines as usize * 64,
+        associativity: 2,
+        block_bytes: 64,
+        hit_latency: 2,
+        mshrs: 4,
+        victim_entries: 0,
+    });
+    for i in 0..lines {
+        cache.fill(block(i * 64), LineState::Exclusive, BlockData::zeroed());
+    }
+    assert_eq!(cache.valid_lines(), lines as usize);
+    cache
+}
+
+/// Clears every mark of block `i` individually: it leaves the cache and
+/// comes back into the way it left (the only invalid way of its set).
+fn clear_marks(cache: &mut SetAssocCache, i: u64) {
+    cache.invalidate(block(i * 64));
+    cache.fill(block(i * 64), LineState::Exclusive, BlockData::zeroed());
+}
+
+/// Flash clear always leaves every mark clear, no matter the set/clear
+/// history of the four marks (read and written, epochs 0 and 1).
 #[test]
 fn spec_bits_flash_clear_resets_everything() {
     for case in 0..CASES {
         let mut rng = TraceRng::seed_from_u64(case);
         let ops = random_vec(&mut rng, 200, 256);
-        let mut bits = SpecBitArray::new(256);
+        let mut cache = marked_cache(256);
         for (i, op) in ops.iter().enumerate() {
-            if i % 7 == 3 {
-                bits.clear(*op as usize);
-            } else {
-                bits.set(*op as usize);
+            let (b, epoch) = (block(op * 64), i % 2);
+            match i % 7 {
+                3 => clear_marks(&mut cache, *op),
+                0 | 4 => assert!(cache.mark_spec_written(b, epoch)),
+                _ => assert!(cache.mark_spec_read(b, epoch)),
             }
         }
-        bits.flash_clear();
-        assert!(bits.none_set(), "case {case}");
-        assert_eq!(bits.count_set(), 0, "case {case}");
+        cache.flash_clear_epoch(0);
+        cache.flash_clear_epoch(1);
+        assert!(!cache.has_spec_lines(), "case {case}");
+        assert_eq!(cache.spec_line_count(0) + cache.spec_line_count(1), 0, "case {case}");
+        assert!((0..256).all(|i| !cache.is_spec_any(block(i * 64))), "case {case}");
     }
 }
 
-/// The set-bit log never reports a bit that `get` says is clear, and
-/// `count_set` matches a brute-force count.
+/// The per-mark logs never report a line whose mark is clear:
+/// `spec_line_count` matches a brute-force count over the tags, and the
+/// abort invalidates exactly the written lines, in the order they were
+/// first written since the last flash clear (individual clears keep a
+/// line's place).
 #[test]
 fn spec_bits_log_is_consistent() {
     for case in 0..CASES {
         let mut rng = TraceRng::seed_from_u64(0x1000 + case);
         let sets = random_vec(&mut rng, 100, 64);
         let clears = random_vec(&mut rng, 100, 64);
-        let mut bits = SpecBitArray::new(64);
-        for s in &sets {
-            bits.set(*s as usize);
+        let mut cache = marked_cache(64);
+        let mut first_written: Vec<u64> = Vec::new();
+        for (k, s) in sets.iter().enumerate() {
+            if k % 2 == 0 {
+                cache.mark_spec_written(block(s * 64), 0);
+                if !first_written.contains(s) {
+                    first_written.push(*s);
+                }
+            } else {
+                cache.mark_spec_read(block(s * 64), 0);
+            }
+            if let Some(c) = clears.get(k).filter(|_| k % 3 == 0) {
+                clear_marks(&mut cache, *c);
+            }
         }
         for c in &clears {
-            bits.clear(*c as usize);
+            if rng.bool(0.3) {
+                clear_marks(&mut cache, *c);
+            }
         }
-        let brute: usize = (0..64).filter(|i| bits.get(*i)).count();
-        assert_eq!(bits.count_set(), brute, "case {case}");
-        for idx in bits.iter_set() {
-            assert!(bits.get(idx), "case {case}: logged bit {idx} is clear");
-        }
+        let marked = |i: u64| {
+            let b = block(i * 64);
+            cache.is_spec_read(b, 0) || cache.is_spec_written(b, 0)
+        };
+        let brute = (0..64).filter(|&i| marked(i)).count();
+        assert_eq!(cache.spec_line_count(0), brute, "case {case}");
+        assert_eq!(cache.has_spec_lines(), brute > 0, "case {case}");
+        let expected: Vec<BlockAddr> = first_written
+            .iter()
+            .filter(|&&i| cache.is_spec_written(block(i * 64), 0))
+            .map(|&i| block(i * 64))
+            .collect();
+        assert_eq!(cache.flash_invalidate_written(0), expected, "case {case}");
+        assert!(!cache.has_spec_lines(), "case {case}");
     }
 }
 
@@ -432,6 +486,9 @@ fn cache_abort_invalidates_only_written_lines() {
 /// One resident line of the naive L2 model.
 #[derive(Debug, Clone, Copy)]
 struct ModelL2Line {
+    /// The handle the fill returned: it must not change until the line
+    /// leaves.
+    line: L2Handle,
     slot: usize,
     lru: u64,
     busy: bool,
@@ -450,9 +507,12 @@ fn model_l2_slot(banks: usize, sets_per_bank: usize, block: u64) -> usize {
 /// The finite banked L2 behaves exactly like a naive map-plus-LRU model
 /// under random fill / touch / remove / busy-pin / holder sequences: the
 /// same resident lines and payloads, the same victim on every fill, the same
-/// `NeedsRecall` and `Blocked` refusals. Geometries include non-power-of-two
-/// bank and set counts, so the divide fallback of the set index is covered
-/// along with the shift-and-mask path.
+/// `NeedsRecall` and `Blocked` refusals. Every access goes through the
+/// handle API, and a resident block's handle — the one its fill returned —
+/// never changes until the block leaves; a fill that evicts takes its
+/// victim's way. Geometries include non-power-of-two bank and set counts,
+/// so the divide fallback of the set index is covered along with the
+/// shift-and-mask path.
 #[test]
 fn banked_l2_matches_a_naive_lru_model() {
     for case in 0..CASES {
@@ -488,31 +548,40 @@ fn banked_l2_matches_a_naive_lru_model() {
                         .filter(|(_, l)| l.slot == slot)
                         .map(|(&b, &l)| (b, l))
                         .collect();
-                    let line =
-                        ModelL2Line { slot, lru: stamp, busy: false, dirty: false, holders, word };
+                    let new_line = |line| ModelL2Line {
+                        line,
+                        slot,
+                        lru: stamp,
+                        busy: false,
+                        dirty: false,
+                        holders,
+                        word,
+                    };
                     let expected_victim = if set.len() < ways {
                         None
                     } else {
                         Some(*set.iter().min_by_key(|(_, l)| l.lru).unwrap())
                     };
                     match (outcome, expected_victim) {
-                        (L2FillOutcome::Installed { evicted: None }, None) => {
-                            model.insert(block, line);
+                        (L2FillOutcome::Installed { line, evicted: None }, None) => {
+                            model.insert(block, new_line(line));
                         }
-                        (L2FillOutcome::Installed { evicted: Some(ev) }, Some((vb, vl)))
+                        (L2FillOutcome::Installed { line, evicted: Some(ev) }, Some((vb, vl)))
                             if !vl.busy && vl.holders == 0 =>
                         {
                             assert_eq!(ev.block, vb, "case {case} step {step}: victim");
                             assert_eq!(ev.dirty, vl.dirty, "case {case} step {step}");
                             assert_eq!(ev.data.word(0), vl.word, "case {case} step {step}");
+                            assert_eq!(line, vl.line, "case {case} step {step}: victim's way");
                             model.remove(&vb);
-                            model.insert(block, line);
+                            model.insert(block, new_line(line));
                         }
                         (L2FillOutcome::Blocked, Some((_, vl))) if vl.busy => {}
-                        (L2FillOutcome::NeedsRecall { victim }, Some((vb, vl)))
+                        (L2FillOutcome::NeedsRecall { victim, line }, Some((vb, vl)))
                             if !vl.busy && vl.holders > 0 =>
                         {
                             assert_eq!(victim, vb, "case {case} step {step}: recall victim");
+                            assert_eq!(line, vl.line, "case {case} step {step}: victim's way");
                         }
                         (outcome, expected) => panic!(
                             "case {case} step {step}: fill of {block} gave {outcome:?}, \
@@ -521,10 +590,11 @@ fn banked_l2_matches_a_naive_lru_model() {
                     }
                 }
                 4 | 5 => {
-                    // A pinned line answers `Some(false)` and keeps its
-                    // LRU position; an unpinned one becomes MRU.
+                    // A pinned line answers `Err` and keeps its LRU
+                    // position; an unpinned one becomes MRU.
                     let touched = l2.touch_unpinned(block);
-                    let expected = model.get(&block).map(|l| !l.busy);
+                    let expected =
+                        model.get(&block).map(|l| if l.busy { Err(l.line) } else { Ok(l.line) });
                     assert_eq!(touched, expected, "case {case} step {step}");
                     if let Some(l) = model.get_mut(&block).filter(|l| !l.busy) {
                         stamp += 1;
@@ -532,19 +602,22 @@ fn banked_l2_matches_a_naive_lru_model() {
                     }
                 }
                 6 => {
-                    let removed = l2.remove(block);
                     let expected = model.remove(&block);
-                    assert_eq!(removed.is_some(), expected.is_some(), "case {case} step {step}");
-                    if let (Some(r), Some(e)) = (removed, expected) {
+                    let line = l2.probe(block);
+                    assert_eq!(line, expected.map(|e| e.line), "case {case} step {step}");
+                    if let (Some(line), Some(e)) = (line, expected) {
+                        let r = l2.remove(line);
                         assert_eq!((r.block, r.dirty, r.dir), (block, e.dirty, e.holders));
+                        assert_eq!(l2.probe(block), None, "case {case} step {step}");
                     }
                 }
                 _ => {
                     // Pin or unpin the line, change its holders, dirty it.
                     let (busy, holders, dirty) =
                         (rng.bool(0.5), rng.range_usize(0..2), rng.bool(0.5));
-                    match (l2.get_mut(block), model.get_mut(&block)) {
+                    match (l2.probe(block), model.get_mut(&block)) {
                         (Some(line), Some(l)) => {
+                            let line = l2.line_mut(line);
                             (line.busy, line.dir, line.dirty) = (busy, holders, dirty);
                             (l.busy, l.holders, l.dirty) = (busy, holders, dirty);
                         }
@@ -558,8 +631,11 @@ fn banked_l2_matches_a_naive_lru_model() {
             assert_eq!(l2.resident_lines(), model.len(), "case {case} step {step}");
             for probe in 0..8 {
                 let b = rng.range_u64(0..universe);
-                let real = l2.get(b).map(|l| (l.busy, l.dirty, l.dir, l.data.word(0)));
-                let expected = model.get(&b).map(|l| (l.busy, l.dirty, l.holders, l.word));
+                let real = l2.probe(b).map(|line| {
+                    let l = l2.line(line);
+                    (line, l.busy, l.dirty, l.dir, l.data.word(0))
+                });
+                let expected = model.get(&b).map(|l| (l.line, l.busy, l.dirty, l.holders, l.word));
                 assert_eq!(real, expected, "case {case} step {step} probe {probe}: block {b}");
             }
         }
