@@ -57,7 +57,7 @@ impl DirectoryEntry {
         self.state = DirectoryState::Owned(core);
     }
 
-    /// Removes `core` from the sharer list / ownership (silent eviction or
+    /// Removes `core` from the sharer mask / ownership (silent eviction or
     /// writeback). Leaves other sharers intact.
     pub fn remove_holder(&mut self, core: CoreId) {
         self.state = match self.state {

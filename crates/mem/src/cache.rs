@@ -57,6 +57,16 @@ pub(crate) struct Tag {
     pub(crate) marks: Marks,
 }
 
+/// The index of the first element of `v` that starts a 64-byte host cache
+/// line (0 if none of the first line's elements does). Tag arrays are
+/// allocated `64 / size_of::<T>() - 1` elements long and laid out from this
+/// index, so a set of 64 bytes or a divisor of it never straddles two host
+/// lines.
+pub(crate) fn first_line_aligned<T>(v: &[T]) -> usize {
+    let (addr, size) = (v.as_ptr() as usize, std::mem::size_of::<T>());
+    (0..64 / size).find(|k| (addr + k * size) % 64 == 0).unwrap_or(0)
+}
+
 /// A divisor fixed at construction: a mask and a shift when it is a power of
 /// two, a hardware divide otherwise. Set and bank selection run on every
 /// cache probe, and every paper geometry is a power of two.
@@ -118,8 +128,11 @@ pub struct SetAssocCache {
     sets: Divisor,
     assoc: usize,
     block_bytes: usize,
+    /// Tags and payloads, line `i` of the cache at index `first + i` of both
+    /// (see [`first_line_aligned`]); the padding lines stay invalid.
     tags: Vec<Tag>,
     data: Vec<BlockData>,
+    first: usize,
     /// The last LRU stamp handed out; see [`SetAssocCache::touch_line`].
     stamp: u32,
     logs: MarkLogs,
@@ -134,12 +147,14 @@ impl SetAssocCache {
         let sets = config.sets();
         let assoc = config.associativity;
         assert!(sets > 0 && assoc > 0, "cache must have at least one set and one way");
-        let total = sets * assoc;
+        let total = sets * assoc + 64 / std::mem::size_of::<Tag>() - 1;
+        let tags = vec![Tag::default(); total];
         SetAssocCache {
             sets: Divisor::new(sets),
             assoc,
             block_bytes: config.block_bytes,
-            tags: vec![Tag::default(); total],
+            first: first_line_aligned(&tags),
+            tags,
             data: vec![BlockData::default(); total],
             stamp: 0,
             logs: MarkLogs::default(),
@@ -153,7 +168,7 @@ impl SetAssocCache {
 
     /// First line index of the set `block` maps to.
     fn set_base(&self, block: BlockAddr) -> usize {
-        self.sets.rem(block.number()) * self.assoc
+        self.first + self.sets.rem(block.number()) * self.assoc
     }
 
     fn block_of_line(&self, idx: usize) -> BlockAddr {
@@ -192,7 +207,8 @@ impl SetAssocCache {
     #[cold]
     fn renumber_stamps(&mut self) {
         let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
-        for set in self.tags.chunks_mut(self.assoc) {
+        let lines = self.first..self.first + self.sets.value() * self.assoc;
+        for set in self.tags[lines].chunks_mut(self.assoc) {
             order.clear();
             order.extend(0..set.len());
             order.sort_by_key(|&k| set[k].lru);

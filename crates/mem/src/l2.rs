@@ -26,7 +26,7 @@
 //! nothing is ever evicted. This reproduces the pre-capacity fabric exactly
 //! and serves as the "infinite" endpoint of capacity sweeps.
 
-use crate::cache::Divisor;
+use crate::cache::{first_line_aligned, Divisor};
 use crate::line::BlockData;
 use ifence_types::{FnvMap, L2Config};
 
@@ -104,7 +104,8 @@ fn tag_of(block: u64) -> u64 {
 
 /// The finite store: per-set line vectors plus one flat tag array.
 ///
-/// `tags[slot * ways + k]` is the tag of way `k` of `slot`, [`EMPTY`] when
+/// `tags[first + slot * ways + k]` is the tag of way `k` of `slot` (`first`
+/// aligns the rows to host cache lines), [`EMPTY`] when
 /// the way holds no line; `lines[slot][k]` is the way's line, meaningful
 /// only while its tag is not empty. A line keeps its way for as long as it
 /// is resident. Probes scan one row of 8-byte tags and touch a line only on
@@ -118,6 +119,7 @@ fn tag_of(block: u64) -> u64 {
 #[derive(Debug)]
 struct Finite<D> {
     tags: Vec<u64>,
+    first: usize,
     lines: Vec<Vec<L2Line<D>>>,
     sets_per_bank: Divisor,
     ways: usize,
@@ -131,9 +133,14 @@ impl<D> Finite<D> {
         bank * self.sets_per_bank.value() + set
     }
 
+    /// Index of the first tag of `slot`'s row.
+    fn row_base(&self, slot: usize) -> usize {
+        self.first + slot * self.ways
+    }
+
     /// The tag row of `slot` (empty before the first fill).
     fn row(&self, slot: usize) -> &[u64] {
-        let base = slot * self.ways;
+        let base = self.row_base(slot);
         self.tags.get(base..base + self.ways).unwrap_or(&[])
     }
 
@@ -185,6 +192,7 @@ impl<D: Copy> BankedL2<D> {
             assert!(sets_per_bank > 0, "L2 geometry yields zero sets per bank");
             Store::Finite(Finite {
                 tags: Vec::new(),
+                first: 0,
                 lines: (0..banks * sets_per_bank).map(|_| Vec::new()).collect(),
                 sets_per_bank: Divisor::new(sets_per_bank),
                 ways: cfg.associativity,
@@ -279,10 +287,11 @@ impl<D: Copy> BankedL2<D> {
             }
             Store::Finite(f) => {
                 if f.tags.is_empty() {
-                    f.tags = vec![EMPTY; f.lines.len() * f.ways];
+                    f.tags = vec![EMPTY; f.lines.len() * f.ways + 7];
+                    f.first = first_line_aligned(&f.tags);
                 }
                 let slot = f.slot(self.banks, block);
-                let base = slot * f.ways;
+                let base = f.row_base(slot);
                 let handle = |way| L2Handle { set: slot, way };
                 if let Some(way) = f.row(slot).iter().position(|&t| t == EMPTY) {
                     // Ways are first used in order, so an empty way is either
@@ -333,7 +342,8 @@ impl<D: Copy> BankedL2<D> {
     pub fn remove(&mut self, line: L2Handle) -> L2Evicted<D> {
         let (block, removed) = match &mut self.store {
             Store::Finite(f) => {
-                let tag = &mut f.tags[line.set * f.ways + line.way];
+                let index = f.row_base(line.set) + line.way;
+                let tag = &mut f.tags[index];
                 assert_ne!(*tag, EMPTY, "handle of a resident line");
                 let block = std::mem::replace(tag, EMPTY) - 1;
                 (block, f.lines[line.set][line.way])
