@@ -102,14 +102,18 @@ fn tag_of(block: u64) -> u64 {
     block + 1
 }
 
+fn block_of(tag: u64) -> u64 {
+    tag - 1
+}
+
 /// The finite store: per-set line vectors plus one flat tag array.
 ///
-/// `tags[first + slot * ways + k]` is the tag of way `k` of `slot` (`first`
-/// aligns the rows to host cache lines), [`EMPTY`] when
-/// the way holds no line; `lines[slot][k]` is the way's line, meaningful
-/// only while its tag is not empty. A line keeps its way for as long as it
-/// is resident. Probes scan one row of 8-byte tags and touch a line only on
-/// a hit.
+/// `tags[first + slot * ways + k]` is the tag of way `k` of `slot`, or
+/// [`EMPTY`] when the way holds no line (`first` aligns the rows to host
+/// cache lines); `lines[slot][k]` is the way's line, meaningful only while
+/// its tag is not empty. A line keeps its way for as long as it is
+/// resident. Probes scan one row of 8-byte tags and touch a line only on a
+/// hit.
 ///
 /// Nothing is allocated per line up front. The line vectors grow as ways
 /// are first used: a paper-sized L2's lines would take over 12 MB, most of it
@@ -287,7 +291,8 @@ impl<D: Copy> BankedL2<D> {
             }
             Store::Finite(f) => {
                 if f.tags.is_empty() {
-                    f.tags = vec![EMPTY; f.lines.len() * f.ways + 7];
+                    let padding = 64 / std::mem::size_of::<u64>() - 1;
+                    f.tags = vec![EMPTY; f.lines.len() * f.ways + padding];
                     f.first = first_line_aligned(&f.tags);
                 }
                 let slot = f.slot(self.banks, block);
@@ -315,7 +320,7 @@ impl<D: Copy> BankedL2<D> {
                 if set[victim].busy {
                     return L2FillOutcome::Blocked;
                 }
-                let vblock = f.tags[base + victim] - 1;
+                let vblock = block_of(f.tags[base + victim]);
                 if !can_drop(&set[victim].dir) {
                     return L2FillOutcome::NeedsRecall { victim: vblock, line: handle(victim) };
                 }
@@ -345,7 +350,7 @@ impl<D: Copy> BankedL2<D> {
                 let index = f.row_base(line.set) + line.way;
                 let tag = &mut f.tags[index];
                 assert_ne!(*tag, EMPTY, "handle of a resident line");
-                let block = std::mem::replace(tag, EMPTY) - 1;
+                let block = block_of(std::mem::replace(tag, EMPTY));
                 (block, f.lines[line.set][line.way])
             }
             Store::Unbounded(banks) => {
