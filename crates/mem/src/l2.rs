@@ -64,7 +64,7 @@ pub struct L2Evicted<D> {
 /// Where a resident line sits: returned by [`BankedL2::probe`] and
 /// [`BankedL2::fill`], and valid until the line leaves the L2 (lines never
 /// move while resident). In the unbounded store it is the block number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Handle {
     set: usize,
     way: usize,

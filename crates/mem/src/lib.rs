@@ -23,7 +23,9 @@
 //! * [`L1Cache`] — the combination of cache + victim cache used by a core.
 //! * [`BankedL2`] — the shared, banked, address-interleaved L2 whose lines
 //!   embed a caller-supplied directory payload (the coherence fabric embeds
-//!   sharer/owner state in the L2 tags through it).
+//!   sharer/owner state in the L2 tags through it). A resident line never
+//!   moves, so the [`L2Handle`] a probe or fill returns reaches it without
+//!   another probe until it leaves.
 //!
 //! # Example
 //!

@@ -28,7 +28,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 4 ]; then
-    sed -n '5,11p' "$0" >&2
+    sed -n '5,15p' "$0" >&2
     exit 2
 fi
 rev="$1"
@@ -42,15 +42,15 @@ git -C "$root" rev-parse --verify --quiet "$rev^{commit}" >/dev/null \
     || { echo "ab_perfbench: unknown revision $rev" >&2; exit 2; }
 
 if [ -n "${AB_WORKDIR:-}" ]; then
-    work="$AB_WORKDIR"
+    work="$(realpath -m "$AB_WORKDIR")"
+    case "$work/" in
+        "$root"/*) echo "ab_perfbench: AB_WORKDIR must lie outside the tree" >&2; exit 2 ;;
+    esac
     mkdir -p "$work"
 else
     work="$(mktemp -d)"
     trap 'rm -rf "$work"' EXIT
 fi
-case "$(cd "$work" && pwd)/" in
-    "$root"/*) echo "ab_perfbench: AB_WORKDIR must lie outside the tree" >&2; exit 2 ;;
-esac
 
 # Copies one side's sources into $work/<side>-src and builds perfbench there.
 build() {
