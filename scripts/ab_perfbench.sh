@@ -17,14 +17,18 @@
 # The parent is built from `git archive <parent-rev>`, the change from a copy
 # of the working tree (tracked and untracked, non-ignored files), each into
 # its own target directory, so the tree itself is never written —
-# `perfbench/Cargo.lock` included. Pair i runs the parent first when i is
-# odd and the change first when i is even. For each cell the script prints
-# every pair's `sim_mips`, then, for `sim_mips`, `setup_s` and
-# `peak_rss_mb`, each side's median and quartiles and how many pairs the
-# change won: a claimed gain needs wins in nearly every pair and a gap
-# between medians wider than the parent's interquartile range. It fails if
-# the two sides' result digests or cycle counts differ: a speed-only change
-# must leave every simulated result alone.
+# `perfbench/Cargo.lock` included. Each side's `cargo build` runs from inside
+# its own copy: Cargo reads `.cargo/config.toml` (the build profiles) from the
+# working directory upward, not from `--manifest-path`, so each side is built
+# with the profiles of its own revision wherever the script is started.
+#
+# Pair i runs the parent first when i is odd and the change first when i is
+# even. For each cell the script prints every pair's `sim_mips`, then, for
+# `sim_mips`, `setup_s` and `peak_rss_mb`, each side's median and quartiles
+# and how many pairs the change won: a claimed gain needs wins in nearly
+# every pair and a gap between medians wider than the parent's interquartile
+# range. It fails if the two sides' result digests or cycle counts differ: a
+# speed-only change must leave every simulated result alone.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 4 ]; then
@@ -64,8 +68,8 @@ build() {
             | tar --null --ignore-failed-read -T - -cf -) | tar -x -C "$src"
     fi
     echo "building $side ..." >&2
-    CARGO_TARGET_DIR="$work/$side-target" cargo build --release --quiet --offline \
-        --manifest-path "$src/perfbench/Cargo.toml"
+    (cd "$src" && CARGO_TARGET_DIR="$work/$side-target" cargo build --release --quiet \
+        --offline --manifest-path perfbench/Cargo.toml)
 }
 build parent
 build change
