@@ -281,6 +281,8 @@ mod tests {
                 dispatch_id: index as u64,
                 instr,
                 block: instr.kind.addr().map(|a| BlockAddr::containing(a, 64)),
+                issued: true,
+                complete_at: Some(0),
                 performed_read: instr.kind.reads_memory(),
                 bound_at_head: true,
                 loaded_value: Some(0),

@@ -238,12 +238,7 @@ impl Core {
         let head = match self.rob.head() {
             Some(h) => format!(
                 "head=[#{} {} issued={} complete_at={:?} performed={} block={:?}]",
-                h.program_index,
-                h.instr,
-                self.rob.is_issued(0),
-                self.rob.complete_at(0),
-                h.performed_read,
-                h.block
+                h.program_index, h.instr, h.issued, h.complete_at, h.performed_read, h.block
             ),
             None => "head=[empty]".to_string(),
         };
@@ -345,7 +340,7 @@ impl Core {
         for position in 0..self.rob.len() {
             let entry = self.rob.get(position).expect("position below len");
             let Some(block) = entry.block else { continue };
-            if !self.rob.is_issued(position) || self.rob.complete_at(position).is_some() {
+            if !entry.issued || entry.complete_at.is_some() {
                 continue;
             }
             let registered =
@@ -366,16 +361,14 @@ impl Core {
         // Find the waiting instruction; it may have been squashed, in which
         // case there is nothing to do.
         let Some(position) = self.rob.position_of(waiter) else { return };
-        self.rob.set_complete_at(position, now + hit_latency);
-        let entry = self.rob.get(position).expect("position below len");
+        let Core { rob, mem, engine, ledger, .. } = self;
+        let entry = rob.get_mut(position).expect("position below len");
+        entry.complete_at = Some(now + hit_latency);
         if entry.instr.kind.reads_memory() && !entry.performed_read {
             let addr = entry.instr.kind.addr().unwrap_or_default();
-            let value = self.mem.read_value(addr).unwrap_or(0);
-            let entry = self.rob.get_mut(position).expect("position below len");
-            entry.loaded_value = Some(value);
+            entry.loaded_value = Some(mem.read_value(addr).unwrap_or(0));
             entry.performed_read = true;
             entry.bound_at_head = at_head;
-            let Core { mem, engine, ledger, .. } = self;
             engine.on_load_issue(mem, ledger, block);
         }
     }
@@ -497,27 +490,27 @@ impl Core {
         let sb_empty_now = mem.sb_empty();
         let rob_len = rob.len();
         for position in start..rob_len {
-            let mut view = rob.view_mut(position).expect("index below len");
+            let entry = rob.get_mut(position).expect("index below len");
             // A value bound here is immune to later invalidations only if
             // every older instruction has retired AND no older store is still
             // pending in the store buffer (otherwise the binding could expose
             // a forbidden reordering, e.g. Dekker under SC).
             let at_head = position == 0 && sb_empty_now;
-            if view.issued() {
+            if entry.issued {
                 continue;
             }
             // A memory operation's first issue attempt records its block even
             // when the issue itself fails (MSHRs full); that is a state
             // change the quiescence analysis must see.
-            let block_known = view.entry.block.is_some();
-            match view.entry.instr.kind {
+            let block_known = entry.block.is_some();
+            match entry.instr.kind {
                 InstrKind::Op(lat) => {
-                    view.set_complete_at(now + lat as u64);
-                    view.set_issued();
+                    entry.complete_at = Some(now + lat as u64);
+                    entry.issued = true;
                 }
                 InstrKind::Fence(_) => {
-                    view.set_complete_at(now + 1);
-                    view.set_issued();
+                    entry.complete_at = Some(now + 1);
+                    entry.issued = true;
                 }
                 InstrKind::Load(addr) => {
                     if mem_ports_used >= max_ports {
@@ -526,13 +519,13 @@ impl Core {
                     }
                     mem_ports_used += 1;
                     let block = mem.block_of(addr);
-                    view.entry.block = Some(block);
+                    entry.block = Some(block);
                     if let Some(value) = mem.sb.forward(addr) {
-                        view.entry.loaded_value = Some(value);
-                        view.entry.performed_read = true;
-                        view.entry.bound_at_head = at_head;
-                        view.set_complete_at(now + 1);
-                        view.set_issued();
+                        entry.loaded_value = Some(value);
+                        entry.performed_read = true;
+                        entry.bound_at_head = at_head;
+                        entry.complete_at = Some(now + 1);
+                        entry.issued = true;
                         stats.counters.sb_forwards += 1;
                         if mem.l1.peek(block).readable() {
                             engine.on_load_issue(mem, ledger, block);
@@ -540,20 +533,20 @@ impl Core {
                     } else if let Some(value) =
                         mem.l1.load_word(block, addr.word_in_block(mem.block_bytes()).index())
                     {
-                        view.entry.loaded_value = Some(value);
-                        view.entry.performed_read = true;
-                        view.entry.bound_at_head = at_head;
-                        view.set_complete_at(now + hit_latency);
-                        view.set_issued();
+                        entry.loaded_value = Some(value);
+                        entry.performed_read = true;
+                        entry.bound_at_head = at_head;
+                        entry.complete_at = Some(now + hit_latency);
+                        entry.issued = true;
                         stats.counters.l1_hits += 1;
                         engine.on_load_issue(mem, ledger, block);
                     } else if mem.ensure_read_miss(
                         block,
-                        view.entry.dispatch_id,
+                        entry.dispatch_id,
                         now,
                         &mut stats.counters,
                     ) {
-                        view.set_issued();
+                        entry.issued = true;
                     }
                 }
                 InstrKind::Store(addr, _) => {
@@ -563,9 +556,9 @@ impl Core {
                     }
                     mem_ports_used += 1;
                     let block = mem.block_of(addr);
-                    view.entry.block = Some(block);
-                    view.set_complete_at(now + 1);
-                    view.set_issued();
+                    entry.block = Some(block);
+                    entry.complete_at = Some(now + 1);
+                    entry.issued = true;
                     mem.store_prefetch(block, now, &mut stats.counters);
                 }
                 InstrKind::Atomic(addr, _) => {
@@ -575,32 +568,32 @@ impl Core {
                     }
                     mem_ports_used += 1;
                     let block = mem.block_of(addr);
-                    view.entry.block = Some(block);
+                    entry.block = Some(block);
                     if mem.l1.lookup(block).writable() {
                         let word = addr.word_in_block(mem.block_bytes()).index();
-                        view.entry.loaded_value =
+                        entry.loaded_value =
                             mem.sb.forward(addr).or_else(|| mem.l1.read_word(block, word));
-                        view.entry.performed_read = true;
-                        view.entry.bound_at_head = at_head;
-                        view.set_complete_at(now + hit_latency);
-                        view.set_issued();
+                        entry.performed_read = true;
+                        entry.bound_at_head = at_head;
+                        entry.complete_at = Some(now + hit_latency);
+                        entry.issued = true;
                         stats.counters.l1_hits += 1;
                         engine.on_load_issue(mem, ledger, block);
                     } else if mem.ensure_write_miss(
                         block,
-                        Some(view.entry.dispatch_id),
+                        Some(entry.dispatch_id),
                         false,
                         now,
                         &mut stats.counters,
                     ) {
-                        view.set_issued();
+                        entry.issued = true;
                     }
                 }
             }
-            if view.issued() || view.entry.block.is_some() != block_known {
+            if entry.issued || entry.block.is_some() != block_known {
                 issued_any = true;
             }
-            if !view.issued() && issued_prefix.is_none() {
+            if !entry.issued && issued_prefix.is_none() {
                 issued_prefix = Some(position);
             }
         }

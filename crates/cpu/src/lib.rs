@@ -52,4 +52,4 @@ pub use engine::{
     RetireOutcome,
 };
 pub use mem_side::CoreMem;
-pub use rob::{Rob, RobEntry, RobView};
+pub use rob::{Rob, RobEntry};

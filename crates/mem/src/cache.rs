@@ -10,8 +10,7 @@ use ifence_types::{Addr, BlockAddr, CacheConfig};
 pub const MAX_EPOCHS: usize = 2;
 
 /// A line evicted or invalidated from the cache, returned to the caller so a
-/// dirty block can be written back and speculative-eviction invariants can be
-/// checked.
+/// dirty block can be written back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
     /// The block that left the cache.
@@ -20,10 +19,6 @@ pub struct EvictedLine {
     pub state: LineState,
     /// Its data payload (meaningful when `state` was Modified).
     pub data: BlockData,
-    /// Whether any epoch had marked the line speculatively read.
-    pub spec_read: bool,
-    /// Whether any epoch had marked the line speculatively written.
-    pub spec_written: bool,
 }
 
 /// Where a fill of one block lands: the line already holding it, or the way
@@ -355,14 +350,7 @@ impl SetAssocCache {
 
     /// The line at `idx` as it leaves the cache.
     fn evicted_line(&self, idx: usize, block: BlockAddr) -> EvictedLine {
-        let tag = self.tags[idx];
-        EvictedLine {
-            block,
-            state: tag.state,
-            data: self.data[idx],
-            spec_read: tag.marks.any_read(),
-            spec_written: tag.marks.any_written(),
-        }
+        EvictedLine { block, state: self.tags[idx].state, data: self.data[idx] }
     }
 
     /// Installs `block` with the given state and data, returning the evicted
@@ -590,9 +578,6 @@ mod tests {
             let slot = c.fill_slot(block);
             let spec = c.slot_evicts_spec(slot);
             let evicted = c.clone().fill_at(slot, LineState::Shared, BlockData::zeroed());
-            if let Some(e) = evicted {
-                assert_eq!(spec, e.spec_read || e.spec_written);
-            }
             evicted.map(|e| (e.block, spec))
         };
         let mut c = small_cache();
@@ -696,7 +681,6 @@ mod tests {
         // speculative marks.
         let ev = c.fill(d, LineState::Shared, BlockData::zeroed()).unwrap();
         assert_eq!(ev.block, a);
-        assert!(ev.spec_read);
         assert!(!c.is_spec_any(d));
     }
 
@@ -707,7 +691,6 @@ mod tests {
         c.fill(b, LineState::Modified, BlockData::from_words([3; 8]));
         c.mark_spec_written(b, 0);
         let ev = c.invalidate(b).unwrap();
-        assert!(ev.spec_written);
         assert_eq!(ev.state, LineState::Modified);
         assert_eq!(c.state(b), LineState::Invalid);
         assert!(c.invalidate(b).is_none());

@@ -162,14 +162,10 @@ impl L1Cache {
             if evicted.state == LineState::Invalid {
                 return;
             }
-            if let Some((vb, vs, vd)) = self.victim.insert_evicted(&evicted) {
-                self.pending.push(EvictionAction::from_line(EvictedLine {
-                    block: vb,
-                    state: vs,
-                    data: vd,
-                    spec_read: false,
-                    spec_written: false,
-                }));
+            if let Some((block, state, data)) =
+                self.victim.insert(evicted.block, evicted.state, evicted.data)
+            {
+                self.pending.push(EvictionAction::from_line(EvictedLine { block, state, data }));
             }
         }
     }

@@ -17,9 +17,6 @@
 //!   Figure 5: the word-granularity FIFO used by conventional SC/TSO and the
 //!   block-granularity coalescing buffer used by conventional RMO and every
 //!   speculative engine.
-//! * [`Ring`] — the flat fixed-capacity ring buffer (head index + length
-//!   over a never-reallocated `Vec`) backing the per-core hot structures:
-//!   the reorder buffer and the FIFO store buffer.
 //! * [`L1Cache`] — the combination of cache + victim cache used by a core.
 //! * [`BankedL2`] — the shared, banked, address-interleaved L2 whose lines
 //!   embed a caller-supplied directory payload (the coherence fabric embeds
@@ -49,7 +46,6 @@ pub mod l1;
 pub mod l2;
 pub mod line;
 pub mod mshr;
-pub mod ring;
 mod spec_bits;
 pub mod store_buffer;
 pub mod victim;
@@ -59,6 +55,5 @@ pub use l1::{EvictionAction, L1Cache};
 pub use l2::{BankedL2, L2Evicted, L2FillOutcome, L2Handle, L2Line};
 pub use line::{BlockData, LineState, WORDS_PER_BLOCK};
 pub use mshr::{MshrEntry, MshrError, MshrFile};
-pub use ring::Ring;
 pub use store_buffer::{SbEntry, SbError, StoreBuffer};
 pub use victim::VictimCache;

@@ -47,8 +47,6 @@ impl Mark {
 pub(crate) struct Marks(u8);
 
 const SET_BITS: u8 = 0x0f;
-const READ_BITS: u8 = 0x03;
-const WRITTEN_BITS: u8 = 0x0c;
 
 impl Marks {
     /// Returns true if `mark` is set.
@@ -67,16 +65,6 @@ impl Marks {
     /// True if any mark of any epoch is set.
     pub(crate) fn any(self) -> bool {
         self.0 & SET_BITS != 0
-    }
-
-    /// True if a read mark of either epoch is set.
-    pub(crate) fn any_read(self) -> bool {
-        self.0 & READ_BITS != 0
-    }
-
-    /// True if a written mark of either epoch is set.
-    pub(crate) fn any_written(self) -> bool {
-        self.0 & WRITTEN_BITS != 0
     }
 
     /// Clears every mark of the line, keeping its log records.

@@ -9,8 +9,8 @@
 //!   flash-invalidated on abort.
 
 use crate::line::{BlockData, WORDS_PER_BLOCK};
-use crate::ring::Ring;
 use ifence_types::{Addr, BlockAddr, StoreBufferKind};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Error returned when a store cannot be inserted.
@@ -50,12 +50,11 @@ struct WordStore {
     epoch: Option<u8>,
 }
 
-// The FIFO sits on the flat [`Ring`] (the hot path of conventional SC/TSO
-// drains and forwards through it every cycle); the coalescing buffer is a
-// small unordered set, for which a plain `Vec` is already flat.
+// The FIFO is an age-ordered deque of word stores; the coalescing buffer is
+// a small unordered set of block entries.
 #[derive(Debug, Clone)]
 enum Organization {
-    Fifo(Ring<WordStore>),
+    Fifo(VecDeque<WordStore>),
     Coalescing(Vec<SbEntry>),
 }
 
@@ -87,7 +86,7 @@ impl StoreBuffer {
     /// Creates a store buffer of the given organization and capacity.
     pub fn new(kind: StoreBufferKind, capacity: usize, block_bytes: usize) -> Self {
         let organization = match kind {
-            StoreBufferKind::FifoWord => Organization::Fifo(Ring::with_capacity(capacity)),
+            StoreBufferKind::FifoWord => Organization::Fifo(VecDeque::new()),
             StoreBufferKind::CoalescingBlock => Organization::Coalescing(Vec::new()),
         };
         StoreBuffer { capacity, block_bytes, high_water: 0, drain_stalled: false, organization }
@@ -278,14 +277,12 @@ impl StoreBuffer {
     pub fn flash_invalidate_exact(&mut self, epoch: u8) -> usize {
         let keep = |e: Option<u8>| e != Some(epoch);
         self.drain_stalled = false;
+        let before = self.len();
         match &mut self.organization {
             Organization::Fifo(q) => q.retain(|s| keep(s.epoch)),
-            Organization::Coalescing(v) => {
-                let before = v.len();
-                v.retain(|e| keep(e.epoch));
-                before - v.len()
-            }
+            Organization::Coalescing(v) => v.retain(|e| keep(e.epoch)),
         }
+        before - self.len()
     }
 }
 

@@ -1,6 +1,5 @@
 //! Small fully-associative victim cache (the paper's 16-entry L1 victim cache).
 
-use crate::cache::EvictedLine;
 use crate::line::{BlockData, LineState};
 use ifence_types::BlockAddr;
 
@@ -88,15 +87,6 @@ impl VictimCache {
         self.keys.push(block);
         self.lines.push((state, data));
         displaced
-    }
-
-    /// Inserts a line evicted from the L1 (convenience wrapper over
-    /// [`VictimCache::insert`]).
-    pub fn insert_evicted(
-        &mut self,
-        line: &EvictedLine,
-    ) -> Option<(BlockAddr, LineState, BlockData)> {
-        self.insert(line.block, line.state, line.data)
     }
 
     /// Removes and returns the entry for `block`, if resident (a victim hit

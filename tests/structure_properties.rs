@@ -8,8 +8,8 @@
 use ifence_coherence::EventQueue;
 use ifence_cpu::Rob;
 use ifence_mem::{
-    BankedL2, BlockData, L2FillOutcome, L2Handle, LineState, MshrError, MshrFile, Ring,
-    SetAssocCache, StoreBuffer, VictimCache,
+    BankedL2, BlockData, L2FillOutcome, L2Handle, LineState, MshrError, MshrFile, SetAssocCache,
+    StoreBuffer, VictimCache,
 };
 use ifence_types::{
     Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config, StoreBufferKind,
@@ -226,117 +226,6 @@ fn cache_uniqueness_and_capacity() {
         for (blk, _) in cache.iter_valid() {
             assert!(seen.insert(blk.number()), "case {case}: duplicate resident block");
         }
-    }
-}
-
-/// The flat ring buffer behaves exactly like a `VecDeque` under arbitrary
-/// interleavings of pushes and pops, across many head-pointer wraparounds:
-/// same length, same elements at every index, same front, same iteration
-/// order in both directions.
-#[test]
-fn ring_matches_deque_model_across_wraparound() {
-    for case in 0..CASES {
-        let mut rng = TraceRng::seed_from_u64(0x6000 + case);
-        let capacity = rng.range_usize(1..12);
-        let mut ring: Ring<u64> = Ring::with_capacity(capacity);
-        let mut model: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        for step in 0..400 {
-            if !ring.is_full() && rng.bool(0.55) {
-                let v = rng.next_u64();
-                ring.push_back(v);
-                model.push_back(v);
-            } else if !ring.is_empty() {
-                assert_eq!(ring.pop_front(), model.pop_front(), "case {case} step {step}");
-            }
-            assert_eq!(ring.len(), model.len(), "case {case} step {step}");
-            assert_eq!(ring.is_empty(), model.is_empty(), "case {case} step {step}");
-            assert_eq!(ring.front().copied(), model.front().copied(), "case {case} step {step}");
-            for i in 0..model.len() {
-                assert_eq!(ring.get(i), model.get(i), "case {case} step {step} index {i}");
-            }
-            let forward: Vec<u64> = ring.iter().copied().collect();
-            assert_eq!(forward, model.iter().copied().collect::<Vec<_>>(), "case {case}");
-            let backward: Vec<u64> = ring.iter().rev().copied().collect();
-            assert_eq!(backward, model.iter().rev().copied().collect::<Vec<_>>(), "case {case}");
-        }
-    }
-}
-
-/// Full/empty boundary behaviour: a ring filled to capacity reports full
-/// (and only then), drains back to empty in order, and stays usable across
-/// repeated fill/drain rounds that leave the head at arbitrary offsets.
-#[test]
-fn ring_full_and_empty_boundaries_hold_at_any_head_offset() {
-    for case in 0..CASES {
-        let mut rng = TraceRng::seed_from_u64(0x7000 + case);
-        let capacity = rng.range_usize(1..10);
-        let mut ring: Ring<u64> = Ring::with_capacity(capacity);
-        let mut next = 0u64;
-        for round in 0..12 {
-            // Shift the head by a partial fill/drain so each round starts at
-            // a different offset.
-            let offset = rng.range_usize(0..capacity);
-            for _ in 0..offset {
-                ring.push_back(next);
-                next += 1;
-            }
-            for _ in 0..offset {
-                ring.pop_front();
-            }
-            assert!(ring.is_empty(), "case {case} round {round}");
-            assert_eq!(ring.len(), 0, "case {case} round {round}");
-            for i in 0..capacity {
-                assert!(!ring.is_full(), "case {case} round {round}: full before capacity");
-                ring.push_back(next + i as u64);
-                assert_eq!(ring.len(), i + 1, "case {case} round {round}");
-            }
-            assert!(ring.is_full(), "case {case} round {round}: capacity reached");
-            for i in 0..capacity {
-                assert_eq!(
-                    ring.pop_front(),
-                    Some(next + i as u64),
-                    "case {case} round {round}: FIFO order across the boundary"
-                );
-            }
-            next += capacity as u64;
-            assert!(ring.is_empty() && !ring.is_full(), "case {case} round {round}");
-        }
-    }
-}
-
-/// `retain` models rollback truncation (the ROB's `squash_from`): dropping
-/// every element from a random program index onward keeps the surviving
-/// prefix in order, reports the exact removal count, and leaves the ring
-/// usable for further pushes — including when the squash empties it.
-#[test]
-fn ring_retain_models_rollback_truncation() {
-    for case in 0..CASES {
-        let mut rng = TraceRng::seed_from_u64(0x8000 + case);
-        let capacity = rng.range_usize(1..16);
-        let mut ring: Ring<u64> = Ring::with_capacity(capacity);
-        // Rotate the head so the truncation crosses the wrap in many cases.
-        let offset = rng.range_usize(0..capacity);
-        for i in 0..offset {
-            ring.push_back(i as u64);
-        }
-        for _ in 0..offset {
-            ring.pop_front();
-        }
-        let len = rng.range_usize(0..capacity + 1);
-        for i in 0..len {
-            ring.push_back(i as u64);
-        }
-        let cut = rng.range_u64(0..len as u64 + 1);
-        let removed = ring.retain(|&v| v < cut);
-        let kept = (len as u64).min(cut);
-        assert_eq!(removed, len - kept as usize, "case {case}: removal count");
-        let survivors: Vec<u64> = ring.iter().copied().collect();
-        assert_eq!(survivors, (0..kept).collect::<Vec<_>>(), "case {case}: ordered prefix");
-        // The ring stays fully usable after the squash.
-        while !ring.is_full() {
-            ring.push_back(u64::MAX);
-        }
-        assert_eq!(ring.len(), capacity, "case {case}: refillable to capacity");
     }
 }
 
@@ -881,7 +770,9 @@ fn three_set_cache_matches_a_naive_lru_model() {
                 0..=2 => {
                     let state = states[rng.range_usize(0..3)];
                     let word = rng.next_u64();
-                    let evicted = cache.fill(b, state, BlockData::from_words([word; 8]));
+                    let slot = cache.fill_slot(b);
+                    let evicts_spec = cache.slot_evicts_spec(slot);
+                    let evicted = cache.fill_at(slot, state, BlockData::from_words([word; 8]));
                     stamp += 1;
                     if let Some(l) = model.get_mut(&n) {
                         (l.state, l.word, l.lru) = (state, word, stamp);
@@ -910,13 +801,17 @@ fn three_set_cache_matches_a_naive_lru_model() {
                         (Some(ev), Some((vn, vl))) => {
                             assert_eq!(ev.block.number(), vn, "case {case} step {step}: victim");
                             assert_eq!((ev.state, ev.data.word(0)), (vl.state, vl.word));
-                            assert_eq!(ev.spec_read || ev.spec_written, vl.spec != [false; 2]);
+                            assert_eq!(evicts_spec, vl.spec != [false; 2]);
                             model.remove(&vn);
                         }
                         (real, expected) => {
                             panic!("case {case} step {step}: evicted {real:?}, model {expected:?}")
                         }
                     }
+                    assert!(
+                        !cache.is_spec_any(b),
+                        "case {case} step {step}: refilled way is clean"
+                    );
                 }
                 3 => {
                     let state = cache.state_touch(b);
