@@ -1,78 +1,59 @@
-//! A hierarchical timing wheel: the fabric's event queue.
+//! The fabric's event queue: a binary min-heap in exact `(cycle,
+//! schedule-order)` pop order.
 //!
-//! Replaces the `BinaryHeap<Reverse<(time, seq)>>` the fabric used to
-//! schedule directory accesses and deliveries. The fabric's events are
-//! overwhelmingly near-future (a torus crossing, a directory occupancy, a
-//! DRAM fill — tens to a few thousand cycles out), so a bucketed wheel makes
-//! `schedule` O(1) and `pop_due` amortised O(1), where the heap paid
-//! O(log n) per operation and a cache-hostile sift on every pop.
-//!
-//! # Shape
-//!
-//! Three levels of 64 buckets (spans 64, 4096 and 262144 cycles beyond the
-//! cursor) plus an overflow list for events farther out than any realistic
-//! fabric latency. Level 0 holds one distinct cycle per bucket; higher
-//! levels alias 64 (or 4096) cycles per bucket and *cascade* into the level
-//! below when the cursor crosses a window boundary. Per-level occupancy
-//! bitmaps make empty-window skipping one `u64` test per 64 cycles.
-//!
-//! # Exact heap order
-//!
-//! Pop order is exactly the heap's: cycle-major, then monotonic sequence
-//! number (assigned internally at `schedule`). Buckets do not guarantee
-//! insertion order matches sequence order (a cascaded far event can carry a
-//! smaller sequence number than a directly scheduled near one), so due
-//! buckets are drained into a sorted *ready* queue — buckets are tiny, so
-//! the sort is cheap — and stragglers scheduled at or before the cursor
-//! (e.g. a zero-hop fill scheduled while draining the current cycle) are
-//! insertion-sorted into it. `next_due` is exact, not a lower bound: the
-//! simulation kernel's quiescence jumps and deadlock verdicts depend on it.
-//!
-//! # Caller contract
-//!
-//! Successive `pop_due(now)` calls must use non-decreasing `now` (the
-//! simulated clock never runs backwards); `schedule` may target any cycle,
-//! including at or before the current pop cycle.
+//! The fabric schedules directory accesses and deliveries here, and the
+//! machine schedules its sleeping cores' wake hints. Both need events at
+//! equal cycles to pop in the order they were scheduled, so each entry
+//! carries a sequence number assigned at [`EventQueue::schedule`] and the
+//! heap orders entries by `(time, seq)` alone. `next_due` is exact, not a
+//! lower bound: the simulation kernel's quiescence jumps and deadlock
+//! verdicts depend on it. `schedule` may target any cycle, including one at
+//! or before the cycle being drained; such an event pops in the same drain.
 
 use ifence_types::Cycle;
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// Buckets per level (and the cycle span of one level-0 window).
-const BUCKETS: usize = 64;
-/// log2([`BUCKETS`]): the per-level shift.
-const BUCKET_BITS: u32 = 6;
-/// Number of bucketed levels; events beyond the last level's window go to
-/// the overflow list.
-const LEVELS: usize = 3;
-
-/// One scheduled event.
-#[derive(Debug, Clone)]
+/// One scheduled event, ordered by `(time, seq)`; the value takes no part.
+#[derive(Debug)]
 struct Entry<T> {
     time: Cycle,
     seq: u64,
     value: T,
 }
 
-/// A hierarchical timing wheel with exact `(cycle, schedule-order)` pop
-/// order (see the module documentation).
+impl<T> Entry<T> {
+    fn key(&self) -> (Cycle, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// A min-heap of events with exact `(cycle, schedule-order)` pop order (see
+/// the module documentation).
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// `LEVELS × BUCKETS` buckets, flat-indexed `level * BUCKETS + bucket`.
-    levels: Vec<Vec<Entry<T>>>,
-    /// Per-level bucket-occupancy bitmaps (bit `b` set ⇔ bucket `b`
-    /// non-empty).
-    occupancy: [u64; LEVELS],
-    /// Events beyond the top level's window, unsorted.
-    overflow: Vec<Entry<T>>,
-    /// Due (or past-cursor) events in pop order: sorted by `(time, seq)`.
-    ready: VecDeque<Entry<T>>,
-    /// All events at cycles `< cursor` live in `ready`; all buckets hold
-    /// events at cycles `>= cursor`.
-    cursor: Cycle,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
     next_seq: u64,
-    len: usize,
-    /// Cached earliest event cycle, kept exact across every mutation.
-    due: Option<Cycle>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -82,198 +63,45 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue with its cursor at cycle 0.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            levels: std::iter::repeat_with(Vec::new).take(LEVELS * BUCKETS).collect(),
-            occupancy: [0; LEVELS],
-            overflow: Vec::new(),
-            ready: VecDeque::new(),
-            cursor: 0,
-            next_seq: 0,
-            len: 0,
-            due: None,
-        }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The cycle of the earliest scheduled event, if any. Exact: the next
     /// `pop_due(now)` with `now >=` this cycle returns an event at exactly
     /// this cycle.
     pub fn next_due(&self) -> Option<Cycle> {
-        self.due
+        self.heap.peek().map(|Reverse(entry)| entry.time)
     }
 
     /// Schedules `value` at `time`. Events at equal cycles pop in schedule
-    /// order (the heap tie-break this wheel preserves).
+    /// order.
     pub fn schedule(&mut self, time: Cycle, value: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        self.due = Some(match self.due {
-            Some(d) => d.min(time),
-            None => time,
-        });
-        let entry = Entry { time, seq, value };
-        if time < self.cursor {
-            // Straggler behind the cursor (e.g. a zero-latency consequence
-            // of the event being processed right now): insertion-sort into
-            // the ready queue so it pops in exact (time, seq) order.
-            let at = self.ready.partition_point(|e| (e.time, e.seq) < (time, seq));
-            self.ready.insert(at, entry);
-        } else {
-            self.insert_entry(entry);
-        }
+        self.heap.push(Reverse(Entry { time, seq, value }));
     }
 
     /// Pops the earliest event if it is due at or before `now`. Calling
     /// again keeps draining in exact `(time, seq)` order, including events
     /// scheduled *during* the drain at cycles `<= now`.
     pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        match self.due {
-            Some(due) if due <= now => {}
-            _ => return None,
+        if self.next_due()? > now {
+            return None;
         }
-        if self.ready.is_empty() {
-            self.advance_to(now);
-        }
-        let entry = self.ready.pop_front().expect("a due event is in the ready queue");
-        debug_assert!(entry.time <= now);
-        self.len -= 1;
-        self.due = self.compute_due();
+        let Reverse(entry) = self.heap.pop()?;
         Some((entry.time, entry.value))
-    }
-
-    /// Files an entry at `time >= cursor` into the tightest level whose
-    /// current window contains it, or the overflow list.
-    fn insert_entry(&mut self, entry: Entry<T>) {
-        debug_assert!(entry.time >= self.cursor);
-        for level in 0..LEVELS {
-            let window = BUCKET_BITS * (level as u32 + 1);
-            if entry.time >> window == self.cursor >> window {
-                let bucket = ((entry.time >> (BUCKET_BITS * level as u32)) & 63) as usize;
-                self.occupancy[level] |= 1 << bucket;
-                self.levels[level * BUCKETS + bucket].push(entry);
-                return;
-            }
-        }
-        self.overflow.push(entry);
-    }
-
-    /// Moves every event at cycles `<= now` into the ready queue (sorted)
-    /// and advances the cursor to `now + 1`, cascading higher levels at each
-    /// window boundary.
-    fn advance_to(&mut self, now: Cycle) {
-        if self.cursor > now {
-            return;
-        }
-        let target = now + 1;
-        let sort_from = self.ready.len();
-        while self.cursor < target {
-            if self.occupancy == [0; LEVELS] && self.overflow.is_empty() {
-                // Nothing left outside the ready queue: no bucket can need
-                // draining or cascading on the way to the target.
-                self.cursor = target;
-                break;
-            }
-            let window_end = self.cursor | (BUCKETS as u64 - 1);
-            let stop = now.min(window_end);
-            if self.occupancy[0] != 0 {
-                // Level-0 buckets hold one distinct cycle each, so draining
-                // buckets [cursor & 63, stop & 63] drains exactly the cycles
-                // [cursor, stop].
-                let lo = (self.cursor & 63) as u32;
-                let hi = (stop & 63) as u32;
-                let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
-                let mut bits = self.occupancy[0] & mask;
-                self.occupancy[0] &= !mask;
-                while bits != 0 {
-                    let bucket = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.ready.extend(self.levels[bucket].drain(..));
-                }
-            }
-            if stop == window_end {
-                self.cursor = window_end + 1;
-                self.cascade();
-            } else {
-                self.cursor = target;
-            }
-        }
-        let tail = self.ready.make_contiguous();
-        tail[sort_from..].sort_unstable_by_key(|e| (e.time, e.seq));
-    }
-
-    /// Refills lower levels after the cursor crossed a window boundary (it
-    /// is now a multiple of 64): the new window's events move down from the
-    /// level-1 bucket they were aliased into — and when the level-1 (or
-    /// level-2) window itself turned over, from the levels above first.
-    fn cascade(&mut self) {
-        let cursor = self.cursor;
-        debug_assert_eq!(cursor & (BUCKETS as u64 - 1), 0);
-        if cursor & ((1 << (2 * BUCKET_BITS)) - 1) == 0 {
-            if cursor & ((1 << (3 * BUCKET_BITS)) - 1) == 0 {
-                let mut i = 0;
-                while i < self.overflow.len() {
-                    if self.overflow[i].time >> (3 * BUCKET_BITS) == cursor >> (3 * BUCKET_BITS) {
-                        let entry = self.overflow.swap_remove(i);
-                        self.insert_entry(entry);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            let bucket = 2 * BUCKETS + ((cursor >> (2 * BUCKET_BITS)) & 63) as usize;
-            self.cascade_bucket(2, bucket);
-        }
-        let bucket = BUCKETS + ((cursor >> BUCKET_BITS) & 63) as usize;
-        self.cascade_bucket(1, bucket);
-    }
-
-    /// Re-files every entry of one higher-level bucket (they now fit a lower
-    /// level), keeping the bucket's allocation for reuse.
-    fn cascade_bucket(&mut self, level: usize, bucket: usize) {
-        if self.occupancy[level] & (1 << (bucket - level * BUCKETS)) == 0 {
-            return;
-        }
-        self.occupancy[level] &= !(1 << (bucket - level * BUCKETS));
-        let mut entries = std::mem::take(&mut self.levels[bucket]);
-        for entry in entries.drain(..) {
-            self.insert_entry(entry);
-        }
-        if self.levels[bucket].is_empty() {
-            self.levels[bucket] = entries;
-        }
-    }
-
-    /// Recomputes the earliest scheduled cycle. Levels are strictly ordered
-    /// (ready < cursor ≤ level 0 < level 1 < level 2 < overflow), so the
-    /// first populated tier decides; aliased buckets need an entry scan for
-    /// the exact minimum.
-    fn compute_due(&self) -> Option<Cycle> {
-        if let Some(front) = self.ready.front() {
-            return Some(front.time);
-        }
-        if self.occupancy[0] != 0 {
-            let bucket = self.occupancy[0].trailing_zeros() as u64;
-            return Some((self.cursor & !(BUCKETS as u64 - 1)) + bucket);
-        }
-        for level in 1..LEVELS {
-            if self.occupancy[level] != 0 {
-                let bucket = self.occupancy[level].trailing_zeros() as usize;
-                return self.levels[level * BUCKETS + bucket].iter().map(|e| e.time).min();
-            }
-        }
-        self.overflow.iter().map(|e| e.time).min()
     }
 }
 
@@ -309,9 +137,9 @@ mod tests {
     fn far_future_events_survive_the_overflow_path() {
         let mut q = EventQueue::new();
         q.schedule(5, 1);
-        q.schedule(1 << 20, 2); // beyond the top level's window: overflow
-        q.schedule(70, 3); // level 1
-        q.schedule(5000, 4); // level 2
+        q.schedule(1 << 20, 2); // far future, scheduled early
+        q.schedule(70, 3);
+        q.schedule(5000, 4);
         assert_eq!(q.next_due(), Some(5));
         assert_eq!(q.pop_due(5), Some((5, 1)));
         assert_eq!(q.next_due(), Some(70));
@@ -327,7 +155,7 @@ mod tests {
         q.schedule(100, 1);
         assert_eq!(q.pop_due(100), Some((100, 1)));
         // Zero-latency consequence at the cycle being drained, plus one
-        // behind it (both behind the cursor now).
+        // behind it (both at or before the drained cycle).
         q.schedule(100, 2);
         q.schedule(99, 3);
         assert_eq!(q.pop_due(100), Some((99, 3)));
@@ -338,9 +166,9 @@ mod tests {
     #[test]
     fn next_due_is_exact_across_aliased_buckets() {
         let mut q = EventQueue::new();
-        q.schedule(4097, 1); // level 2 from cursor 0; aliases with 4096
+        q.schedule(4097, 1); // scheduled first, one cycle later
         q.schedule(4096, 2);
-        assert_eq!(q.next_due(), Some(4096), "aliased buckets are scanned for the exact min");
+        assert_eq!(q.next_due(), Some(4096), "next_due is the exact minimum");
         assert_eq!(q.pop_due(4096), Some((4096, 2)));
         assert_eq!(q.next_due(), Some(4097));
     }
@@ -348,9 +176,9 @@ mod tests {
     #[test]
     fn cascades_preserve_order_against_interleaved_schedules() {
         let mut q = EventQueue::new();
-        // Far event scheduled first (small seq), near events later: after
-        // the cascade they share level-0 buckets and must still pop in
-        // (time, seq) order.
+        // Far event scheduled first (small seq), near events later, and a
+        // same-cycle follower of the far event scheduled while it drains:
+        // all must pop in (time, seq) order.
         q.schedule(200, 1);
         q.schedule(10, 2);
         let mut now = 0;

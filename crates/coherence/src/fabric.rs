@@ -20,7 +20,7 @@
 //! scheduling the fill, merging a holder's dirty data, completing the fill
 //! and dropping a recalled line all reach the line through it, without
 //! another probe. Debug builds check at every use that a fresh probe finds
-//! the line at the held handle. Events in the timing wheel are a few
+//! the line at the held handle. Events in the event queue are a few
 //! words each: a fill's granted state and block data are captured into the
 //! transaction's slab slot when the fill is scheduled, and the
 //! [`Delivery::Fill`] is built from that slot when the event pops and the
@@ -40,22 +40,14 @@ use ifence_types::{
 /// Latency and topology parameters of the fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricConfig {
-    /// Number of nodes (cores); must match the torus size.
-    pub nodes: usize,
-    /// Torus topology, per-hop latency and busy-retry interval.
+    /// Torus topology (one node per core), per-hop latency,
+    /// directory occupancy per transaction and busy-retry interval.
     pub interconnect: InterconnectConfig,
-    /// Flat per-(from, to) hop/latency tables precomputed from
-    /// `interconnect`, so the per-request torus routing is one indexed load
-    /// instead of a div/mod chain. Must be built from the same
-    /// interconnect configuration (as [`FabricConfig::from_machine`] does).
-    pub routing: RoutingTable,
     /// Shared-L2 geometry and hit latency (one bank per node; capacity 0 =
     /// unbounded).
     pub l2: L2Config,
     /// DRAM access latency in cycles (paid on every L2 miss).
     pub dram_latency: u64,
-    /// Directory/protocol-controller occupancy per transaction.
-    pub directory_latency: u64,
     /// Cache-block size in bytes.
     pub block_bytes: usize,
 }
@@ -64,12 +56,9 @@ impl FabricConfig {
     /// Derives the fabric configuration from a full machine configuration.
     pub fn from_machine(cfg: &MachineConfig) -> Self {
         FabricConfig {
-            nodes: cfg.cores,
             interconnect: cfg.interconnect,
-            routing: cfg.interconnect.routing_table(),
             l2: cfg.l2,
             dram_latency: cfg.dram.latency,
-            directory_latency: cfg.interconnect.directory_latency,
             block_bytes: cfg.l1.block_bytes,
         }
     }
@@ -82,7 +71,7 @@ impl FabricConfig {
 
 /// A scheduled fabric event. Every variant is a few words: a fill's granted
 /// state and block data wait in its transaction's slab slot
-/// ([`Txn::fill`]) rather than in the timing wheel, so the wheel moves no
+/// ([`Txn::fill`]) rather than in the event queue, so the queue moves no
 /// 64-byte block payload per schedule and pop.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
@@ -138,13 +127,16 @@ impl Txn {
 #[derive(Debug)]
 pub struct CoherenceFabric {
     cfg: FabricConfig,
+    /// Flat per-(from, to) latency table precomputed from
+    /// `cfg.interconnect`, so the per-request torus routing is one indexed
+    /// load instead of a div/mod chain.
+    routing: RoutingTable,
     /// The shared banked L2; each line embeds its block's directory entry.
     l2: BankedL2<DirectoryEntry>,
     /// The DRAM tier: backing store for blocks not (or no longer) L2-resident.
     dram: FnvMap<u64, BlockData>,
     /// Scheduled events (directory accesses and deliveries), stored inline
-    /// in a hierarchical timing wheel with the old heap's exact pop order:
-    /// cycle-major, schedule-order minor.
+    /// in a min-heap that pops cycle-major, schedule-order minor.
     events: EventQueue<EventKind>,
     /// Persistent scratch for the holder lists the directory walks build
     /// (invalidation fan-out, recall targets), so the request path allocates
@@ -170,8 +162,9 @@ pub struct CoherenceFabric {
 impl CoherenceFabric {
     /// Creates an empty fabric.
     pub fn new(cfg: FabricConfig) -> Self {
-        let l2 = BankedL2::new(&cfg.l2, cfg.nodes, cfg.block_bytes);
+        let l2 = BankedL2::new(&cfg.l2, cfg.interconnect.nodes(), cfg.block_bytes);
         CoherenceFabric {
+            routing: cfg.interconnect.routing_table(),
             cfg,
             l2,
             dram: FnvMap::default(),
@@ -274,11 +267,11 @@ impl CoherenceFabric {
     }
 
     fn latency(&self, from: CoreId, to: CoreId) -> u64 {
-        self.cfg.routing.latency(from.index(), to.index())
+        self.routing.latency(from.index(), to.index())
     }
 
     fn home(&self, block: BlockAddr) -> CoreId {
-        home_of(block, self.cfg.nodes)
+        home_of(block, self.cfg.interconnect.nodes())
     }
 
     fn block_addr(&self, number: u64) -> BlockAddr {
@@ -337,7 +330,8 @@ impl CoherenceFabric {
                     line: None,
                 });
                 let home = self.home(req.block);
-                let arrive = now + self.latency(req.core, home) + self.cfg.directory_latency;
+                let arrive =
+                    now + self.latency(req.core, home) + self.cfg.interconnect.directory_latency;
                 self.schedule(arrive, EventKind::DirAccess(id));
             }
             CoherenceReqKind::WritebackDirty(data) => {
@@ -662,20 +656,16 @@ mod tests {
     use super::*;
 
     fn config() -> FabricConfig {
-        let interconnect = InterconnectConfig {
-            mesh_width: 2,
-            mesh_height: 2,
-            hop_latency: 10,
-            directory_latency: 2,
-            retry_interval: 8,
-        };
         FabricConfig {
-            nodes: 4,
-            routing: interconnect.routing_table(),
-            interconnect,
+            interconnect: InterconnectConfig {
+                mesh_width: 2,
+                mesh_height: 2,
+                hop_latency: 10,
+                directory_latency: 2,
+                retry_interval: 8,
+            },
             l2: L2Config { size_bytes: 0, associativity: 0, hit_latency: 5 },
             dram_latency: 20,
-            directory_latency: 2,
             block_bytes: 64,
         }
     }
@@ -1077,7 +1067,7 @@ mod tests {
         assert_eq!(fabric.stats().l2_misses, 64, "every first touch is a cold miss");
     }
 
-    /// The timing wheel stores events inline; a block payload (64 bytes of
+    /// The event queue stores events inline; a block payload (64 bytes of
     /// data plus its state) belongs in the transaction slot, not here.
     #[test]
     fn events_carry_no_block_payload() {

@@ -424,8 +424,9 @@ mod tests {
     fn violation_rolls_back_to_intermediate_checkpoint() {
         let mut program = Program::new();
         program.push(Instruction::store(Addr::new(0x9000), 1)); // miss -> trigger
-                                                                // First checkpoint's work touches 0x1000; after the checkpoint
-                                                                // interval, later work touches 0x3000.
+
+        // First checkpoint's work touches 0x1000; after the checkpoint
+        // interval, later work touches 0x3000.
         for _ in 0..6 {
             program.push(Instruction::load(Addr::new(0x1000)));
         }

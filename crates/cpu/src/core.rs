@@ -406,8 +406,9 @@ impl Core {
 
     /// The in-window ordering mechanism (load-queue snooping): a remote
     /// write squashes the oldest load of `block` whose value is still
-    /// vulnerable (read before it reached the head) and everything younger. It runs under every engine, InvisiFence-Continuous
-    /// included (PAPER.md, "Modelling approximations", item 3).
+    /// vulnerable (read before it reached the head) and everything younger.
+    /// It runs under every engine, InvisiFence-Continuous included
+    /// (PAPER.md, "Modelling approximations", item 3).
     fn in_window_snoop(&mut self, block: BlockAddr, kind: ExternalKind) {
         if !kind.is_write() {
             return;

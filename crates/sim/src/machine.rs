@@ -131,10 +131,10 @@ pub struct Machine {
     awake: Vec<usize>,
     /// Indexed wake dispatch, timer side: each sleep transition with a wake
     /// hint schedules `(wake_at, core)` here, so due cores are found by
-    /// popping the wheel instead of scanning the sleep array. Entries can go
+    /// popping the queue instead of scanning the sleep array. Entries can go
     /// stale (the core was woken early by a delivery); stale pops are
     /// skipped — the core's live hint always has its own entry.
-    wake_wheel: EventQueue<usize>,
+    wake_queue: EventQueue<usize>,
     /// Whether the kernel phase profiler is accumulating, resolved once at
     /// construction so the hot loop pays a plain bool test instead of an
     /// atomic load per phase per cycle. Profiling observes host wall clock
@@ -216,7 +216,7 @@ impl Machine {
             dense,
             sleeping,
             awake,
-            wake_wheel: EventQueue::new(),
+            wake_queue: EventQueue::new(),
             profiling: PhaseProfile::global().enabled(),
             delivery_buf: Vec::new(),
             reply_buf: Vec::new(),
@@ -357,14 +357,14 @@ impl Machine {
         self.delivery_buf = delivery_buf;
         drop(timer);
         let timer = self.timer(Phase::CoreStep);
-        // Wake the cores whose sleep hints are due. The wheel holds one
+        // Wake the cores whose sleep hints are due. The queue holds one
         // entry per sleep transition with a hint, so due cores are found by
         // popping rather than scanning every sleeper. An entry is stale when
         // its core was woken early (by a delivery) since it was scheduled —
         // the core is either awake again (`sleeping[idx]` is `None`) or
         // re-slept with a newer hint that has its own entry — so a stale pop
         // is skipped; no wake is ever missed.
-        while let Some((_, idx)) = self.wake_wheel.pop_due(now) {
+        while let Some((_, idx)) = self.wake_queue.pop_due(now) {
             if let Some(sleep) = self.sleeping[idx] {
                 if matches!(sleep.wake_at, Some(wake) if wake <= now) {
                     self.wake_core(idx, now);
@@ -410,7 +410,7 @@ impl Machine {
                     wake_at: activity.wake_at,
                 });
                 if let Some(wake) = activity.wake_at {
-                    self.wake_wheel.schedule(wake, i);
+                    self.wake_queue.schedule(wake, i);
                 }
                 keep = false;
             }

@@ -229,18 +229,18 @@ fn cache_uniqueness_and_capacity() {
     }
 }
 
-/// The hierarchical timing wheel pops in exactly the order a binary-heap
-/// oracle does — cycle-major, schedule-order-minor — under random bursts of
-/// near-future, duplicate-cycle, at-or-before-now and far-future (overflow
-/// level) schedules interleaved with random time advances, and `next_due` is
-/// always the oracle's exact minimum.
+/// The event queue pops in exactly the order a binary-heap oracle over
+/// `(time, seq)` does — cycle-major, schedule-order-minor — under random
+/// bursts of near-future, duplicate-cycle, at-or-before-now and far-future
+/// schedules interleaved with random time advances, and `next_due` is always
+/// the oracle's exact minimum.
 #[test]
-fn event_wheel_matches_a_binary_heap_oracle() {
+fn event_queue_matches_a_binary_heap_oracle() {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     for case in 0..CASES {
         let mut rng = TraceRng::seed_from_u64(0x9000 + case);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -250,43 +250,43 @@ fn event_wheel_matches_a_binary_heap_oracle() {
                 let time = match rng.range_u64(0..10) {
                     // Due immediately (the fabric's zero-hop fills).
                     0 => now,
-                    // The wheel's level-0/1 windows (directory + hop latencies).
+                    // Directory and hop latencies.
                     1..=6 => now + rng.range_u64(0..200),
                     7 | 8 => now + rng.range_u64(0..5_000),
-                    // Beyond every wheel level: the overflow path.
+                    // Far future.
                     _ => now + rng.range_u64(0..400_000),
                 };
-                wheel.schedule(time, seq);
+                queue.schedule(time, seq);
                 oracle.push(Reverse((time, seq)));
                 seq += 1;
             }
-            assert_eq!(wheel.len(), oracle.len(), "case {case} step {step}");
+            assert_eq!(queue.len(), oracle.len(), "case {case} step {step}");
             assert_eq!(
-                wheel.next_due(),
+                queue.next_due(),
                 oracle.peek().map(|Reverse((t, _))| *t),
                 "case {case} step {step}: next_due must be exact"
             );
             now += rng.range_u64(0..300);
             if rng.bool(0.1) {
-                // Occasionally jump far, forcing multi-window drains and
-                // cascades in one advance.
+                // Occasionally jump far, draining many cycles' events in one
+                // advance.
                 now += rng.range_u64(0..100_000);
             }
-            while let Some((time, value)) = wheel.pop_due(now) {
+            while let Some((time, value)) = queue.pop_due(now) {
                 assert!(time <= now, "case {case} step {step}: popped a future event");
                 let Reverse(expected) = oracle.pop().expect("oracle has the event");
                 assert_eq!((time, value), expected, "case {case} step {step}: pop order");
             }
             let stale = oracle.peek().is_some_and(|Reverse((t, _))| *t <= now);
-            assert!(!stale, "case {case} step {step}: wheel left a due event unpopped");
+            assert!(!stale, "case {case} step {step}: queue left a due event unpopped");
         }
         // Drain the tails so the full order is compared, not just the prefix.
         now = now.saturating_add(500_000);
-        while let Some((time, value)) = wheel.pop_due(now) {
+        while let Some((time, value)) = queue.pop_due(now) {
             let Reverse(expected) = oracle.pop().expect("oracle has the event");
             assert_eq!((time, value), expected, "case {case}: tail pop order");
         }
-        assert!(oracle.is_empty() && wheel.is_empty(), "case {case}: both drained");
+        assert!(oracle.is_empty() && queue.is_empty(), "case {case}: both drained");
     }
 }
 
