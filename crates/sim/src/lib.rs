@@ -36,7 +36,7 @@
 //!   through the sweep: cells are looked up before dispatch and persisted
 //!   the moment they complete, so interrupted sweeps resume where they
 //!   stopped and warm re-runs perform zero simulations. [`persist`] adds the
-//!   full-[`MachineResult`] JSON codec.
+//!   full-[`MachineResult`] JSON encoder that result digests hash.
 //!
 //! # Example
 //!

@@ -1,13 +1,21 @@
-//! JSON encode/decode for the workspace's result and configuration types.
+//! JSON encoding for the workspace's configuration and result types, and
+//! decoding for the few of them the store reads back.
 //!
-//! Every type the store persists implements [`JsonCodec`]. The encoding is
-//! deterministic (fixed field order, shortest-round-trip floats), so
-//! `encode(decode(encode(x))) == encode(x)` byte-for-byte — the property the
-//! `codec_roundtrip` test drives with randomized values. Decoding is strict
-//! about field types but tolerant of *extra* fields, so a newer writer's
-//! files remain readable as long as [`crate::key::SCHEMA_VERSION`] is
-//! unchanged (the version is part of every cache key, so semantic changes
-//! invalidate old entries instead of misreading them).
+//! [`JsonCodec`] encodes: configurations and workloads are encoded only to be
+//! hashed into a [`crate::CellKey`], and full results only for digests and
+//! goldens. [`JsonDecode`] is implemented only for what is read back: a
+//! [`RunSummary`] and its parts (shard lines), a
+//! [`crate::SweepManifest`] (`ifence report`/`diff`) and a [`TraceEvent`]
+//! ([`trace_from_jsonl`]). The encoding is deterministic (fixed field order,
+//! shortest-round-trip floats), so a decoded summary re-encodes to the same
+//! bytes. Each encoder of a struct with public fields destructures it
+//! without `..`, so a new field does not compile until it is encoded or
+//! explicitly skipped: a field missing from a key would let two different
+//! configurations share a cache entry. Decoding is strict about field types
+//! but tolerant of *extra* fields, so a newer writer's files remain readable
+//! as long as [`crate::key::SCHEMA_VERSION`] is unchanged (the version is
+//! part of every cache key, so semantic changes invalidate old entries
+//! instead of misreading them).
 
 use crate::json::Json;
 use ifence_stats::{
@@ -15,8 +23,8 @@ use ifence_stats::{
     RunSummary, SimCounters, TraceEvent, TraceKind,
 };
 use ifence_types::{
-    CacheConfig, ConsistencyModel, CoreConfig, CycleClass, DramConfig, EngineKind,
-    InterconnectConfig, L2Config, MachineConfig, SpeculationConfig, StoreBufferConfig,
+    CacheConfig, CoreConfig, CycleClass, DramConfig, EngineKind, InterconnectConfig, L2Config,
+    MachineConfig, SpeculationConfig, StoreBufferConfig,
 };
 use ifence_workloads::{PhasedWorkload, Workload, WorkloadPhase, WorkloadSpec};
 use std::fmt;
@@ -43,11 +51,14 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Symmetric JSON encoding for a storable type.
-pub trait JsonCodec: Sized {
+/// Deterministic JSON encoding for a hashed or stored type.
+pub trait JsonCodec {
     /// Encodes `self` as a JSON document.
     fn to_json(&self) -> Json;
+}
 
+/// JSON decoding for a type the store reads back.
+pub trait JsonDecode: Sized {
     /// Decodes a value from a JSON document.
     ///
     /// # Errors
@@ -56,63 +67,69 @@ pub trait JsonCodec: Sized {
     fn from_json(doc: &Json) -> Result<Self, CodecError>;
 }
 
-/// Field-access helpers shared by the struct codecs.
-struct Fields<'a> {
+/// Field-access helpers shared by the decoders.
+pub(crate) struct Fields<'a> {
     doc: &'a Json,
     context: &'static str,
 }
 
 impl<'a> Fields<'a> {
-    fn new(doc: &'a Json, context: &'static str) -> Result<Self, CodecError> {
+    pub(crate) fn new(doc: &'a Json, context: &'static str) -> Result<Self, CodecError> {
         match doc {
             Json::Object(_) => Ok(Fields { doc, context }),
             _ => Err(CodecError::new(context, "expected an object")),
         }
     }
 
+    /// An error in this document's context.
+    pub(crate) fn error(&self, message: impl Into<String>) -> CodecError {
+        CodecError::new(self.context, message)
+    }
+
     fn get(&self, name: &'static str) -> Result<&'a Json, CodecError> {
-        self.doc
-            .field(name)
-            .ok_or_else(|| CodecError::new(self.context, format!("missing field {name:?}")))
+        self.doc.field(name).ok_or_else(|| self.error(format!("missing field {name:?}")))
     }
 
-    fn u64(&self, name: &'static str) -> Result<u64, CodecError> {
-        self.get(name)?
-            .as_u64()
-            .ok_or_else(|| CodecError::new(self.context, format!("field {name:?} is not a u64")))
-    }
-
-    fn usize(&self, name: &'static str) -> Result<usize, CodecError> {
-        usize::try_from(self.u64(name)?)
-            .map_err(|_| CodecError::new(self.context, format!("field {name:?} overflows usize")))
+    pub(crate) fn u64(&self, name: &'static str) -> Result<u64, CodecError> {
+        self.get(name)?.as_u64().ok_or_else(|| self.error(format!("field {name:?} is not a u64")))
     }
 
     fn f64(&self, name: &'static str) -> Result<f64, CodecError> {
         self.get(name)?
             .as_f64()
-            .ok_or_else(|| CodecError::new(self.context, format!("field {name:?} is not a number")))
+            .ok_or_else(|| self.error(format!("field {name:?} is not a number")))
     }
 
-    fn bool(&self, name: &'static str) -> Result<bool, CodecError> {
-        match self.get(name)? {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(CodecError::new(self.context, format!("field {name:?} is not a bool"))),
-        }
-    }
-
-    fn string(&self, name: &'static str) -> Result<String, CodecError> {
+    pub(crate) fn string(&self, name: &'static str) -> Result<String, CodecError> {
         match self.get(name)? {
             Json::Str(s) => Ok(s.clone()),
-            _ => Err(CodecError::new(self.context, format!("field {name:?} is not a string"))),
+            _ => Err(self.error(format!("field {name:?} is not a string"))),
         }
     }
 
-    fn decode<T: JsonCodec>(&self, name: &'static str) -> Result<T, CodecError> {
+    pub(crate) fn array(&self, name: &'static str) -> Result<&'a [Json], CodecError> {
+        match self.get(name)? {
+            Json::Array(items) => Ok(items),
+            _ => Err(self.error(format!("field {name:?} is not an array"))),
+        }
+    }
+
+    pub(crate) fn strings(&self, name: &'static str) -> Result<Vec<&'a str>, CodecError> {
+        self.array(name)?
+            .iter()
+            .map(|item| match item {
+                Json::Str(s) => Ok(s.as_str()),
+                _ => Err(self.error(format!("field {name:?} holds a non-string"))),
+            })
+            .collect()
+    }
+
+    fn decode<T: JsonDecode>(&self, name: &'static str) -> Result<T, CodecError> {
         T::from_json(self.get(name)?)
     }
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
+pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Object(fields.into_iter().map(|(n, v)| (n.to_string(), v)).collect())
 }
 
@@ -124,22 +141,6 @@ fn us(n: usize) -> Json {
     Json::UInt(n as u64)
 }
 
-impl JsonCodec for ConsistencyModel {
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        match doc {
-            Json::Str(s) => ConsistencyModel::ALL
-                .into_iter()
-                .find(|m| m.label() == s)
-                .ok_or_else(|| CodecError::new("ConsistencyModel", format!("unknown model {s:?}"))),
-            _ => Err(CodecError::new("ConsistencyModel", "expected a string")),
-        }
-    }
-}
-
 impl JsonCodec for EngineKind {
     fn to_json(&self) -> Json {
         // The figure label is a bijection over engine kinds
@@ -147,187 +148,142 @@ impl JsonCodec for EngineKind {
         // storage encoding and keeps stored keys human-readable.
         Json::Str(self.label())
     }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        match doc {
-            Json::Str(s) => EngineKind::from_label(s)
-                .ok_or_else(|| CodecError::new("EngineKind", format!("unknown engine {s:?}"))),
-            _ => Err(CodecError::new("EngineKind", "expected a string")),
-        }
-    }
 }
 
 impl JsonCodec for CacheConfig {
     fn to_json(&self) -> Json {
+        let CacheConfig {
+            size_bytes,
+            associativity,
+            block_bytes,
+            hit_latency,
+            mshrs,
+            victim_entries,
+        } = *self;
         obj(vec![
-            ("size_bytes", us(self.size_bytes)),
-            ("associativity", us(self.associativity)),
-            ("block_bytes", us(self.block_bytes)),
-            ("hit_latency", uint(self.hit_latency)),
-            ("mshrs", us(self.mshrs)),
-            ("victim_entries", us(self.victim_entries)),
+            ("size_bytes", us(size_bytes)),
+            ("associativity", us(associativity)),
+            ("block_bytes", us(block_bytes)),
+            ("hit_latency", uint(hit_latency)),
+            ("mshrs", us(mshrs)),
+            ("victim_entries", us(victim_entries)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "CacheConfig")?;
-        Ok(CacheConfig {
-            size_bytes: f.usize("size_bytes")?,
-            associativity: f.usize("associativity")?,
-            block_bytes: f.usize("block_bytes")?,
-            hit_latency: f.u64("hit_latency")?,
-            mshrs: f.usize("mshrs")?,
-            victim_entries: f.usize("victim_entries")?,
-        })
     }
 }
 
 impl JsonCodec for L2Config {
     fn to_json(&self) -> Json {
+        let L2Config { size_bytes, associativity, hit_latency } = *self;
         obj(vec![
-            ("size_bytes", us(self.size_bytes)),
-            ("associativity", us(self.associativity)),
-            ("hit_latency", uint(self.hit_latency)),
+            ("size_bytes", us(size_bytes)),
+            ("associativity", us(associativity)),
+            ("hit_latency", uint(hit_latency)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "L2Config")?;
-        Ok(L2Config {
-            size_bytes: f.usize("size_bytes")?,
-            associativity: f.usize("associativity")?,
-            hit_latency: f.u64("hit_latency")?,
-        })
     }
 }
 
 impl JsonCodec for DramConfig {
     fn to_json(&self) -> Json {
-        obj(vec![("latency", uint(self.latency))])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "DramConfig")?;
-        Ok(DramConfig { latency: f.u64("latency")? })
+        let DramConfig { latency } = *self;
+        obj(vec![("latency", uint(latency))])
     }
 }
 
 impl JsonCodec for StoreBufferConfig {
     fn to_json(&self) -> Json {
-        obj(vec![("entries", us(self.entries))])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "StoreBufferConfig")?;
-        Ok(StoreBufferConfig { entries: f.usize("entries")? })
+        let StoreBufferConfig { entries } = *self;
+        obj(vec![("entries", us(entries))])
     }
 }
 
 impl JsonCodec for CoreConfig {
     fn to_json(&self) -> Json {
+        let CoreConfig { rob_size, width, mem_issue_ports, store_prefetch, sb_drain_per_cycle } =
+            *self;
         obj(vec![
-            ("rob_size", us(self.rob_size)),
-            ("width", us(self.width)),
-            ("mem_issue_ports", us(self.mem_issue_ports)),
-            ("store_prefetch", Json::Bool(self.store_prefetch)),
-            ("sb_drain_per_cycle", us(self.sb_drain_per_cycle)),
+            ("rob_size", us(rob_size)),
+            ("width", us(width)),
+            ("mem_issue_ports", us(mem_issue_ports)),
+            ("store_prefetch", Json::Bool(store_prefetch)),
+            ("sb_drain_per_cycle", us(sb_drain_per_cycle)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "CoreConfig")?;
-        Ok(CoreConfig {
-            rob_size: f.usize("rob_size")?,
-            width: f.usize("width")?,
-            mem_issue_ports: f.usize("mem_issue_ports")?,
-            store_prefetch: f.bool("store_prefetch")?,
-            sb_drain_per_cycle: f.usize("sb_drain_per_cycle")?,
-        })
     }
 }
 
 impl JsonCodec for InterconnectConfig {
     fn to_json(&self) -> Json {
+        let InterconnectConfig {
+            mesh_width,
+            mesh_height,
+            hop_latency,
+            directory_latency,
+            retry_interval,
+        } = *self;
         obj(vec![
-            ("mesh_width", us(self.mesh_width)),
-            ("mesh_height", us(self.mesh_height)),
-            ("hop_latency", uint(self.hop_latency)),
-            ("directory_latency", uint(self.directory_latency)),
-            ("retry_interval", uint(self.retry_interval)),
+            ("mesh_width", us(mesh_width)),
+            ("mesh_height", us(mesh_height)),
+            ("hop_latency", uint(hop_latency)),
+            ("directory_latency", uint(directory_latency)),
+            ("retry_interval", uint(retry_interval)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "InterconnectConfig")?;
-        Ok(InterconnectConfig {
-            mesh_width: f.usize("mesh_width")?,
-            mesh_height: f.usize("mesh_height")?,
-            hop_latency: f.u64("hop_latency")?,
-            directory_latency: f.u64("directory_latency")?,
-            retry_interval: f.u64("retry_interval")?,
-        })
     }
 }
 
 impl JsonCodec for SpeculationConfig {
     fn to_json(&self) -> Json {
+        let SpeculationConfig {
+            min_chunk_instructions,
+            cov_timeout,
+            aso_checkpoint_interval,
+            ssb_entries,
+            ssb_drain_per_cycle,
+        } = *self;
         obj(vec![
-            ("min_chunk_instructions", us(self.min_chunk_instructions)),
-            ("cov_timeout", uint(self.cov_timeout)),
-            ("aso_checkpoint_interval", us(self.aso_checkpoint_interval)),
-            ("ssb_entries", us(self.ssb_entries)),
-            ("ssb_drain_per_cycle", us(self.ssb_drain_per_cycle)),
+            ("min_chunk_instructions", us(min_chunk_instructions)),
+            ("cov_timeout", uint(cov_timeout)),
+            ("aso_checkpoint_interval", us(aso_checkpoint_interval)),
+            ("ssb_entries", us(ssb_entries)),
+            ("ssb_drain_per_cycle", us(ssb_drain_per_cycle)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "SpeculationConfig")?;
-        Ok(SpeculationConfig {
-            min_chunk_instructions: f.usize("min_chunk_instructions")?,
-            cov_timeout: f.u64("cov_timeout")?,
-            aso_checkpoint_interval: f.usize("aso_checkpoint_interval")?,
-            ssb_entries: f.usize("ssb_entries")?,
-            ssb_drain_per_cycle: f.usize("ssb_drain_per_cycle")?,
-        })
     }
 }
 
 impl JsonCodec for MachineConfig {
     fn to_json(&self) -> Json {
-        obj(vec![
-            ("cores", us(self.cores)),
-            ("core", self.core.to_json()),
-            ("l1", self.l1.to_json()),
-            ("l2", self.l2.to_json()),
-            ("dram", self.dram.to_json()),
-            ("store_buffer", self.store_buffer.to_json()),
-            ("interconnect", self.interconnect.to_json()),
-            ("speculation", self.speculation.to_json()),
-            ("engine", self.engine.to_json()),
-            ("seed", uint(self.seed)),
-            ("dense_kernel", Json::Bool(self.dense_kernel)),
-            ("trace", Json::Bool(self.trace)),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "MachineConfig")?;
-        let engine = f.decode("engine")?;
-        Ok(MachineConfig {
-            cores: f.usize("cores")?,
-            core: f.decode("core")?,
-            l1: f.decode("l1")?,
-            l2: f.decode("l2")?,
-            dram: f.decode("dram")?,
-            store_buffer: f.decode("store_buffer")?,
-            interconnect: f.decode("interconnect")?,
-            speculation: f.decode("speculation")?,
+        let MachineConfig {
+            cores,
+            core,
+            l1,
+            l2,
+            dram,
+            store_buffer,
+            interconnect,
+            speculation,
             engine,
-            seed: f.u64("seed")?,
-            dense_kernel: f.bool("dense_kernel")?,
-            trace: f.bool("trace")?,
-            ..MachineConfig::with_engine(engine)
-        })
+            seed,
+            dense_kernel,
+            trace,
+            // Host-only knobs kept for `perfbench/`: every machine runs the
+            // one guarded pipeline on one host thread, so none of them
+            // selects anything (see `SCHEMA_VERSION` v7 and v8).
+            batch_kernel: _,
+            leap_kernel: _,
+            machine_threads: _,
+        } = self;
+        obj(vec![
+            ("cores", us(*cores)),
+            ("core", core.to_json()),
+            ("l1", l1.to_json()),
+            ("l2", l2.to_json()),
+            ("dram", dram.to_json()),
+            ("store_buffer", store_buffer.to_json()),
+            ("interconnect", interconnect.to_json()),
+            ("speculation", speculation.to_json()),
+            ("engine", engine.to_json()),
+            ("seed", uint(*seed)),
+            ("dense_kernel", Json::Bool(*dense_kernel)),
+            ("trace", Json::Bool(*trace)),
+        ])
     }
 }
 
@@ -337,27 +293,19 @@ impl JsonCodec for CycleBreakdown {
             self.iter().map(|(class, cycles)| (class.label().to_string(), uint(cycles))).collect(),
         )
     }
+}
 
+/// Rejects buckets whose sum overflows a `u64`: [`CycleBreakdown::total`],
+/// which every report and diff reads, could not represent it.
+impl JsonDecode for CycleBreakdown {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "CycleBreakdown")?;
         let mut out = CycleBreakdown::new();
+        let mut total = 0u64;
         for class in CycleClass::ALL {
-            let cycles = f
-                .get(class.label())
-                .and_then(|v| {
-                    v.as_u64().ok_or_else(|| {
-                        CodecError::new(
-                            "CycleBreakdown",
-                            format!("{:?} is not a u64", class.label()),
-                        )
-                    })
-                })
-                .map_err(|_| {
-                    CodecError::new(
-                        "CycleBreakdown",
-                        format!("missing or non-integer bucket {:?}", class.label()),
-                    )
-                })?;
+            let cycles = f.u64(class.label())?;
+            total =
+                total.checked_add(cycles).ok_or_else(|| f.error("buckets sum past u64::MAX"))?;
             out.add(class, cycles);
         }
         Ok(out)
@@ -366,36 +314,66 @@ impl JsonCodec for CycleBreakdown {
 
 impl JsonCodec for SimCounters {
     fn to_json(&self) -> Json {
+        let SimCounters {
+            instructions_retired,
+            loads_retired,
+            stores_retired,
+            atomics_retired,
+            fences_retired,
+            instructions_squashed,
+            l1_hits,
+            l1_misses,
+            sb_forwards,
+            sb_inserts,
+            sb_drains,
+            store_prefetches,
+            speculations_started,
+            speculations_committed,
+            speculations_aborted,
+            speculations_aborted_structural,
+            cycles_speculating,
+            cov_deferrals,
+            cov_commits,
+            cov_timeouts,
+            external_invalidations,
+            l2_recalls_received,
+            external_downgrades,
+            in_window_replays,
+            coherence_requests,
+            writebacks,
+        } = *self;
         obj(vec![
-            ("instructions_retired", uint(self.instructions_retired)),
-            ("loads_retired", uint(self.loads_retired)),
-            ("stores_retired", uint(self.stores_retired)),
-            ("atomics_retired", uint(self.atomics_retired)),
-            ("fences_retired", uint(self.fences_retired)),
-            ("instructions_squashed", uint(self.instructions_squashed)),
-            ("l1_hits", uint(self.l1_hits)),
-            ("l1_misses", uint(self.l1_misses)),
-            ("sb_forwards", uint(self.sb_forwards)),
-            ("sb_inserts", uint(self.sb_inserts)),
-            ("sb_drains", uint(self.sb_drains)),
-            ("store_prefetches", uint(self.store_prefetches)),
-            ("speculations_started", uint(self.speculations_started)),
-            ("speculations_committed", uint(self.speculations_committed)),
-            ("speculations_aborted", uint(self.speculations_aborted)),
-            ("speculations_aborted_structural", uint(self.speculations_aborted_structural)),
-            ("cycles_speculating", uint(self.cycles_speculating)),
-            ("cov_deferrals", uint(self.cov_deferrals)),
-            ("cov_commits", uint(self.cov_commits)),
-            ("cov_timeouts", uint(self.cov_timeouts)),
-            ("external_invalidations", uint(self.external_invalidations)),
-            ("l2_recalls_received", uint(self.l2_recalls_received)),
-            ("external_downgrades", uint(self.external_downgrades)),
-            ("in_window_replays", uint(self.in_window_replays)),
-            ("coherence_requests", uint(self.coherence_requests)),
-            ("writebacks", uint(self.writebacks)),
+            ("instructions_retired", uint(instructions_retired)),
+            ("loads_retired", uint(loads_retired)),
+            ("stores_retired", uint(stores_retired)),
+            ("atomics_retired", uint(atomics_retired)),
+            ("fences_retired", uint(fences_retired)),
+            ("instructions_squashed", uint(instructions_squashed)),
+            ("l1_hits", uint(l1_hits)),
+            ("l1_misses", uint(l1_misses)),
+            ("sb_forwards", uint(sb_forwards)),
+            ("sb_inserts", uint(sb_inserts)),
+            ("sb_drains", uint(sb_drains)),
+            ("store_prefetches", uint(store_prefetches)),
+            ("speculations_started", uint(speculations_started)),
+            ("speculations_committed", uint(speculations_committed)),
+            ("speculations_aborted", uint(speculations_aborted)),
+            ("speculations_aborted_structural", uint(speculations_aborted_structural)),
+            ("cycles_speculating", uint(cycles_speculating)),
+            ("cov_deferrals", uint(cov_deferrals)),
+            ("cov_commits", uint(cov_commits)),
+            ("cov_timeouts", uint(cov_timeouts)),
+            ("external_invalidations", uint(external_invalidations)),
+            ("l2_recalls_received", uint(l2_recalls_received)),
+            ("external_downgrades", uint(external_downgrades)),
+            ("in_window_replays", uint(in_window_replays)),
+            ("coherence_requests", uint(coherence_requests)),
+            ("writebacks", uint(writebacks)),
         ])
     }
+}
 
+impl JsonDecode for SimCounters {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "SimCounters")?;
         Ok(SimCounters {
@@ -431,17 +409,28 @@ impl JsonCodec for SimCounters {
 
 impl JsonCodec for FabricStats {
     fn to_json(&self) -> Json {
+        let FabricStats {
+            l2_hits,
+            l2_misses,
+            l2_evictions,
+            l2_recalls,
+            dram_reads,
+            dram_writebacks,
+            busy_retries,
+        } = *self;
         obj(vec![
-            ("l2_hits", uint(self.l2_hits)),
-            ("l2_misses", uint(self.l2_misses)),
-            ("l2_evictions", uint(self.l2_evictions)),
-            ("l2_recalls", uint(self.l2_recalls)),
-            ("dram_reads", uint(self.dram_reads)),
-            ("dram_writebacks", uint(self.dram_writebacks)),
-            ("busy_retries", uint(self.busy_retries)),
+            ("l2_hits", uint(l2_hits)),
+            ("l2_misses", uint(l2_misses)),
+            ("l2_evictions", uint(l2_evictions)),
+            ("l2_recalls", uint(l2_recalls)),
+            ("dram_reads", uint(dram_reads)),
+            ("dram_writebacks", uint(dram_writebacks)),
+            ("busy_retries", uint(busy_retries)),
         ])
     }
+}
 
+impl JsonDecode for FabricStats {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "FabricStats")?;
         Ok(FabricStats {
@@ -471,60 +460,61 @@ impl JsonCodec for Log2Hist {
             ("buckets", Json::Array(buckets)),
         ])
     }
+}
 
+impl JsonDecode for Log2Hist {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "Log2Hist")?;
-        let pairs = match f.get("buckets")? {
-            Json::Array(items) => items
-                .iter()
-                .map(|item| match item {
-                    Json::Array(pair) if pair.len() == 2 => {
-                        let index = pair[0].as_u64().and_then(|n| usize::try_from(n).ok());
-                        match (index, pair[1].as_u64()) {
-                            (Some(i), Some(c)) => Ok((i, c)),
-                            _ => Err(CodecError::new("Log2Hist", "bucket pair is not two u64s")),
-                        }
+        let pairs = f
+            .array("buckets")?
+            .iter()
+            .map(|item| match item {
+                Json::Array(pair) if pair.len() == 2 => {
+                    let index = pair[0].as_u64().and_then(|n| usize::try_from(n).ok());
+                    match (index, pair[1].as_u64()) {
+                        (Some(i), Some(c)) => Ok((i, c)),
+                        _ => Err(f.error("bucket pair is not two u64s")),
                     }
-                    _ => Err(CodecError::new("Log2Hist", "bucket is not an [index, count] pair")),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(CodecError::new("Log2Hist", "buckets is not an array")),
-        };
+                }
+                _ => Err(f.error("bucket is not an [index, count] pair")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Log2Hist::from_sparse(&pairs, f.u64("count")?, f.u64("sum")?)
-            .ok_or_else(|| CodecError::new("Log2Hist", "bucket index out of range"))
+            .ok_or_else(|| f.error("bucket index out of range"))
     }
 }
 
 impl JsonCodec for CoreHists {
     fn to_json(&self) -> Json {
+        let CoreHists { episode_len, deferral, sb_occupancy } = self;
         obj(vec![
-            ("episode_len", self.episode_len.to_json()),
-            ("deferral", self.deferral.to_json()),
-            ("sb_occupancy", self.sb_occupancy.to_json()),
+            ("episode_len", episode_len.to_json()),
+            ("deferral", deferral.to_json()),
+            ("sb_occupancy", sb_occupancy.to_json()),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "CoreHists")?;
-        Ok(CoreHists {
-            episode_len: f.decode("episode_len")?,
-            deferral: f.decode("deferral")?,
-            sb_occupancy: f.decode("sb_occupancy")?,
-        })
     }
 }
 
 impl JsonCodec for RunHistograms {
     fn to_json(&self) -> Json {
+        let RunHistograms {
+            episode_len,
+            deferral,
+            sb_occupancy,
+            l2_miss_latency,
+            fabric_queue_depth,
+        } = self;
         obj(vec![
-            ("episode_len", self.episode_len.to_json()),
-            ("deferral", self.deferral.to_json()),
-            ("sb_occupancy", self.sb_occupancy.to_json()),
-            ("l2_miss_latency", self.l2_miss_latency.to_json()),
-            ("fabric_queue_depth", self.fabric_queue_depth.to_json()),
+            ("episode_len", episode_len.to_json()),
+            ("deferral", deferral.to_json()),
+            ("sb_occupancy", sb_occupancy.to_json()),
+            ("l2_miss_latency", l2_miss_latency.to_json()),
+            ("fabric_queue_depth", fabric_queue_depth.to_json()),
         ])
     }
+}
 
+impl JsonDecode for RunHistograms {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "RunHistograms")?;
         Ok(RunHistograms {
@@ -543,50 +533,43 @@ impl JsonCodec for RunHistograms {
 /// results byte-identical.
 impl JsonCodec for CoreStats {
     fn to_json(&self) -> Json {
+        let CoreStats { breakdown, counters, hists, trace: _ } = self;
         obj(vec![
-            ("breakdown", self.breakdown.to_json()),
-            ("counters", self.counters.to_json()),
-            ("hists", self.hists.to_json()),
+            ("breakdown", breakdown.to_json()),
+            ("counters", counters.to_json()),
+            ("hists", hists.to_json()),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "CoreStats")?;
-        Ok(CoreStats {
-            breakdown: f.decode("breakdown")?,
-            counters: f.decode("counters")?,
-            hists: f.decode("hists")?,
-            trace: Default::default(),
-        })
     }
 }
 
 impl JsonCodec for TraceEvent {
     fn to_json(&self) -> Json {
+        let TraceEvent { cycle, core, kind, value, detail } = self;
         let mut fields = vec![
-            ("cycle", uint(self.cycle)),
-            ("core", uint(u64::from(self.core))),
-            ("kind", Json::Str(self.kind.label().to_string())),
-            ("value", uint(self.value)),
+            ("cycle", uint(*cycle)),
+            ("core", uint(u64::from(*core))),
+            ("kind", Json::Str(kind.label().to_string())),
+            ("value", uint(*value)),
         ];
-        if let Some(detail) = &self.detail {
+        if let Some(detail) = detail {
             fields.push(("detail", Json::Str(detail.clone())));
         }
         obj(fields)
     }
+}
 
+impl JsonDecode for TraceEvent {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "TraceEvent")?;
         let kind_label = f.string("kind")?;
         let kind = TraceKind::from_label(&kind_label)
-            .ok_or_else(|| CodecError::new("TraceEvent", format!("unknown kind {kind_label:?}")))?;
+            .ok_or_else(|| f.error(format!("unknown kind {kind_label:?}")))?;
         let detail = match doc.field("detail") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(CodecError::new("TraceEvent", "detail is not a string")),
+            Some(_) => return Err(f.error("detail is not a string")),
         };
-        let core = u32::try_from(f.u64("core")?)
-            .map_err(|_| CodecError::new("TraceEvent", "core overflows u32"))?;
+        let core = u32::try_from(f.u64("core")?).map_err(|_| f.error("core overflows u32"))?;
         Ok(TraceEvent { cycle: f.u64("cycle")?, core, kind, value: f.u64("value")?, detail })
     }
 }
@@ -624,18 +607,30 @@ pub fn trace_from_jsonl(text: &str) -> Result<MachineTrace, CodecError> {
 
 impl JsonCodec for RunSummary {
     fn to_json(&self) -> Json {
+        let RunSummary {
+            config,
+            workload,
+            cycles,
+            breakdown,
+            counters,
+            fabric,
+            histograms,
+            speculation_fraction,
+        } = self;
         obj(vec![
-            ("config", Json::Str(self.config.clone())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("cycles", uint(self.cycles)),
-            ("breakdown", self.breakdown.to_json()),
-            ("counters", self.counters.to_json()),
-            ("fabric", self.fabric.to_json()),
-            ("histograms", self.histograms.to_json()),
-            ("speculation_fraction", Json::Float(self.speculation_fraction)),
+            ("config", Json::Str(config.clone())),
+            ("workload", Json::Str(workload.clone())),
+            ("cycles", uint(*cycles)),
+            ("breakdown", breakdown.to_json()),
+            ("counters", counters.to_json()),
+            ("fabric", fabric.to_json()),
+            ("histograms", histograms.to_json()),
+            ("speculation_fraction", Json::Float(*speculation_fraction)),
         ])
     }
+}
 
+impl JsonDecode for RunSummary {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "RunSummary")?;
         Ok(RunSummary {
@@ -653,78 +648,56 @@ impl JsonCodec for RunSummary {
 
 impl JsonCodec for WorkloadSpec {
     fn to_json(&self) -> Json {
+        let WorkloadSpec {
+            name,
+            description,
+            default_instructions,
+            mem_fraction,
+            store_fraction,
+            critical_section_rate,
+            critical_section_len,
+            locks,
+            shared_fraction,
+            shared_blocks,
+            private_blocks,
+            store_burst_rate,
+            store_burst_len,
+            fence_rate,
+        } = self;
         obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("default_instructions", us(self.default_instructions)),
-            ("mem_fraction", Json::Float(self.mem_fraction)),
-            ("store_fraction", Json::Float(self.store_fraction)),
-            ("critical_section_rate", Json::Float(self.critical_section_rate)),
-            ("critical_section_len", us(self.critical_section_len)),
-            ("locks", us(self.locks)),
-            ("shared_fraction", Json::Float(self.shared_fraction)),
-            ("shared_blocks", us(self.shared_blocks)),
-            ("private_blocks", us(self.private_blocks)),
-            ("store_burst_rate", Json::Float(self.store_burst_rate)),
-            ("store_burst_len", us(self.store_burst_len)),
-            ("fence_rate", Json::Float(self.fence_rate)),
+            ("name", Json::Str(name.clone())),
+            ("description", Json::Str(description.clone())),
+            ("default_instructions", us(*default_instructions)),
+            ("mem_fraction", Json::Float(*mem_fraction)),
+            ("store_fraction", Json::Float(*store_fraction)),
+            ("critical_section_rate", Json::Float(*critical_section_rate)),
+            ("critical_section_len", us(*critical_section_len)),
+            ("locks", us(*locks)),
+            ("shared_fraction", Json::Float(*shared_fraction)),
+            ("shared_blocks", us(*shared_blocks)),
+            ("private_blocks", us(*private_blocks)),
+            ("store_burst_rate", Json::Float(*store_burst_rate)),
+            ("store_burst_len", us(*store_burst_len)),
+            ("fence_rate", Json::Float(*fence_rate)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "WorkloadSpec")?;
-        Ok(WorkloadSpec {
-            name: f.string("name")?,
-            description: f.string("description")?,
-            default_instructions: f.usize("default_instructions")?,
-            mem_fraction: f.f64("mem_fraction")?,
-            store_fraction: f.f64("store_fraction")?,
-            critical_section_rate: f.f64("critical_section_rate")?,
-            critical_section_len: f.usize("critical_section_len")?,
-            locks: f.usize("locks")?,
-            shared_fraction: f.f64("shared_fraction")?,
-            shared_blocks: f.usize("shared_blocks")?,
-            private_blocks: f.usize("private_blocks")?,
-            store_burst_rate: f.f64("store_burst_rate")?,
-            store_burst_len: f.usize("store_burst_len")?,
-            fence_rate: f.f64("fence_rate")?,
-        })
     }
 }
 
 impl JsonCodec for WorkloadPhase {
     fn to_json(&self) -> Json {
-        obj(vec![("spec", self.spec.to_json()), ("instructions", us(self.instructions))])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "WorkloadPhase")?;
-        Ok(WorkloadPhase { spec: f.decode("spec")?, instructions: f.usize("instructions")? })
+        let WorkloadPhase { spec, instructions } = self;
+        obj(vec![("spec", spec.to_json()), ("instructions", us(*instructions))])
     }
 }
 
 impl JsonCodec for PhasedWorkload {
     fn to_json(&self) -> Json {
+        let PhasedWorkload { name, description, phases } = self;
         obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("phases", Json::Array(self.phases.iter().map(JsonCodec::to_json).collect())),
+            ("name", Json::Str(name.clone())),
+            ("description", Json::Str(description.clone())),
+            ("phases", Json::Array(phases.iter().map(JsonCodec::to_json).collect())),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "PhasedWorkload")?;
-        let phases = match f.get("phases")? {
-            Json::Array(items) => {
-                items.iter().map(WorkloadPhase::from_json).collect::<Result<Vec<_>, _>>()?
-            }
-            _ => return Err(CodecError::new("PhasedWorkload", "phases is not an array")),
-        };
-        Ok(PhasedWorkload {
-            name: f.string("name")?,
-            description: f.string("description")?,
-            phases,
-        })
     }
 }
 
@@ -739,38 +712,13 @@ impl JsonCodec for Workload {
             }
         }
     }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        let f = Fields::new(doc, "Workload")?;
-        match f.string("kind")?.as_str() {
-            "steady" => Ok(Workload::Steady(f.decode("spec")?)),
-            "phased" => Ok(Workload::Phased(f.decode("phased")?)),
-            other => Err(CodecError::new("Workload", format!("unknown workload kind {other:?}"))),
-        }
-    }
-}
-
-/// Per-core statistics payload (`MachineResult::per_core`). The full
-/// `MachineResult` codec lives in `ifence_sim::persist` — that crate depends
-/// on this one, not the other way around — and builds on this impl.
-impl JsonCodec for Vec<CoreStats> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(JsonCodec::to_json).collect())
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        match doc {
-            Json::Array(items) => items.iter().map(CoreStats::from_json).collect(),
-            _ => Err(CodecError::new("Vec<CoreStats>", "expected an array")),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<T: JsonCodec + PartialEq + std::fmt::Debug>(value: &T) {
+    fn roundtrip<T: JsonCodec + JsonDecode + PartialEq + std::fmt::Debug>(value: &T) {
         let doc = value.to_json();
         let text = doc.encode();
         let back = T::from_json(&Json::parse(&text).expect("parses")).expect("decodes");
@@ -779,38 +727,13 @@ mod tests {
     }
 
     #[test]
-    fn configs_roundtrip() {
-        roundtrip(&MachineConfig::paper_baseline());
-        roundtrip(&MachineConfig::small_test(EngineKind::Aso(ConsistencyModel::Sc)));
-        roundtrip(&CacheConfig::paper_l1d());
-        roundtrip(&L2Config::paper_l2());
-        roundtrip(&CoreConfig::paper_core());
-        roundtrip(&InterconnectConfig::paper_torus());
-        roundtrip(&SpeculationConfig::default());
-    }
-
-    #[test]
     fn engine_kinds_roundtrip_via_labels() {
-        use ConsistencyModel::*;
-        for engine in [
-            EngineKind::Conventional(Sc),
-            EngineKind::Conventional(Tso),
-            EngineKind::Conventional(Rmo),
-            EngineKind::InvisiSelective(Tso),
-            EngineKind::InvisiSelectiveTwoCkpt(Rmo),
-            EngineKind::InvisiContinuous { commit_on_violate: false },
-            EngineKind::InvisiContinuous { commit_on_violate: true },
-            EngineKind::Aso(Sc),
-        ] {
-            roundtrip(&engine);
+        // Keys store engines by label, so the label must name exactly one
+        // engine: `EngineKind::from_label` inverts every encoding.
+        for engine in EngineKind::all() {
+            let Json::Str(label) = engine.to_json() else { panic!("{engine:?} encodes a label") };
+            assert_eq!(EngineKind::from_label(&label), Some(engine), "{label}");
         }
-        assert!(EngineKind::from_json(&Json::Str("warp_drive".to_string())).is_err());
-    }
-
-    #[test]
-    fn workloads_roundtrip() {
-        roundtrip(&Workload::from(ifence_workloads::presets::apache()));
-        roundtrip(&Workload::from(ifence_workloads::presets::server_swings()));
     }
 
     #[test]
@@ -834,7 +757,7 @@ mod tests {
     #[test]
     fn histograms_roundtrip_byte_identically_for_random_values() {
         // Seeded random fill, then the same byte-identity contract every
-        // other codec honors: decode(encode(h)) == h and re-encoding is
+        // other decoder honors: decode(encode(h)) == h and re-encoding is
         // byte-for-byte stable.
         let mut rng = ifence_workloads::TraceRng::seed_from_u64(0xbead_cafe);
         let mut hist = Log2Hist::new();
@@ -844,10 +767,9 @@ mod tests {
         roundtrip(&hist);
         roundtrip(&Log2Hist::new());
         let mut run = RunHistograms::new();
-        run.episode_len = hist.clone();
+        run.episode_len = hist;
         run.fabric_queue_depth.record(3);
         roundtrip(&run);
-        roundtrip(&CoreHists { episode_len: hist, ..Default::default() });
         assert!(Log2Hist::from_json(
             &Json::parse(r#"{"count":1,"sum":1,"buckets":[[99,1]]}"#).unwrap()
         )
@@ -883,16 +805,29 @@ mod tests {
     fn decode_errors_name_the_offender() {
         let err = RunSummary::from_json(&Json::parse(r#"{"config":"x"}"#).unwrap()).unwrap_err();
         assert!(err.to_string().contains("RunSummary"), "{err}");
-        let err = MachineConfig::from_json(&Json::UInt(3)).unwrap_err();
+        let err = SimCounters::from_json(&Json::UInt(3)).unwrap_err();
         assert!(err.to_string().contains("expected an object"), "{err}");
     }
 
     #[test]
+    fn breakdowns_that_overflow_their_total_are_rejected() {
+        let mut full = CycleBreakdown::new();
+        full.add(CycleClass::Busy, u64::MAX);
+        roundtrip(&full);
+        let overflowing = Json::Object(
+            CycleClass::ALL.iter().map(|c| (c.label().to_string(), Json::UInt(u64::MAX))).collect(),
+        );
+        let err = CycleBreakdown::from_json(&overflowing).unwrap_err();
+        assert!(err.to_string().contains("u64::MAX"), "{err}");
+    }
+
+    #[test]
     fn decode_tolerates_extra_fields() {
-        let mut doc = CoreConfig::paper_core().to_json();
+        let stats = FabricStats { l2_hits: 7, dram_reads: 3, ..Default::default() };
+        let mut doc = stats.to_json();
         if let Json::Object(fields) = &mut doc {
             fields.push(("future_field".to_string(), Json::Null));
         }
-        assert_eq!(CoreConfig::from_json(&doc).unwrap(), CoreConfig::paper_core());
+        assert_eq!(FabricStats::from_json(&doc).unwrap(), stats);
     }
 }

@@ -84,9 +84,7 @@ impl DiffReport {
             let (class, shift) = CycleClass::ALL
                 .iter()
                 .zip(row.breakdown_delta_pp.iter())
-                .max_by(|(_, a), (_, b)| {
-                    a.abs().partial_cmp(&b.abs()).expect("breakdown shifts are finite")
-                })
+                .max_by(|(_, a), (_, b)| a.abs().total_cmp(&b.abs()))
                 .expect("five breakdown classes");
             table.push_row([
                 row.workload.clone(),

@@ -188,6 +188,146 @@ mod tests {
     }
 
     #[test]
+    fn key_hexes_match_the_recorded_values() {
+        // A moved hex orphans every stored cell: an encoder change that is
+        // not a schema change must leave both where they are.
+        let small = CellKey::new(
+            &MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc)),
+            &presets::barnes().into(),
+            500,
+            1_000_000,
+        );
+        let paper = CellKey::new(
+            &MachineConfig::with_engine(EngineKind::InvisiContinuous { commit_on_violate: true }),
+            &presets::server_swings().into(),
+            2_000,
+            50_000_000,
+        );
+        assert_eq!(small.hex(), "0416328f6f81bdc7");
+        assert_eq!(paper.hex(), "4164dc4088b36d97");
+    }
+
+    /// A named change to one field of a key input.
+    type Edit<T> = (&'static str, fn(&mut T));
+
+    /// Applies each edit to a copy of `base` and reports the ones that leave
+    /// the key unchanged.
+    fn edits_missing_from_key<T: Clone>(
+        base: &T,
+        key_of: impl Fn(&T) -> CellKey,
+        edits: &[Edit<T>],
+    ) -> Vec<&'static str> {
+        let base_key = key_of(base);
+        edits
+            .iter()
+            .filter(|(_, edit)| {
+                let mut edited = base.clone();
+                edit(&mut edited);
+                key_of(&edited) == base_key
+            })
+            .map(|(name, _)| *name)
+            .collect()
+    }
+
+    fn machine_key(cfg: &MachineConfig) -> CellKey {
+        CellKey::new(cfg, &presets::barnes().into(), 500, 1_000_000)
+    }
+
+    #[test]
+    fn every_settable_machine_field_changes_the_key() {
+        let base = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
+        let edits: [Edit<MachineConfig>; 30] = [
+            ("cores", |c| c.cores += 1),
+            ("core.rob_size", |c| c.core.rob_size += 1),
+            ("core.width", |c| c.core.width += 1),
+            ("core.mem_issue_ports", |c| c.core.mem_issue_ports += 1),
+            ("core.store_prefetch", |c| c.core.store_prefetch = !c.core.store_prefetch),
+            ("core.sb_drain_per_cycle", |c| c.core.sb_drain_per_cycle += 1),
+            ("l1.size_bytes", |c| c.l1.size_bytes *= 2),
+            ("l1.associativity", |c| c.l1.associativity += 1),
+            ("l1.block_bytes", |c| c.l1.block_bytes *= 2),
+            ("l1.hit_latency", |c| c.l1.hit_latency += 1),
+            ("l1.mshrs", |c| c.l1.mshrs += 1),
+            ("l1.victim_entries", |c| c.l1.victim_entries += 1),
+            ("l2.size_bytes", |c| c.l2.size_bytes *= 2),
+            ("l2.associativity", |c| c.l2.associativity += 1),
+            ("l2.hit_latency", |c| c.l2.hit_latency += 1),
+            ("dram.latency", |c| c.dram.latency += 1),
+            ("store_buffer.entries", |c| c.store_buffer.entries += 1),
+            ("interconnect.mesh_width", |c| c.interconnect.mesh_width += 1),
+            ("interconnect.mesh_height", |c| c.interconnect.mesh_height += 1),
+            ("interconnect.hop_latency", |c| c.interconnect.hop_latency += 1),
+            ("interconnect.directory_latency", |c| c.interconnect.directory_latency += 1),
+            ("interconnect.retry_interval", |c| c.interconnect.retry_interval += 1),
+            ("speculation.min_chunk_instructions", |c| c.speculation.min_chunk_instructions += 1),
+            ("speculation.cov_timeout", |c| c.speculation.cov_timeout += 1),
+            ("speculation.aso_checkpoint_interval", |c| c.speculation.aso_checkpoint_interval += 1),
+            ("speculation.ssb_entries", |c| c.speculation.ssb_entries += 1),
+            ("speculation.ssb_drain_per_cycle", |c| c.speculation.ssb_drain_per_cycle += 1),
+            ("engine (model)", |c| c.engine = EngineKind::Conventional(ConsistencyModel::Tso)),
+            ("engine (kind)", |c| c.engine = EngineKind::Aso(ConsistencyModel::Sc)),
+            ("seed", |c| c.seed += 1),
+        ];
+        assert_eq!(edits_missing_from_key(&base, machine_key, &edits), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn host_only_machine_fields_do_not_change_the_key() {
+        let base = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
+        let edits: [Edit<MachineConfig>; 5] = [
+            ("dense_kernel", |c| c.dense_kernel = true),
+            ("trace", |c| c.trace = true),
+            ("batch_kernel", |c| c.batch_kernel = !c.batch_kernel),
+            ("leap_kernel", |c| c.leap_kernel = !c.leap_kernel),
+            ("machine_threads", |c| c.machine_threads += 1),
+        ];
+        let names: Vec<&str> = edits.iter().map(|(name, _)| *name).collect();
+        assert_eq!(edits_missing_from_key(&base, machine_key, &edits), names);
+    }
+
+    #[test]
+    fn every_workload_field_changes_the_key() {
+        use ifence_workloads::{PhasedWorkload, WorkloadSpec};
+        let spec_key = |spec: &WorkloadSpec| {
+            CellKey::new(&MachineConfig::paper_baseline(), &spec.clone().into(), 500, 1_000_000)
+        };
+        let edits: [Edit<WorkloadSpec>; 14] = [
+            ("name", |s| s.name.push('x')),
+            ("description", |s| s.description.push('x')),
+            ("default_instructions", |s| s.default_instructions += 1),
+            ("mem_fraction", |s| s.mem_fraction /= 2.0),
+            ("store_fraction", |s| s.store_fraction /= 2.0),
+            ("critical_section_rate", |s| s.critical_section_rate /= 2.0),
+            ("critical_section_len", |s| s.critical_section_len += 1),
+            ("locks", |s| s.locks += 1),
+            ("shared_fraction", |s| s.shared_fraction /= 2.0),
+            ("shared_blocks", |s| s.shared_blocks += 1),
+            ("private_blocks", |s| s.private_blocks += 1),
+            ("store_burst_rate", |s| s.store_burst_rate /= 2.0),
+            ("store_burst_len", |s| s.store_burst_len += 1),
+            ("fence_rate", |s| s.fence_rate /= 2.0),
+        ];
+        assert_eq!(
+            edits_missing_from_key(&presets::apache(), spec_key, &edits),
+            Vec::<&str>::new()
+        );
+
+        let phased_key = |w: &PhasedWorkload| {
+            CellKey::new(&MachineConfig::paper_baseline(), &w.clone().into(), 500, 1_000_000)
+        };
+        let edits: [Edit<PhasedWorkload>; 4] = [
+            ("name", |w| w.name.push('x')),
+            ("description", |w| w.description.push('x')),
+            ("phases[0].spec", |w| w.phases[0].spec.locks += 1),
+            ("phases[0].instructions", |w| w.phases[0].instructions += 1),
+        ];
+        assert_eq!(
+            edits_missing_from_key(&presets::server_swings(), phased_key, &edits),
+            Vec::<&str>::new()
+        );
+    }
+
+    #[test]
     fn seed_is_part_of_the_key() {
         let engine = EngineKind::Conventional(ConsistencyModel::Sc);
         let mut cfg = MachineConfig::small_test(engine);

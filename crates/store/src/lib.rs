@@ -21,10 +21,12 @@
 //!   that turns flagged slowdowns into a regression gate.
 //!
 //! serde is unavailable offline, so serialization is hand-rolled on a
-//! deterministic JSON document model ([`json::Json`]) with symmetric codecs
-//! ([`codec::JsonCodec`]) whose `encode→decode→encode` round trip is
-//! byte-identical (property-tested with seeded
-//! [`ifence_workloads::TraceRng`] loops).
+//! deterministic JSON document model ([`json::Json`]). Every hashed or
+//! stored type encodes ([`codec::JsonCodec`]); only what the store reads
+//! back also decodes ([`codec::JsonDecode`]): run summaries, sweep manifests
+//! and trace events. A decoded summary re-encodes byte-identically
+//! (property-tested with seeded [`ifence_workloads::TraceRng`] loops);
+//! configurations and workloads are only ever encoded into cache keys.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,7 @@ pub mod json;
 pub mod key;
 pub mod store;
 
-pub use codec::{trace_from_jsonl, trace_to_jsonl, CodecError, JsonCodec};
+pub use codec::{trace_from_jsonl, trace_to_jsonl, CodecError, JsonCodec, JsonDecode};
 pub use diff::{diff_sweeps, DiffReport, DiffRow};
 pub use json::{Json, JsonError};
 pub use key::{fnv1a, CellKey, SCHEMA_VERSION};

@@ -22,7 +22,7 @@
 //! interior mutex); lookups come from an in-memory index loaded once at
 //! [`ExperimentStore::open`].
 
-use crate::codec::JsonCodec;
+use crate::codec::{obj, CodecError, Fields, JsonCodec, JsonDecode};
 use crate::json::Json;
 use crate::key::CellKey;
 use ifence_stats::RunSummary;
@@ -92,90 +92,46 @@ pub struct SweepManifest {
 
 impl JsonCodec for SweepManifest {
     fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("figure".to_string(), Json::Str(self.figure.clone())),
-            (
-                "configs".to_string(),
-                Json::Array(self.configs.iter().map(|c| Json::Str(c.clone())).collect()),
-            ),
-            ("instructions_per_core".to_string(), Json::UInt(self.instructions_per_core)),
-            ("seed".to_string(), Json::UInt(self.seed)),
-            (
-                "rows".to_string(),
-                Json::Array(
-                    self.rows
-                        .iter()
-                        .map(|row| {
-                            Json::Object(vec![
-                                ("workload".to_string(), Json::Str(row.workload.clone())),
-                                (
-                                    "cells".to_string(),
-                                    Json::Array(
-                                        row.cells
-                                            .iter()
-                                            .map(|h| Json::Str(format!("{h:016x}")))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let SweepManifest { name, figure, configs, instructions_per_core, seed, rows } = self;
+        let rows = rows.iter().map(|ManifestRow { workload, cells }| {
+            let cells = cells.iter().map(|h| Json::Str(format!("{h:016x}"))).collect();
+            obj(vec![("workload", Json::Str(workload.clone())), ("cells", Json::Array(cells))])
+        });
+        obj(vec![
+            ("name", Json::Str(name.clone())),
+            ("figure", Json::Str(figure.clone())),
+            ("configs", Json::Array(configs.iter().map(|c| Json::Str(c.clone())).collect())),
+            ("instructions_per_core", Json::UInt(*instructions_per_core)),
+            ("seed", Json::UInt(*seed)),
+            ("rows", Json::Array(rows.collect())),
         ])
     }
+}
 
-    fn from_json(doc: &Json) -> Result<Self, crate::codec::CodecError> {
-        use crate::codec::CodecError;
-        let err = |m: &str| CodecError::new("SweepManifest", m.to_string());
-        let str_field = |name: &str| match doc.field(name) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            _ => Err(err(&format!("missing string field {name:?}"))),
-        };
-        let configs = match doc.field("configs") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|v| match v {
-                    Json::Str(s) => Ok(s.clone()),
-                    _ => Err(err("configs must be strings")),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(err("missing configs array")),
-        };
-        let rows = match doc.field("rows") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|row| {
-                    let workload = match row.field("workload") {
-                        Some(Json::Str(s)) => s.clone(),
-                        _ => return Err(err("row missing workload")),
-                    };
-                    let cells = match row.field("cells") {
-                        Some(Json::Array(cells)) => cells
-                            .iter()
-                            .map(|c| match c {
-                                Json::Str(s) => u64::from_str_radix(s, 16)
-                                    .map_err(|_| err("cell hash is not hex")),
-                                _ => Err(err("cell hash is not a string")),
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        _ => return Err(err("row missing cells")),
-                    };
-                    Ok(ManifestRow { workload, cells })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(err("missing rows array")),
-        };
+impl JsonDecode for SweepManifest {
+    fn from_json(doc: &Json) -> Result<Self, CodecError> {
+        let f = Fields::new(doc, "SweepManifest")?;
+        let rows = f
+            .array("rows")?
+            .iter()
+            .map(|row| {
+                let r = Fields::new(row, "ManifestRow")?;
+                let cells = r
+                    .strings("cells")?
+                    .into_iter()
+                    .map(|hex| {
+                        u64::from_str_radix(hex, 16).map_err(|_| r.error("cell hash is not hex"))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(ManifestRow { workload: r.string("workload")?, cells })
+            })
+            .collect::<Result<Vec<_>, CodecError>>()?;
         Ok(SweepManifest {
-            name: str_field("name")?,
-            figure: str_field("figure")?,
-            configs,
-            instructions_per_core: doc
-                .field("instructions_per_core")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err("missing instructions_per_core"))?,
-            seed: doc.field("seed").and_then(Json::as_u64).ok_or_else(|| err("missing seed"))?,
+            name: f.string("name")?,
+            figure: f.string("figure")?,
+            configs: f.strings("configs")?.into_iter().map(String::from).collect(),
+            instructions_per_core: f.u64("instructions_per_core")?,
+            seed: f.u64("seed")?,
             rows,
         })
     }
@@ -184,6 +140,17 @@ impl JsonCodec for SweepManifest {
 struct Entry {
     key_json: String,
     summary: RunSummary,
+}
+
+/// One shard line, `{"hash":"…","key":{…},"summary":{…}}`. The canonical key
+/// is already the compact encoding of the key document, so it is spliced in
+/// verbatim.
+fn shard_line(hash: u64, entry: &Entry) -> String {
+    format!(
+        "{{\"hash\":\"{hash:016x}\",\"key\":{},\"summary\":{}}}",
+        entry.key_json,
+        entry.summary.to_json().encode()
+    )
 }
 
 /// The persistent, content-addressed result cache.
@@ -321,19 +288,8 @@ impl ExperimentStore {
         let mut members: Vec<(&u64, &Entry)> =
             entries.iter().filter(|(hash, _)| (*hash & 0xff) as u8 == shard).collect();
         members.sort_by_key(|(hash, _)| **hash);
-        let shard_lines = members
-            .into_iter()
-            .map(|(hash, entry)| {
-                let key_doc = Json::parse(&entry.key_json)
-                    .expect("canonical key JSON is well-formed by construction");
-                Json::Object(vec![
-                    ("hash".to_string(), Json::Str(format!("{hash:016x}"))),
-                    ("key".to_string(), key_doc),
-                    ("summary".to_string(), entry.summary.to_json()),
-                ])
-                .encode()
-            })
-            .collect::<Vec<_>>();
+        let shard_lines =
+            members.into_iter().map(|(hash, entry)| shard_line(*hash, entry)).collect::<Vec<_>>();
         let mut text = shard_lines.join("\n");
         text.push('\n');
         self.write_atomic(&self.root.join("shards").join(format!("{shard:02x}.jsonl")), &text)
@@ -523,6 +479,73 @@ mod tests {
         std::fs::write(&shard, text).unwrap();
         let store = ExperimentStore::open(&root).unwrap();
         assert_eq!(store.len(), 1, "the valid entry survives, the corrupt line is dropped");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A shard line in the `{hash, key, summary}` object form, built through
+    /// the document model.
+    fn line_from_documents(key: &CellKey, summary: Json) -> String {
+        Json::Object(vec![
+            ("hash".to_string(), Json::Str(key.hex())),
+            ("key".to_string(), Json::parse(key.canonical_json()).unwrap()),
+            ("summary".to_string(), summary),
+        ])
+        .encode()
+    }
+
+    #[test]
+    fn shard_lines_match_the_document_encoding() {
+        // `put` writes each line as text; it must match the line the document
+        // model encodes, or every shard's bytes would move.
+        let root = tmp_root("shard-bytes");
+        let store = ExperimentStore::open(&root).unwrap();
+        let key = sample_key(5);
+        let mut summary = sample_summary(123);
+        summary.breakdown.add(ifence_types::CycleClass::Busy, 99);
+        summary.counters.instructions_retired = 4_242;
+        summary.histograms.l2_miss_latency.record(300);
+        store.put(&key, &summary).unwrap();
+        let text =
+            std::fs::read_to_string(root.join("shards").join(format!("{:02x}.jsonl", key.shard())))
+                .unwrap();
+        assert_eq!(text, format!("{}\n", line_from_documents(&key, summary.to_json())));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn breakdowns_past_u64_max_are_skipped_as_corrupt() {
+        // Buckets whose sum overflows would wrap `CycleBreakdown::total` in
+        // every report: such a line is corrupt (warned about), not stale.
+        let root = tmp_root("overflow");
+        let key = sample_key(6);
+        {
+            let store = ExperimentStore::open(&root).unwrap();
+            store.put(&key, &sample_summary(10)).unwrap();
+        }
+        let bad_key = sample_key(7);
+        let mut summary = sample_summary(20).to_json();
+        if let Json::Object(fields) = &mut summary {
+            for (name, value) in fields.iter_mut() {
+                if name == "breakdown" {
+                    if let Json::Object(buckets) = value {
+                        for (_, cycles) in buckets.iter_mut() {
+                            *cycles = Json::UInt(u64::MAX);
+                        }
+                    }
+                }
+            }
+        }
+        let line = line_from_documents(&bad_key, summary);
+        let err = ExperimentStore::parse_entry(&line).unwrap_err();
+        assert!(err.contains("u64::MAX"), "{err}");
+        let shard = root.join("shards").join(format!("{:02x}.jsonl", key.shard()));
+        let mut text = std::fs::read_to_string(&shard).unwrap();
+        text.push_str(&line);
+        text.push('\n');
+        std::fs::write(&shard, text).unwrap();
+        let store = ExperimentStore::open(&root).unwrap();
+        assert_eq!(store.len(), 1, "the overflowing entry is not loaded");
+        assert_eq!(store.get(&bad_key), None);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
