@@ -726,6 +726,37 @@ mod tests {
         assert_eq!(back.to_json().encode(), text, "re-encode must be byte-identical");
     }
 
+    /// Encode-only types reach the store inside a cell key, which shard
+    /// loading parses and re-encodes to re-derive its hash. So their
+    /// encoding must survive `parse → encode` as the same document and the
+    /// same bytes.
+    fn text_roundtrip<T: JsonCodec>(value: &T) {
+        let doc = value.to_json();
+        let text = doc.encode();
+        let back = Json::parse(&text).expect("parses");
+        assert_eq!(back, doc);
+        assert_eq!(back.encode(), text, "re-encode must be byte-identical");
+    }
+
+    #[test]
+    fn configs_roundtrip() {
+        text_roundtrip(&MachineConfig::paper_baseline());
+        text_roundtrip(&MachineConfig::small_test(EngineKind::Aso(
+            ifence_types::ConsistencyModel::Sc,
+        )));
+        text_roundtrip(&CacheConfig::paper_l1d());
+        text_roundtrip(&L2Config::paper_l2());
+        text_roundtrip(&CoreConfig::paper_core());
+        text_roundtrip(&InterconnectConfig::paper_torus());
+        text_roundtrip(&SpeculationConfig::default());
+    }
+
+    #[test]
+    fn workloads_roundtrip() {
+        text_roundtrip(&Workload::from(ifence_workloads::presets::apache()));
+        text_roundtrip(&Workload::from(ifence_workloads::presets::server_swings()));
+    }
+
     #[test]
     fn engine_kinds_roundtrip_via_labels() {
         // Keys store engines by label, so the label must name exactly one
