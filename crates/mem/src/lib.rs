@@ -3,13 +3,15 @@
 //! This crate provides the storage structures the paper's machine is built
 //! from, all at cache-block granularity:
 //!
-//! * [`SetAssocCache`] — a set-associative L1 data cache whose tags carry the
-//!   speculatively-read / speculatively-written bits InvisiFence adds
-//!   (Section 3.1): Figure 3's marks sit in the tag itself, one byte beside
-//!   the block number, LRU stamp and coherence state, so a probe, a victim
-//!   choice and a speculative check read one 16-byte tag. Per-mark logs of
-//!   the marked lines give the two single-cycle flash operations (clear and
-//!   conditional invalidate) a cost proportional to the lines marked.
+//! * [`L1Cache`] — the per-core L1 data cache: a set-associative array whose
+//!   tags carry the speculatively-read / speculatively-written bits
+//!   InvisiFence adds (Section 3.1), plus the victim cache, the blocks the
+//!   store-buffer drain parked and the pending writebacks. Figure 3's marks
+//!   sit in the tag itself, one byte beside the block number, LRU stamp and
+//!   coherence state, so a probe, a victim choice and a speculative check
+//!   read one 16-byte tag. Per-mark logs of the marked lines give the two
+//!   single-cycle flash operations (clear and conditional invalidate) a cost
+//!   proportional to the lines marked.
 //! * [`VictimCache`] — the 16-entry fully-associative victim cache of the
 //!   paper's L1 configuration.
 //! * [`MshrFile`] — miss-status holding registers tracking outstanding misses.
@@ -17,7 +19,6 @@
 //!   Figure 5: the word-granularity FIFO used by conventional SC/TSO and the
 //!   block-granularity coalescing buffer used by conventional RMO and every
 //!   speculative engine.
-//! * [`L1Cache`] — the combination of cache + victim cache used by a core.
 //! * [`BankedL2`] — the shared, banked, address-interleaved L2 whose lines
 //!   embed a caller-supplied directory payload (the coherence fabric embeds
 //!   sharer/owner state in the L2 tags through it). A resident line never
@@ -41,7 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod l1;
 pub mod l2;
 pub mod line;
@@ -50,8 +51,7 @@ mod spec_bits;
 pub mod store_buffer;
 pub mod victim;
 
-pub use cache::{EvictedLine, FillSlot, SetAssocCache};
-pub use l1::{EvictionAction, L1Cache};
+pub use l1::{EvictionAction, FillSlot, L1Cache};
 pub use l2::{BankedL2, L2Evicted, L2FillOutcome, L2Handle, L2Line};
 pub use line::{BlockData, LineState, WORDS_PER_BLOCK};
 pub use mshr::{MshrEntry, MshrError, MshrFile};

@@ -11,7 +11,7 @@
 //! walk over the lines actually marked since the last clear — not over the
 //! whole cache — mirroring the hardware's one-shot behaviour.
 
-use crate::cache::{Tag, MAX_EPOCHS};
+use crate::l1::{Tag, MAX_EPOCHS};
 
 /// One of the four marks of a tag: read or written, in epoch 0 or 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,15 +121,14 @@ impl MarkLogs {
 
 #[cfg(test)]
 mod tests {
-    //! The flash-clear contract, driven through the L1 tag array's public
-    //! mark API.
+    //! The flash-clear contract, driven through the L1's public mark API.
 
-    use crate::{BlockData, LineState, SetAssocCache};
+    use crate::{BlockData, L1Cache, LineState};
     use ifence_types::{Addr, BlockAddr, CacheConfig};
 
-    /// `sets` sets of 2 ways.
-    fn cache(sets: usize) -> SetAssocCache {
-        SetAssocCache::new(&CacheConfig {
+    /// `sets` sets of 2 ways, without a victim cache.
+    fn cache(sets: usize) -> L1Cache {
+        L1Cache::new(&CacheConfig {
             size_bytes: sets * 2 * 64,
             associativity: 2,
             block_bytes: 64,
@@ -140,7 +139,7 @@ mod tests {
     }
 
     /// A cache with `n` resident blocks, one per set, in block order.
-    fn filled(n: u64) -> (SetAssocCache, Vec<BlockAddr>) {
+    fn filled(n: u64) -> (L1Cache, Vec<BlockAddr>) {
         let mut c = cache(n as usize);
         let blocks: Vec<_> = (0..n).map(|i| BlockAddr::containing(Addr::new(i * 64), 64)).collect();
         for &b in &blocks {
@@ -156,7 +155,7 @@ mod tests {
         c.mark_spec_read(b[3], 0);
         assert!(c.is_spec_read(b[3], 0));
         // An individual clear: the line leaves the cache.
-        c.invalidate(b[3]);
+        c.external_invalidate(b[3]);
         c.fill(b[3], LineState::Shared, BlockData::zeroed());
         assert!(!c.is_spec_read(b[3], 0));
         assert_eq!(c.spec_line_count(0), 0);
@@ -195,7 +194,7 @@ mod tests {
         for i in 1..4 {
             c.mark_spec_written(b[i], 0);
         }
-        c.invalidate(b[2]);
+        c.external_invalidate(b[2]);
         assert_eq!(c.spec_line_count(0), 2);
         assert_eq!(c.flash_invalidate_written(0), vec![b[1], b[3]]);
     }
@@ -204,7 +203,7 @@ mod tests {
     fn clear_then_set_logs_the_bit_once() {
         let (mut c, b) = filled(8);
         c.mark_spec_written(b[4], 0);
-        c.invalidate(b[4]);
+        c.external_invalidate(b[4]);
         c.fill(b[4], LineState::Exclusive, BlockData::zeroed());
         c.mark_spec_written(b[4], 0);
         c.mark_spec_written(b[6], 0);
@@ -212,7 +211,7 @@ mod tests {
         // The refilled line keeps its first-set position in the log.
         assert_eq!(c.clone().flash_invalidate_written(0), vec![b[4], b[6]]);
         c.flash_clear_epoch(0);
-        c.invalidate(b[4]);
+        c.external_invalidate(b[4]);
         c.fill(b[4], LineState::Exclusive, BlockData::zeroed());
         assert!(!c.is_spec_written(b[4], 0), "a clear after a flash clear leaves the mark clear");
         c.mark_spec_written(b[4], 0);

@@ -27,10 +27,6 @@ pub struct ExperimentParams {
     /// wall-clock time changes). Defaults to the number of available cores;
     /// override with the `IFENCE_JOBS` environment variable.
     pub parallelism: usize,
-    /// Force the dense (poll-every-cycle) debug kernel instead of the
-    /// event-driven one that skips quiescent cycles; results are identical,
-    /// only slower. Settable with `IFENCE_DENSE=1`.
-    pub dense_kernel: bool,
     /// Only `perfbench/` sets or reads this: the machine configuration
     /// rejects any value but 1 (one machine runs on one host thread; sweeps
     /// parallelise across machines through [`ExperimentParams::parallelism`]).
@@ -90,7 +86,6 @@ impl Default for ExperimentParams {
             max_cycles: 2_000_000_000,
             full_machine: true,
             parallelism: available_jobs(),
-            dense_kernel: false,
             machine_threads: 1,
         }
     }
@@ -100,9 +95,8 @@ impl ExperimentParams {
     /// Parameters for figure regeneration: the paper-scale machine, with
     /// the trace length, seed and sweep parallelism overridable through the
     /// `IFENCE_INSTRS`, `IFENCE_SEED` and `IFENCE_JOBS` environment
-    /// variables, and the dense kernel through `IFENCE_DENSE`. Unparseable
-    /// values, `IFENCE_TRACE`'s included, warn on stderr and keep the
-    /// default.
+    /// variables. Unparseable values, `IFENCE_DENSE`'s and `IFENCE_TRACE`'s
+    /// included, warn on stderr and keep the default.
     pub fn from_env() -> Self {
         Self::from_env_with(&|name| std::env::var(name).ok())
     }
@@ -115,9 +109,10 @@ impl ExperimentParams {
             env_parse(lookup, "IFENCE_INSTRS", params.instructions_per_core).max(1);
         params.seed = env_parse(lookup, "IFENCE_SEED", params.seed);
         params.parallelism = env_parse(lookup, "IFENCE_JOBS", params.parallelism).max(1);
-        params.dense_kernel = env_flag(lookup, "IFENCE_DENSE");
-        // Each machine reads `IFENCE_TRACE` itself; this only warns, once
-        // per run instead of once per machine, about a spelling it ignores.
+        // Each machine reads `IFENCE_DENSE` and `IFENCE_TRACE` itself; this
+        // only warns, once per run instead of once per machine, about a
+        // spelling it ignores.
+        env_flag(lookup, "IFENCE_DENSE");
         env_flag(lookup, "IFENCE_TRACE");
         params
     }
@@ -131,7 +126,6 @@ impl ExperimentParams {
             max_cycles: 20_000_000,
             full_machine: false,
             parallelism: available_jobs(),
-            dense_kernel: false,
             machine_threads: 1,
         }
     }
@@ -152,7 +146,6 @@ impl ExperimentParams {
             MachineConfig::small_test(engine)
         };
         cfg.seed = self.seed;
-        cfg.dense_kernel = self.dense_kernel;
         cfg.machine_threads = self.machine_threads;
         cfg
     }
@@ -256,7 +249,6 @@ mod tests {
         let p = ExperimentParams::from_env_with(&env);
         assert_eq!(p.instructions_per_core, 123);
         assert_eq!(p.seed, ExperimentParams::default().seed);
-        assert!(!p.dense_kernel);
     }
 
     #[test]
@@ -268,7 +260,6 @@ mod tests {
         };
         let p = ExperimentParams::from_env_with(&env);
         assert_eq!(p.parallelism, 3);
-        assert!(p.dense_kernel);
         let unset = ExperimentParams::from_env_with(&|_| None);
         assert_eq!(unset, ExperimentParams::default());
     }
@@ -276,7 +267,8 @@ mod tests {
     #[test]
     fn unparseable_dense_flag_falls_back() {
         let env = |name: &str| (name == "IFENCE_DENSE").then(|| "maybe".to_string());
-        assert!(!ExperimentParams::from_env_with(&env).dense_kernel);
+        // The machine reads the flag itself; the parameters only warn.
+        assert_eq!(ExperimentParams::from_env_with(&env), ExperimentParams::default());
     }
 
     #[test]

@@ -23,7 +23,6 @@ fn main() {
 
     let mut cfg = MachineConfig::with_engine(engine);
     cfg.seed = params.seed;
-    cfg.dense_kernel = params.dense_kernel;
     let cores = cfg.cores;
     println!(
         "long-trace smoke: {} on {}, {} instructions/core x {} cores (seed {})",

@@ -616,7 +616,7 @@ fn trace_record(cli: &Cli) -> Result<i32, String> {
     let mut cfg = params.config_for(engine);
     cfg.trace = true;
     let sources = workload.sources(cfg.cores, params.instructions_per_core, params.seed);
-    let machine = Machine::from_sources(cfg, sources).expect("derived configuration is valid");
+    let machine = Machine::from_sources(cfg, sources).map_err(|e| e.to_string())?;
     let (result, trace) = machine.into_result_with_trace(params.max_cycles);
     let jsonl = trace_to_jsonl(&trace);
     eprintln!(
@@ -646,14 +646,15 @@ fn trace_summarize(cli: &Cli) -> Result<i32, String> {
         if count == 0 {
             continue;
         }
-        let values =
-            trace.events.iter().filter(|e| e.kind == kind).map(|e| e.value).collect::<Vec<_>>();
-        let sum: u64 = values.iter().sum();
+        let (mut min, mut max, mut sum) = (u64::MAX, 0, 0u128);
+        for value in trace.events.iter().filter(|e| e.kind == kind).map(|e| e.value) {
+            (min, max, sum) = (min.min(value), max.max(value), sum + u128::from(value));
+        }
         table.push_row([
             kind.label().to_string(),
             count.to_string(),
-            values.iter().min().unwrap().to_string(),
-            values.iter().max().unwrap().to_string(),
+            min.to_string(),
+            max.to_string(),
             format!("{:.1}", sum as f64 / count as f64),
         ]);
     }

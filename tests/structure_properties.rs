@@ -8,8 +8,8 @@
 use ifence_coherence::EventQueue;
 use ifence_cpu::Rob;
 use ifence_mem::{
-    BankedL2, BlockData, L2FillOutcome, L2Handle, LineState, MshrError, MshrFile, SetAssocCache,
-    StoreBuffer, VictimCache,
+    BankedL2, BlockData, EvictionAction, L1Cache, L2FillOutcome, L2Handle, LineState, MshrError,
+    MshrFile, StoreBuffer, VictimCache,
 };
 use ifence_types::{
     Addr, BlockAddr, CacheConfig, Instruction, InterconnectConfig, L2Config, StoreBufferKind,
@@ -28,10 +28,10 @@ fn random_vec(rng: &mut TraceRng, max_len: usize, bound: u64) -> Vec<u64> {
     (0..len).map(|_| rng.range_u64(0..bound)).collect()
 }
 
-/// An L1 of `lines` lines (2 ways per set) holding blocks `0..lines`, so
-/// that line `i` of a mark test is block `i`.
-fn marked_cache(lines: u64) -> SetAssocCache {
-    let mut cache = SetAssocCache::new(&CacheConfig {
+/// An L1 of `lines` lines (2 ways per set, no victim cache) holding blocks
+/// `0..lines`, so that line `i` of a mark test is block `i`.
+fn marked_cache(lines: u64) -> L1Cache {
+    let mut cache = L1Cache::new(&CacheConfig {
         size_bytes: lines as usize * 64,
         associativity: 2,
         block_bytes: 64,
@@ -48,8 +48,8 @@ fn marked_cache(lines: u64) -> SetAssocCache {
 
 /// Clears every mark of block `i` individually: it leaves the cache and
 /// comes back into the way it left (the only invalid way of its set).
-fn clear_marks(cache: &mut SetAssocCache, i: u64) {
-    cache.invalidate(block(i * 64));
+fn clear_marks(cache: &mut L1Cache, i: u64) {
+    cache.external_invalidate(block(i * 64));
     cache.fill(block(i * 64), LineState::Exclusive, BlockData::zeroed());
 }
 
@@ -215,7 +215,7 @@ fn cache_uniqueness_and_capacity() {
             victim_entries: 0,
         };
         let capacity = cfg.blocks();
-        let mut cache = SetAssocCache::new(&cfg);
+        let mut cache = L1Cache::new(&cfg);
         for _ in 0..n {
             let b = block(rng.range_u64(0..128) * 64);
             cache.fill(b, LineState::Shared, BlockData::zeroed());
@@ -346,7 +346,7 @@ fn cache_abort_invalidates_only_written_lines() {
             mshrs: 4,
             victim_entries: 0,
         };
-        let mut cache = SetAssocCache::new(&cfg);
+        let mut cache = L1Cache::new(&cfg);
         for r in &reads {
             let b = block(r * 64);
             cache.fill(b, LineState::Shared, BlockData::zeroed());
@@ -359,14 +359,14 @@ fn cache_abort_invalidates_only_written_lines() {
         }
         let invalidated = cache.flash_invalidate_written(0);
         for b in &invalidated {
-            assert_eq!(cache.state(*b), LineState::Invalid, "case {case}");
+            assert_eq!(cache.peek(*b), LineState::Invalid, "case {case}");
         }
         assert!(!cache.has_spec_lines(), "case {case}");
         // Read-only speculative blocks survive the abort (they are simply
         // unmarked), unless the same block was also written.
         for r in &reads {
             if !writes.contains(r) {
-                assert!(cache.state(block(r * 64)).readable(), "case {case}");
+                assert!(cache.peek(block(r * 64)).readable(), "case {case}");
             }
         }
     }
@@ -740,7 +740,7 @@ struct ModelL1Line {
     spec: [bool; 2],
 }
 
-/// The set-associative cache with a 3-set geometry (so the set index takes
+/// The L1 with a 3-set geometry and no victim cache (so the set index takes
 /// the divide path, not the mask) behaves exactly like a naive map-plus-LRU
 /// model: same states and data, same victims (invalid ways first, then the
 /// least-recently-used non-speculative way, then plain LRU), same
@@ -759,7 +759,7 @@ fn three_set_cache_matches_a_naive_lru_model() {
             mshrs: 4,
             victim_entries: 0,
         };
-        let mut cache = SetAssocCache::new(&cfg);
+        let mut cache = L1Cache::new(&cfg);
         let mut model: HashMap<u64, ModelL1Line> = HashMap::new();
         let mut stamp = 0u64;
         let states = [LineState::Shared, LineState::Exclusive, LineState::Modified];
@@ -772,11 +772,14 @@ fn three_set_cache_matches_a_naive_lru_model() {
                     let word = rng.next_u64();
                     let slot = cache.fill_slot(b);
                     let evicts_spec = cache.slot_evicts_spec(slot);
-                    let evicted = cache.fill_at(slot, state, BlockData::from_words([word; 8]));
+                    cache.fill_at(slot, state, BlockData::from_words([word; 8]));
+                    // Without a victim cache a displaced line goes straight
+                    // to the writeback queue.
+                    let evicted: Vec<EvictionAction> = cache.drain_writebacks().collect();
                     stamp += 1;
                     if let Some(l) = model.get_mut(&n) {
                         (l.state, l.word, l.lru) = (state, word, stamp);
-                        assert!(evicted.is_none(), "case {case} step {step}: refill evicts");
+                        assert!(evicted.is_empty(), "case {case} step {step}: refill evicts");
                         continue;
                     }
                     let set: Vec<(u64, ModelL1Line)> = model
@@ -796,11 +799,18 @@ fn three_set_cache_matches_a_naive_lru_model() {
                     };
                     let spec = [false; 2];
                     model.insert(n, ModelL1Line { state, word, lru: stamp, spec });
-                    match (evicted, expected) {
-                        (None, None) => {}
-                        (Some(ev), Some((vn, vl))) => {
-                            assert_eq!(ev.block.number(), vn, "case {case} step {step}: victim");
-                            assert_eq!((ev.state, ev.data.word(0)), (vl.state, vl.word));
+                    match (evicted.as_slice(), expected) {
+                        ([], None) => {}
+                        ([ev], Some((vn, vl))) => {
+                            // The victim's state picks the action; only a
+                            // Modified victim carries its data.
+                            let (vb, data) = (block(vn * 64), BlockData::from_words([vl.word; 8]));
+                            let left = match vl.state {
+                                LineState::Modified => EvictionAction::WritebackDirty(vb, data),
+                                LineState::Exclusive => EvictionAction::WritebackClean(vb),
+                                _ => EvictionAction::Silent(vb),
+                            };
+                            assert_eq!(*ev, left, "case {case} step {step}: victim");
                             assert_eq!(evicts_spec, vl.spec != [false; 2]);
                             model.remove(&vn);
                         }
@@ -814,7 +824,7 @@ fn three_set_cache_matches_a_naive_lru_model() {
                     );
                 }
                 3 => {
-                    let state = cache.state_touch(b);
+                    let state = cache.lookup(b);
                     let expected = model.get_mut(&n).map(|l| {
                         stamp += 1;
                         l.lru = stamp;
@@ -823,7 +833,7 @@ fn three_set_cache_matches_a_naive_lru_model() {
                     assert_eq!(state, expected.unwrap_or(LineState::Invalid), "case {case}");
                 }
                 4 => {
-                    let value = cache.read_word_touch(b, 0);
+                    let value = cache.load_word(b, 0);
                     let expected = model.get_mut(&n).map(|l| {
                         stamp += 1;
                         l.lru = stamp;
@@ -833,7 +843,7 @@ fn three_set_cache_matches_a_naive_lru_model() {
                 }
                 5 => {
                     let value = rng.next_u64();
-                    let wrote = cache.write_owned(b, 0, value);
+                    let wrote = cache.write_word(b, 0, value);
                     let expected = match model.get_mut(&n) {
                         Some(l) if l.state.writable() => {
                             (l.state, l.word) = (LineState::Modified, value);
@@ -844,15 +854,19 @@ fn three_set_cache_matches_a_naive_lru_model() {
                     assert_eq!(wrote, expected, "case {case} step {step}: write");
                     if wrote {
                         // Keep the model's single-word view: fill the rest too.
-                        cache.merge_owned(b, &BlockData::from_words([value; 8]), 0xff);
+                        cache.merge_store(b, &BlockData::from_words([value; 8]), 0xff);
                         stamp += 1;
                         model.get_mut(&n).unwrap().lru = stamp;
                     }
                 }
                 6 => {
-                    let gone = cache.invalidate(b);
+                    let state = cache.peek(b);
+                    let dirty = cache.external_invalidate(b);
                     let expected = model.remove(&n);
-                    assert_eq!(gone.map(|g| g.state), expected.map(|l| l.state), "case {case}");
+                    let gone = (state != LineState::Invalid).then_some(state);
+                    assert_eq!(gone, expected.map(|l| l.state), "case {case}");
+                    let modified = expected.filter(|l| l.state == LineState::Modified);
+                    assert_eq!(dirty.map(|d| d.word(0)), modified.map(|l| l.word), "case {case}");
                 }
                 7 => {
                     let epoch = rng.range_usize(0..2);
@@ -881,7 +895,7 @@ fn three_set_cache_matches_a_naive_lru_model() {
             }
             for (&mn, l) in &model {
                 let mb = block(mn * 64);
-                assert_eq!(cache.state(mb), l.state, "case {case} step {step}: block {mn}");
+                assert_eq!(cache.peek(mb), l.state, "case {case} step {step}: block {mn}");
                 assert_eq!(cache.read_word(mb, 0), Some(l.word), "case {case} step {step}");
             }
         }

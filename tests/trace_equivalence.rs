@@ -160,3 +160,22 @@ fn deadlock_produces_structured_events() {
     assert!(jsonl.contains("deadlock"), "label vocabulary missing: {jsonl}");
     let _ = Json::parse(jsonl.lines().next().unwrap()).expect("each line is a JSON document");
 }
+
+/// `ifence trace summarize` reports a kind's extremes and mean without
+/// overflowing, even when the values of one kind sum past `u64::MAX`.
+#[test]
+fn summarize_handles_values_summing_past_u64() {
+    let path = std::env::temp_dir().join(format!("ifence-summarize-{}.jsonl", std::process::id()));
+    let line = r#"{"cycle":1,"core":0,"kind":"dram_fetch","value":18446744073709551615}"#;
+    std::fs::write(&path, format!("{line}\n{line}\n")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ifence"))
+        .args(["trace", "summarize"])
+        .arg(&path)
+        .output()
+        .expect("ifence runs");
+    let _ = std::fs::remove_file(&path);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "exit {}: {stderr}", out.status);
+    assert!(stdout.contains("18446744073709551616.0"), "mean missing from:\n{stdout}");
+}
