@@ -414,8 +414,7 @@ impl L1Cache {
                 tag.state = LineState::Shared;
             }
         }
-        let from_victim = self.victim.downgrade(block);
-        dirty.or(from_victim)
+        dirty.or(self.victim.downgrade(block))
     }
 
     /// Performs the "cleaning" writeback InvisiFence uses before the first
