@@ -573,14 +573,7 @@ mod tests {
 
     #[test]
     fn fill_and_lookup() {
-        let mut l1 = small_cache();
-        assert_eq!(l1.peek(blk(0x1000)), LineState::Invalid);
-        assert!(
-            fill_evicting(&mut l1, blk(0x1000), LineState::Shared, BlockData::zeroed()).is_none()
-        );
-        assert_eq!(l1.peek(blk(0x1000)), LineState::Shared);
-        assert!(l1.contains(blk(0x1000)));
-        assert_eq!(l1.valid_lines(), 1);
+        let mut l1 = L1Cache::new(&cfg());
         assert_eq!(l1.lookup(blk(0x100)), LineState::Invalid);
         l1.fill(blk(0x100), LineState::Exclusive, BlockData::zeroed());
         assert_eq!(l1.lookup(blk(0x100)), LineState::Exclusive);
@@ -649,46 +642,22 @@ mod tests {
 
     #[test]
     fn fill_would_evict_spec_detects_conflict() {
-        // The line a fill of `block` displaces, and whether its slot reports
-        // a speculative victim.
-        let victim = |c: &L1Cache, block: BlockAddr| {
-            let slot = c.fill_slot(block);
-            let spec = c.slot_evicts_spec(slot);
-            let mut c = c.clone();
-            c.fill_at(slot, LineState::Shared, BlockData::zeroed());
-            let evicted = c.drain_writebacks().next();
-            evicted.map(|e| (e.block(), spec))
-        };
-        let mut c = small_cache();
-        let a = blk(0x000);
-        let b = blk(0x100);
-        let d = blk(0x200);
-        c.fill(a, LineState::Modified, BlockData::zeroed());
-        assert!(victim(&c, b).is_none(), "invalid way available");
-        c.fill(b, LineState::Shared, BlockData::zeroed());
-        c.mark_spec_written(a, 0);
-        c.lookup(b);
-        // Replacement avoids speculative lines: even though `a` is LRU, the
-        // non-speculative `b` is chosen as the victim.
-        assert_eq!(victim(&c, d), Some((b, false)));
-        // Only when every way is speculative does a speculative line become
-        // the victim, and the caller is told so.
-        c.mark_spec_read(b, 0);
-        assert_eq!(victim(&c, d), Some((a, true)), "falls back to plain LRU");
-        assert!(victim(&c, a).is_none(), "present blocks need no eviction");
-
-        c.fill(a, LineState::Exclusive, BlockData::zeroed());
-        c.fill(b, LineState::Exclusive, BlockData::zeroed());
-        c.mark_spec_written(a, 0);
-        c.mark_spec_read(b, 0);
-        assert!(c.slot_evicts_spec(c.fill_slot(d)));
-        assert!(!c.slot_evicts_spec(c.fill_slot(a)), "already-present block evicts nothing");
+        let mut l1 = L1Cache::new(&cfg());
+        l1.fill(blk(0x000), LineState::Exclusive, BlockData::zeroed());
+        l1.fill(blk(0x100), LineState::Exclusive, BlockData::zeroed());
+        l1.mark_spec_written(blk(0x000), 0);
+        l1.mark_spec_read(blk(0x100), 0);
+        assert!(l1.slot_evicts_spec(l1.fill_slot(blk(0x200))));
+        assert!(
+            !l1.slot_evicts_spec(l1.fill_slot(blk(0x000))),
+            "already-present block evicts nothing"
+        );
         // A commit clears the marks, so the same fill is no longer a conflict.
-        c.flash_clear_epoch(0);
-        let slot = c.fill_slot(d);
-        assert!(!c.slot_evicts_spec(slot));
-        c.fill_at(slot, LineState::Shared, BlockData::zeroed());
-        assert!(c.contains(d));
+        l1.flash_clear_epoch(0);
+        let slot = l1.fill_slot(blk(0x200));
+        assert!(!l1.slot_evicts_spec(slot));
+        l1.fill_at(slot, LineState::Shared, BlockData::zeroed());
+        assert!(l1.contains(blk(0x200)));
     }
 
     #[test]
@@ -770,35 +739,18 @@ mod tests {
 
     #[test]
     fn spec_bits_roundtrip_through_l1() {
-        let mut c = small_cache();
-        let b = blk(0x40);
-        c.fill(b, LineState::Exclusive, BlockData::zeroed());
-        c.mark_spec_read(b, 0);
-        c.mark_spec_written(b, 0);
-        assert!(c.is_spec_read(b, 0));
-        assert!(c.is_spec_written(b, 0));
-        assert!(c.is_spec_any(b));
-        assert!(c.has_spec_lines());
-        let gone = c.flash_invalidate_written(0);
-        assert_eq!(gone, vec![b]);
-        assert!(!c.has_spec_lines());
-        assert_eq!(c.peek(b), LineState::Invalid);
-
-        // Refilled, the line tracks each epoch's read and written bits apart.
-        c.fill(b, LineState::Exclusive, BlockData::zeroed());
-        assert!(c.mark_spec_read(b, 0));
-        assert!(c.mark_spec_written(b, 1));
-        assert!(c.is_spec_read(b, 0));
-        assert!(!c.is_spec_read(b, 1));
-        assert!(c.is_spec_written(b, 1));
-        assert!(c.is_spec_any(b));
-        assert_eq!(c.spec_line_count(0), 1);
-        assert_eq!(c.spec_line_count(1), 1);
-        assert!(c.mark_spec_written(b, 0));
-        assert_eq!(c.spec_line_count(0), 1, "a read and written line counts once");
-        c.flash_clear_epoch(0);
-        assert!(!c.is_spec_read(b, 0));
-        assert!(c.is_spec_written(b, 1), "other epoch untouched");
+        let mut l1 = L1Cache::new(&cfg());
+        l1.fill(blk(0x40), LineState::Exclusive, BlockData::zeroed());
+        l1.mark_spec_read(blk(0x40), 0);
+        l1.mark_spec_written(blk(0x40), 0);
+        assert!(l1.is_spec_read(blk(0x40), 0));
+        assert!(l1.is_spec_written(blk(0x40), 0));
+        assert!(l1.is_spec_any(blk(0x40)));
+        assert!(l1.has_spec_lines());
+        let gone = l1.flash_invalidate_written(0);
+        assert_eq!(gone, vec![blk(0x40)]);
+        assert!(!l1.has_spec_lines());
+        assert_eq!(l1.peek(blk(0x40)), LineState::Invalid);
     }
 
     #[test]
