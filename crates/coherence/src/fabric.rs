@@ -147,7 +147,6 @@ pub struct CoherenceFabric {
     /// ids (late acks) miss on the slot generation exactly as they used to
     /// miss in the old id map.
     txns: Slab<Txn>,
-    deferred_acks: u64,
     total_transactions: u64,
     stats: FabricStats,
     /// Latency of every demand access that missed in the L2 (cycles).
@@ -171,7 +170,6 @@ impl CoherenceFabric {
             events: EventQueue::new(),
             holder_scratch: Vec::new(),
             txns: Slab::new(),
-            deferred_acks: 0,
             total_transactions: 0,
             stats: FabricStats::new(),
             l2_miss_latency: Log2Hist::new(),
@@ -214,11 +212,6 @@ impl CoherenceFabric {
     /// fabric-initiated and counted in [`CoherenceFabric::stats`]).
     pub fn total_transactions(&self) -> u64 {
         self.total_transactions
-    }
-
-    /// Acknowledgements deferred by commit-on-violate so far.
-    pub fn deferred_acks(&self) -> u64 {
-        self.deferred_acks
     }
 
     /// Memory-hierarchy counters: L2 hits/misses/evictions/recalls and DRAM
@@ -597,34 +590,28 @@ impl CoherenceFabric {
 
     /// A core's reply to an invalidation or downgrade delivery.
     pub fn respond(&mut self, reply: SnoopReply, now: Cycle) {
-        match reply {
-            SnoopReply::Defer { .. } => {
-                self.deferred_acks += 1;
-            }
-            SnoopReply::Ack { core, txn, dirty_data } => {
-                let id = txn.0;
-                let (block, kind, line) = match self.txns.get(id) {
-                    Some(t) => (t.block, t.kind, t.line(&self.l2)),
-                    None => return,
-                };
-                let home = self.home(block);
-                if let Some(d) = dirty_data {
-                    let line = self.l2.line_mut(line);
-                    line.data = d;
-                    line.dirty = true;
-                }
-                let ack_arrives = now + self.latency(core, home);
-                let ready = {
-                    let t = self.txns.get_mut(id).expect("transaction exists");
-                    t.pending_acks = t.pending_acks.saturating_sub(1);
-                    t.pending_acks == 0
-                };
-                if ready {
-                    match kind {
-                        TxnKind::Recall => self.finalize_recall(id, now),
-                        TxnKind::GetS | TxnKind::GetM => self.schedule_fill(id, ack_arrives),
-                    }
-                }
+        let SnoopReply::Ack { core, txn, dirty_data } = reply;
+        let id = txn.0;
+        let (block, kind, line) = match self.txns.get(id) {
+            Some(t) => (t.block, t.kind, t.line(&self.l2)),
+            None => return,
+        };
+        let home = self.home(block);
+        if let Some(d) = dirty_data {
+            let line = self.l2.line_mut(line);
+            line.data = d;
+            line.dirty = true;
+        }
+        let ack_arrives = now + self.latency(core, home);
+        let ready = {
+            let t = self.txns.get_mut(id).expect("transaction exists");
+            t.pending_acks = t.pending_acks.saturating_sub(1);
+            t.pending_acks == 0
+        };
+        if ready {
+            match kind {
+                TxnKind::Recall => self.finalize_recall(id, now),
+                TxnKind::GetS | TxnKind::GetM => self.schedule_fill(id, ack_arrives),
             }
         }
     }
@@ -810,8 +797,8 @@ mod tests {
         fabric.request(getm(0, blk(0xc0)), 0);
         let _ = run_collect_fills(&mut fabric, None, 600);
 
-        // Core 1 wants to write; core 0 defers (commit-on-violate) and only
-        // acks 500 cycles later.
+        // Core 1 wants to write; core 0 defers (commit-on-violate), sending
+        // nothing, and only acks 500 cycles later.
         fabric.request(getm(1, blk(0xc0)), 600);
         let mut deferred_txn = None;
         let mut fill_time = None;
@@ -822,7 +809,6 @@ mod tests {
                 match d {
                     Delivery::Invalidate { core, txn, .. } => {
                         assert_eq!(core, CoreId(0));
-                        fabric.respond(SnoopReply::Defer { core, txn }, now);
                         deferred_txn = Some((core, txn, now));
                     }
                     Delivery::Fill { core, .. } => {
@@ -845,7 +831,6 @@ mod tests {
             "fill at {filled_at} must wait for the deferred ack at {}",
             deferred_at + 500
         );
-        assert_eq!(fabric.deferred_acks(), 1);
     }
 
     #[test]

@@ -111,6 +111,8 @@ impl Delivery {
 }
 
 /// A core's reply to an [`Delivery::Invalidate`] or [`Delivery::Downgrade`].
+/// A core that defers a request (commit-on-violate, ASO's commit drain)
+/// sends nothing until it acknowledges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnoopReply {
     /// The external request was honoured. `dirty_data` carries the block's
@@ -123,23 +125,13 @@ pub enum SnoopReply {
         /// Dirty data to merge into the fabric's backing store, if any.
         dirty_data: Option<BlockData>,
     },
-    /// Commit-on-violate: the core defers the request while it tries to commit
-    /// its speculation. It promises to send an [`SnoopReply::Ack`] later
-    /// (after committing, aborting, or the CoV timeout).
-    Defer {
-        /// The deferring core.
-        core: CoreId,
-        /// The transaction whose acknowledgement is deferred.
-        txn: TxnId,
-    },
 }
 
 impl SnoopReply {
     /// The transaction this reply belongs to.
     pub fn txn(&self) -> TxnId {
-        match self {
-            SnoopReply::Ack { txn, .. } | SnoopReply::Defer { txn, .. } => *txn,
-        }
+        let SnoopReply::Ack { txn, .. } = self;
+        *txn
     }
 }
 
@@ -178,7 +170,11 @@ mod tests {
     #[test]
     fn snoop_reply_txn() {
         let a = SnoopReply::Ack { core: CoreId(0), txn: TxnId(3), dirty_data: None };
-        let d = SnoopReply::Defer { core: CoreId(0), txn: TxnId(4) };
+        let d = SnoopReply::Ack {
+            core: CoreId(1),
+            txn: TxnId(4),
+            dirty_data: Some(BlockData::zeroed()),
+        };
         assert_eq!(a.txn(), TxnId(3));
         assert_eq!(d.txn(), TxnId(4));
     }

@@ -31,8 +31,8 @@
 
 use ifence_consistency::{head_wait, retire_in_order, RetireWait};
 use ifence_cpu::{
-    CheckpointLedger, DeferResolution, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CheckpointLedger, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use ifence_types::{
     Addr, BlockAddr, ConsistencyModel, Cycle, InstrKind, MachineConfig, StallReason,
@@ -216,6 +216,7 @@ impl OrderingEngine for AsoEngine {
         ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
+        _deferred: Option<Cycle>,
     ) -> ExternalOutcome {
         // While the SSB drains into the L2 the external interface is disabled:
         // incoming requests wait until the drain finishes.
@@ -228,26 +229,6 @@ impl OrderingEngine for AsoEngine {
             None => ExternalOutcome::Ack,
             Some(position) => {
                 ExternalOutcome::AckAfterRollback { resume_at: self.abort_from(ctx, position) }
-            }
-        }
-    }
-
-    fn resolve_deferred(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        block: BlockAddr,
-        kind: ExternalKind,
-        _deadline: Cycle,
-    ) -> DeferResolution {
-        if let Some(until) = self.committing_until {
-            if ctx.now < until {
-                return DeferResolution::Wait;
-            }
-        }
-        match self.conflict_position(block, kind.is_write()) {
-            None => DeferResolution::Ack,
-            Some(position) => {
-                DeferResolution::AckAfterRollback { resume_at: self.abort_from(ctx, position) }
             }
         }
     }
@@ -412,12 +393,66 @@ mod tests {
         // During the drain window external requests are deferred...
         let inv = ExternalKind::Invalidate;
         ctx.now = 1010;
-        let outcome = engine.on_external(&mut ctx, blk(0x1000), inv);
-        assert!(matches!(outcome, ExternalOutcome::Defer { until } if until >= 1100));
+        let outcome = engine.on_external(&mut ctx, blk(0x1000), inv, None);
+        let ExternalOutcome::Defer { until } = outcome else { panic!("{outcome:?}") };
+        assert!(until >= 1100);
+        assert_eq!(engine.on_external(&mut ctx, blk(0x1000), inv, Some(until)), outcome);
         // ...and acknowledged once it finishes.
         ctx.now = 1200;
-        let res = engine.resolve_deferred(&mut ctx, blk(0x1000), inv, 1100);
-        assert_eq!(res, DeferResolution::Ack);
+        assert_eq!(
+            engine.on_external(&mut ctx, blk(0x1000), inv, Some(until)),
+            ExternalOutcome::Ack
+        );
+    }
+
+    #[test]
+    fn core_holds_a_request_through_the_commit_drain() {
+        let mut program = Program::new();
+        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss -> trigger
+        for i in 0..10u64 {
+            program.push(Instruction::store(Addr::new(0x2000), i)); // speculative store hits
+        }
+        // A load miss that is never filled keeps the program from ending, so
+        // the episode commits through the drain rather than at the end.
+        program.push(Instruction::load(Addr::new(0x7000)));
+        let mut core = core_with(program);
+        prefill(&mut core, &[0x2000]);
+        for now in 0..30 {
+            core.step(now);
+        }
+        assert!(core.speculating());
+        let (state, data) = (LineState::Exclusive, BlockData::zeroed());
+        let fill =
+            Delivery::Fill { core: CoreId(0), block: blk(0x9000), state, data, txn: TxnId(0) };
+        core.handle_delivery(fill, 30);
+        let mut now = 30;
+        while core.stats().counters.speculations_committed == 0 {
+            now += 1;
+            assert!(now < 400, "the episode commits once the trigger miss is filled");
+            core.step(now);
+        }
+        // The commit started draining ten speculative stores: a request
+        // arriving now is held inside the core, with no reply yet.
+        let committed_at = now;
+        let invalidate = Delivery::Invalidate {
+            core: CoreId(0),
+            block: blk(0x2000),
+            txn: TxnId(9),
+            requester: CoreId(1),
+            recall: false,
+        };
+        assert_eq!(core.handle_delivery(invalidate, now + 1), None);
+        assert_eq!(core.stats().counters.cov_deferrals, 1);
+        let mut replies = Vec::new();
+        while replies.is_empty() {
+            now += 1;
+            assert!(now < committed_at + 400, "the drain ends");
+            core.step(now);
+            core.drain_replies_into(&mut replies);
+        }
+        assert!(now >= committed_at + 10, "the ack waits for the drain");
+        assert!(matches!(replies[..], [SnoopReply::Ack { txn: TxnId(9), .. }]));
+        assert_eq!(core.stats().counters.cov_deferrals, 1, "a re-poll is no new deferral");
     }
 
     #[test]

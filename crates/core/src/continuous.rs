@@ -4,8 +4,8 @@
 use crate::kernel::SpeculationKernel;
 use ifence_consistency::ConventionalEngine;
 use ifence_cpu::{
-    CheckpointLedger, CoreMem, DeferResolution, EngineCtx, ExternalKind, ExternalOutcome,
-    OrderingEngine, RetireCtx, RetireOutcome,
+    CheckpointLedger, CoreMem, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use ifence_types::{BlockAddr, ConsistencyModel, Cycle, SpeculationConfig};
 
@@ -115,18 +115,9 @@ impl OrderingEngine for InvisiContinuousEngine {
         ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
+        deferred: Option<Cycle>,
     ) -> ExternalOutcome {
-        self.kernel.on_external(ctx, block, kind)
-    }
-
-    fn resolve_deferred(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        block: BlockAddr,
-        kind: ExternalKind,
-        deadline: Cycle,
-    ) -> DeferResolution {
-        self.kernel.resolve_deferred(ctx, block, kind, deadline)
+        self.kernel.on_external(ctx, block, kind, deferred)
     }
 
     fn can_drain(&self, ledger: &CheckpointLedger, epoch: Option<u8>) -> bool {
@@ -403,7 +394,8 @@ mod tests {
             },
             6,
         );
-        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(reply, None, "the deferral sends nothing");
+        assert_eq!(core.stats().counters.cov_deferrals, 1);
         // Keep running: chunks commit (no outstanding misses), clearing the
         // conflict, so the deferred request is acknowledged without an abort.
         assert!(step_until_ack(&mut core, 7..4000));
@@ -418,7 +410,7 @@ mod tests {
         // commit before the line is surrendered.
         let mut core = cov_core_reading_behind_a_store_miss(4000);
         let reply = core.handle_delivery(invalidate(0x1000, 12, true), 20);
-        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(reply, None, "the deferred recall sends nothing");
         assert_eq!(core.stats().counters.cov_deferrals, 1);
         assert_eq!(core.stats().counters.l2_recalls_received, 1);
         assert!(core.speculating(), "the deferred recall leaves the chunk alive");
@@ -429,7 +421,7 @@ mod tests {
         let mut core = cov_core_reading_behind_a_store_miss(4000);
         // A conflicting external request is deferred rather than aborting.
         let reply = core.handle_delivery(invalidate(0x1000, 2, false), 20);
-        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(reply, None);
         assert_eq!(core.stats().counters.cov_deferrals, 1);
         // Complete the store miss: the chunk commits and the deferred
         // acknowledgement is released without any rollback.

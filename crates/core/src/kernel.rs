@@ -29,8 +29,7 @@
 //! (`selective`, `continuous`).
 
 use ifence_cpu::{
-    CheckpointLedger, CoreMem, DeferResolution, EngineCtx, ExternalKind, ExternalOutcome,
-    RetireCtx, RetireOutcome,
+    CheckpointLedger, CoreMem, EngineCtx, ExternalKind, ExternalOutcome, RetireCtx, RetireOutcome,
 };
 use ifence_types::{Addr, BlockAddr, Cycle, InstrKind, StallReason};
 
@@ -174,47 +173,37 @@ impl SpeculationKernel {
         })
     }
 
-    /// Reacts to an external request for `block`: acknowledges it when no
-    /// episode conflicts, defers it under commit-on-violate, and otherwise
-    /// aborts from the oldest conflicting episode.
+    /// Decides an external request for `block` (see
+    /// [`ifence_cpu::OrderingEngine::on_external`]). With no conflicting
+    /// episode it is acknowledged, which for a deferred request is a
+    /// commit-on-violate success. A conflict on arrival is deferred under
+    /// commit-on-violate and otherwise aborts from the oldest conflicting
+    /// episode; a deferred request still in conflict waits until its
+    /// deadline and then aborts (a timeout).
     pub fn on_external(
         &self,
         ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
+        deferred: Option<Cycle>,
     ) -> ExternalOutcome {
         let Some(position) = Self::conflict_position(ctx.ledger, ctx.mem, block, kind.is_write())
         else {
+            if deferred.is_some() {
+                ctx.stats.counters.cov_commits += 1;
+            }
             return ExternalOutcome::Ack;
         };
-        match self.cov_timeout {
-            Some(timeout) => ExternalOutcome::Defer { until: ctx.now + timeout },
-            None => {
+        match (deferred, self.cov_timeout) {
+            (Some(deadline), _) if ctx.now < deadline => ExternalOutcome::Defer { until: deadline },
+            (None, Some(timeout)) => ExternalOutcome::Defer { until: ctx.now + timeout },
+            // No commit-on-violate, or a deferral that reached its deadline.
+            (deadline, _) => {
+                if deadline.is_some() {
+                    ctx.stats.counters.cov_timeouts += 1;
+                }
                 ExternalOutcome::AckAfterRollback { resume_at: Self::abort_from(ctx, position) }
             }
-        }
-    }
-
-    /// Re-examines a deferred request: once no episode conflicts it is
-    /// acknowledged (a commit-on-violate success), at `deadline` the
-    /// conflicting episodes abort (a timeout), and until then it waits.
-    pub fn resolve_deferred(
-        &self,
-        ctx: &mut EngineCtx<'_>,
-        block: BlockAddr,
-        kind: ExternalKind,
-        deadline: Cycle,
-    ) -> DeferResolution {
-        match Self::conflict_position(ctx.ledger, ctx.mem, block, kind.is_write()) {
-            None => {
-                ctx.stats.counters.cov_commits += 1;
-                DeferResolution::Ack
-            }
-            Some(position) if ctx.now >= deadline => {
-                ctx.stats.counters.cov_timeouts += 1;
-                DeferResolution::AckAfterRollback { resume_at: Self::abort_from(ctx, position) }
-            }
-            Some(_) => DeferResolution::Wait,
         }
     }
 
@@ -502,13 +491,14 @@ mod tests {
         let k = SpeculationKernel::new(1, None);
         rig.begin(&k, 7).unwrap();
         rig.retire(&k, Instruction::load(Addr::new(0x1000)), 7);
-        let remote_read = k.on_external(&mut rig.ctx(5), blk(0x1000), ExternalKind::Downgrade);
+        let remote_read =
+            k.on_external(&mut rig.ctx(5), blk(0x1000), ExternalKind::Downgrade, None);
         assert_eq!(
             remote_read,
             ExternalOutcome::Ack,
             "a remote read of a read block is no conflict"
         );
-        let outcome = k.on_external(&mut rig.ctx(5), blk(0x1000), ExternalKind::Invalidate);
+        let outcome = k.on_external(&mut rig.ctx(5), blk(0x1000), ExternalKind::Invalidate, None);
         assert_eq!(outcome, ExternalOutcome::AckAfterRollback { resume_at: 7 });
         assert!(!rig.ledger.speculating());
         assert!(rig.ledger.owes_nonspec(), "the emptying abort owes forward progress");
@@ -526,22 +516,22 @@ mod tests {
             rig.begin(&k, 3).unwrap();
             rig.retire(&k, Instruction::load(Addr::new(0x1000)), 3);
             let inv = ExternalKind::Invalidate;
-            let outcome = k.on_external(&mut rig.ctx(10), blk(0x1000), inv);
+            let outcome = k.on_external(&mut rig.ctx(10), blk(0x1000), inv, None);
             assert_eq!(outcome, ExternalOutcome::Defer { until: 110 });
             assert!(rig.ledger.speculating(), "deferral leaves the episode alive");
-            let wait = k.resolve_deferred(&mut rig.ctx(50), blk(0x1000), inv, 110);
-            assert_eq!(wait, DeferResolution::Wait);
+            let wait = k.on_external(&mut rig.ctx(50), blk(0x1000), inv, Some(110));
+            assert_eq!(wait, ExternalOutcome::Defer { until: 110 });
             let counters =
                 |rig: &Rig| (rig.stats.counters.cov_commits, rig.stats.counters.cov_timeouts);
             if commits {
                 assert!(k.try_commit_oldest(&mut rig.ctx(60), false));
-                let acked = k.resolve_deferred(&mut rig.ctx(60), blk(0x1000), inv, 110);
-                assert_eq!(acked, DeferResolution::Ack);
+                let acked = k.on_external(&mut rig.ctx(60), blk(0x1000), inv, Some(110));
+                assert_eq!(acked, ExternalOutcome::Ack);
                 assert_eq!(counters(&rig), (1, 0));
                 assert!(!rig.ledger.owes_nonspec());
             } else {
-                let timed_out = k.resolve_deferred(&mut rig.ctx(110), blk(0x1000), inv, 110);
-                assert_eq!(timed_out, DeferResolution::AckAfterRollback { resume_at: 3 });
+                let timed_out = k.on_external(&mut rig.ctx(110), blk(0x1000), inv, Some(110));
+                assert_eq!(timed_out, ExternalOutcome::AckAfterRollback { resume_at: 3 });
                 assert_eq!(counters(&rig), (0, 1));
                 assert_eq!(rig.stats.counters.speculations_aborted, 1);
                 assert!(rig.ledger.owes_nonspec());

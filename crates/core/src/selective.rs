@@ -7,7 +7,7 @@ use ifence_cpu::{
     CheckpointLedger, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
     RetireOutcome,
 };
-use ifence_types::{BlockAddr, ConsistencyModel, SpeculationConfig, StallReason};
+use ifence_types::{BlockAddr, ConsistencyModel, Cycle, SpeculationConfig, StallReason};
 
 /// InvisiFence-Selective: post-retirement speculation initiated only on
 /// ordering-induced retirement stalls, with constant-time opportunistic commit
@@ -87,8 +87,9 @@ impl OrderingEngine for InvisiSelectiveEngine {
         ctx: &mut EngineCtx<'_>,
         block: BlockAddr,
         kind: ExternalKind,
+        deferred: Option<Cycle>,
     ) -> ExternalOutcome {
-        self.kernel.on_external(ctx, block, kind)
+        self.kernel.on_external(ctx, block, kind, deferred)
     }
 
     fn can_drain(&self, ledger: &CheckpointLedger, epoch: Option<u8>) -> bool {

@@ -2,8 +2,7 @@
 
 use crate::checkpoint::CheckpointLedger;
 use crate::engine::{
-    DeferResolution, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 use crate::mem_side::CoreMem;
 use crate::rob::Rob;
@@ -320,11 +319,11 @@ impl Core {
                 if recall {
                     self.stats.counters.l2_recalls_received += 1;
                 }
-                Some(self.handle_external(block, ExternalKind::Invalidate, txn, now))
+                self.settle_external(block, ExternalKind::Invalidate, txn, None, now)
             }
             Delivery::Downgrade { block, txn, .. } => {
                 self.stats.counters.external_downgrades += 1;
-                Some(self.handle_external(block, ExternalKind::Downgrade, txn, now))
+                self.settle_external(block, ExternalKind::Downgrade, txn, None, now)
             }
         }
     }
@@ -366,42 +365,51 @@ impl Core {
         entry.complete_at = Some(now + hit_latency);
         if entry.instr.kind.reads_memory() && !entry.performed_read {
             let addr = entry.instr.kind.addr().unwrap_or_default();
-            entry.loaded_value = Some(mem.read_value(addr).unwrap_or(0));
-            entry.performed_read = true;
-            entry.bound_at_head = at_head;
+            entry.bind_read(Some(mem.read_value(addr).unwrap_or(0)), at_head);
             engine.on_load_issue(mem, ledger, block);
         }
     }
 
-    fn handle_external(
+    /// Asks the engine about an external request and applies its answer:
+    /// `deferred` is `None` when the request arrives and the deadline of
+    /// its first deferral on each re-poll. Returns the acknowledgement, or
+    /// `None` while the request stays deferred inside the core; a deferral
+    /// is recorded when it starts, and its end (0 acked, 1 rolled back) when
+    /// it ends.
+    fn settle_external(
         &mut self,
         block: BlockAddr,
         kind: ExternalKind,
         txn: TxnId,
+        deferred: Option<Cycle>,
         now: Cycle,
-    ) -> SnoopReply {
+    ) -> Option<SnoopReply> {
         let outcome = {
             let Core { mem, engine, stats, ledger, .. } = self;
-            engine.on_external(&mut EngineCtx { mem, stats, ledger, now }, block, kind)
+            engine.on_external(&mut EngineCtx { mem, stats, ledger, now }, block, kind, deferred)
         };
-        match outcome {
-            ExternalOutcome::Ack => {
-                self.in_window_snoop(block, kind);
-                self.apply_and_ack(block, kind, txn)
-            }
-            ExternalOutcome::AckAfterRollback { resume_at } => {
-                self.rollback(resume_at);
-                self.apply_and_ack(block, kind, txn)
-            }
+        let resume_at = match outcome {
             ExternalOutcome::Defer { until } => {
-                self.stats.counters.cov_deferrals += 1;
-                let window = until.saturating_sub(now);
-                self.stats.hists.deferral.record(window);
-                self.stats.trace.emit_at(now, TraceKind::CovDeferStart, window);
-                self.deferred.push(DeferredSnoop { txn, block, kind, deadline: until });
-                SnoopReply::Defer { core: self.id, txn }
+                if deferred.is_none() {
+                    self.stats.counters.cov_deferrals += 1;
+                    let window = until.saturating_sub(now);
+                    self.stats.hists.deferral.record(window);
+                    self.stats.trace.emit_at(now, TraceKind::CovDeferStart, window);
+                    self.deferred.push(DeferredSnoop { txn, block, kind, deadline: until });
+                }
+                return None;
             }
+            ExternalOutcome::Ack => None,
+            ExternalOutcome::AckAfterRollback { resume_at } => Some(resume_at),
+        };
+        if deferred.is_some() {
+            self.stats.trace.emit_at(now, TraceKind::CovDeferEnd, resume_at.is_some() as u64);
         }
+        match resume_at {
+            Some(resume_at) => self.rollback(resume_at),
+            None => self.in_window_snoop(block, kind),
+        }
+        Some(self.apply_and_ack(block, kind, txn))
     }
 
     /// The in-window ordering mechanism (load-queue snooping): a remote
@@ -435,36 +443,21 @@ impl Core {
         SnoopReply::Ack { core: self.id, txn, dirty_data: dirty }
     }
 
-    /// Returns true if any deferred request was resolved (state changed).
-    /// The still-waiting snoops are compacted to the front of the taken
-    /// list in their original order, so the list's allocation is reused.
-    fn resolve_deferred(&mut self, now: Cycle) -> bool {
+    /// Re-polls every deferred request, queueing the acknowledgement of each
+    /// one that ends; returns true if any did (state changed). The
+    /// still-deferred snoops are compacted to the front of the taken list in
+    /// their original order, so the list's allocation is reused.
+    fn poll_deferred(&mut self, now: Cycle) -> bool {
         let mut deferred = std::mem::take(&mut self.deferred);
         let before = deferred.len();
         let mut kept = 0;
         for i in 0..before {
             let d = deferred[i];
-            let resolution = {
-                let Core { mem, engine, stats, ledger, .. } = self;
-                let mut ctx = EngineCtx { mem, stats, ledger, now };
-                engine.resolve_deferred(&mut ctx, d.block, d.kind, d.deadline)
-            };
-            match resolution {
-                DeferResolution::Wait => {
+            match self.settle_external(d.block, d.kind, d.txn, Some(d.deadline), now) {
+                Some(reply) => self.pending_replies.push(reply),
+                None => {
                     deferred[kept] = d;
                     kept += 1;
-                }
-                DeferResolution::Ack => {
-                    self.stats.trace.emit_at(now, TraceKind::CovDeferEnd, 0);
-                    self.in_window_snoop(d.block, d.kind);
-                    let reply = self.apply_and_ack(d.block, d.kind, d.txn);
-                    self.pending_replies.push(reply);
-                }
-                DeferResolution::AckAfterRollback { resume_at } => {
-                    self.stats.trace.emit_at(now, TraceKind::CovDeferEnd, 1);
-                    self.rollback(resume_at);
-                    let reply = self.apply_and_ack(d.block, d.kind, d.txn);
-                    self.pending_replies.push(reply);
                 }
             }
         }
@@ -500,31 +493,32 @@ impl Core {
             if entry.issued {
                 continue;
             }
+            let Some(addr) = entry.instr.kind.addr() else {
+                // An ALU operation or a fence needs no memory port.
+                let latency = match entry.instr.kind {
+                    InstrKind::Op(lat) => lat as u64,
+                    _ => 1,
+                };
+                entry.complete_at = Some(now + latency);
+                entry.issued = true;
+                issued_any = true;
+                continue;
+            };
+            if mem_ports_used >= max_ports {
+                issued_prefix.get_or_insert(position);
+                continue;
+            }
+            mem_ports_used += 1;
             // A memory operation's first issue attempt records its block even
             // when the issue itself fails (MSHRs full); that is a state
             // change the quiescence analysis must see.
             let block_known = entry.block.is_some();
+            let block = mem.block_of(addr);
+            entry.block = Some(block);
             match entry.instr.kind {
-                InstrKind::Op(lat) => {
-                    entry.complete_at = Some(now + lat as u64);
-                    entry.issued = true;
-                }
-                InstrKind::Fence(_) => {
-                    entry.complete_at = Some(now + 1);
-                    entry.issued = true;
-                }
-                InstrKind::Load(addr) => {
-                    if mem_ports_used >= max_ports {
-                        issued_prefix.get_or_insert(position);
-                        continue;
-                    }
-                    mem_ports_used += 1;
-                    let block = mem.block_of(addr);
-                    entry.block = Some(block);
+                InstrKind::Load(_) => {
                     if let Some(value) = mem.sb.forward(addr) {
-                        entry.loaded_value = Some(value);
-                        entry.performed_read = true;
-                        entry.bound_at_head = at_head;
+                        entry.bind_read(Some(value), at_head);
                         entry.complete_at = Some(now + 1);
                         entry.issued = true;
                         stats.counters.sb_forwards += 1;
@@ -534,9 +528,7 @@ impl Core {
                     } else if let Some(value) =
                         mem.l1.load_word(block, addr.word_in_block(mem.block_bytes()).index())
                     {
-                        entry.loaded_value = Some(value);
-                        entry.performed_read = true;
-                        entry.bound_at_head = at_head;
+                        entry.bind_read(Some(value), at_head);
                         entry.complete_at = Some(now + hit_latency);
                         entry.issued = true;
                         stats.counters.l1_hits += 1;
@@ -550,32 +542,16 @@ impl Core {
                         entry.issued = true;
                     }
                 }
-                InstrKind::Store(addr, _) => {
-                    if mem_ports_used >= max_ports {
-                        issued_prefix.get_or_insert(position);
-                        continue;
-                    }
-                    mem_ports_used += 1;
-                    let block = mem.block_of(addr);
-                    entry.block = Some(block);
+                InstrKind::Store(..) => {
                     entry.complete_at = Some(now + 1);
                     entry.issued = true;
                     mem.store_prefetch(block, now, &mut stats.counters);
                 }
-                InstrKind::Atomic(addr, _) => {
-                    if mem_ports_used >= max_ports {
-                        issued_prefix.get_or_insert(position);
-                        continue;
-                    }
-                    mem_ports_used += 1;
-                    let block = mem.block_of(addr);
-                    entry.block = Some(block);
+                InstrKind::Atomic(..) => {
                     if mem.l1.lookup(block).writable() {
                         let word = addr.word_in_block(mem.block_bytes()).index();
-                        entry.loaded_value =
-                            mem.sb.forward(addr).or_else(|| mem.l1.read_word(block, word));
-                        entry.performed_read = true;
-                        entry.bound_at_head = at_head;
+                        let value = mem.sb.forward(addr).or_else(|| mem.l1.read_word(block, word));
+                        entry.bind_read(value, at_head);
                         entry.complete_at = Some(now + hit_latency);
                         entry.issued = true;
                         stats.counters.l1_hits += 1;
@@ -590,6 +566,7 @@ impl Core {
                         entry.issued = true;
                     }
                 }
+                InstrKind::Op(_) | InstrKind::Fence(_) => unreachable!("has no address"),
             }
             if entry.issued || entry.block.is_some() != block_known {
                 issued_any = true;
@@ -698,8 +675,8 @@ impl Core {
             engine.tick(&mut EngineCtx { mem, stats, ledger, now });
         }
 
-        // 2. Resolve deferred external requests.
-        let deferred_resolved = !self.deferred.is_empty() && self.resolve_deferred(now);
+        // 2. Re-poll deferred external requests.
+        let deferred_resolved = !self.deferred.is_empty() && self.poll_deferred(now);
 
         // 3. Drain the store buffer into the L1.
         let drained = if self.mem.sb_empty() {
@@ -924,7 +901,7 @@ mod tests {
         let cfg = machine_cfg();
         let mut core = Core::new(CoreId(0), Program::new(), &cfg, Box::new(FreeRetireEngine));
         core.mem.l1.fill(blk(0x4000), LineState::Modified, BlockData::from_words([9; 8]));
-        let reply = core
+        let SnoopReply::Ack { txn, dirty_data, .. } = core
             .handle_delivery(
                 Delivery::Invalidate {
                     core: CoreId(0),
@@ -936,13 +913,8 @@ mod tests {
                 5,
             )
             .expect("external requests are acknowledged");
-        match reply {
-            SnoopReply::Ack { txn, dirty_data, .. } => {
-                assert_eq!(txn, TxnId(3));
-                assert_eq!(dirty_data.unwrap().word(0), 9);
-            }
-            other => panic!("expected Ack, got {other:?}"),
-        }
+        assert_eq!(txn, TxnId(3));
+        assert_eq!(dirty_data.unwrap().word(0), 9);
         assert_eq!(core.stats().counters.external_invalidations, 1);
         assert_eq!(core.mem.l1.peek(blk(0x4000)), LineState::Invalid);
     }
@@ -1138,6 +1110,7 @@ mod tests {
             _ctx: &mut EngineCtx<'_>,
             _block: BlockAddr,
             _kind: ExternalKind,
+            _deferred: Option<Cycle>,
         ) -> ExternalOutcome {
             if self.rolled_back {
                 ExternalOutcome::Ack

@@ -44,39 +44,28 @@ impl ExternalKind {
     }
 }
 
-/// The engine's reaction to an external coherence request.
+/// The engine's decision about an external coherence request, taken when it
+/// arrives and again each cycle while it stays deferred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExternalOutcome {
-    /// No conflict with speculation: apply the request and acknowledge.
+    /// No conflict with speculation (any more): apply the request and
+    /// acknowledge.
     Ack,
-    /// The request conflicts with live speculation: the engine has already
-    /// discarded its speculative state; the core must squash and resume
-    /// fetching at `resume_at`, then apply the request and acknowledge.
+    /// The request conflicts with live speculation (or its deferral timed
+    /// out): the engine has already discarded its speculative state; the
+    /// core must squash and resume fetching at `resume_at`, then apply the
+    /// request and acknowledge.
     AckAfterRollback {
         /// Program index at which execution resumes.
         resume_at: usize,
     },
-    /// Commit-on-violate: defer the request (and its acknowledgement) until
-    /// `until`, giving the speculation a chance to commit first.
+    /// Hold the request (and its acknowledgement) until `until`, giving the
+    /// speculation a chance to commit first (commit-on-violate) or a commit
+    /// drain the time to finish (ASO). On a re-poll the core keeps the
+    /// deadline of the first deferral.
     Defer {
         /// Deadline after which the deferral must be resolved.
         until: Cycle,
-    },
-}
-
-/// Resolution of a previously deferred external request, polled every cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeferResolution {
-    /// Keep waiting (the deadline has not passed and the conflict persists).
-    Wait,
-    /// The conflict is gone (the speculation committed or aborted for another
-    /// reason): apply the request and acknowledge.
-    Ack,
-    /// The deadline expired: the engine aborted the speculation; squash,
-    /// resume at `resume_at`, then apply and acknowledge.
-    AckAfterRollback {
-        /// Program index at which execution resumes.
-        resume_at: usize,
     },
 }
 
@@ -148,28 +137,20 @@ pub trait OrderingEngine: Send {
     /// timeouts.
     fn tick(&mut self, _ctx: &mut EngineCtx<'_>) {}
 
-    /// Reacts to an external coherence request for `block` (violation
-    /// detection). The core applies the invalidation/downgrade to the L1 and
-    /// replies according to the returned outcome.
+    /// Decides an external coherence request for `block` (violation
+    /// detection). `deferred` is `None` when the request arrives and, while
+    /// it stays deferred, the deadline of its first
+    /// [`ExternalOutcome::Defer`]; the core polls every cycle until the
+    /// answer is not `Defer`, then applies the invalidation/downgrade to the
+    /// L1 and acknowledges.
     fn on_external(
         &mut self,
         _ctx: &mut EngineCtx<'_>,
         _block: BlockAddr,
         _kind: ExternalKind,
+        _deferred: Option<Cycle>,
     ) -> ExternalOutcome {
         ExternalOutcome::Ack
-    }
-
-    /// Polled every cycle for each request previously deferred with
-    /// [`ExternalOutcome::Defer`] until `deadline`.
-    fn resolve_deferred(
-        &mut self,
-        _ctx: &mut EngineCtx<'_>,
-        _block: BlockAddr,
-        _kind: ExternalKind,
-        _deadline: Cycle,
-    ) -> DeferResolution {
-        DeferResolution::Ack
     }
 
     /// Whether a store-buffer entry of the given epoch may drain into the L1
@@ -268,7 +249,7 @@ mod tests {
         assert_eq!(engine.on_spec_eviction_pressure(&mut ctx), None);
         let block = BlockAddr::containing(ifence_types::Addr::new(0x40), 64);
         let inv = ExternalKind::Invalidate;
-        assert_eq!(engine.on_external(&mut ctx, block, inv), ExternalOutcome::Ack);
-        assert_eq!(engine.resolve_deferred(&mut ctx, block, inv, 10), DeferResolution::Ack);
+        assert_eq!(engine.on_external(&mut ctx, block, inv, None), ExternalOutcome::Ack);
+        assert_eq!(engine.on_external(&mut ctx, block, inv, Some(10)), ExternalOutcome::Ack);
     }
 }

@@ -17,12 +17,11 @@
 //! decides when checkpoints begin, commit or abort, manages its own
 //! speculative state (speculative bits, ASO's read and write sets) and
 //! instructs the core to roll back by returning a resume index:
-//! [`ExternalOutcome::AckAfterRollback`] or
-//! [`DeferResolution::AckAfterRollback`] for a violation, or `Some` from
+//! [`ExternalOutcome::AckAfterRollback`] for a violation, or `Some` from
 //! [`OrderingEngine::on_spec_eviction_pressure`] for a structural abort.
 //!
 //! Per simulated cycle a core:
-//! 1. resolves deferred external requests and runs the engine's `tick`,
+//! 1. runs the engine's `tick` and re-polls deferred external requests,
 //! 2. drains the store buffer into the L1 (subject to the engine's gate),
 //!    only while the buffer holds an unparked entry — one whose block is
 //!    not waiting for its fill,
@@ -48,8 +47,7 @@ pub mod rob;
 pub use crate::core::{Core, CoreSleep};
 pub use checkpoint::{Checkpoint, CheckpointLedger};
 pub use engine::{
-    DeferResolution, EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    EngineCtx, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 pub use mem_side::CoreMem;
 pub use rob::{Rob, RobEntry};

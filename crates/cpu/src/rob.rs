@@ -34,6 +34,16 @@ pub struct RobEntry {
     pub loaded_value: Option<u64>,
 }
 
+impl RobEntry {
+    /// Binds a load's or an atomic's read: records the value it read and
+    /// whether it read it at the head (see [`RobEntry::bound_at_head`]).
+    pub fn bind_read(&mut self, value: Option<u64>, at_head: bool) {
+        self.loaded_value = value;
+        self.performed_read = true;
+        self.bound_at_head = at_head;
+    }
+}
+
 /// A bounded in-order reorder buffer.
 ///
 /// # Example

@@ -44,7 +44,9 @@ pub struct SimCounters {
     pub speculations_aborted_structural: u64,
     /// Cycles spent executing speculatively (committed or not).
     pub cycles_speculating: u64,
-    /// External requests deferred by the commit-on-violate policy.
+    /// External requests deferred by the commit-on-violate policy. ASO's
+    /// commit drain defers through the same path, so its held requests are
+    /// counted here too.
     pub cov_deferrals: u64,
     /// Deferred requests that ultimately allowed a commit (violation avoided).
     pub cov_commits: u64,

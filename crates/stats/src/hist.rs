@@ -141,7 +141,7 @@ pub struct CoreHists {
     /// commit/abort.
     pub episode_len: Log2Hist,
     /// Commit-on-violate deferral windows granted (deadline − now), in
-    /// cycles.
+    /// cycles; ASO's commit-drain delays are recorded here too.
     pub deferral: Log2Hist,
     /// Store-buffer occupancy observed after each insert.
     pub sb_occupancy: Log2Hist,
@@ -168,7 +168,8 @@ impl CoreHists {
 pub struct RunHistograms {
     /// Speculation episode lengths (instructions), summed over cores.
     pub episode_len: Log2Hist,
-    /// Commit-on-violate deferral windows (cycles), summed over cores.
+    /// Commit-on-violate deferral windows (cycles), summed over cores;
+    /// ASO's commit-drain delays are recorded here too.
     pub deferral: Log2Hist,
     /// Store-buffer occupancy after inserts, summed over cores.
     pub sb_occupancy: Log2Hist,

@@ -48,10 +48,13 @@ pub enum TraceKind {
     /// A speculation episode aborted. `value` = episode length at abort.
     SpecAbort,
     /// A commit-on-violate deferral was granted. `value` = granted window
-    /// (deadline − now) in cycles.
+    /// (deadline − now) in cycles. ASO's commit drain defers through the
+    /// same path, so it emits this event too.
     CovDeferStart,
     /// A deferral ended with the deferred acknowledgement. `value` = 1 when
-    /// a rollback preceded the ack (timeout path), 0 on a clean commit.
+    /// a rollback preceded the ack (timeout path), 0 on a clean commit. Also
+    /// emitted when ASO's commit drain releases a held request (1 if it then
+    /// conflicted and aborted).
     CovDeferEnd,
     /// The store buffer reached a new occupancy high-water mark. `value` =
     /// the new mark (entries).
