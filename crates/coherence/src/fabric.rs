@@ -30,7 +30,7 @@ use crate::directory::{home_of, DirectoryEntry, DirectoryState};
 use crate::event_queue::EventQueue;
 use crate::messages::{CoherenceReqKind, CoherenceRequest, Delivery, SnoopReply, TxnId};
 use crate::slab::Slab;
-use ifence_mem::{BankedL2, BlockData, L2FillOutcome, L2Handle, LineState};
+use ifence_mem::{BankedL2, BlockData, L2Evicted, L2FillOutcome, L2Handle, LineState};
 use ifence_stats::{FabricStats, Log2Hist, TraceEvent, TraceKind, TraceSink};
 use ifence_types::{
     Addr, BlockAddr, CoreId, Cycle, FnvMap, InterconnectConfig, L2Config, MachineConfig,
@@ -365,18 +365,7 @@ impl CoherenceFabric {
         match self.l2.fill(number, data, DirectoryEntry::new(), DirectoryEntry::is_uncached) {
             L2FillOutcome::Installed { line, evicted } => {
                 if let Some(ev) = evicted {
-                    self.stats.l2_evictions += 1;
-                    let ev_home = self.home(self.block_addr(ev.block));
-                    self.trace.emit_for(
-                        ev_home.index() as u32,
-                        now,
-                        TraceKind::L2Eviction,
-                        ev.dirty as u64,
-                    );
-                    if ev.dirty {
-                        self.dram.insert(ev.block, ev.data);
-                        self.stats.dram_writebacks += 1;
-                    }
+                    self.evict_l2_line(ev, now);
                 }
                 self.stats.l2_misses += 1;
                 self.stats.dram_reads += 1;
@@ -579,8 +568,15 @@ impl CoherenceFabric {
         let Some(t) = self.txns.remove(id) else { return };
         debug_assert_eq!(t.kind, TxnKind::Recall);
         let ev = self.l2.remove(t.line(&self.l2));
+        self.evict_l2_line(ev, now);
+    }
+
+    /// Accounts for a line that has left the L2, holderless or recalled:
+    /// counts the eviction, traces it at the victim's home node and writes
+    /// dirty data back to DRAM.
+    fn evict_l2_line(&mut self, ev: L2Evicted<DirectoryEntry>, now: Cycle) {
         self.stats.l2_evictions += 1;
-        let home = self.home(t.block);
+        let home = self.home(self.block_addr(ev.block));
         self.trace.emit_for(home.index() as u32, now, TraceKind::L2Eviction, ev.dirty as u64);
         if ev.dirty {
             self.dram.insert(ev.block, ev.data);

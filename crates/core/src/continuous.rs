@@ -64,9 +64,7 @@ impl OrderingEngine for InvisiContinuousEngine {
                     self.kernel.begin(ctx).expect("a checkpoint is free when no chunk is open");
                 // Loads that already executed become part of this chunk.
                 for block in self.pending_reads.drain(..) {
-                    if ctx.mem.l1.contains(block) {
-                        ctx.mem.l1.mark_spec_read(block, slot);
-                    }
+                    ctx.mem.l1.mark_spec_read(block, slot);
                 }
             }
             // Close the current chunk and open its successor if a checkpoint
@@ -86,9 +84,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         // mechanism as post-retirement ones.
         match ledger.live().last() {
             Some(chunk) => {
-                if mem.l1.contains(block) {
-                    mem.l1.mark_spec_read(block, chunk.slot);
-                }
+                mem.l1.mark_spec_read(block, chunk.slot);
             }
             // Before the first chunk opens, remember the read; it is marked
             // when the chunk begins (and the core's load-queue snooping covers

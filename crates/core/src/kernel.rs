@@ -98,17 +98,13 @@ impl SpeculationKernel {
             InstrKind::Op(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
             InstrKind::Load(addr) => {
                 let block = ctx.mem.block_of(addr);
-                if ctx.mem.l1.contains(block) {
-                    ctx.mem.l1.mark_spec_read(block, slot);
-                }
+                ctx.mem.l1.mark_spec_read(block, slot);
                 RetireOutcome::Retired
             }
             InstrKind::Store(addr, value) => Self::spec_store(ctx, addr, value, slot),
             InstrKind::Atomic(addr, value) => {
                 let block = ctx.mem.block_of(addr);
-                if ctx.mem.l1.contains(block) {
-                    ctx.mem.l1.mark_spec_read(block, slot);
-                }
+                ctx.mem.l1.mark_spec_read(block, slot);
                 Self::spec_store(ctx, addr, value, slot)
             }
         }

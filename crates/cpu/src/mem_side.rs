@@ -250,22 +250,27 @@ impl CoreMem {
         if !self.l1.lookup(block).writable() {
             return false;
         }
-        if let Some(e) = epoch {
-            if !self.l1.is_spec_written(block, 0)
-                && !self.l1.is_spec_written(block, 1)
-                && self.l1.clean_writeback(block).is_some()
-            {
-                counters.writebacks += 1;
-            }
-            let word = addr.word_in_block(self.block_bytes).index();
-            let ok = self.l1.write_word(block, word, value);
-            if ok {
-                self.l1.mark_spec_written(block, e as usize);
-            }
-            ok
-        } else {
-            let word = addr.word_in_block(self.block_bytes).index();
-            self.l1.write_word(block, word, value)
+        if epoch.is_some() {
+            self.clean_before_spec_write(block, counters);
+        }
+        let word = addr.word_in_block(self.block_bytes).index();
+        let ok = self.l1.write_word(block, word, value);
+        if let (true, Some(e)) = (ok, epoch) {
+            self.l1.mark_spec_written(block, e as usize);
+        }
+        ok
+    }
+
+    /// The cleaning-writeback rule (Section 3.2), applied before every
+    /// speculative write into the L1: a Modified `block` not yet
+    /// speculatively written in epoch 0 or 1 is written back and stays
+    /// resident as Exclusive, so the L2 keeps its pre-speculative value.
+    fn clean_before_spec_write(&mut self, block: BlockAddr, counters: &mut SimCounters) {
+        if !self.l1.is_spec_written(block, 0)
+            && !self.l1.is_spec_written(block, 1)
+            && self.l1.clean_writeback(block).is_some()
+        {
+            counters.writebacks += 1;
         }
     }
 
@@ -324,16 +329,8 @@ impl CoreMem {
                 let state = self.l1.lookup(block);
                 if state.writable() {
                     let entry = self.sb.drain_block(block).expect("a drain candidate has an entry");
-                    // A speculative entry draining onto a dirty,
-                    // not-yet-speculative block forces a cleaning writeback
-                    // first so the pre-speculative value is preserved in the
-                    // L2.
-                    if entry.epoch.is_some()
-                        && !self.l1.is_spec_written(block, 0)
-                        && !self.l1.is_spec_written(block, 1)
-                        && self.l1.clean_writeback(block).is_some()
-                    {
-                        counters.writebacks += 1;
+                    if entry.epoch.is_some() {
+                        self.clean_before_spec_write(block, counters);
                     }
                     let ok = self.l1.merge_store(block, &entry.data, entry.word_mask);
                     debug_assert!(ok, "writable block must accept the drained store");

@@ -70,40 +70,58 @@ pub struct SimCounters {
     pub writebacks: u64,
 }
 
+const _: () = assert!(size_of::<SimCounters>() == SimCounters::FIELDS * size_of::<u64>());
+
 impl SimCounters {
+    /// The counter count. With it, the `size_of` assertion above rejects a
+    /// counter missing from [`SimCounters::fields_mut`]; the borrow check
+    /// rejects one listed twice.
+    const FIELDS: usize = 26;
+
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Every counter with its JSON key, in struct order: the one listing
+    /// that [`SimCounters::merge`] and the store's encoder and decoder walk.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); Self::FIELDS] {
+        [
+            ("instructions_retired", &mut self.instructions_retired),
+            ("loads_retired", &mut self.loads_retired),
+            ("stores_retired", &mut self.stores_retired),
+            ("atomics_retired", &mut self.atomics_retired),
+            ("fences_retired", &mut self.fences_retired),
+            ("instructions_squashed", &mut self.instructions_squashed),
+            ("l1_hits", &mut self.l1_hits),
+            ("l1_misses", &mut self.l1_misses),
+            ("sb_forwards", &mut self.sb_forwards),
+            ("sb_inserts", &mut self.sb_inserts),
+            ("sb_drains", &mut self.sb_drains),
+            ("store_prefetches", &mut self.store_prefetches),
+            ("speculations_started", &mut self.speculations_started),
+            ("speculations_committed", &mut self.speculations_committed),
+            ("speculations_aborted", &mut self.speculations_aborted),
+            ("speculations_aborted_structural", &mut self.speculations_aborted_structural),
+            ("cycles_speculating", &mut self.cycles_speculating),
+            ("cov_deferrals", &mut self.cov_deferrals),
+            ("cov_commits", &mut self.cov_commits),
+            ("cov_timeouts", &mut self.cov_timeouts),
+            ("external_invalidations", &mut self.external_invalidations),
+            ("l2_recalls_received", &mut self.l2_recalls_received),
+            ("external_downgrades", &mut self.external_downgrades),
+            ("in_window_replays", &mut self.in_window_replays),
+            ("coherence_requests", &mut self.coherence_requests),
+            ("writebacks", &mut self.writebacks),
+        ]
+    }
+
     /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &SimCounters) {
-        self.instructions_retired += other.instructions_retired;
-        self.loads_retired += other.loads_retired;
-        self.stores_retired += other.stores_retired;
-        self.atomics_retired += other.atomics_retired;
-        self.fences_retired += other.fences_retired;
-        self.instructions_squashed += other.instructions_squashed;
-        self.l1_hits += other.l1_hits;
-        self.l1_misses += other.l1_misses;
-        self.sb_forwards += other.sb_forwards;
-        self.sb_inserts += other.sb_inserts;
-        self.sb_drains += other.sb_drains;
-        self.store_prefetches += other.store_prefetches;
-        self.speculations_started += other.speculations_started;
-        self.speculations_committed += other.speculations_committed;
-        self.speculations_aborted += other.speculations_aborted;
-        self.speculations_aborted_structural += other.speculations_aborted_structural;
-        self.cycles_speculating += other.cycles_speculating;
-        self.cov_deferrals += other.cov_deferrals;
-        self.cov_commits += other.cov_commits;
-        self.cov_timeouts += other.cov_timeouts;
-        self.external_invalidations += other.external_invalidations;
-        self.l2_recalls_received += other.l2_recalls_received;
-        self.external_downgrades += other.external_downgrades;
-        self.in_window_replays += other.in_window_replays;
-        self.coherence_requests += other.coherence_requests;
-        self.writebacks += other.writebacks;
+        let mut other = *other;
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *mine += *theirs;
+        }
     }
 
     /// L1 miss ratio over demand accesses (0.0 when no accesses occurred).

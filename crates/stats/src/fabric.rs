@@ -25,21 +25,39 @@ pub struct FabricStats {
     pub busy_retries: u64,
 }
 
+const _: () = assert!(size_of::<FabricStats>() == FabricStats::FIELDS * size_of::<u64>());
+
 impl FabricStats {
+    /// The counter count. With it, the `size_of` assertion above rejects a
+    /// counter missing from [`FabricStats::fields_mut`]; the borrow check
+    /// rejects one listed twice.
+    const FIELDS: usize = 7;
+
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Every counter with its JSON key, in struct order: the one listing
+    /// that [`FabricStats::merge`] and the store's encoder and decoder walk.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); Self::FIELDS] {
+        [
+            ("l2_hits", &mut self.l2_hits),
+            ("l2_misses", &mut self.l2_misses),
+            ("l2_evictions", &mut self.l2_evictions),
+            ("l2_recalls", &mut self.l2_recalls),
+            ("dram_reads", &mut self.dram_reads),
+            ("dram_writebacks", &mut self.dram_writebacks),
+            ("busy_retries", &mut self.busy_retries),
+        ]
+    }
+
     /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &FabricStats) {
-        self.l2_hits += other.l2_hits;
-        self.l2_misses += other.l2_misses;
-        self.l2_evictions += other.l2_evictions;
-        self.l2_recalls += other.l2_recalls;
-        self.dram_reads += other.dram_reads;
-        self.dram_writebacks += other.dram_writebacks;
-        self.busy_retries += other.busy_retries;
+        let mut other = *other;
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *mine += *theirs;
+        }
     }
 
     /// L2 miss ratio over demand accesses (0.0 when no accesses occurred).

@@ -113,7 +113,7 @@ impl Log2Hist {
     }
 
     /// The non-empty buckets, as `(index, count)` pairs in index order —
-    /// the sparse form the store serializes and the CLI summarizer renders.
+    /// the sparse form the store serializes.
     pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, &c)| (i, c))
     }
@@ -147,17 +147,36 @@ pub struct CoreHists {
     pub sb_occupancy: Log2Hist,
 }
 
+const _: () = assert!(size_of::<CoreHists>() == CoreHists::FIELDS * size_of::<Log2Hist>());
+
 impl CoreHists {
+    /// The histogram count, which holds [`CoreHists::named_mut`] complete
+    /// as `SimCounters`' count holds its listing.
+    const FIELDS: usize = 3;
+
     /// Creates empty histograms.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// The histograms with their JSON keys, in struct order: the one
+    /// listing that [`CoreHists::merge`], [`RunHistograms::from_parts`] and
+    /// the store's encoder walk. They are the first three of
+    /// [`RunHistograms::named`], in the same order.
+    pub fn named_mut(&mut self) -> [(&'static str, &mut Log2Hist); Self::FIELDS] {
+        [
+            ("episode_len", &mut self.episode_len),
+            ("deferral", &mut self.deferral),
+            ("sb_occupancy", &mut self.sb_occupancy),
+        ]
+    }
+
     /// Merges another core's histograms into this one.
     pub fn merge(&mut self, other: &CoreHists) {
-        self.episode_len.merge(&other.episode_len);
-        self.deferral.merge(&other.deferral);
-        self.sb_occupancy.merge(&other.sb_occupancy);
+        let mut other = other.clone();
+        for ((_, mine), (_, theirs)) in self.named_mut().into_iter().zip(other.named_mut()) {
+            mine.merge(theirs);
+        }
     }
 }
 
@@ -180,7 +199,12 @@ pub struct RunHistograms {
     pub fabric_queue_depth: Log2Hist,
 }
 
+const _: () = assert!(size_of::<RunHistograms>() == RunHistograms::FIELDS * size_of::<Log2Hist>());
+
 impl RunHistograms {
+    /// The histogram count, which holds both listings complete.
+    const FIELDS: usize = 5;
+
     /// Creates empty histograms.
     pub fn new() -> Self {
         Self::default()
@@ -197,34 +221,45 @@ impl RunHistograms {
         for c in cores {
             agg.merge(c);
         }
-        RunHistograms {
-            episode_len: agg.episode_len,
-            deferral: agg.deferral,
-            sb_occupancy: agg.sb_occupancy,
-            l2_miss_latency,
-            fabric_queue_depth,
+        let mut run = RunHistograms { l2_miss_latency, fabric_queue_depth, ..Default::default() };
+        for ((name, mine), (core_name, theirs)) in run.named_mut().into_iter().zip(agg.named_mut())
+        {
+            debug_assert_eq!(name, core_name, "CoreHists lists a prefix of RunHistograms");
+            *mine = std::mem::take(theirs);
         }
+        run
     }
 
     /// Merges another run's histograms into this one (elementwise, like
     /// every merge in this crate).
     pub fn merge(&mut self, other: &RunHistograms) {
-        self.episode_len.merge(&other.episode_len);
-        self.deferral.merge(&other.deferral);
-        self.sb_occupancy.merge(&other.sb_occupancy);
-        self.l2_miss_latency.merge(&other.l2_miss_latency);
-        self.fabric_queue_depth.merge(&other.fabric_queue_depth);
+        for ((_, mine), (_, theirs)) in self.named_mut().into_iter().zip(other.named()) {
+            mine.merge(theirs);
+        }
     }
 
-    /// The five histograms with their stable labels, in reporting order
-    /// (the CLI summarizer and the store codec share this order).
-    pub fn named(&self) -> [(&'static str, &Log2Hist); 5] {
+    /// The five histograms with their stable labels, which are also their
+    /// JSON keys, in struct order: the listing that [`RunHistograms::merge`]
+    /// and the store's encoder walk.
+    pub fn named(&self) -> [(&'static str, &Log2Hist); Self::FIELDS] {
         [
             ("episode_len", &self.episode_len),
             ("deferral", &self.deferral),
             ("sb_occupancy", &self.sb_occupancy),
             ("l2_miss_latency", &self.l2_miss_latency),
             ("fabric_queue_depth", &self.fabric_queue_depth),
+        ]
+    }
+
+    /// [`RunHistograms::named`]'s mutable twin, in the same order: merging,
+    /// assembly and the store's decoder fill the record through it.
+    pub fn named_mut(&mut self) -> [(&'static str, &mut Log2Hist); Self::FIELDS] {
+        [
+            ("episode_len", &mut self.episode_len),
+            ("deferral", &mut self.deferral),
+            ("sb_occupancy", &mut self.sb_occupancy),
+            ("l2_miss_latency", &mut self.l2_miss_latency),
+            ("fabric_queue_depth", &mut self.fabric_queue_depth),
         ]
     }
 }

@@ -1,7 +1,7 @@
 //! Derived results: run summaries, speedups, confidence intervals and
 //! plain-text tables used by the figure harness.
 
-use crate::{CoreStats, CycleBreakdown, FabricStats, RunHistograms, SimCounters};
+use crate::{CoreStats, CycleBreakdown, FabricStats, Log2Hist, RunHistograms, SimCounters};
 use ifence_types::Cycle;
 use std::fmt;
 
@@ -52,12 +52,7 @@ impl RunSummary {
             // The per-core histograms aggregate here; the fabric's two are
             // only known to the machine, which overwrites this field in
             // `MachineResult::summary`.
-            histograms: RunHistograms {
-                episode_len: agg.hists.episode_len,
-                deferral: agg.hists.deferral,
-                sb_occupancy: agg.hists.sb_occupancy,
-                ..Default::default()
-            },
+            histograms: RunHistograms::from_parts(&[agg.hists], Log2Hist::new(), Log2Hist::new()),
             speculation_fraction,
         }
     }

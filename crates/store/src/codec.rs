@@ -11,7 +11,11 @@
 //! bytes. Each encoder of a struct with public fields destructures it
 //! without `..`, so a new field does not compile until it is encoded or
 //! explicitly skipped: a field missing from a key would let two different
-//! configurations share a cache entry. Decoding is strict about field types
+//! configurations share a cache entry. The statistics records
+//! ([`SimCounters`], [`FabricStats`], [`CoreHists`], [`RunHistograms`])
+//! instead each list their fields once in `ifence_stats`, where a `size_of`
+//! assertion keeps the listing complete, and their encoders and decoders
+//! walk that listing. Decoding is strict about field types
 //! but tolerant of *extra* fields, so a newer writer's files remain readable
 //! as long as [`crate::key::SCHEMA_VERSION`] is unchanged (the version is
 //! part of every cache key, so semantic changes invalidate old entries
@@ -129,7 +133,7 @@ impl<'a> Fields<'a> {
     }
 }
 
-pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
+pub(crate) fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
     Json::Object(fields.into_iter().map(|(n, v)| (n.to_string(), v)).collect())
 }
 
@@ -314,134 +318,37 @@ impl JsonDecode for CycleBreakdown {
 
 impl JsonCodec for SimCounters {
     fn to_json(&self) -> Json {
-        let SimCounters {
-            instructions_retired,
-            loads_retired,
-            stores_retired,
-            atomics_retired,
-            fences_retired,
-            instructions_squashed,
-            l1_hits,
-            l1_misses,
-            sb_forwards,
-            sb_inserts,
-            sb_drains,
-            store_prefetches,
-            speculations_started,
-            speculations_committed,
-            speculations_aborted,
-            speculations_aborted_structural,
-            cycles_speculating,
-            cov_deferrals,
-            cov_commits,
-            cov_timeouts,
-            external_invalidations,
-            l2_recalls_received,
-            external_downgrades,
-            in_window_replays,
-            coherence_requests,
-            writebacks,
-        } = *self;
-        obj(vec![
-            ("instructions_retired", uint(instructions_retired)),
-            ("loads_retired", uint(loads_retired)),
-            ("stores_retired", uint(stores_retired)),
-            ("atomics_retired", uint(atomics_retired)),
-            ("fences_retired", uint(fences_retired)),
-            ("instructions_squashed", uint(instructions_squashed)),
-            ("l1_hits", uint(l1_hits)),
-            ("l1_misses", uint(l1_misses)),
-            ("sb_forwards", uint(sb_forwards)),
-            ("sb_inserts", uint(sb_inserts)),
-            ("sb_drains", uint(sb_drains)),
-            ("store_prefetches", uint(store_prefetches)),
-            ("speculations_started", uint(speculations_started)),
-            ("speculations_committed", uint(speculations_committed)),
-            ("speculations_aborted", uint(speculations_aborted)),
-            ("speculations_aborted_structural", uint(speculations_aborted_structural)),
-            ("cycles_speculating", uint(cycles_speculating)),
-            ("cov_deferrals", uint(cov_deferrals)),
-            ("cov_commits", uint(cov_commits)),
-            ("cov_timeouts", uint(cov_timeouts)),
-            ("external_invalidations", uint(external_invalidations)),
-            ("l2_recalls_received", uint(l2_recalls_received)),
-            ("external_downgrades", uint(external_downgrades)),
-            ("in_window_replays", uint(in_window_replays)),
-            ("coherence_requests", uint(coherence_requests)),
-            ("writebacks", uint(writebacks)),
-        ])
+        let mut copy = *self;
+        obj(copy.fields_mut().map(|(name, n)| (name, uint(*n))))
     }
 }
 
 impl JsonDecode for SimCounters {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "SimCounters")?;
-        Ok(SimCounters {
-            instructions_retired: f.u64("instructions_retired")?,
-            loads_retired: f.u64("loads_retired")?,
-            stores_retired: f.u64("stores_retired")?,
-            atomics_retired: f.u64("atomics_retired")?,
-            fences_retired: f.u64("fences_retired")?,
-            instructions_squashed: f.u64("instructions_squashed")?,
-            l1_hits: f.u64("l1_hits")?,
-            l1_misses: f.u64("l1_misses")?,
-            sb_forwards: f.u64("sb_forwards")?,
-            sb_inserts: f.u64("sb_inserts")?,
-            sb_drains: f.u64("sb_drains")?,
-            store_prefetches: f.u64("store_prefetches")?,
-            speculations_started: f.u64("speculations_started")?,
-            speculations_committed: f.u64("speculations_committed")?,
-            speculations_aborted: f.u64("speculations_aborted")?,
-            speculations_aborted_structural: f.u64("speculations_aborted_structural")?,
-            cycles_speculating: f.u64("cycles_speculating")?,
-            cov_deferrals: f.u64("cov_deferrals")?,
-            cov_commits: f.u64("cov_commits")?,
-            cov_timeouts: f.u64("cov_timeouts")?,
-            external_invalidations: f.u64("external_invalidations")?,
-            l2_recalls_received: f.u64("l2_recalls_received")?,
-            external_downgrades: f.u64("external_downgrades")?,
-            in_window_replays: f.u64("in_window_replays")?,
-            coherence_requests: f.u64("coherence_requests")?,
-            writebacks: f.u64("writebacks")?,
-        })
+        let mut out = SimCounters::default();
+        for (name, n) in out.fields_mut() {
+            *n = f.u64(name)?;
+        }
+        Ok(out)
     }
 }
 
 impl JsonCodec for FabricStats {
     fn to_json(&self) -> Json {
-        let FabricStats {
-            l2_hits,
-            l2_misses,
-            l2_evictions,
-            l2_recalls,
-            dram_reads,
-            dram_writebacks,
-            busy_retries,
-        } = *self;
-        obj(vec![
-            ("l2_hits", uint(l2_hits)),
-            ("l2_misses", uint(l2_misses)),
-            ("l2_evictions", uint(l2_evictions)),
-            ("l2_recalls", uint(l2_recalls)),
-            ("dram_reads", uint(dram_reads)),
-            ("dram_writebacks", uint(dram_writebacks)),
-            ("busy_retries", uint(busy_retries)),
-        ])
+        let mut copy = *self;
+        obj(copy.fields_mut().map(|(name, n)| (name, uint(*n))))
     }
 }
 
 impl JsonDecode for FabricStats {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "FabricStats")?;
-        Ok(FabricStats {
-            l2_hits: f.u64("l2_hits")?,
-            l2_misses: f.u64("l2_misses")?,
-            l2_evictions: f.u64("l2_evictions")?,
-            l2_recalls: f.u64("l2_recalls")?,
-            dram_reads: f.u64("dram_reads")?,
-            dram_writebacks: f.u64("dram_writebacks")?,
-            busy_retries: f.u64("busy_retries")?,
-        })
+        let mut out = FabricStats::default();
+        for (name, n) in out.fields_mut() {
+            *n = f.u64(name)?;
+        }
+        Ok(out)
     }
 }
 
@@ -486,44 +393,24 @@ impl JsonDecode for Log2Hist {
 
 impl JsonCodec for CoreHists {
     fn to_json(&self) -> Json {
-        let CoreHists { episode_len, deferral, sb_occupancy } = self;
-        obj(vec![
-            ("episode_len", episode_len.to_json()),
-            ("deferral", deferral.to_json()),
-            ("sb_occupancy", sb_occupancy.to_json()),
-        ])
+        obj(self.clone().named_mut().map(|(name, hist)| (name, hist.to_json())))
     }
 }
 
 impl JsonCodec for RunHistograms {
     fn to_json(&self) -> Json {
-        let RunHistograms {
-            episode_len,
-            deferral,
-            sb_occupancy,
-            l2_miss_latency,
-            fabric_queue_depth,
-        } = self;
-        obj(vec![
-            ("episode_len", episode_len.to_json()),
-            ("deferral", deferral.to_json()),
-            ("sb_occupancy", sb_occupancy.to_json()),
-            ("l2_miss_latency", l2_miss_latency.to_json()),
-            ("fabric_queue_depth", fabric_queue_depth.to_json()),
-        ])
+        obj(self.named().map(|(name, hist)| (name, hist.to_json())))
     }
 }
 
 impl JsonDecode for RunHistograms {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "RunHistograms")?;
-        Ok(RunHistograms {
-            episode_len: f.decode("episode_len")?,
-            deferral: f.decode("deferral")?,
-            sb_occupancy: f.decode("sb_occupancy")?,
-            l2_miss_latency: f.decode("l2_miss_latency")?,
-            fabric_queue_depth: f.decode("fabric_queue_depth")?,
-        })
+        let mut out = RunHistograms::default();
+        for (name, hist) in out.named_mut() {
+            *hist = f.decode(name)?;
+        }
+        Ok(out)
     }
 }
 
@@ -860,5 +747,99 @@ mod tests {
             fields.push(("future_field".to_string(), Json::Null));
         }
         assert_eq!(FabricStats::from_json(&doc).unwrap(), stats);
+    }
+
+    #[test]
+    fn every_statistics_field_encodes_under_its_own_name() {
+        // Field i holds i + 1 and histogram i holds i + 1 observations, so an
+        // entry that pairs a key with the wrong field changes the text. A
+        // round trip cannot see that: a swapped pair decodes back swapped.
+        fn check<T: JsonCodec + JsonDecode + PartialEq + std::fmt::Debug>(value: &T, text: &str) {
+            assert_eq!(value.to_json().encode(), text);
+            assert_eq!(&T::from_json(&Json::parse(text).unwrap()).unwrap(), value);
+        }
+        let counters = SimCounters {
+            instructions_retired: 1,
+            loads_retired: 2,
+            stores_retired: 3,
+            atomics_retired: 4,
+            fences_retired: 5,
+            instructions_squashed: 6,
+            l1_hits: 7,
+            l1_misses: 8,
+            sb_forwards: 9,
+            sb_inserts: 10,
+            sb_drains: 11,
+            store_prefetches: 12,
+            speculations_started: 13,
+            speculations_committed: 14,
+            speculations_aborted: 15,
+            speculations_aborted_structural: 16,
+            cycles_speculating: 17,
+            cov_deferrals: 18,
+            cov_commits: 19,
+            cov_timeouts: 20,
+            external_invalidations: 21,
+            l2_recalls_received: 22,
+            external_downgrades: 23,
+            in_window_replays: 24,
+            coherence_requests: 25,
+            writebacks: 26,
+        };
+        check(
+            &counters,
+            concat!(
+                r#"{"instructions_retired":1,"loads_retired":2,"stores_retired":3,"#,
+                r#""atomics_retired":4,"fences_retired":5,"instructions_squashed":6,"l1_hits":7,"#,
+                r#""l1_misses":8,"sb_forwards":9,"sb_inserts":10,"sb_drains":11,"#,
+                r#""store_prefetches":12,"speculations_started":13,"speculations_committed":14,"#,
+                r#""speculations_aborted":15,"speculations_aborted_structural":16,"#,
+                r#""cycles_speculating":17,"cov_deferrals":18,"cov_commits":19,"cov_timeouts":20,"#,
+                r#""external_invalidations":21,"l2_recalls_received":22,"external_downgrades":23,"#,
+                r#""in_window_replays":24,"coherence_requests":25,"writebacks":26}"#,
+            ),
+        );
+        let fabric = FabricStats {
+            l2_hits: 1,
+            l2_misses: 2,
+            l2_evictions: 3,
+            l2_recalls: 4,
+            dram_reads: 5,
+            dram_writebacks: 6,
+            busy_retries: 7,
+        };
+        check(
+            &fabric,
+            concat!(
+                r#"{"l2_hits":1,"l2_misses":2,"l2_evictions":3,"l2_recalls":4,"dram_reads":5,"#,
+                r#""dram_writebacks":6,"busy_retries":7}"#,
+            ),
+        );
+        let mut hists = RunHistograms::new();
+        let RunHistograms {
+            episode_len,
+            deferral,
+            sb_occupancy,
+            l2_miss_latency,
+            fabric_queue_depth,
+        } = &mut hists;
+        for (i, hist) in [episode_len, deferral, sb_occupancy, l2_miss_latency, fabric_queue_depth]
+            .into_iter()
+            .enumerate()
+        {
+            for _ in 0..=i {
+                hist.record(1);
+            }
+        }
+        check(
+            &hists,
+            concat!(
+                r#"{"episode_len":{"count":1,"sum":1,"buckets":[[1,1]]},"#,
+                r#""deferral":{"count":2,"sum":2,"buckets":[[1,2]]},"#,
+                r#""sb_occupancy":{"count":3,"sum":3,"buckets":[[1,3]]},"#,
+                r#""l2_miss_latency":{"count":4,"sum":4,"buckets":[[1,4]]},"#,
+                r#""fabric_queue_depth":{"count":5,"sum":5,"buckets":[[1,5]]}}"#,
+            ),
+        );
     }
 }
